@@ -7,14 +7,20 @@ from the residual pool with one of three interchangeable selectors:
   kernel, using incremental Cholesky-style residual updates.
 * ``fps_select`` — farthest point sampling under the cosine distance
   d(i,j) = 1 - e_i . e_j on normalized features.
-* ``facility_location_select`` — greedy maximization of the coverage
-  objective F(S) = sum_i max_{j in S} s(i,j) with s = (cos + 1) / 2.
+* ``facility_location_select`` — lazy (accelerated) greedy maximization of
+  the coverage objective F(S) = sum_i max_{j in S} s(i,j) with
+  s = (cos + 1) / 2, re-evaluating only the candidate on top of a heap of
+  stale gain bounds.
 
 Ties are always broken toward the lowest token index, so every selector is
-deterministic.  ``dpp_greedy_naive`` and ``brute_force_max_logdet`` are
-reference oracles for checking the fast path.
+deterministic.  For facility location, ties are judged on the gains as the
+lazy greedy sums them: exactly duplicated tokens tie in exact arithmetic, so
+which copy wins may differ from a greedy that sums in another order.
+``dpp_greedy_naive`` and ``brute_force_max_logdet`` are reference
+oracles for checking the fast DPP path.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -401,12 +407,23 @@ def facility_location_select(
     k: int,
     epsilon: float = DEFAULT_EPSILON,
 ) -> DiversityPick:
-    """Greedy facility location over s(i,j) = clip((e_i . e_j + 1) / 2, 0, 1).
+    """Lazy-greedy facility location over s(i,j) = clip((e_i . e_j + 1) / 2, 0, 1).
 
     Maximizes F(S) = sum_{i in pool} max_{j in S} s(i,j) with unit weights:
     each step adds the candidate with the largest marginal coverage gain,
-    ties to lowest index.  ``gains`` holds the marginal gains, so
-    gains.sum() == F(S).
+    ties to the lowest pool position (lowest token index).  ``gains`` holds
+    the marginal gains, so gains.sum() == F(S).
+
+    Accelerated greedy (Minoux 1978): by submodularity a candidate's gain
+    can only shrink as the cover grows, so a gain computed at an earlier
+    step is an upper bound now.  Candidates wait in a heap keyed
+    ``(-bound, position)``; only the top one is re-evaluated, and it is
+    picked once its bound is current, so among equal gains the lowest
+    position wins.  The picks are those of the dense greedy that
+    re-evaluates every candidate at every step, except for exactly
+    duplicated tokens: their gains tie in exact arithmetic, the dense and
+    lazy sums round in a different order, and the two may pick different
+    copies of a duplicate, with the same F(S) up to rounding.
     """
     E = as_token_matrix(tokens)
     idx = as_index_pool(pool, E.shape[0])
@@ -415,21 +432,33 @@ def facility_location_select(
         return _empty_pick()
 
     unit = _normalize_rows_raw(E[idx], epsilon)
-    sim = np.clip((unit @ unit.T + 1.0) / 2.0, 0.0, 1.0)
+    # in place: no m x m temporaries beyond the Gram itself
+    sim = unit @ unit.T
+    sim += 1.0
+    sim *= 0.5
+    np.clip(sim, 0.0, 1.0, out=sim)
 
+    # step-1 gains are exact (the cover is empty), so every bound starts
+    # current; sim is bitwise symmetric, so sim[j] is candidate j's column
+    heap = [(-g, j) for j, g in enumerate(sim.sum(axis=0).tolist())]
+    heapq.heapify(heap)
+    fresh_at = [0] * idx.size  # step at which each bound was computed
     cover = np.zeros(idx.size)
-    avail = np.ones(idx.size, dtype=bool)
     picked: list[int] = []
     gains: list[float] = []
 
-    for _ in range(k):
-        marginal = np.maximum(sim - cover[:, None], 0.0).sum(axis=0)
-        marginal[~avail] = -np.inf
-        j = int(np.argmax(marginal))
+    for step in range(k):
+        while True:
+            neg_gain, j = heap[0]
+            if fresh_at[j] == step:
+                break
+            gain = float(np.maximum(sim[j] - cover, 0.0).sum())
+            fresh_at[j] = step
+            heapq.heapreplace(heap, (-gain, j))
+        heapq.heappop(heap)
         picked.append(j)
-        gains.append(float(marginal[j]))
-        avail[j] = False
-        cover = np.maximum(cover, sim[:, j])
+        gains.append(-neg_gain)
+        np.maximum(cover, sim[j], out=cover)
 
     order = idx[np.asarray(picked, dtype=np.int64)]
     return DiversityPick(

@@ -127,6 +127,33 @@ def facility_optimum(E: np.ndarray, pool, k: int) -> float:
     return best
 
 
+def facility_location_dense(E: np.ndarray, pool, k: int, epsilon: float = 1e-12):
+    """Dense greedy facility location: every candidate's gain, every step.
+
+    Returns (pick_order as token indices, per-step gains).  Each step builds
+    the full m x m ``maximum(sim - cover, 0)`` and takes its column sums;
+    ties go to the lowest pool position.
+    """
+    pool = np.asarray(pool, dtype=np.int64)
+    rows = E[pool]
+    unit = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + epsilon)
+    sim = np.clip((unit @ unit.T + 1.0) / 2.0, 0.0, 1.0)
+
+    cover = np.zeros(pool.size)
+    avail = np.ones(pool.size, dtype=bool)
+    picked: list[int] = []
+    gains: list[float] = []
+    for _ in range(k):
+        marginal = np.maximum(sim - cover[:, None], 0.0).sum(axis=0)
+        marginal[~avail] = -np.inf
+        j = int(np.argmax(marginal))
+        picked.append(j)
+        gains.append(float(marginal[j]))
+        avail[j] = False
+        cover = np.maximum(cover, sim[:, j])
+    return pool[np.asarray(picked, dtype=np.int64)], np.asarray(gains)
+
+
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
     return Q * np.sign(np.diag(R))

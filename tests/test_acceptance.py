@@ -49,6 +49,20 @@ def criterion(num: int, label: str, budget_s: float):
     print(f"\n[PASS] criterion {num}: {label} ({elapsed:.2f}s)")
 
 
+def best_of_three_ms(tokens, saliency, cfg):
+    """(fastest of three ``compress`` calls in ms, last result).
+
+    Best of three shields the measurement from CPU steal on shared boxes;
+    the bound characterizes the implementation, not the host.
+    """
+    elapsed_ms = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = compress(tokens, saliency, cfg)
+        elapsed_ms = min(elapsed_ms, (time.perf_counter() - t0) * 1e3)
+    return elapsed_ms, result
+
+
 def test_criterion_1_entropy_analytics():
     with criterion(1, "entropy analytics and invariance suites", 10.0):
         rng = np.random.default_rng(11)
@@ -249,13 +263,7 @@ def test_criterion_8_performance_budget(capsys):
         result = compress(tokens, saliency, cfg)  # warmup
         assert result.split.t_sal >= 32 and result.split.t_cov >= 32
 
-        # best of three shields the measurement from CPU steal on shared
-        # boxes; the bound characterizes the implementation, not the host
-        elapsed_ms = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            result = compress(tokens, saliency, cfg)
-            elapsed_ms = min(elapsed_ms, (time.perf_counter() - t0) * 1e3)
+        elapsed_ms, result = best_of_three_ms(tokens, saliency, cfg)
         assert result.selected.size == 320
         assert elapsed_ms < 500.0, f"compress took {elapsed_ms:.1f} ms"
 
@@ -266,3 +274,21 @@ def test_criterion_8_performance_budget(capsys):
         assert set(phases) == {"entropy", "allocation", "stage1", "stage2"}
         assert doc["configs"][0]["phase_sum_over_total_max"] <= 1.05
         print(f"\n  full-scale compress: best of 3 = {elapsed_ms:.1f} ms (budget 500 ms)")
+
+
+def test_criterion_8_facility_location_budget():
+    with criterion(8, "N=2880 d=1024 T=320 facility-location compress under 1500 ms", 120.0):
+        # 256 energy directions give a coverage-heavy split, so the lazy
+        # greedy runs over a ~2.8k pool for most of the budget
+        tokens, saliency = synth_tokens(2880, 1024, 256, 1e-3, 83)
+        cfg = CompressConfig(
+            total_budget=320, mu=0.42, tau=0.02, diversity_method="facility_location"
+        )
+
+        result = compress(tokens, saliency, cfg)  # warmup
+        assert result.split.t_cov > 3 * 320 // 4
+
+        elapsed_ms, result = best_of_three_ms(tokens, saliency, cfg)
+        assert result.selected.size == 320
+        assert elapsed_ms < 1500.0, f"compress took {elapsed_ms:.1f} ms"
+        print(f"\n  full-scale facility location: best of 3 = {elapsed_ms:.1f} ms (budget 1500 ms)")

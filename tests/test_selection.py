@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from oracles import (
+    facility_location_dense,
     facility_optimum,
     facility_value,
     pairwise_cosine_naive,
@@ -9,10 +10,12 @@ from oracles import (
 )
 
 from adaptok import (
+    CompressConfig,
     InstanceTooLargeError,
     InvalidBudgetError,
     InvalidInputError,
     brute_force_max_logdet,
+    compress,
     cosine_kernel,
     dpp_greedy_map,
     dpp_greedy_naive,
@@ -20,6 +23,8 @@ from adaptok import (
     fps_select,
     reduce_head_attention,
     saliency_topk,
+    subseed_rng,
+    synth_tokens,
 )
 
 E1_E1_E2 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -285,6 +290,36 @@ class TestFpsSelect:
             fps_select(E, np.arange(4), 1, start="random")
 
 
+FL_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")
+
+
+def _fl_tokens(rng, kind: str, n: int, d: int, seed) -> np.ndarray:
+    """Token matrices of the criterion-6 kinds."""
+    if kind == "generic":
+        return rng.standard_normal((n, d))
+    if kind == "duplicates":
+        base = rng.standard_normal((max(2, n // 4), d))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    if kind == "zero_rows":
+        tokens = rng.standard_normal((n, d))
+        tokens[rng.random(n) < 0.3] = 0.0
+        return tokens
+    if kind == "concentrated":
+        return synth_tokens(n, d, 1, 1e-4, seed)[0]
+    return synth_tokens(n, d, min(n, d), 1e-3, seed)[0]  # spread
+
+
+def _fl_instances(kind: str, count: int, seed: int):
+    """(tokens, random pool, random k) triples of one criterion-6 kind."""
+    for trial in range(count):
+        rng = subseed_rng(seed, trial)
+        n = int(rng.integers(4, 40))
+        d = int(rng.integers(2, 16))
+        tokens = _fl_tokens(rng, kind, n, d, [seed, trial])
+        pool = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        yield tokens, pool, int(rng.integers(1, pool.size + 1))
+
+
 class TestFacilityLocationSelect:
     def test_hand_example_k1(self):
         pick = facility_location_select(E1_E1_E2, np.arange(3), 1)
@@ -327,3 +362,50 @@ class TestFacilityLocationSelect:
     def test_errors(self, rng):
         with pytest.raises(InvalidBudgetError):
             facility_location_select(rng.standard_normal((3, 2)), np.arange(3), 4)
+
+    @pytest.mark.parametrize("kind", [k for k in FL_KINDS if k != "duplicates"])
+    def test_pick_order_matches_dense_greedy(self, kind):
+        for tokens, pool, k in _fl_instances(kind, 300, 61):
+            pick = facility_location_select(tokens, pool, k)
+            dense_order, dense_gains = facility_location_dense(tokens, pool, k)
+            np.testing.assert_array_equal(pick.pick_order, dense_order)
+            np.testing.assert_allclose(pick.gains, dense_gains, rtol=0, atol=1e-12)
+
+    def test_duplicates_match_dense_objective(self):
+        # exact duplicates tie in exact arithmetic; the dense column sums and
+        # the lazy row sums round differently, so either may take another
+        # copy, but the objective and its trajectory agree to rounding
+        for tokens, pool, k in _fl_instances("duplicates", 300, 62):
+            pick = facility_location_select(tokens, pool, k)
+            _, dense_gains = facility_location_dense(tokens, pool, k)
+            np.testing.assert_allclose(pick.gains, dense_gains, rtol=0, atol=1e-9)
+            assert abs(pick.gains.sum() - dense_gains.sum()) <= 1e-9
+            again = facility_location_select(tokens, pool, k)
+            np.testing.assert_array_equal(pick.pick_order, again.pick_order)
+            np.testing.assert_array_equal(pick.gains, again.gains)
+
+    def test_compress_matches_dense_greedy_at_bench_shape(self):
+        # the clip-fl benchmark workload at its self-test shape (72x64, T=16)
+        cfg = CompressConfig(
+            total_budget=16, mu=0.42, tau=0.02, diversity_method="facility_location"
+        )
+        covered = 0
+        for seed in range(1, 11):
+            for i, k_dir in enumerate((10, 24, 32, 64, 128, 512)):
+                tokens, saliency = synth_tokens(72, 64, min(k_dir, 64), 1e-3, subseed_rng(seed, i))
+                result = compress(tokens, saliency, cfg)
+                pool = np.setdiff1d(np.arange(72), result.saliency_indices)
+                dense_order, _ = facility_location_dense(tokens, pool, result.split.t_cov)
+                np.testing.assert_array_equal(result.coverage_pick_order, dense_order)
+                covered += result.split.t_cov
+        assert covered > 0
+
+    @pytest.mark.parametrize("kind", FL_KINDS)
+    def test_gains_submodular_and_sum_to_objective(self, kind):
+        # a stale heap bound taken as a gain would break one of the two
+        for tokens, pool, k in _fl_instances(kind, 25, 63):
+            pick = facility_location_select(tokens, pool, k)
+            assert np.all(np.diff(pick.gains) <= 1e-12)
+            np.testing.assert_allclose(
+                pick.gains.sum(), facility_value(tokens, pool, pick.pick_order), rtol=0, atol=1e-8
+            )
