@@ -47,7 +47,7 @@ from .io_formats import (
     write_selection_result,
     write_tokens,
 )
-from .pipeline import SelectionResult, compress, compress_fixed, selection_results_equal
+from .pipeline import SelectionResult, compress, selection_results_equal
 from .prominence import (
     EntropyReport,
     attention_entropy,
@@ -104,7 +104,6 @@ __all__ = [
     "attention_entropy",
     "brute_force_max_logdet",
     "compress",
-    "compress_fixed",
     "cosine_kernel",
     "dpp_greedy_map",
     "dpp_greedy_naive",

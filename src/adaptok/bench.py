@@ -6,6 +6,7 @@ import time
 import numpy as np
 
 from .budget import CompressConfig
+from .errors import InvalidInputError
 from .pipeline import compress
 from .synth import subseed_rng, synth_tokens
 
@@ -36,7 +37,7 @@ def run_bench(
     timings cover both saliency- and coverage-heavy splits.
     """
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+        raise InvalidInputError(f"repeats must be >= 1, got {repeats}")
     report = {"seed": int(seed), "repeats": int(repeats), "configs": []}
     for cfg_idx, (n, d, t) in enumerate(grid):
         config = CompressConfig(

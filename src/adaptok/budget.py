@@ -11,10 +11,10 @@ Concentrated samples (low entropy) land on the saliency-dominant side,
 spread-out samples (high entropy) on the coverage-dominant side.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidBudgetError, InvalidInputError
 
@@ -43,7 +43,6 @@ class CompressConfig:
     mu: float = MU_PRESETS["clip"]
     tau: float = DEFAULT_TAU
     diversity_method: str = "dpp"
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if int(self.total_budget) < 1:
@@ -57,8 +56,6 @@ class CompressConfig:
                 f"unknown diversity method {self.diversity_method!r}, "
                 f"expected one of {DIVERSITY_METHODS}"
             )
-        if not self.epsilon > 0.0:
-            raise InvalidInputError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,15 @@ class BudgetSplit:
         return self.t_sal + self.t_cov
 
 
+def _logistic(x: float) -> float:
+    # libm exp in the form 1 / (1 + e^-x) rounds exactly as
+    # scipy.special.expit does; e^-x overflows only where the value is 0
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def allocate_budget(normalized_entropy: float, config: CompressConfig) -> BudgetSplit:
     """Map a normalized entropy in [0, 1] to an exact (t_sal, t_cov) split.
 
@@ -91,7 +97,7 @@ def allocate_budget(normalized_entropy: float, config: CompressConfig) -> Budget
         raise InvalidInputError(f"normalized entropy must lie in [0, 1], got {h}")
     h = min(max(h, 0.0), 1.0)
 
-    ratio = float(expit((h - config.mu) / config.tau))
+    ratio = _logistic((h - config.mu) / config.tau)
     ratio = min(max(ratio, _RATIO_MIN), _RATIO_MAX)
     t_cov = int(np.floor(config.total_budget * ratio))
     return BudgetSplit(

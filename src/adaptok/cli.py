@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: entropy, allocate, compress, compress-fixed, oracle, synth,
-bench, flops.  Primary outputs are canonical JSON (byte-identical for
-fixed seeds and inputs); errors land on stderr as one JSON line with a
+bench, flops.  ``compress-fixed`` runs the same ``compress`` call as
+``compress`` with the split forced by ``--t-sal-fixed``.  Primary outputs
+are canonical JSON (byte-identical for fixed seeds and inputs); errors,
+argument errors included, land on stderr as one JSON line with a
 machine-readable category, and the process exits nonzero.
 """
 
@@ -21,7 +23,7 @@ from .costmodel import (
     estimate_prefill_flops,
     flops_reduction,
 )
-from .errors import AdaptokError
+from .errors import AdaptokError, InvalidInputError
 from .io_formats import (
     read_saliency,
     read_tokens,
@@ -30,7 +32,7 @@ from .io_formats import (
     write_selection_result,
     write_tokens,
 )
-from .pipeline import compress, compress_fixed
+from .pipeline import compress
 from .prominence import attention_entropy, feature_norm_entropy, spectral_entropy
 from .selection import (
     DEFAULT_JITTER,
@@ -186,10 +188,7 @@ def _run_compress(args, t_sal_fixed: int | None) -> int:
         tau=args.tau,
         diversity_method=_DIVERSITY_FLAGS[args.diversity],
     )
-    if t_sal_fixed is None:
-        result = compress(tokens, saliency, config)
-    else:
-        result = compress_fixed(tokens, saliency, t_sal_fixed, config)
+    result = compress(tokens, saliency, config, t_sal=t_sal_fixed)
     if args.out:
         write_selection_result(result, args.out)
     else:
@@ -200,6 +199,12 @@ def _run_compress(args, t_sal_fixed: int | None) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # n is drawn from [4, max_n] and d from [max(k, 4), 13), so k <= 12
+    if args.trials < 1 or args.max_n < 4 or not 1 <= args.max_k <= 12:
+        raise InvalidInputError(
+            "oracle needs --trials >= 1, --max-n >= 4 and 1 <= --max-k <= 12, got "
+            f"{args.trials}, {args.max_n} and {args.max_k}"
+        )
     trials = int(args.trials)
     mismatches = 0
     optimum_violations = 0
@@ -272,8 +277,10 @@ def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
         parts = spec.lower().split("x")
         if len(parts) != 3:
             raise AdaptokError(f"--grid expects NxDxT, got {spec!r}")
-        n, d, t = (int(p) for p in parts)
-        grid.append((n, d, t))
+        try:
+            grid.append(tuple(int(p) for p in parts))
+        except ValueError:
+            raise InvalidInputError(f"--grid expects integers NxDxT, got {spec!r}") from None
     return grid
 
 

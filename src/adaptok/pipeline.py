@@ -3,8 +3,8 @@
 ``compress`` measures the sample's spectral entropy, splits the budget,
 keeps the top-saliency tokens (stage 1), completes the set with a
 diversity selector over the residual pool (stage 2), and returns the union
-with per-index provenance.  ``compress_fixed`` forces the split instead,
-for fixed-allocation baselines.
+with per-index provenance.  Passing ``t_sal`` forces the split instead, for
+fixed-allocation baselines; everything after the split is the same path.
 """
 
 import time
@@ -74,101 +74,62 @@ def _now_us() -> float:
     return time.perf_counter_ns() / 1e3
 
 
-def compress(tokens, saliency, config: CompressConfig) -> SelectionResult:
-    """Run the full entropy-adaptive two-stage selection."""
-    E = as_token_matrix(tokens)
-    s = as_saliency_vector(saliency, n_tokens=E.shape[0])
-    _check_budget(config.total_budget, E.shape[0])
-
-    t0 = _now_us()
-    entropy = spectral_entropy(E)
-    t1 = _now_us()
-    split = allocate_budget(entropy.normalized_entropy, config)
-    t2 = _now_us()
-
-    result = _run_stages(E, s, config, split, entropy)
-    result.timings_us["entropy"] = t1 - t0
-    result.timings_us["allocation"] = t2 - t1
-    result.timings_us["total"] = _now_us() - t0
-    return result
-
-
-def compress_fixed(
-    tokens, saliency, t_sal_fixed: int, config: CompressConfig
+def compress(
+    tokens, saliency, config: CompressConfig, t_sal: int | None = None
 ) -> SelectionResult:
-    """Two-stage selection with the split forced to (t_sal_fixed, T - t_sal_fixed).
+    """Run the entropy-adaptive two-stage selection.
 
-    Entropy is still computed and reported for diagnostics, but it does not
-    influence the split.
+    With ``t_sal`` given, the split is forced to (t_sal, T - t_sal) for
+    fixed-allocation baselines: the entropy is still computed and reported,
+    but it does not influence the split.
     """
     E = as_token_matrix(tokens)
     s = as_saliency_vector(saliency, n_tokens=E.shape[0])
-    _check_budget(config.total_budget, E.shape[0])
-    t_sal = int(t_sal_fixed)
-    if t_sal < 0 or t_sal > config.total_budget:
-        raise InvalidBudgetError(
-            f"t_sal_fixed={t_sal} outside [0, total_budget={config.total_budget}]"
-        )
+    T = config.total_budget
+    if T > E.shape[0]:
+        raise InvalidBudgetError(f"budget {T} exceeds n_tokens {E.shape[0]}")
+    if t_sal is not None:
+        t_sal = int(t_sal)
+        if t_sal < 0 or t_sal > T:
+            raise InvalidBudgetError(f"t_sal={t_sal} outside [0, total_budget={T}]")
 
     t0 = _now_us()
     entropy = spectral_entropy(E)
     t1 = _now_us()
-    t_cov = config.total_budget - t_sal
-    split = BudgetSplit(
-        t_sal=t_sal,
-        t_cov=t_cov,
-        normalized_entropy=entropy.normalized_entropy,
-        coverage_ratio=t_cov / config.total_budget,
-    )
-    t2 = _now_us()
-
-    result = _run_stages(E, s, config, split, entropy)
-    result.timings_us["entropy"] = t1 - t0
-    result.timings_us["allocation"] = t2 - t1
-    result.timings_us["total"] = _now_us() - t0
-    return result
-
-
-def _check_budget(budget: int, n_tokens: int) -> None:
-    if budget > n_tokens:
-        raise InvalidBudgetError(f"budget {budget} exceeds n_tokens {n_tokens}")
-
-
-def _run_stages(
-    E: np.ndarray,
-    s: np.ndarray,
-    config: CompressConfig,
-    split: BudgetSplit,
-    entropy: EntropyReport,
-) -> SelectionResult:
-    n = E.shape[0]
-
+    if t_sal is None:
+        split = allocate_budget(entropy.normalized_entropy, config)
+    else:
+        t_cov = T - t_sal
+        split = BudgetSplit(
+            t_sal=t_sal,
+            t_cov=t_cov,
+            normalized_entropy=entropy.normalized_entropy,
+            coverage_ratio=t_cov / T,
+        )
     t2 = _now_us()
     sal_idx = saliency_topk(s, split.t_sal)
     t3 = _now_us()
 
-    pool = np.setdiff1d(np.arange(n, dtype=np.int64), sal_idx, assume_unique=True)
+    pool = np.setdiff1d(np.arange(E.shape[0], dtype=np.int64), sal_idx, assume_unique=True)
+    cov_idx = cov_order = np.empty(0, dtype=np.int64)
     fallback_count = 0
     if split.t_cov > 0:
+        # called by their module-global names, so span tracing can
+        # interpose on each selector
         if config.diversity_method == "dpp":
-            pick = dpp_greedy_map(E, pool, split.t_cov, saliency=s, epsilon=config.epsilon)
-            fallback_count = pick.fallback_count
+            pick = dpp_greedy_map(E, pool, split.t_cov, saliency=s)
         elif config.diversity_method == "fps":
-            pick = fps_select(E, pool, split.t_cov, epsilon=config.epsilon)
+            pick = fps_select(E, pool, split.t_cov)
         else:
-            pick = facility_location_select(E, pool, split.t_cov, epsilon=config.epsilon)
-        cov_idx = pick.indices
-        cov_order = pick.pick_order
-    else:
-        cov_idx = np.empty(0, dtype=np.int64)
-        cov_order = np.empty(0, dtype=np.int64)
+            pick = facility_location_select(E, pool, split.t_cov)
+        cov_idx, cov_order, fallback_count = pick.indices, pick.pick_order, pick.fallback_count
     t4 = _now_us()
 
     selected = np.sort(np.concatenate([sal_idx, cov_idx]))
     sal_set = set(sal_idx.tolist())
     stage_of = [STAGE_SALIENCY if i in sal_set else STAGE_COVERAGE for i in selected.tolist()]
 
-    diagnostics = _diagnostics(E, selected, cov_idx, config.epsilon)
+    diagnostics = _diagnostics(E, selected, cov_idx)
     diagnostics["stage2_fallback_count"] = float(fallback_count)
 
     return SelectionResult(
@@ -178,17 +139,21 @@ def _run_stages(
         entropy=entropy,
         coverage_pick_order=cov_order,
         diagnostics=diagnostics,
-        timings_us={"stage1": t3 - t2, "stage2": t4 - t3},
+        timings_us={
+            "entropy": t1 - t0,
+            "allocation": t2 - t1,
+            "stage1": t3 - t2,
+            "stage2": t4 - t3,
+            "total": _now_us() - t0,
+        },
     )
 
 
-def _diagnostics(
-    E: np.ndarray, selected: np.ndarray, cov_idx: np.ndarray, epsilon: float
-) -> dict[str, float]:
+def _diagnostics(E: np.ndarray, selected: np.ndarray, cov_idx: np.ndarray) -> dict[str, float]:
     diag: dict[str, float] = {}
 
     if cov_idx.size:
-        L = _pool_unit_kernel(E, cov_idx, epsilon)
+        L = _pool_unit_kernel(E, cov_idx)
         L[np.diag_indices(cov_idx.size)] += DEFAULT_JITTER
         sign, logdet = np.linalg.slogdet(L)
         # jittered PSD kernel has det >= jitter^k; a nonpositive sign is LU
@@ -199,7 +164,7 @@ def _diagnostics(
         diag["coverage_logdet"] = 0.0
 
     if selected.size >= 2:
-        unit = _normalize_rows_raw(E[selected], epsilon)
+        unit = _normalize_rows_raw(E[selected])
         sims = unit @ unit.T
         np.fill_diagonal(sims, -np.inf)
         diag["min_pairwise_cosine_distance"] = float(1.0 - sims.max())

@@ -28,7 +28,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidBudgetError, InvalidInputError
-from .tensor_core import DEFAULT_EPSILON, _normalize_rows_raw, as_token_matrix
+from .tensor_core import _normalize_rows_raw, as_token_matrix
 
 # Diagonal jitter keeps the incremental updates stable on collinear pools;
 # marginal gains below RANK_FLOOR mean the kernel's numerical rank is
@@ -40,8 +40,6 @@ RANK_FLOOR = 1e-10
 MAX_ENUMERATION = 10**6
 
 _DET_CHUNK = 65536
-
-ATTENTION_MODES = ("cls_row", "global_average")
 
 
 def as_saliency_vector(scores, n_tokens: int | None = None) -> np.ndarray:
@@ -80,6 +78,13 @@ def _check_k(k: int, pool_size: int) -> int:
     return k
 
 
+def _selector_inputs(tokens, pool, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validated (E, pool indices, k) for a selector over a pool of E's rows."""
+    E = as_token_matrix(tokens)
+    idx = as_index_pool(pool, E.shape[0])
+    return E, idx, _check_k(k, idx.size)
+
+
 @dataclass(frozen=True)
 class DiversityPick:
     """Output of a diversity selector.
@@ -97,25 +102,26 @@ class DiversityPick:
     fallback_count: int = 0
 
 
-def _empty_pick() -> DiversityPick:
+def _pick(
+    idx: np.ndarray, picked: list[int], gains: list[float], fallback_count: int = 0
+) -> DiversityPick:
+    """DiversityPick from pool positions ``picked`` in greedy order."""
+    order = idx[np.asarray(picked, dtype=np.int64)]
     return DiversityPick(
-        indices=np.empty(0, dtype=np.int64),
-        pick_order=np.empty(0, dtype=np.int64),
-        gains=np.empty(0, dtype=np.float64),
+        indices=np.sort(order),
+        pick_order=order,
+        gains=np.asarray(gains, dtype=np.float64),
+        fallback_count=fallback_count,
     )
 
 
-def reduce_head_attention(head_scores, mode: str = "cls_row") -> np.ndarray:
+def reduce_head_attention(head_scores) -> np.ndarray:
     """Average per-head per-token attention scores across heads.
 
-    ``cls_row`` expects each row to be one head's CLS-to-token attention;
-    ``global_average`` expects each row to be one head's column-mean
-    attention received by each token (for encoders without a CLS token).
-    The reduction is the same mean over heads in both modes; the mode names
-    the provenance the caller is feeding in.
+    Each row is one head's attention over the tokens: its CLS-to-token row,
+    or, for encoders without a CLS token, the column-mean attention each
+    token receives.  Either way the reduction is the mean over heads.
     """
-    if mode not in ATTENTION_MODES:
-        raise InvalidInputError(f"unknown attention mode {mode!r}, expected one of {ATTENTION_MODES}")
     A = np.asarray(head_scores, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"head scores must be H x N with H >= 1, got shape {A.shape}")
@@ -137,15 +143,15 @@ def saliency_topk(saliency, k: int) -> np.ndarray:
     return np.sort(order[:k]).astype(np.int64)
 
 
-def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray, epsilon: float) -> np.ndarray:
+def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
     # E and idx already validated; unit @ unit.T hits the BLAS symmetric
     # rank-k path and comes back bitwise symmetric, so no extra
     # symmetrization pass is needed (covered by a regression test)
-    unit = _normalize_rows_raw(E[idx], epsilon)
+    unit = _normalize_rows_raw(E[idx])
     return unit @ unit.T
 
 
-def cosine_kernel(tokens, pool, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def cosine_kernel(tokens, pool) -> np.ndarray:
     """Cosine-similarity kernel over the pooled, row-normalized tokens.
 
     The result is a symmetric PSD matrix with unit diagonal for nonzero
@@ -156,29 +162,29 @@ def cosine_kernel(tokens, pool, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     idx = as_index_pool(pool, E.shape[0])
     if idx.size == 0:
         raise InvalidInputError("pool must be nonempty")
-    return _pool_unit_kernel(E, idx, epsilon)
+    return _pool_unit_kernel(E, idx)
 
 
-def _fallback_order(avail_pos: np.ndarray, pool: np.ndarray, saliency) -> np.ndarray:
-    """Positions to fill once determinant gains are exhausted.
+def _dpp_pick(
+    idx: np.ndarray, picked: list[int], gains: list[float], avail: np.ndarray, k: int, saliency
+) -> DiversityPick:
+    """Close a greedy DPP run, filling the slots left past the kernel's rank.
 
-    Descending saliency within the pool when a saliency vector is supplied
-    (ties to the lower index), ascending index otherwise.
+    The still-available positions fill them by descending saliency within
+    the pool when a saliency vector is supplied (ties to the lower index),
+    by ascending index otherwise.
     """
-    if saliency is None:
-        return avail_pos
-    s = as_saliency_vector(saliency)
-    order = np.argsort(-s[pool[avail_pos]], kind="stable")
-    return avail_pos[order]
+    fallback_count = k - len(picked)
+    if fallback_count:
+        fill = np.flatnonzero(avail)
+        if saliency is not None:
+            fill = fill[np.argsort(-as_saliency_vector(saliency)[idx[fill]], kind="stable")]
+        picked = picked + fill[:fallback_count].tolist()
+    return _pick(idx, picked, gains, fallback_count)
 
 
 def dpp_greedy_map(
-    tokens,
-    pool,
-    k: int,
-    saliency=None,
-    jitter: float = DEFAULT_JITTER,
-    epsilon: float = DEFAULT_EPSILON,
+    tokens, pool, k: int, saliency=None, jitter: float = DEFAULT_JITTER
 ) -> DiversityPick:
     """Greedy MAP selection of k tokens maximizing log det of the cosine kernel.
 
@@ -192,13 +198,11 @@ def dpp_greedy_map(
     deficient; remaining slots are filled by descending ``saliency`` (or
     ascending index if none is given) so the budget contract still holds.
     """
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    k = _check_k(k, idx.size)
+    E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
-        return _empty_pick()
+        return _pick(idx, [], [])
 
-    L = _pool_unit_kernel(E, idx, epsilon)
+    L = _pool_unit_kernel(E, idx)
     m = idx.size
     L[np.diag_indices(m)] += jitter
 
@@ -225,27 +229,11 @@ def dpp_greedy_map(
             cis[step] = eis
             di2 -= np.square(eis)
 
-    fallback_count = k - len(picked)
-    if fallback_count:
-        fill = _fallback_order(np.flatnonzero(avail), idx, saliency)
-        picked.extend(int(p) for p in fill[:fallback_count])
-
-    order = idx[np.asarray(picked, dtype=np.int64)]
-    return DiversityPick(
-        indices=np.sort(order),
-        pick_order=order,
-        gains=np.asarray(gains, dtype=np.float64),
-        fallback_count=fallback_count,
-    )
+    return _dpp_pick(idx, picked, gains, avail, k, saliency)
 
 
 def dpp_greedy_naive(
-    tokens,
-    pool,
-    k: int,
-    saliency=None,
-    jitter: float = DEFAULT_JITTER,
-    epsilon: float = DEFAULT_EPSILON,
+    tokens, pool, k: int, saliency=None, jitter: float = DEFAULT_JITTER
 ) -> DiversityPick:
     """Reference greedy MAP that recomputes full determinants at every step.
 
@@ -253,13 +241,11 @@ def dpp_greedy_naive(
     rank-deficiency fallback, but each step evaluates det(L_{S + {j}}) for
     every remaining candidate by direct (batched) determinant computation.
     """
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    k = _check_k(k, idx.size)
+    E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
-        return _empty_pick()
+        return _pick(idx, [], [])
 
-    L = _pool_unit_kernel(E, idx, epsilon)
+    L = _pool_unit_kernel(E, idx)
     m = idx.size
     L[np.diag_indices(m)] += jitter
 
@@ -288,32 +274,17 @@ def dpp_greedy_naive(
         avail[cand[best]] = False
         det_s = dets[best]
 
-    fallback_count = k - len(picked)
-    if fallback_count:
-        fill = _fallback_order(np.flatnonzero(avail), idx, saliency)
-        picked.extend(int(p) for p in fill[:fallback_count])
-
-    order = idx[np.asarray(picked, dtype=np.int64)]
-    return DiversityPick(
-        indices=np.sort(order),
-        pick_order=order,
-        gains=np.asarray(gains, dtype=np.float64),
-        fallback_count=fallback_count,
-    )
+    return _dpp_pick(idx, picked, gains, avail, k, saliency)
 
 
-def brute_force_max_logdet(
-    tokens, pool, k: int, jitter: float = DEFAULT_JITTER, epsilon: float = DEFAULT_EPSILON
-):
+def brute_force_max_logdet(tokens, pool, k: int, jitter: float = DEFAULT_JITTER):
     """Exact argmax of log det(L_S) over all size-k subsets of the pool.
 
     Returns (indices ascending, log-determinant).  Ties resolve to the
     lexicographically smallest subset.  Guarded: raises
     InstanceTooLargeError when C(|pool|, k) exceeds MAX_ENUMERATION.
     """
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    k = _check_k(k, idx.size)
+    E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
         return np.empty(0, dtype=np.int64), 0.0
     n_subsets = math.comb(idx.size, k)
@@ -322,7 +293,7 @@ def brute_force_max_logdet(
             f"C({idx.size}, {k}) = {n_subsets} subsets exceeds the {MAX_ENUMERATION} guard"
         )
 
-    L = _pool_unit_kernel(E, idx, epsilon)
+    L = _pool_unit_kernel(E, idx)
     L[np.diag_indices(idx.size)] += jitter
 
     best_det = -np.inf
@@ -350,12 +321,7 @@ def brute_force_max_logdet(
 
 
 def fps_select(
-    tokens,
-    pool,
-    k: int,
-    start: str = "lowest_index",
-    saliency=None,
-    epsilon: float = DEFAULT_EPSILON,
+    tokens, pool, k: int, start: str = "lowest_index", saliency=None
 ) -> DiversityPick:
     """Farthest point sampling over the pool under d(i,j) = 1 - e_i . e_j.
 
@@ -364,11 +330,9 @@ def fps_select(
     minimum distance to the selected set is largest; ties to lowest index.
     ``gains`` records that max-min distance per pick (inf for the seed).
     """
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    k = _check_k(k, idx.size)
+    E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
-        return _empty_pick()
+        return _pick(idx, [], [])
 
     if start == "lowest_index":
         first = 0
@@ -380,7 +344,7 @@ def fps_select(
     else:
         raise InvalidInputError(f"unknown start rule {start!r}")
 
-    unit = _normalize_rows_raw(E[idx], epsilon)
+    unit = _normalize_rows_raw(E[idx])
     picked = [first]
     gains = [np.inf]
     min_dist = 1.0 - unit @ unit[first]
@@ -393,20 +357,10 @@ def fps_select(
         min_dist = np.minimum(min_dist, 1.0 - unit @ unit[j])
         min_dist[j] = -np.inf
 
-    order = idx[np.asarray(picked, dtype=np.int64)]
-    return DiversityPick(
-        indices=np.sort(order),
-        pick_order=order,
-        gains=np.asarray(gains, dtype=np.float64),
-    )
+    return _pick(idx, picked, gains)
 
 
-def facility_location_select(
-    tokens,
-    pool,
-    k: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> DiversityPick:
+def facility_location_select(tokens, pool, k: int) -> DiversityPick:
     """Lazy-greedy facility location over s(i,j) = clip((e_i . e_j + 1) / 2, 0, 1).
 
     Maximizes F(S) = sum_{i in pool} max_{j in S} s(i,j) with unit weights:
@@ -425,13 +379,11 @@ def facility_location_select(
     lazy sums round in a different order, and the two may pick different
     copies of a duplicate, with the same F(S) up to rounding.
     """
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    k = _check_k(k, idx.size)
+    E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
-        return _empty_pick()
+        return _pick(idx, [], [])
 
-    unit = _normalize_rows_raw(E[idx], epsilon)
+    unit = _normalize_rows_raw(E[idx])
     # in place: no m x m temporaries beyond the Gram itself
     sim = unit @ unit.T
     sim += 1.0
@@ -460,9 +412,4 @@ def facility_location_select(
         gains.append(-neg_gain)
         np.maximum(cover, sim[j], out=cover)
 
-    order = idx[np.asarray(picked, dtype=np.int64)]
-    return DiversityPick(
-        indices=np.sort(order),
-        pick_order=order,
-        gains=np.asarray(gains, dtype=np.float64),
-    )
+    return _pick(idx, picked, gains)

@@ -89,15 +89,15 @@ def sym_eigenvalues(gram) -> SymmetricSpectrum:
     return SymmetricSpectrum(eigenvalues=_clamped_descending_eigvalsh(G), rank_bound=G.shape[0])
 
 
-def _normalize_rows_raw(E: np.ndarray, epsilon: float) -> np.ndarray:
+def _normalize_rows_raw(E: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(E, axis=1, keepdims=True)
-    return E / (norms + epsilon)
+    return E / (norms + DEFAULT_EPSILON)
 
 
-def l2_normalize_rows(tokens, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Divide each row by (its L2 norm + epsilon).
+def l2_normalize_rows(tokens) -> np.ndarray:
+    """Divide each row by (its L2 norm + DEFAULT_EPSILON).
 
-    Zero rows map to zero rows; rows with norm much larger than epsilon come
-    out with norm ~1.
+    Zero rows map to zero rows; rows with norm much larger than
+    DEFAULT_EPSILON come out with norm ~1.
     """
-    return _normalize_rows_raw(as_token_matrix(tokens), epsilon)
+    return _normalize_rows_raw(as_token_matrix(tokens))

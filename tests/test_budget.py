@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from oracles import sigmoid_scalar
 
+import adaptok
 from adaptok import (
     DEFAULT_TAU,
     MU_PRESETS,
@@ -13,6 +17,7 @@ from adaptok import (
     allocate_budget,
     resolve_mu,
 )
+from adaptok.budget import _logistic
 
 
 def _cfg(T=64, mu=0.42, tau=0.02, **kw):
@@ -88,7 +93,7 @@ class TestAllocateBudget:
         assert a == b
 
     def test_saliency_floor_under_saturated_sigmoid(self):
-        # tau small enough that float64 expit returns exactly 1.0
+        # tau small enough that the float64 logistic returns exactly 1.0
         split = allocate_budget(1.0, _cfg(T=64, mu=0.5, tau=1e-4))
         assert split.t_sal == 1
         assert 0.0 < split.coverage_ratio < 1.0
@@ -117,8 +122,6 @@ class TestCompressConfig:
             CompressConfig(total_budget=8, tau=0.0)
         with pytest.raises(InvalidInputError):
             CompressConfig(total_budget=8, diversity_method="kmeans")
-        with pytest.raises(InvalidInputError):
-            CompressConfig(total_budget=8, epsilon=0.0)
 
 
 class TestResolveMu:
@@ -132,3 +135,33 @@ class TestResolveMu:
     def test_unknown_preset(self):
         with pytest.raises(InvalidInputError):
             resolve_mu("resnet", None)
+
+
+class TestLogistic:
+    def test_bitwise_equal_to_scipy_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        rng = np.random.default_rng(3)
+        xs = np.concatenate(
+            [
+                np.linspace(-50.0, 50.0, 200_001),
+                rng.standard_normal(100_000) * 20.0,
+                # e^-x overflows below x = -709.78 and underflows to 0 above 745.13
+                np.linspace(-1e6, 1e6, 20_001),
+                np.linspace(-760.0, 760.0, 20_001),
+                [0.0, -0.0, 709.78, -709.78, 745.2, -745.2, 1e6, -1e6],
+            ]
+        )
+        ours = np.array([_logistic(float(x)) for x in xs])
+        np.testing.assert_array_equal(ours.view(np.int64), expit(xs).view(np.int64))
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(adaptok.__file__))
+        code = (
+            "import sys, adaptok; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

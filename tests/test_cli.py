@@ -152,6 +152,11 @@ class TestCompressFixedCommand:
         assert len(doc["selected"]) == 64
 
 
+def _invalid_input(argv, capsys) -> None:
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
+
+
 class TestOracleCommand:
     def test_small_run_passes(self, capsys):
         rc = main(["oracle", "--trials", "25", "--max-n", "12", "--max-k", "4", "--seed", "7"])
@@ -159,6 +164,17 @@ class TestOracleCommand:
         assert rc == 0
         assert "index_mismatches=0" in out
         assert "ratio_median=" in out
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--max-n", 3), ("--max-k", 0), ("--max-k", 13), ("--trials", 0)]
+    )
+    def test_out_of_range_bounds_are_invalid_input(self, flag, value, capsys):
+        _invalid_input(["oracle", "--trials", "3", flag, str(value)], capsys)
+
+    @pytest.mark.parametrize("bounds", [["--max-n", "4"], ["--max-n", "13", "--max-k", "12"]])
+    def test_edge_of_valid_bounds_runs(self, bounds, capsys):
+        assert main(["oracle", "--trials", "3", "--seed", "1"] + bounds) == 0
+        assert "trials=3" in capsys.readouterr().out
 
 
 class TestBenchCommand:
@@ -173,6 +189,10 @@ class TestBenchCommand:
     def test_bad_grid_spec(self, capsys):
         assert main(["bench", "--grid", "12x34"]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "error"
+        _invalid_input(["bench", "--grid", "axbxc"], capsys)
+
+    def test_zero_repeats_is_invalid_input(self, capsys):
+        _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)
 
 
 class TestFlopsCommand:

@@ -7,7 +7,6 @@ from adaptok import (
     InvalidBudgetError,
     InvalidInputError,
     compress,
-    compress_fixed,
     saliency_topk,
     selection_results_equal,
     synth_tokens,
@@ -123,30 +122,46 @@ class TestCompress:
 class TestCompressFixed:
     def test_pure_saliency_boundary(self):
         tokens, sal = _instance()
-        res = compress_fixed(tokens, sal, 16, CompressConfig(total_budget=16, **CLIP))
+        res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=16)
         assert all(s == "saliency" for s in res.stage_of)
         np.testing.assert_array_equal(res.selected, saliency_topk(sal, 16))
 
     def test_pure_coverage_boundary(self):
         tokens, sal = _instance()
-        res = compress_fixed(tokens, sal, 0, CompressConfig(total_budget=16, **CLIP))
+        res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=0)
         assert all(s == "coverage" for s in res.stage_of)
         assert res.split.t_sal == 0 and res.split.t_cov == 16
 
     def test_benchmark_average_split(self):
         tokens, sal = synth_tokens(576, 24, 6, 1e-3, 2)
-        res = compress_fixed(tokens, sal, 12, CompressConfig(total_budget=64, **CLIP))
+        res = compress(tokens, sal, CompressConfig(total_budget=64, **CLIP), t_sal=12)
         assert (res.split.t_sal, res.split.t_cov) == (12, 52)
         assert res.selected.size == 64
 
     def test_entropy_still_reported(self):
         tokens, sal = _instance(k=1)
-        res = compress_fixed(tokens, sal, 4, CompressConfig(total_budget=8, **CLIP))
+        res = compress(tokens, sal, CompressConfig(total_budget=8, **CLIP), t_sal=4)
         assert res.entropy.normalized_entropy < 0.05
 
     def test_fixed_split_out_of_range(self):
         tokens, sal = _instance()
         with pytest.raises(InvalidBudgetError):
-            compress_fixed(tokens, sal, 17, CompressConfig(total_budget=16, **CLIP))
+            compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=17)
         with pytest.raises(InvalidBudgetError):
-            compress_fixed(tokens, sal, -1, CompressConfig(total_budget=16, **CLIP))
+            compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=-1)
+
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    def test_forcing_the_chosen_split_changes_nothing(self, method):
+        # the forced path must select exactly what the adaptive path did
+        # when handed its own split; only coverage_ratio may differ
+        # (sigmoid output vs t_cov / T)
+        for seed, k in enumerate((1, 3, 6, 12)):
+            tokens, sal = synth_tokens(96, 16, k, 1e-3, seed)
+            cfg = CompressConfig(total_budget=24, diversity_method=method, mu=0.42, tau=0.05)
+            r = compress(tokens, sal, cfg)
+            f = compress(tokens, sal, cfg, t_sal=r.split.t_sal)
+            assert (f.split.t_sal, f.split.t_cov) == (r.split.t_sal, r.split.t_cov)
+            np.testing.assert_array_equal(f.selected, r.selected)
+            assert f.stage_of == r.stage_of
+            np.testing.assert_array_equal(f.coverage_pick_order, r.coverage_pick_order)
+            assert f.diagnostics == r.diagnostics

@@ -41,15 +41,11 @@ class TestReduceHeadAttention:
 
     def test_equal_heads_idempotent(self):
         heads = np.tile([0.3, 0.5, 0.2], (4, 1))
-        np.testing.assert_allclose(reduce_head_attention(heads, "global_average"), [0.3, 0.5, 0.2])
+        np.testing.assert_allclose(reduce_head_attention(heads), [0.3, 0.5, 0.2])
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             reduce_head_attention(np.array([[0.1, -0.2]]))
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(InvalidInputError):
-            reduce_head_attention(np.array([[0.1, 0.2]]), mode="rowmax")
 
 
 class TestSaliencyTopk:
