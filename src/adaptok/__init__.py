@@ -66,13 +66,7 @@ from .selection import (
     saliency_topk,
 )
 from .synth import subseed_rng, synth_tokens
-from .tensor_core import (
-    SymmetricSpectrum,
-    as_token_matrix,
-    gram_matrix,
-    l2_normalize_rows,
-    sym_eigenvalues,
-)
+from .tensor_core import as_token_matrix
 
 __version__ = "0.1.0"
 
@@ -95,7 +89,6 @@ __all__ = [
     "ModelCostSpec",
     "NonFiniteValueError",
     "SelectionResult",
-    "SymmetricSpectrum",
     "TrailingDataError",
     "TruncatedPayloadError",
     "ValueRangeError",
@@ -113,8 +106,6 @@ __all__ = [
     "feature_norm_entropy",
     "flops_reduction",
     "fps_select",
-    "gram_matrix",
-    "l2_normalize_rows",
     "read_saliency",
     "read_selection_result",
     "read_tokens",
@@ -126,7 +117,6 @@ __all__ = [
     "selection_results_equal",
     "spectral_entropy",
     "subseed_rng",
-    "sym_eigenvalues",
     "synth_tokens",
     "write_saliency",
     "write_selection_result",

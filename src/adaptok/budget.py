@@ -12,6 +12,7 @@ spread-out samples (high entropy) on the coverage-dominant side.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,17 @@ _RATIO_MIN = np.finfo(np.float64).tiny
 _RATIO_MAX = float(np.nextafter(1.0, 0.0))
 
 
+def _token_count(value, name: str) -> int:
+    # a fractional budget would be truncated silently downstream
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidBudgetError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CompressConfig:
-    """Knobs for one compression run."""
+    """Knobs for one compression run; ``total_budget`` is stored as an int."""
 
     total_budget: int
     mu: float = MU_PRESETS["clip"]
@@ -45,7 +54,10 @@ class CompressConfig:
     diversity_method: str = "dpp"
 
     def __post_init__(self):
-        if int(self.total_budget) < 1:
+        object.__setattr__(
+            self, "total_budget", _token_count(self.total_budget, "total_budget")
+        )
+        if self.total_budget < 1:
             raise InvalidBudgetError(f"total_budget must be >= 1, got {self.total_budget}")
         if not 0.0 < self.mu < 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1), got {self.mu}")

@@ -9,6 +9,7 @@ machine-readable category, and the process exits nonzero.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,8 +18,7 @@ import numpy as np
 from .bench import run_bench
 from .budget import DEFAULT_TAU, MU_PRESETS, CompressConfig, allocate_budget, resolve_mu
 from .costmodel import (
-    MODEL_SPECS,
-    ModelCostSpec,
+    LLAVA_NEXT_7B,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
     flops_reduction,
@@ -135,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="prefill FLOPs / KV-cache cost model")
     p.add_argument("--seq-visual", type=int, required=True, help="visual tokens in the prefill")
-    p.add_argument("--model", choices=sorted(MODEL_SPECS), default="llava-next-7b")
     p.add_argument("--text-tokens", type=int, default=None, help="override prompt length")
     p.add_argument("--baseline-seq", type=int, default=None,
                    help="uncompressed visual length to report the reduction against")
@@ -147,12 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_entropy(args) -> int:
     if args.metric == "attn":
         if not args.saliency:
-            raise AdaptokError("--saliency is required for --metric attn")
+            raise InvalidInputError("--saliency is required for --metric attn")
         scores = reduce_head_attention(read_saliency(args.saliency))
         report = attention_entropy(scores)
     else:
         if not args.tokens:
-            raise AdaptokError(f"--tokens is required for --metric {args.metric}")
+            raise InvalidInputError(f"--tokens is required for --metric {args.metric}")
         tokens = read_tokens(args.tokens)
         report = spectral_entropy(tokens) if args.metric == "spectral" else feature_norm_entropy(tokens)
     _emit(_entropy_doc(report), args.out)
@@ -275,12 +274,15 @@ def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
     grid = []
     for spec in specs:
         parts = spec.lower().split("x")
-        if len(parts) != 3:
-            raise AdaptokError(f"--grid expects NxDxT, got {spec!r}")
         try:
-            grid.append(tuple(int(p) for p in parts))
+            n, d, t = (int(p) for p in parts)
         except ValueError:
-            raise InvalidInputError(f"--grid expects integers NxDxT, got {spec!r}") from None
+            raise InvalidInputError(
+                f"--grid expects NxDxT with integer parts, got {spec!r}"
+            ) from None
+        if min(n, d, t) < 1:
+            raise InvalidInputError(f"--grid needs N, D and T >= 1, got {spec!r}")
+        grid.append((n, d, t))
     return grid
 
 
@@ -298,18 +300,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    spec = MODEL_SPECS[args.model]
+    spec = LLAVA_NEXT_7B
     if args.text_tokens is not None:
-        spec = ModelCostSpec(
-            hidden_dim=spec.hidden_dim,
-            n_layers=spec.n_layers,
-            intermediate_dim=spec.intermediate_dim,
-            n_params=spec.n_params,
-            text_tokens=args.text_tokens,
-        )
+        spec = dataclasses.replace(spec, text_tokens=args.text_tokens)
     flops = estimate_prefill_flops(args.seq_visual, spec)
     doc = {
-        "model": args.model,
+        "model": "llava-next-7b",
         "seq_visual": args.seq_visual,
         "text_tokens": spec.text_tokens,
         "flops": flops,

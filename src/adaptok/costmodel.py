@@ -39,8 +39,6 @@ LLAVA_NEXT_7B = ModelCostSpec(
     text_tokens=60,
 )
 
-MODEL_SPECS = {"llava-next-7b": LLAVA_NEXT_7B}
-
 
 def estimate_prefill_flops(seq_visual: int, spec: ModelCostSpec) -> float:
     """Estimated dense-prefill FLOPs for a given visual token count."""
@@ -51,14 +49,13 @@ def estimate_prefill_flops(seq_visual: int, spec: ModelCostSpec) -> float:
     return 2.0 * spec.n_params * length + 4.0 * spec.n_layers * length * length * spec.hidden_dim
 
 
-def estimate_kv_cache_bytes(
-    seq_visual: int, spec: ModelCostSpec, bytes_per_value: int = 2
-) -> int:
+def estimate_kv_cache_bytes(seq_visual: int, spec: ModelCostSpec) -> int:
     """KV-cache bytes for the visual part of the sequence (K and V per layer)."""
     seq_visual = int(seq_visual)
     if seq_visual < 0:
         raise InvalidInputError(f"seq_visual must be >= 0, got {seq_visual}")
-    return 2 * spec.n_layers * spec.hidden_dim * seq_visual * int(bytes_per_value)
+    # K and V per layer, 2 bytes per fp16 value
+    return 2 * spec.n_layers * spec.hidden_dim * seq_visual * 2
 
 
 def flops_reduction(seq_before: int, seq_after: int, spec: ModelCostSpec) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import BudgetSplit, CompressConfig, allocate_budget
+from .budget import BudgetSplit, CompressConfig, _token_count, allocate_budget
 from .errors import InvalidBudgetError
 from .prominence import EntropyReport, spectral_entropy
 from .selection import (
@@ -81,7 +81,8 @@ def compress(
 
     With ``t_sal`` given, the split is forced to (t_sal, T - t_sal) for
     fixed-allocation baselines: the entropy is still computed and reported,
-    but it does not influence the split.
+    but it does not influence the split.  ``t_sal`` must be a Python or
+    numpy integer in [0, T].
     """
     E = as_token_matrix(tokens)
     s = as_saliency_vector(saliency, n_tokens=E.shape[0])
@@ -89,7 +90,7 @@ def compress(
     if T > E.shape[0]:
         raise InvalidBudgetError(f"budget {T} exceeds n_tokens {E.shape[0]}")
     if t_sal is not None:
-        t_sal = int(t_sal)
+        t_sal = _token_count(t_sal, "t_sal")
         if t_sal < 0 or t_sal > T:
             raise InvalidBudgetError(f"t_sal={t_sal} outside [0, total_budget={T}]")
 

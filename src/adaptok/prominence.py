@@ -73,8 +73,6 @@ def spectral_entropy(tokens) -> EntropyReport:
     E = as_token_matrix(tokens)
     if not np.any(E):
         raise DegenerateInputError("spectral entropy is undefined for an all-zero matrix")
-    # the Gram is symmetrized on construction, so the symmetry-checked
-    # public path would only re-verify what is true by construction
     lam = _clamped_descending_eigvalsh(_gram(E))
     lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
     return _report(lam, min(E.shape), "spectral")

@@ -32,7 +32,8 @@ from .tensor_core import _normalize_rows_raw, as_token_matrix
 
 # Diagonal jitter keeps the incremental updates stable on collinear pools;
 # marginal gains below RANK_FLOOR mean the kernel's numerical rank is
-# exhausted and further determinant maximization is uninformative.
+# exhausted and further determinant maximization is uninformative.  With
+# the default jitter a gain falls below the floor only by rounding.
 DEFAULT_JITTER = 1e-10
 RANK_FLOOR = 1e-10
 
@@ -197,6 +198,12 @@ def dpp_greedy_map(
     When every remaining gain falls below RANK_FLOOR the pool is rank
     deficient; remaining slots are filled by descending ``saliency`` (or
     ascending index if none is given) so the budget contract still holds.
+    A jittered residual is at least ``jitter`` in exact arithmetic, so with
+    the default jitter (equal to RANK_FLOOR) this fill runs only when
+    rounding pushes a residual below the floor, or with ``jitter=0``.
+    Otherwise a rank-deficient pool goes on picking greedily at gains near
+    log(jitter): an 8x2 pool with k=6 fills no slot and its last gains are
+    about -22, and zero rows are picked in index order at log(1e-10).
     """
     E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
@@ -320,35 +327,23 @@ def brute_force_max_logdet(tokens, pool, k: int, jitter: float = DEFAULT_JITTER)
     return idx[np.asarray(best_combo, dtype=np.int64)], logdet
 
 
-def fps_select(
-    tokens, pool, k: int, start: str = "lowest_index", saliency=None
-) -> DiversityPick:
+def fps_select(tokens, pool, k: int) -> DiversityPick:
     """Farthest point sampling over the pool under d(i,j) = 1 - e_i . e_j.
 
-    Starts from the pool's lowest index (or its highest-saliency token with
-    ``start="max_saliency"``), then repeatedly picks the candidate whose
-    minimum distance to the selected set is largest; ties to lowest index.
-    ``gains`` records that max-min distance per pick (inf for the seed).
+    Starts from the pool's lowest index, then repeatedly picks the candidate
+    whose minimum distance to the selected set is largest; ties to lowest
+    index.  ``gains`` records that max-min distance per pick (inf for the
+    seed).
     """
     E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
         return _pick(idx, [], [])
 
-    if start == "lowest_index":
-        first = 0
-    elif start == "max_saliency":
-        if saliency is None:
-            raise InvalidInputError('start="max_saliency" requires a saliency vector')
-        s = as_saliency_vector(saliency)
-        first = int(np.argmax(s[idx]))
-    else:
-        raise InvalidInputError(f"unknown start rule {start!r}")
-
     unit = _normalize_rows_raw(E[idx])
-    picked = [first]
+    picked = [0]
     gains = [np.inf]
-    min_dist = 1.0 - unit @ unit[first]
-    min_dist[first] = -np.inf
+    min_dist = 1.0 - unit @ unit[0]
+    min_dist[0] = -np.inf
 
     while len(picked) < k:
         j = int(np.argmax(min_dist))

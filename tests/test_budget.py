@@ -123,6 +123,18 @@ class TestCompressConfig:
         with pytest.raises(InvalidInputError):
             CompressConfig(total_budget=8, diversity_method="kmeans")
 
+    @pytest.mark.parametrize(
+        "budget", [2.5, 8.0, np.float64(8.0), "8", None],
+        ids=["fraction", "float", "numpy-float", "str", "none"],
+    )
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(InvalidBudgetError):
+            CompressConfig(total_budget=budget)
+
+    def test_numpy_integer_budget_stored_as_int(self):
+        cfg = CompressConfig(total_budget=np.int64(8))
+        assert type(cfg.total_budget) is int and cfg.total_budget == 8
+
 
 class TestResolveMu:
     def test_explicit_mu_wins(self):

@@ -61,7 +61,11 @@ class TestEntropyCommand:
     def test_attn_without_saliency_fails(self, tmp_path, capsys):
         assert main(["entropy", "--metric", "attn"]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["category"] == "error"
+        assert err["error"]["category"] == "invalid-input"
+
+    @pytest.mark.parametrize("metric", ["spectral", "norm"])
+    def test_token_metric_without_tokens_fails(self, metric, capsys):
+        _invalid_input(["entropy", "--metric", metric], capsys)
 
 
 class TestAllocateCommand:
@@ -188,8 +192,12 @@ class TestBenchCommand:
 
     def test_bad_grid_spec(self, capsys):
         assert main(["bench", "--grid", "12x34"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "error"
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
         _invalid_input(["bench", "--grid", "axbxc"], capsys)
+
+    @pytest.mark.parametrize("grid", ["0x4x4", "4x0x4", "4x4x0", "-2x4x1"])
+    def test_empty_grid_dimension_is_invalid_input(self, grid, capsys):
+        _invalid_input(["bench", f"--grid={grid}"], capsys)
 
     def test_zero_repeats_is_invalid_input(self, capsys):
         _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)

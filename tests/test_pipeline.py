@@ -150,6 +150,22 @@ class TestCompressFixed:
         with pytest.raises(InvalidBudgetError):
             compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=-1)
 
+    @pytest.mark.parametrize(
+        "t_sal", [2.7, 4.0, np.float64(4.0), "4"],
+        ids=["fraction", "float", "numpy-float", "str"],
+    )
+    def test_non_integer_t_sal_rejected(self, t_sal):
+        tokens, sal = _instance()
+        with pytest.raises(InvalidBudgetError):
+            compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=t_sal)
+
+    def test_numpy_integer_t_sal_accepted(self):
+        tokens, sal = _instance()
+        cfg = CompressConfig(total_budget=16, **CLIP)
+        res = compress(tokens, sal, cfg, t_sal=np.int64(4))
+        assert type(res.split.t_sal) is int
+        assert selection_results_equal(res, compress(tokens, sal, cfg, t_sal=4))
+
     @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
     def test_forcing_the_chosen_split_changes_nothing(self, method):
         # the forced path must select exactly what the adaptive path did

@@ -268,22 +268,10 @@ class TestFpsSelect:
             pick = fps_select(E, np.arange(n), k)
             assert verify_fps_order(E, np.arange(n), pick.pick_order)
 
-    def test_max_saliency_start(self):
-        E = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        sal = np.array([0.1, 0.9, 0.2])
-        pick = fps_select(E, np.arange(3), 2, start="max_saliency", saliency=sal)
-        assert pick.pick_order[0] == 1
-
-    def test_max_saliency_needs_vector(self, rng):
-        with pytest.raises(InvalidInputError):
-            fps_select(rng.standard_normal((3, 2)), np.arange(3), 1, start="max_saliency")
-
     def test_errors(self, rng):
         E = rng.standard_normal((4, 2))
         with pytest.raises(InvalidBudgetError):
             fps_select(E, np.arange(4), 5)
-        with pytest.raises(InvalidInputError):
-            fps_select(E, np.arange(4), 1, start="random")
 
 
 FL_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")

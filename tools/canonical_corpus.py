@@ -1,0 +1,173 @@
+"""Canonical output corpus: one sha256 over adaptok's deterministic outputs.
+
+Runs a fixed set of inputs through ``compress``, the three diversity
+selectors, ``allocate_budget`` and the CLI's ``compress``, ``compress-fixed``
+and ``flops`` commands, and prints the sha256 of all the canonical JSON
+documents in order, followed by their count.  A change that claims to keep
+every output byte prints the same digest before and after it.
+
+The ``src/`` next to this script is imported, so copying the script into
+another checkout checks that checkout:
+
+    python3 tools/canonical_corpus.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from adaptok import (  # noqa: E402
+    DIVERSITY_METHODS,
+    MU_PRESETS,
+    CompressConfig,
+    allocate_budget,
+    compress,
+    dpp_greedy_map,
+    facility_location_select,
+    fps_select,
+    selection_result_to_json,
+    synth_tokens,
+    write_saliency,
+    write_tokens,
+)
+from adaptok.cli import main as cli_main  # noqa: E402
+
+TAUS = (0.02, 0.5)
+BUDGET = 12
+
+
+def _inputs():
+    """(name, tokens, saliency): concentrated to spread, tall and wide,
+    with zero rows, and noiseless low rank."""
+    for n, d, k, noise, seed in (
+        (48, 16, 1, 1e-3, 0),
+        (48, 16, 3, 1e-3, 1),
+        (64, 12, 12, 1e-3, 2),
+        (24, 40, 6, 1e-3, 3),
+        (40, 8, 2, 0.0, 4),
+        (30, 50, 3, 0.0, 5),
+        (160, 96, 24, 1e-2, 6),
+    ):
+        tokens, saliency = synth_tokens(n, d, k, noise, seed)
+        yield f"synth-{n}x{d}-k{k}-noise{noise}", tokens, saliency
+    tokens, saliency = synth_tokens(48, 16, 4, 1e-3, 7)
+    tokens[::5] = 0.0
+    yield "zero-rows-48x16", tokens, saliency
+    rng = np.random.default_rng(8)
+    yield "gaussian-36x20", rng.standard_normal((36, 20)), rng.random(36)
+
+
+def _pick_doc(pick) -> dict:
+    return {
+        "indices": pick.indices.tolist(),
+        "pick_order": pick.pick_order.tolist(),
+        "gains": pick.gains.tolist(),
+        "fallback_count": int(pick.fallback_count),
+    }
+
+
+def _compress_docs():
+    for name, tokens, saliency in _inputs():
+        for method in DIVERSITY_METHODS:
+            for preset, mu in sorted(MU_PRESETS.items()):
+                for tau in TAUS:
+                    config = CompressConfig(
+                        total_budget=BUDGET, mu=mu, tau=tau, diversity_method=method
+                    )
+                    for t_sal in (None, 0, BUDGET // 3, BUDGET):
+                        result = compress(tokens, saliency, config, t_sal=t_sal)
+                        yield {
+                            "kind": "compress", "input": name, "method": method,
+                            "preset": preset, "tau": tau, "t_sal": t_sal,
+                            "json": selection_result_to_json(result),
+                        }
+
+
+def _selector_docs():
+    for name, tokens, saliency in _inputs():
+        n = tokens.shape[0]
+        pools = {"all": np.arange(n), "odd": np.arange(1, n, 2)}
+        for pool_name, pool in pools.items():
+            for k in (1, pool.size // 2, pool.size):
+                picks = {
+                    "dpp": dpp_greedy_map(tokens, pool, k),
+                    "dpp-saliency": dpp_greedy_map(tokens, pool, k, saliency=saliency),
+                    # without jitter the rank runs out and the fill runs
+                    "dpp-no-jitter": dpp_greedy_map(
+                        tokens, pool, k, saliency=saliency, jitter=0.0
+                    ),
+                    "fps": fps_select(tokens, pool, k),
+                    "facility_location": facility_location_select(tokens, pool, k),
+                }
+                for selector, pick in picks.items():
+                    yield {
+                        "kind": "select", "input": name, "pool": pool_name, "k": k,
+                        "selector": selector, **_pick_doc(pick),
+                    }
+
+
+def _allocate_docs():
+    entropies = np.linspace(0.0, 1.0, 2001).tolist()
+    for preset, mu in sorted(MU_PRESETS.items()):
+        for tau in (1e-6, 1e-3, 0.02, 0.5):
+            config = CompressConfig(total_budget=320, mu=mu, tau=tau)
+            splits = [allocate_budget(h, config) for h in entropies]
+            yield {
+                "kind": "allocate", "preset": preset, "tau": tau,
+                "t_cov": [s.t_cov for s in splits],
+                "coverage_ratio": [s.coverage_ratio for s in splits],
+            }
+
+
+def _cli_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise SystemExit(f"adaptok {' '.join(argv)} exited with {rc}")
+    return out.getvalue()
+
+
+def _cli_docs(workdir: Path):
+    for name, tokens, saliency in _inputs():
+        tok, sal = workdir / f"{name}.ptm", workdir / f"{name}.psv"
+        write_tokens(tokens, tok)
+        write_saliency(saliency, sal)
+        files = ["--tokens", str(tok), "--saliency", str(sal), "--budget", str(BUDGET)]
+        runs = [["compress", "--preset", preset] for preset in sorted(MU_PRESETS)]
+        runs += [["compress-fixed", "--t-sal-fixed", str(t)] for t in (0, BUDGET // 3, BUDGET)]
+        for diversity in ("dpp", "fps", "fl"):
+            for command, *flags in runs:
+                # the temporary file names stay out of the document
+                shown = [command, "--diversity", diversity, *flags]
+                yield {"kind": "cli", "argv": shown, "input": name,
+                       "stdout": _cli_stdout([command, *files, *shown[1:]])}
+    for seq in (0, 64, 320, 2880):
+        for extra in ([], ["--baseline-seq", "2880"], ["--text-tokens", "100"]):
+            argv = ["flops", "--seq-visual", str(seq), *extra]
+            yield {"kind": "cli", "argv": argv, "stdout": _cli_stdout(argv)}
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for source in (_compress_docs(), _selector_docs(), _allocate_docs(),
+                       _cli_docs(Path(tmp))):
+            for doc in source:
+                digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                count += 1
+    print(f"{digest.hexdigest()}  {count} documents")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
