@@ -1,9 +1,11 @@
 """Canonical output corpus: one sha256 over adaptok's deterministic outputs.
 
 Runs a fixed set of inputs through ``compress``, the three diversity
-selectors, ``allocate_budget`` and the CLI's ``compress``, ``compress-fixed``
-and ``flops`` commands, and prints the sha256 of all the canonical JSON
-documents in order, followed by their count.  A change that claims to keep
+selectors, ``allocate_budget``, the PTM1/PSV1 writers and the CLI's
+``entropy``, ``allocate``, ``compress``, ``compress-fixed``, ``synth`` and
+``flops`` commands (stdout, and the ``--out`` files of ``compress`` and
+``flops``), and prints the sha256 of all the canonical JSON documents in
+order, followed by their count.  A change that claims to keep
 every output byte prints the same digest before and after it.
 
 The ``src/`` next to this script is imported, so copying the script into
@@ -136,17 +138,42 @@ def _cli_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _cli_docs(workdir: Path):
+    # the temporary file names stay out of the documents
     for name, tokens, saliency in _inputs():
         tok, sal = workdir / f"{name}.ptm", workdir / f"{name}.psv"
+        heads = workdir / f"{name}-heads.psv"
         write_tokens(tokens, tok)
         write_saliency(saliency, sal)
+        write_saliency(np.stack([saliency, saliency[::-1], np.sqrt(saliency)]), heads)
+        yield {"kind": "file", "input": name, "tokens": _sha256(tok),
+               "saliency": _sha256(sal), "heads": _sha256(heads)}
+        for metric, flags in (("spectral", ["--tokens", str(tok)]),
+                              ("norm", ["--tokens", str(tok)]),
+                              ("attn", ["--saliency", str(sal)]),
+                              ("attn-heads", ["--saliency", str(heads)])):
+            argv = ["entropy", "--metric", metric.split("-")[0], *flags]
+            yield {"kind": "cli", "argv": ["entropy", metric], "input": name,
+                   "stdout": _cli_stdout(argv)}
+        for preset in sorted(MU_PRESETS):
+            argv = ["allocate", "--tokens", str(tok), "--budget", str(BUDGET),
+                    "--preset", preset]
+            yield {"kind": "cli", "argv": ["allocate", preset], "input": name,
+                   "stdout": _cli_stdout(argv)}
+        out = workdir / "out.json"
+        _cli_stdout(["compress", "--tokens", str(tok), "--saliency", str(heads),
+                     "--budget", str(BUDGET), "--out", str(out)])
+        yield {"kind": "cli-out", "argv": ["compress", "heads"], "input": name,
+               "out": out.read_text(encoding="utf-8")}
         files = ["--tokens", str(tok), "--saliency", str(sal), "--budget", str(BUDGET)]
         runs = [["compress", "--preset", preset] for preset in sorted(MU_PRESETS)]
         runs += [["compress-fixed", "--t-sal-fixed", str(t)] for t in (0, BUDGET // 3, BUDGET)]
         for diversity in ("dpp", "fps", "fl"):
             for command, *flags in runs:
-                # the temporary file names stay out of the document
                 shown = [command, "--diversity", diversity, *flags]
                 yield {"kind": "cli", "argv": shown, "input": name,
                        "stdout": _cli_stdout([command, *files, *shown[1:]])}
@@ -154,6 +181,17 @@ def _cli_docs(workdir: Path):
         for extra in ([], ["--baseline-seq", "2880"], ["--text-tokens", "100"]):
             argv = ["flops", "--seq-visual", str(seq), *extra]
             yield {"kind": "cli", "argv": argv, "stdout": _cli_stdout(argv)}
+            out = workdir / "flops.json"
+            _cli_stdout([*argv, "--out", str(out)])
+            yield {"kind": "cli-out", "argv": argv, "out": out.read_text(encoding="utf-8")}
+    for n, d, k, noise, seed in ((40, 8, 3, 1e-3, 0), (24, 40, 6, 0.0, 1)):
+        tok, sal = workdir / "synth.ptm", workdir / "synth.psv"
+        argv = ["synth", "--tokens", str(tok), "--saliency", str(sal), "--n", str(n),
+                "--d", str(d), "--k-directions", str(k), "--noise", str(noise),
+                "--seed", str(seed)]
+        stdout = _cli_stdout(argv).replace(str(workdir), "<tmp>")
+        yield {"kind": "cli", "argv": argv[5:], "stdout": stdout,
+               "tokens": _sha256(tok), "saliency": _sha256(sal)}
 
 
 def main() -> int:
