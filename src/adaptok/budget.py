@@ -12,12 +12,12 @@ spread-out samples (high entropy) on the coverage-dominant side.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidBudgetError, InvalidInputError
+from .tensor_core import _token_count
 
 # Midpoints calibrated per vision-encoder family; the smoothness is shared.
 MU_PRESETS = {
@@ -34,14 +34,6 @@ ENTROPY_TOL = 1e-9
 
 _RATIO_MIN = np.finfo(np.float64).tiny
 _RATIO_MAX = float(np.nextafter(1.0, 0.0))
-
-
-def _token_count(value, name: str) -> int:
-    # a fractional budget would be truncated silently downstream
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidBudgetError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,10 +74,6 @@ class BudgetSplit:
     def __post_init__(self):
         if self.t_sal < 0 or self.t_cov < 0:
             raise InvalidBudgetError("budget parts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.t_sal + self.t_cov
 
 
 def _logistic(x: float) -> float:

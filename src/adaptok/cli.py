@@ -25,19 +25,18 @@ from .costmodel import (
 )
 from .errors import AdaptokError, InvalidInputError
 from .io_formats import (
+    _canonical_json,
     read_saliency,
     read_tokens,
     selection_result_to_json,
     write_saliency,
-    write_selection_result,
     write_tokens,
 )
 from .pipeline import compress
 from .prominence import attention_entropy, feature_norm_entropy, spectral_entropy
 from .selection import (
-    DEFAULT_JITTER,
+    _dpp_kernel,
     brute_force_max_logdet,
-    cosine_kernel,
     dpp_greedy_map,
     dpp_greedy_naive,
     reduce_head_attention,
@@ -48,22 +47,12 @@ _DIVERSITY_FLAGS = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}
 _METRIC_FLAGS = ("spectral", "norm", "attn")
 
 
-def _emit(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _entropy_doc(report) -> dict:
-    return {
-        "metric": report.metric,
-        "raw_entropy": report.raw_entropy,
-        "normalized_entropy": report.normalized_entropy,
-        "normalizer": report.normalizer,
-    }
 
 
 def _add_sigmoid_flags(p: argparse.ArgumentParser) -> None:
@@ -154,7 +143,7 @@ def _cmd_entropy(args) -> int:
             raise InvalidInputError(f"--tokens is required for --metric {args.metric}")
         tokens = read_tokens(args.tokens)
         report = spectral_entropy(tokens) if args.metric == "spectral" else feature_norm_entropy(tokens)
-    _emit(_entropy_doc(report), args.out)
+    _emit(_canonical_json(dataclasses.asdict(report)), args.out)
     return 0
 
 
@@ -165,16 +154,14 @@ def _cmd_allocate(args) -> int:
         total_budget=args.budget, mu=resolve_mu(args.preset, args.mu), tau=args.tau
     )
     split = allocate_budget(report.normalized_entropy, config)
-    _emit(
-        {
-            "entropy": _entropy_doc(report),
-            "t_sal": split.t_sal,
-            "t_cov": split.t_cov,
-            "coverage_ratio": split.coverage_ratio,
-            "total_budget": config.total_budget,
-        },
-        args.out,
-    )
+    doc = {
+        "entropy": dataclasses.asdict(report),
+        "t_sal": split.t_sal,
+        "t_cov": split.t_cov,
+        "coverage_ratio": split.coverage_ratio,
+        "total_budget": config.total_budget,
+    }
+    _emit(_canonical_json(doc), args.out)
     return 0
 
 
@@ -188,10 +175,7 @@ def _run_compress(args, t_sal_fixed: int | None) -> int:
         diversity_method=_DIVERSITY_FLAGS[args.diversity],
     )
     result = compress(tokens, saliency, config, t_sal=t_sal_fixed)
-    if args.out:
-        write_selection_result(result, args.out)
-    else:
-        sys.stdout.write(selection_result_to_json(result))
+    _emit(selection_result_to_json(result), args.out)
     for phase, us in sorted(result.timings_us.items()):
         print(f"timing {phase}={us:.1f}us", file=sys.stderr)
     return 0
@@ -242,10 +226,8 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def _subset_logdet(tokens, indices) -> float:
-    L = cosine_kernel(tokens, indices)
-    L[np.diag_indices(indices.size)] += DEFAULT_JITTER
-    sign, logdet = np.linalg.slogdet(L)
+def _subset_logdet(tokens: np.ndarray, indices: np.ndarray) -> float:
+    sign, logdet = np.linalg.slogdet(_dpp_kernel(tokens, indices))
     return float(logdet) if sign > 0 else float("-inf")
 
 
@@ -253,18 +235,16 @@ def _cmd_synth(args) -> int:
     tokens, saliency = synth_tokens(args.n, args.d, args.k_directions, args.noise, args.seed)
     write_tokens(tokens, args.tokens)
     write_saliency(saliency, args.saliency)
-    _emit(
-        {
-            "tokens": args.tokens,
-            "saliency": args.saliency,
-            "n_tokens": args.n,
-            "dim": args.d,
-            "k_directions": args.k_directions,
-            "noise": args.noise,
-            "seed": args.seed,
-        },
-        None,
-    )
+    doc = {
+        "tokens": args.tokens,
+        "saliency": args.saliency,
+        "n_tokens": args.n,
+        "dim": args.d,
+        "k_directions": args.k_directions,
+        "noise": args.noise,
+        "seed": args.seed,
+    }
+    _emit(_canonical_json(doc), None)
     return 0
 
 
@@ -295,7 +275,7 @@ def _cmd_bench(args) -> int:
         tau=args.tau,
         diversity_method=_DIVERSITY_FLAGS[args.diversity],
     )
-    _emit(report, args.out)
+    _emit(_canonical_json(report), args.out)
     return 0
 
 
@@ -316,7 +296,7 @@ def _cmd_flops(args) -> int:
     if args.baseline_seq is not None:
         doc["baseline_seq"] = args.baseline_seq
         doc["flops_reduction"] = flops_reduction(args.baseline_seq, args.seq_visual, spec)
-    _emit(doc, args.out)
+    _emit(_canonical_json(doc), args.out)
     return 0
 
 

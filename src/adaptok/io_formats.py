@@ -10,6 +10,7 @@ keys, so a fixed input always produces byte-identical output.  Wall-clock
 timings are deliberately not part of the document.
 """
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -38,21 +39,15 @@ RESULT_SCHEMA = 1
 
 def write_tokens(tokens, path) -> None:
     """Write an N x d matrix as a PTM1 file (float32 LE payload)."""
-    arr = np.ascontiguousarray(np.asarray(tokens, dtype=np.float64), dtype=np.float32)
+    arr = np.asarray(tokens, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"token payload must be a nonempty 2-D matrix, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(TOKEN_MAGIC, arr.shape[0], arr.shape[1]))
-        f.write(arr.tobytes(order="C"))
+    _write_binary(path, TOKEN_MAGIC, arr)
 
 
 def read_tokens(path) -> np.ndarray:
     """Read a PTM1 file into a float64 N x d matrix."""
-    rows, cols, payload = _read_binary(path, TOKEN_MAGIC, "token")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError(f"{path}: token payload contains non-finite floats")
-    return arr
+    return _read_binary(path, TOKEN_MAGIC, "token")
 
 
 def write_saliency(head_scores, path) -> None:
@@ -66,24 +61,27 @@ def write_saliency(head_scores, path) -> None:
         raise NonFiniteValueError("saliency payload contains non-finite values")
     if np.any(arr < 0):
         raise ValueRangeError("saliency payload contains negative values")
-    out = np.ascontiguousarray(arr, dtype=np.float32)
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(SALIENCY_MAGIC, out.shape[0], out.shape[1]))
-        f.write(out.tobytes(order="C"))
+    _write_binary(path, SALIENCY_MAGIC, arr)
 
 
 def read_saliency(path) -> np.ndarray:
     """Read a PSV1 file into a float64 H x N matrix of per-head scores."""
-    heads, tokens, payload = _read_binary(path, SALIENCY_MAGIC, "saliency")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(heads, tokens).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError(f"{path}: saliency payload contains non-finite floats")
+    arr = _read_binary(path, SALIENCY_MAGIC, "saliency")
     if np.any(arr < 0):
         raise ValueRangeError(f"{path}: saliency payload contains negative values")
     return arr
 
 
-def _read_binary(path, magic: bytes, kind: str) -> tuple[int, int, bytes]:
+def _write_binary(path, magic: bytes, arr: np.ndarray) -> None:
+    # arr is a validated float64 rows x cols matrix
+    out = np.ascontiguousarray(arr, dtype=np.float32)
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(magic, out.shape[0], out.shape[1]))
+        f.write(out.tobytes(order="C"))
+
+
+def _read_binary(path, magic: bytes, kind: str) -> np.ndarray:
+    """Checked header and payload of a PTM1/PSV1 file, as a finite float64 matrix."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise TruncatedPayloadError(
@@ -104,7 +102,10 @@ def _read_binary(path, magic: bytes, kind: str) -> tuple[int, int, bytes]:
         raise TrailingDataError(
             f"{path}: {len(payload) - expected} trailing bytes after the payload"
         )
-    return rows, cols, payload
+    arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValueError(f"{path}: {kind} payload contains non-finite floats")
+    return arr
 
 
 def selection_result_to_json(result: SelectionResult) -> str:
@@ -113,19 +114,16 @@ def selection_result_to_json(result: SelectionResult) -> str:
         "schema": RESULT_SCHEMA,
         "selected": [int(i) for i in result.selected],
         "stage_of": list(result.stage_of),
-        "t_sal": result.split.t_sal,
-        "t_cov": result.split.t_cov,
-        "normalized_entropy": result.split.normalized_entropy,
-        "coverage_ratio": result.split.coverage_ratio,
-        "entropy": {
-            "metric": result.entropy.metric,
-            "raw_entropy": result.entropy.raw_entropy,
-            "normalized_entropy": result.entropy.normalized_entropy,
-            "normalizer": result.entropy.normalizer,
-        },
+        **dataclasses.asdict(result.split),
+        "entropy": dataclasses.asdict(result.entropy),
         "coverage_pick_order": [int(i) for i in result.coverage_pick_order],
         "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
     }
+    return _canonical_json(doc)
+
+
+def _canonical_json(doc) -> str:
+    # sorted keys and no NaN/Inf: a fixed document always gives the same bytes
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -140,27 +138,21 @@ def selection_result_from_json(text: str) -> SelectionResult:
             f"unsupported selection result schema {doc.get('schema')!r}, expected {RESULT_SCHEMA}"
         )
     try:
-        ent = doc["entropy"]
         return SelectionResult(
             selected=np.asarray(doc["selected"], dtype=np.int64),
             stage_of=[str(s) for s in doc["stage_of"]],
-            split=BudgetSplit(
-                t_sal=int(doc["t_sal"]),
-                t_cov=int(doc["t_cov"]),
-                normalized_entropy=float(doc["normalized_entropy"]),
-                coverage_ratio=float(doc["coverage_ratio"]),
-            ),
-            entropy=EntropyReport(
-                raw_entropy=float(ent["raw_entropy"]),
-                normalized_entropy=float(ent["normalized_entropy"]),
-                metric=str(ent["metric"]),
-                normalizer=float(ent["normalizer"]),
-            ),
+            split=_from_fields(BudgetSplit, doc),
+            entropy=_from_fields(EntropyReport, doc["entropy"]),
             coverage_pick_order=np.asarray(doc["coverage_pick_order"], dtype=np.int64),
             diagnostics={str(k): float(v) for k, v in doc["diagnostics"].items()},
         )
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
+
+
+def _from_fields(cls, doc: dict):
+    # the inverse of dataclasses.asdict: each field cast to its annotated type
+    return cls(**{f.name: f.type(doc[f.name]) for f in dataclasses.fields(cls)})
 
 
 def write_selection_result(result: SelectionResult, path) -> None:

@@ -12,19 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import BudgetSplit, CompressConfig, _token_count, allocate_budget
+from .budget import BudgetSplit, CompressConfig, allocate_budget
 from .errors import InvalidBudgetError
 from .prominence import EntropyReport, spectral_entropy
 from .selection import (
     DEFAULT_JITTER,
-    _pool_unit_kernel,
-    as_saliency_vector,
+    _dpp_kernel,
     dpp_greedy_map,
     facility_location_select,
     fps_select,
     saliency_topk,
 )
-from .tensor_core import _normalize_rows_raw, as_token_matrix
+from .tensor_core import _normalize_rows_raw, _token_count, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
@@ -154,9 +153,7 @@ def _diagnostics(E: np.ndarray, selected: np.ndarray, cov_idx: np.ndarray) -> di
     diag: dict[str, float] = {}
 
     if cov_idx.size:
-        L = _pool_unit_kernel(E, cov_idx)
-        L[np.diag_indices(cov_idx.size)] += DEFAULT_JITTER
-        sign, logdet = np.linalg.slogdet(L)
+        sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx))
         # jittered PSD kernel has det >= jitter^k; a nonpositive sign is LU
         # pathology, so clamp to that floor to keep the value finite
         floor = cov_idx.size * np.log(DEFAULT_JITTER)

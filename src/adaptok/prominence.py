@@ -16,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .selection import as_saliency_vector
-from .tensor_core import _clamped_descending_eigvalsh, _gram, as_token_matrix
+from .tensor_core import _clamped_descending_eigvalsh, _gram, as_saliency_vector, as_token_matrix
 
 # Eigenvalues below this fraction of the largest are numerical noise and
 # are zeroed before forming the spectral distribution.
 EIGENVALUE_FLOOR = 1e-12
-
-METRICS = ("spectral", "feature_norm", "attention")
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,18 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidBudgetError, InvalidInputError
-from .tensor_core import _normalize_rows_raw, as_token_matrix
+from .tensor_core import (
+    _check_scores,
+    _normalize_rows_raw,
+    _token_count,
+    as_saliency_vector,
+    as_token_matrix,
+)
 
 # Diagonal jitter keeps the incremental updates stable on collinear pools;
 # marginal gains below RANK_FLOOR mean the kernel's numerical rank is
-# exhausted and further determinant maximization is uninformative.  With
-# the default jitter a gain falls below the floor only by rounding.
+# exhausted and further determinant maximization is uninformative.  The
+# jitter equals the floor, so a gain falls below it only by rounding.
 DEFAULT_JITTER = 1e-10
 RANK_FLOOR = 1e-10
 
@@ -41,22 +47,6 @@ RANK_FLOOR = 1e-10
 MAX_ENUMERATION = 10**6
 
 _DET_CHUNK = 65536
-
-
-def as_saliency_vector(scores, n_tokens: int | None = None) -> np.ndarray:
-    """Validate a per-token saliency vector: 1-D, finite, nonnegative."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise InvalidInputError(f"saliency must be 1-D, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("saliency contains non-finite entries")
-    if np.any(s < 0):
-        raise InvalidInputError("saliency contains negative entries")
-    if n_tokens is not None and s.shape[0] != n_tokens:
-        raise InvalidInputError(
-            f"saliency length {s.shape[0]} does not match n_tokens {n_tokens}"
-        )
-    return s
 
 
 def as_index_pool(pool, n_tokens: int) -> np.ndarray:
@@ -73,7 +63,7 @@ def as_index_pool(pool, n_tokens: int) -> np.ndarray:
 
 
 def _check_k(k: int, pool_size: int) -> int:
-    k = int(k)
+    k = _token_count(k, "k")
     if k < 0 or k > pool_size:
         raise InvalidBudgetError(f"k={k} outside feasible range [0, {pool_size}]")
     return k
@@ -126,10 +116,8 @@ def reduce_head_attention(head_scores) -> np.ndarray:
     A = np.asarray(head_scores, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"head scores must be H x N with H >= 1, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("head scores contain non-finite entries")
-    if np.any(A < 0):
-        raise InvalidInputError("head scores contain negative entries")
+    # per-head entries, not just the mean, must be valid scores
+    _check_scores(A, "head scores")
     return A.mean(axis=0)
 
 
@@ -159,11 +147,17 @@ def cosine_kernel(tokens, pool) -> np.ndarray:
     rows; zero rows normalize to zero and contribute zero rows/columns.
     The pool must be nonempty.
     """
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
+    E, idx, _ = _selector_inputs(tokens, pool, 0)
     if idx.size == 0:
         raise InvalidInputError("pool must be nonempty")
     return _pool_unit_kernel(E, idx)
+
+
+def _dpp_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Pool cosine kernel plus DEFAULT_JITTER, read at call time, on the diagonal."""
+    L = _pool_unit_kernel(E, idx)
+    L[np.diag_indices(idx.size)] += DEFAULT_JITTER
+    return L
 
 
 def _dpp_pick(
@@ -184,9 +178,7 @@ def _dpp_pick(
     return _pick(idx, picked, gains, fallback_count)
 
 
-def dpp_greedy_map(
-    tokens, pool, k: int, saliency=None, jitter: float = DEFAULT_JITTER
-) -> DiversityPick:
+def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     """Greedy MAP selection of k tokens maximizing log det of the cosine kernel.
 
     Implements the fast greedy algorithm with incremental Cholesky-style
@@ -198,21 +190,19 @@ def dpp_greedy_map(
     When every remaining gain falls below RANK_FLOOR the pool is rank
     deficient; remaining slots are filled by descending ``saliency`` (or
     ascending index if none is given) so the budget contract still holds.
-    A jittered residual is at least ``jitter`` in exact arithmetic, so with
-    the default jitter (equal to RANK_FLOOR) this fill runs only when
-    rounding pushes a residual below the floor, or with ``jitter=0``.
-    Otherwise a rank-deficient pool goes on picking greedily at gains near
-    log(jitter): an 8x2 pool with k=6 fills no slot and its last gains are
-    about -22, and zero rows are picked in index order at log(1e-10).
+    A residual jittered by DEFAULT_JITTER (equal to RANK_FLOOR) is at least
+    the jitter in exact arithmetic, so this fill runs only when rounding
+    pushes a residual below the floor.  Otherwise a rank-deficient pool
+    goes on picking greedily at gains near log(DEFAULT_JITTER): an 8x2 pool
+    with k=6 fills no slot and its last gains are about -22, and zero rows
+    are picked in index order at log(1e-10).
     """
     E, idx, k = _selector_inputs(tokens, pool, k)
     if k == 0:
         return _pick(idx, [], [])
 
-    L = _pool_unit_kernel(E, idx)
+    L = _dpp_kernel(E, idx)
     m = idx.size
-    L[np.diag_indices(m)] += jitter
-
     cis = np.zeros((k, m))
     di2 = np.diag(L).copy()
     avail = np.ones(m, dtype=bool)
@@ -239,9 +229,7 @@ def dpp_greedy_map(
     return _dpp_pick(idx, picked, gains, avail, k, saliency)
 
 
-def dpp_greedy_naive(
-    tokens, pool, k: int, saliency=None, jitter: float = DEFAULT_JITTER
-) -> DiversityPick:
+def dpp_greedy_naive(tokens, pool, k: int, saliency=None) -> DiversityPick:
     """Reference greedy MAP that recomputes full determinants at every step.
 
     Oracle twin of :func:`dpp_greedy_map`: same kernel, same tie-break, same
@@ -252,11 +240,8 @@ def dpp_greedy_naive(
     if k == 0:
         return _pick(idx, [], [])
 
-    L = _pool_unit_kernel(E, idx)
-    m = idx.size
-    L[np.diag_indices(m)] += jitter
-
-    avail = np.ones(m, dtype=bool)
+    L = _dpp_kernel(E, idx)
+    avail = np.ones(idx.size, dtype=bool)
     picked: list[int] = []
     gains: list[float] = []
     det_s = 1.0  # det of the empty submatrix
@@ -284,7 +269,7 @@ def dpp_greedy_naive(
     return _dpp_pick(idx, picked, gains, avail, k, saliency)
 
 
-def brute_force_max_logdet(tokens, pool, k: int, jitter: float = DEFAULT_JITTER):
+def brute_force_max_logdet(tokens, pool, k: int):
     """Exact argmax of log det(L_S) over all size-k subsets of the pool.
 
     Returns (indices ascending, log-determinant).  Ties resolve to the
@@ -300,9 +285,7 @@ def brute_force_max_logdet(tokens, pool, k: int, jitter: float = DEFAULT_JITTER)
             f"C({idx.size}, {k}) = {n_subsets} subsets exceeds the {MAX_ENUMERATION} guard"
         )
 
-    L = _pool_unit_kernel(E, idx)
-    L[np.diag_indices(idx.size)] += jitter
-
+    L = _dpp_kernel(E, idx)
     best_det = -np.inf
     best_combo: tuple[int, ...] | None = None
     # chunked batched determinants keep memory bounded and LAPACK busy;

@@ -8,6 +8,8 @@ concentration of the sample from rank-1 (k=1) up to a flat spectrum
 which makes concentrated samples saliency-aligned by construction.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -26,7 +28,12 @@ def synth_tokens(
     perturbation scale applied to both rows and saliency.  Identical seeds
     produce identical outputs.
     """
-    n, d, k = int(n), int(d), int(k_directions)
+    try:
+        n, d, k = (operator.index(v) for v in (n, d, k_directions))
+    except TypeError:
+        raise InvalidInputError(
+            f"n, d and k_directions must be integers, got {n!r}, {d!r}, {k_directions!r}"
+        ) from None
     if n < 1 or d < 1:
         raise InvalidInputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if not 1 <= k <= min(n, d):

@@ -1,12 +1,15 @@
-"""Dense linear-algebra substrate: token matrices, Gram spectra, row norms.
+"""Dense linear-algebra substrate: input checks, Gram spectra, row norms.
 
 Token matrices are plain ``numpy`` arrays of shape (n_tokens, dim); the
-helpers here validate them and keep all internal computation in float64.
+input checks for token matrices, saliency scores and counts live here, and
+all internal computation stays in float64.
 """
+
+import operator
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidBudgetError, InvalidInputError
 
 DEFAULT_EPSILON = 1e-12
 
@@ -26,6 +29,34 @@ def as_token_matrix(tokens) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("token matrix contains non-finite entries")
     return np.ascontiguousarray(arr)
+
+
+def _check_scores(scores: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInputError(f"non-finite entries in {name}")
+    if np.any(scores < 0):
+        raise InvalidInputError(f"negative entries in {name}")
+
+
+def as_saliency_vector(scores, n_tokens: int | None = None) -> np.ndarray:
+    """Validate a per-token saliency vector: 1-D, finite, nonnegative."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise InvalidInputError(f"saliency must be 1-D, got shape {s.shape}")
+    _check_scores(s, "saliency")
+    if n_tokens is not None and s.shape[0] != n_tokens:
+        raise InvalidInputError(
+            f"saliency length {s.shape[0]} does not match n_tokens {n_tokens}"
+        )
+    return s
+
+
+def _token_count(value, name: str) -> int:
+    # a fractional count would be truncated silently downstream
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidBudgetError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _gram(E: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from adaptok import (
     subseed_rng,
     synth_tokens,
 )
+from adaptok import selection
 
 E1_E1_E2 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -46,6 +47,9 @@ class TestReduceHeadAttention:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             reduce_head_attention(np.array([[0.1, -0.2]]))
+        # the head mean [1, 2] is nonnegative: the per-head entry is checked
+        with pytest.raises(InvalidInputError):
+            reduce_head_attention([[-1.0, 3.0], [3.0, 1.0]])
 
 
 class TestSaliencyTopk:
@@ -70,6 +74,19 @@ class TestSaliencyTopk:
             saliency_topk([0.1, 0.2], 3)
         with pytest.raises(InvalidBudgetError):
             saliency_topk([0.1, 0.2], -1)
+        with pytest.raises(InvalidBudgetError):
+            saliency_topk([0.1, 0.2, 0.3], 2.7)
+
+
+@pytest.mark.parametrize(
+    "select",
+    [dpp_greedy_map, dpp_greedy_naive, brute_force_max_logdet, fps_select,
+     facility_location_select],
+)
+def test_selectors_reject_fractional_k(select, rng):
+    E = rng.standard_normal((6, 3))
+    with pytest.raises(InvalidBudgetError):
+        select(E, np.arange(6), 2.7)
 
 
 class TestCosineKernel:
@@ -175,18 +192,20 @@ class TestDppGreedyMap:
         assert pick.indices.size == 5
         assert len(set(pick.indices.tolist())) == 5
 
-    def test_collapsed_gains_fall_back_by_index(self):
-        # jitter=0 lets duplicate residuals collapse to exactly 0
+    def test_collapsed_gains_fall_back_by_index(self, monkeypatch):
+        # no jitter lets duplicate residuals collapse to exactly 0
+        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
         E = np.array([[1.0, 0.0]] * 6)
-        pick = dpp_greedy_map(E, np.arange(6), 5, jitter=0.0)
+        pick = dpp_greedy_map(E, np.arange(6), 5)
         assert pick.fallback_count == 4
         np.testing.assert_array_equal(pick.pick_order, [0, 1, 2, 3, 4])
         assert pick.gains.size == 1
 
-    def test_collapsed_gains_fall_back_by_saliency(self):
+    def test_collapsed_gains_fall_back_by_saliency(self, monkeypatch):
+        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
         E = np.array([[1.0, 0.0]] * 5)  # all duplicates: rank 1
         sal = np.array([0.1, 0.9, 0.3, 0.9, 0.5])
-        pick = dpp_greedy_map(E, np.arange(5), 3, saliency=sal, jitter=0.0)
+        pick = dpp_greedy_map(E, np.arange(5), 3, saliency=sal)
         # first pick is index 0 (all gains tie), the rest fill by
         # descending saliency (ties to the lower index): 1 then 3
         np.testing.assert_array_equal(pick.pick_order, [0, 1, 3])

@@ -58,6 +58,13 @@ class TestSynthTokens:
         with pytest.raises(InvalidInputError):
             synth_tokens(8, 4, 2, -0.1, 0)
 
+    def test_sizes_must_be_integers(self):
+        for bad in ((4.9, 3.2, 1.5), (4.9, 3, 1), (4, 3.2, 1), (4, 3, 1.5)):
+            with pytest.raises(InvalidInputError):
+                synth_tokens(*bad, 0.0, 0)
+        tokens, _ = synth_tokens(np.int64(4), np.int64(3), np.int64(1), 0.0, 0)
+        assert tokens.shape == (4, 3)
+
     def test_subseed_rng_counter_scheme(self):
         a = subseed_rng(5, 0).standard_normal(4)
         b = subseed_rng(5, 0).standard_normal(4)
@@ -94,3 +101,16 @@ class TestCostModel:
             ModelCostSpec(hidden_dim=0, n_layers=32, intermediate_dim=1, n_params=1)
         with pytest.raises(InvalidInputError):
             estimate_prefill_flops(-1, LLAVA_NEXT_7B)
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(InvalidInputError):
+            estimate_kv_cache_bytes(1.5, LLAVA_NEXT_7B)
+        with pytest.raises(InvalidInputError):
+            estimate_prefill_flops(1.5, LLAVA_NEXT_7B)
+        with pytest.raises(InvalidInputError):
+            ModelCostSpec(hidden_dim=4096.7, n_layers=32, intermediate_dim=1, n_params=1)
+        spec = ModelCostSpec(
+            hidden_dim=np.int64(4096), n_layers=32, intermediate_dim=1, n_params=1
+        )
+        assert type(spec.hidden_dim) is int
+        assert estimate_kv_cache_bytes(np.int64(2), spec) == 2 * 32 * 4096 * 2 * 2

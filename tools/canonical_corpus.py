@@ -40,6 +40,7 @@ from adaptok import (  # noqa: E402
     write_saliency,
     write_tokens,
 )
+from adaptok import selection  # noqa: E402
 from adaptok.cli import main as cli_main  # noqa: E402
 
 TAUS = (0.02, 0.5)
@@ -93,19 +94,29 @@ def _compress_docs():
                         }
 
 
+@contextlib.contextmanager
+def _no_jitter():
+    saved = selection.DEFAULT_JITTER
+    selection.DEFAULT_JITTER = 0.0
+    try:
+        yield
+    finally:
+        selection.DEFAULT_JITTER = saved
+
+
 def _selector_docs():
     for name, tokens, saliency in _inputs():
         n = tokens.shape[0]
         pools = {"all": np.arange(n), "odd": np.arange(1, n, 2)}
         for pool_name, pool in pools.items():
             for k in (1, pool.size // 2, pool.size):
+                # without jitter the rank runs out and the fill runs
+                with _no_jitter():
+                    no_jitter = dpp_greedy_map(tokens, pool, k, saliency=saliency)
                 picks = {
                     "dpp": dpp_greedy_map(tokens, pool, k),
                     "dpp-saliency": dpp_greedy_map(tokens, pool, k, saliency=saliency),
-                    # without jitter the rank runs out and the fill runs
-                    "dpp-no-jitter": dpp_greedy_map(
-                        tokens, pool, k, saliency=saliency, jitter=0.0
-                    ),
+                    "dpp-no-jitter": no_jitter,
                     "fps": fps_select(tokens, pool, k),
                     "facility_location": facility_location_select(tokens, pool, k),
                 }
