@@ -21,6 +21,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -94,16 +95,6 @@ def _compress_docs():
                         }
 
 
-@contextlib.contextmanager
-def _no_jitter():
-    saved = selection.DEFAULT_JITTER
-    selection.DEFAULT_JITTER = 0.0
-    try:
-        yield
-    finally:
-        selection.DEFAULT_JITTER = saved
-
-
 def _selector_docs():
     for name, tokens, saliency in _inputs():
         n = tokens.shape[0]
@@ -111,7 +102,7 @@ def _selector_docs():
         for pool_name, pool in pools.items():
             for k in (1, pool.size // 2, pool.size):
                 # without jitter the rank runs out and the fill runs
-                with _no_jitter():
+                with mock.patch.object(selection, "DEFAULT_JITTER", 0.0):
                     no_jitter = dpp_greedy_map(tokens, pool, k, saliency=saliency)
                 picks = {
                     "dpp": dpp_greedy_map(tokens, pool, k),
