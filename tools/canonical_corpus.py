@@ -50,7 +50,7 @@ BUDGET = 12
 
 def _inputs():
     """(name, tokens, saliency): concentrated to spread, tall and wide,
-    with zero rows, and noiseless low rank."""
+    with zero rows, noiseless low rank, and exactly duplicated tokens."""
     for n, d, k, noise, seed in (
         (48, 16, 1, 1e-3, 0),
         (48, 16, 3, 1e-3, 1),
@@ -67,6 +67,9 @@ def _inputs():
     yield "zero-rows-48x16", tokens, saliency
     rng = np.random.default_rng(8)
     yield "gaussian-36x20", rng.standard_normal((36, 20)), rng.random(36)
+    # each of 12 distinct rows four times: the selectors' ties between copies
+    tokens, saliency = synth_tokens(48, 16, 3, 1e-3, 9)
+    yield "duplicates-48x16", tokens[np.arange(48) % 12], saliency
 
 
 def _pick_doc(pick) -> dict:
@@ -116,6 +119,14 @@ def _selector_docs():
                         "kind": "select", "input": name, "pool": pool_name, "k": k,
                         "selector": selector, **_pick_doc(pick),
                     }
+    # a CLIP-sized pool, where facility location re-evaluates many stale
+    # bounds per step
+    tokens, _ = synth_tokens(576, 64, 24, 1e-3, 10)
+    pick = facility_location_select(tokens, np.arange(576), 128)
+    yield {
+        "kind": "select", "input": "synth-576x64-k24", "pool": "all", "k": 128,
+        "selector": "facility_location", **_pick_doc(pick),
+    }
 
 
 def _allocate_docs():
