@@ -3,7 +3,8 @@
 Token files ("PTM1") and saliency files ("PSV1") share the same layout: a
 4-byte magic, little-endian u32 dimensions, then a row-major float32 LE
 payload whose byte length must match the header exactly.  Compute happens
-in float64; files stay float32.
+in float64; files stay float32, and both readers and writers reject a
+payload that is not finite in float32.
 
 Selection results serialize as versioned JSON (``schema: 1``) with sorted
 keys, so a fixed input always produces byte-identical output.  Wall-clock
@@ -12,6 +13,7 @@ timings are deliberately not part of the document.
 
 import dataclasses
 import json
+import operator
 import struct
 from pathlib import Path
 
@@ -42,7 +44,7 @@ def write_tokens(tokens, path) -> None:
     arr = np.asarray(tokens, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"token payload must be a nonempty 2-D matrix, got shape {arr.shape}")
-    _write_binary(path, TOKEN_MAGIC, arr)
+    _write_binary(path, TOKEN_MAGIC, _float32_payload(arr, "token"))
 
 
 def read_tokens(path) -> np.ndarray:
@@ -57,11 +59,10 @@ def write_saliency(head_scores, path) -> None:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"saliency payload must be H x N, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError("saliency payload contains non-finite values")
+    out = _float32_payload(arr, "saliency")
     if np.any(arr < 0):
         raise ValueRangeError("saliency payload contains negative values")
-    _write_binary(path, SALIENCY_MAGIC, arr)
+    _write_binary(path, SALIENCY_MAGIC, out)
 
 
 def read_saliency(path) -> np.ndarray:
@@ -72,9 +73,21 @@ def read_saliency(path) -> np.ndarray:
     return arr
 
 
-def _write_binary(path, magic: bytes, arr: np.ndarray) -> None:
-    # arr is a validated float64 rows x cols matrix
-    out = np.ascontiguousarray(arr, dtype=np.float32)
+def _float32_payload(arr: np.ndarray, kind: str) -> np.ndarray:
+    """The float32 payload of a float64 matrix, rejected unless finite.
+
+    A value beyond the float32 range becomes inf in the cast, and the
+    readers reject any non-finite payload, so no such file is written.
+    """
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype=np.float32)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValueError(f"{kind} payload contains values that are not finite in float32")
+    return out
+
+
+def _write_binary(path, magic: bytes, out: np.ndarray) -> None:
+    # out is a checked float32 rows x cols payload
     with open(path, "wb") as f:
         f.write(_HEADER.pack(magic, out.shape[0], out.shape[1]))
         f.write(out.tobytes(order="C"))
@@ -139,20 +152,29 @@ def selection_result_from_json(text: str) -> SelectionResult:
         )
     try:
         return SelectionResult(
-            selected=np.asarray(doc["selected"], dtype=np.int64),
+            selected=_indices(doc["selected"]),
             stage_of=[str(s) for s in doc["stage_of"]],
             split=_from_fields(BudgetSplit, doc),
             entropy=_from_fields(EntropyReport, doc["entropy"]),
-            coverage_pick_order=np.asarray(doc["coverage_pick_order"], dtype=np.int64),
+            coverage_pick_order=_indices(doc["coverage_pick_order"]),
             diagnostics={str(k): float(v) for k, v in doc["diagnostics"].items()},
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
 
 
+def _indices(values) -> np.ndarray:
+    # operator.index, not an int64 cast: a fractional index is an error, not truncated
+    return np.asarray([operator.index(v) for v in values], dtype=np.int64)
+
+
 def _from_fields(cls, doc: dict):
-    # the inverse of dataclasses.asdict: each field cast to its annotated type
-    return cls(**{f.name: f.type(doc[f.name]) for f in dataclasses.fields(cls)})
+    # the inverse of dataclasses.asdict: each field cast to its annotated
+    # type, except that an int field takes only an integer
+    return cls(**{
+        f.name: (operator.index if f.type is int else f.type)(doc[f.name])
+        for f in dataclasses.fields(cls)
+    })
 
 
 def write_selection_result(result: SelectionResult, path) -> None:

@@ -4,6 +4,7 @@ Everything here is deliberately naive (plain loops, direct formulas,
 full SVD) and shares no code path with the package internals it checks.
 """
 
+import heapq
 import math
 from itertools import combinations
 
@@ -151,6 +152,40 @@ def facility_location_dense(E: np.ndarray, pool, k: int, epsilon: float = 1e-12)
         gains.append(float(marginal[j]))
         avail[j] = False
         cover = np.maximum(cover, sim[:, j])
+    return pool[np.asarray(picked, dtype=np.int64)], np.asarray(gains)
+
+
+def facility_location_lazy_rowwise(E: np.ndarray, pool, k: int, epsilon: float = 1e-12):
+    """Lazy greedy facility location re-evaluating one stale bound at a time.
+
+    Returns (pick_order as token indices, per-step gains).  A heap holds
+    ``(-bound, position)``; while its top was computed at an earlier step,
+    that one candidate's gain is recomputed as a 1-D row sum and pushed
+    back.  The similarity is built as ``facility_location_dense`` builds it.
+    """
+    pool = np.asarray(pool, dtype=np.int64)
+    rows = E[pool]
+    unit = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + epsilon)
+    sim = np.clip((unit @ unit.T + 1.0) / 2.0, 0.0, 1.0)
+
+    heap = [(-g, j) for j, g in enumerate(sim.sum(axis=0).tolist())]
+    heapq.heapify(heap)
+    fresh_at = [0] * pool.size
+    cover = np.zeros(pool.size)
+    picked: list[int] = []
+    gains: list[float] = []
+    for step in range(k):
+        while True:
+            neg_gain, j = heap[0]
+            if fresh_at[j] == step:
+                break
+            gain = float(np.maximum(sim[j] - cover, 0.0).sum())
+            fresh_at[j] = step
+            heapq.heapreplace(heap, (-gain, j))
+        heapq.heappop(heap)
+        picked.append(j)
+        gains.append(-neg_gain)
+        np.maximum(cover, sim[j], out=cover)
     return pool[np.asarray(picked, dtype=np.int64)], np.asarray(gains)
 
 

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -107,6 +108,18 @@ class TestSaliencyFiles:
             read_saliency(path)
 
 
+@pytest.mark.parametrize("write", [write_tokens, write_saliency])
+@pytest.mark.parametrize("value", [np.nan, 1e39])
+def test_writers_reject_values_not_finite_in_float32(tmp_path, write, value):
+    # 1e39 is finite in float64 but inf after the float32 cast, and the
+    # readers reject any non-finite payload
+    path = tmp_path / "bad.bin"
+    with pytest.raises(NonFiniteValueError) as info:
+        write(np.array([[1.0, value]]), path)
+    assert info.value.category == "non-finite-value"
+    assert not path.exists()
+
+
 class TestSelectionResultJson:
     def _result(self):
         tokens, sal = synth_tokens(40, 10, 4, 1e-3, 5)
@@ -124,8 +137,6 @@ class TestSelectionResultJson:
         assert a == b
 
     def test_schema_field_present(self):
-        import json
-
         doc = json.loads(selection_result_to_json(self._result()))
         assert doc["schema"] == 1
         assert doc["t_sal"] + doc["t_cov"] == 12
@@ -140,3 +151,30 @@ class TestSelectionResultJson:
     def test_rejects_invalid_json(self):
         with pytest.raises(FormatError):
             selection_result_from_json("not json {")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_sal", 1.7), ("t_cov", 8.5), ("t_sal", 2.0), ("t_sal", "3"),
+         ("selected", 12.5), ("coverage_pick_order", 3.5), ("selected", 2**70)],
+    )
+    def test_rejects_non_integer_counts_and_indices(self, field, value):
+        # int(1.7) or an int64 cast would truncate these silently
+        doc = json.loads(selection_result_to_json(self._result()))
+        if isinstance(doc[field], list):
+            doc[field][-1] = value
+        else:
+            doc[field] = value
+        with pytest.raises(FormatError) as info:
+            selection_result_from_json(json.dumps(doc))
+        assert info.value.category == "format-error"
+
+    def test_round_trip_over_selectors_and_splits(self):
+        tokens, sal = synth_tokens(48, 12, 3, 1e-3, 6)
+        for method in ("dpp", "fps", "facility_location"):
+            cfg = CompressConfig(total_budget=12, diversity_method=method)
+            for t_sal in (None, 0, 5, 12):
+                res = compress(tokens, sal, cfg, t_sal=t_sal)
+                text = selection_result_to_json(res)
+                back = selection_result_from_json(text)
+                assert selection_results_equal(res, back)
+                assert selection_result_to_json(back) == text

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import (
     facility_location_dense,
+    facility_location_lazy_rowwise,
     facility_optimum,
     facility_value,
     pairwise_cosine_naive,
@@ -402,6 +403,47 @@ class TestFacilityLocationSelect:
                 np.testing.assert_array_equal(result.coverage_pick_order, dense_order)
                 covered += result.split.t_cov
         assert covered > 0
+
+    @pytest.mark.parametrize("kind", FL_KINDS)
+    def test_bitwise_equal_to_one_row_lazy_greedy(self, kind):
+        # batched re-evaluation changes how many stale bounds one row op
+        # computes, never which candidate is picked or its gain
+        def instances():
+            yield from _fl_instances(kind, 100, 64)
+            # the clip-fl benchmark's self-test shape: 72x64, T=16
+            for seed in range(1, 11):
+                rng = subseed_rng(seed, FL_KINDS.index(kind))
+                tokens = _fl_tokens(rng, kind, 72, 64, [seed, 0])
+                t_sal = int(rng.integers(0, 16))
+                pool = np.sort(rng.choice(72, size=72 - t_sal, replace=False))
+                yield tokens, pool, 16 - t_sal
+
+        for tokens, pool, k in instances():
+            pick = facility_location_select(tokens, pool, k)
+            order, gains = facility_location_lazy_rowwise(tokens, pool, k)
+            np.testing.assert_array_equal(pick.pick_order, order)
+            assert pick.gains.tobytes() == gains.tobytes()
+
+    def test_bitwise_equal_to_one_row_lazy_greedy_at_clip_shape(self):
+        # a 576-token input whose saliency stage took one token
+        tokens, _ = synth_tokens(576, 1024, 32, 1e-3, 71)
+        pool = np.arange(1, 576)
+        pick = facility_location_select(tokens, pool, 127)
+        order, gains = facility_location_lazy_rowwise(tokens, pool, 127)
+        np.testing.assert_array_equal(pick.pick_order, order)
+        assert pick.gains.tobytes() == gains.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 128, 575, 2879])
+    def test_batched_row_sum_is_bitwise_the_row_sum(self, m):
+        # the batched re-evaluation relies on this for its bitwise picks
+        rng = np.random.default_rng(m)
+        sim = rng.random((16, m))
+        cover = 0.8 * rng.random(m)
+        for rows in ([3], [0, 5, 9], list(range(8)), [15, 2, 7, 1, 11, 4, 13, 6]):
+            batched = np.maximum(sim[rows] - cover, 0.0).sum(axis=1)
+            for r, row in enumerate(rows):
+                one = np.maximum(sim[row] - cover, 0.0).sum()
+                assert batched[r].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("kind", FL_KINDS)
     def test_gains_submodular_and_sum_to_objective(self, kind):
