@@ -130,6 +130,16 @@ class TestSelectionResultJson:
         back = selection_result_from_json(selection_result_to_json(res))
         assert selection_results_equal(res, back)
         assert back.timings_us == {}
+        # every selector and split reads back equal, to the same bytes
+        tokens, sal = synth_tokens(48, 12, 3, 1e-3, 6)
+        for method in ("dpp", "fps", "facility_location"):
+            cfg = CompressConfig(total_budget=12, diversity_method=method)
+            for t_sal in (None, 0, 5, 12):
+                res = compress(tokens, sal, cfg, t_sal=t_sal)
+                text = selection_result_to_json(res)
+                back = selection_result_from_json(text)
+                assert selection_results_equal(res, back)
+                assert selection_result_to_json(back) == text
 
     def test_serialization_is_byte_stable(self):
         a = selection_result_to_json(self._result())
@@ -167,14 +177,3 @@ class TestSelectionResultJson:
         with pytest.raises(FormatError) as info:
             selection_result_from_json(json.dumps(doc))
         assert info.value.category == "format-error"
-
-    def test_round_trip_over_selectors_and_splits(self):
-        tokens, sal = synth_tokens(48, 12, 3, 1e-3, 6)
-        for method in ("dpp", "fps", "facility_location"):
-            cfg = CompressConfig(total_budget=12, diversity_method=method)
-            for t_sal in (None, 0, 5, 12):
-                res = compress(tokens, sal, cfg, t_sal=t_sal)
-                text = selection_result_to_json(res)
-                back = selection_result_from_json(text)
-                assert selection_results_equal(res, back)
-                assert selection_result_to_json(back) == text
