@@ -183,13 +183,18 @@ def _cli_docs(workdir: Path):
         yield {"kind": "cli-out", "argv": ["compress", "heads"], "input": name,
                "out": out.read_text(encoding="utf-8")}
         files = ["--tokens", str(tok), "--saliency", str(sal), "--budget", str(BUDGET)]
-        runs = [["compress", "--preset", preset] for preset in sorted(MU_PRESETS)]
-        runs += [["compress-fixed", "--t-sal-fixed", str(t)] for t in (0, BUDGET // 3, BUDGET)]
+        runs = [["--preset", preset] for preset in sorted(MU_PRESETS)]
+        runs += [["--t-sal", str(t)] for t in (0, BUDGET // 3, BUDGET)]
         for diversity in ("dpp", "fps", "fl"):
-            for command, *flags in runs:
-                shown = [command, "--diversity", diversity, *flags]
+            for flags in runs:
+                shown = ["compress", "--diversity", diversity, *flags]
+                argv = [*shown, *files]
+                if flags[0] == "--t-sal":
+                    # this CLI still forces the split through compress-fixed
+                    argv = ["compress-fixed", *files, "--diversity", diversity,
+                            "--t-sal-fixed", flags[1]]
                 yield {"kind": "cli", "argv": shown, "input": name,
-                       "stdout": _cli_stdout([command, *files, *shown[1:]])}
+                       "stdout": _cli_stdout(argv)}
     for seq in (0, 64, 320, 2880):
         for extra in ([], ["--baseline-seq", "2880"], ["--text-tokens", "100"]):
             argv = ["flops", "--seq-visual", str(seq), *extra]
