@@ -29,7 +29,6 @@ from .errors import (
     BadMagicError,
     DegenerateInputError,
     FormatError,
-    InstanceTooLargeError,
     InvalidBudgetError,
     InvalidInputError,
     NonFiniteValueError,
@@ -56,10 +55,8 @@ from .prominence import (
 )
 from .selection import (
     DiversityPick,
-    brute_force_max_logdet,
     cosine_kernel,
     dpp_greedy_map,
-    dpp_greedy_naive,
     facility_location_select,
     fps_select,
     reduce_head_attention,
@@ -81,7 +78,6 @@ __all__ = [
     "DiversityPick",
     "EntropyReport",
     "FormatError",
-    "InstanceTooLargeError",
     "InvalidBudgetError",
     "InvalidInputError",
     "LLAVA_NEXT_7B",
@@ -95,11 +91,9 @@ __all__ = [
     "allocate_budget",
     "as_token_matrix",
     "attention_entropy",
-    "brute_force_max_logdet",
     "compress",
     "cosine_kernel",
     "dpp_greedy_map",
-    "dpp_greedy_naive",
     "estimate_kv_cache_bytes",
     "estimate_prefill_flops",
     "facility_location_select",

@@ -1,19 +1,19 @@
 """Command-line interface.
 
-Subcommands: entropy, allocate, compress, compress-fixed, oracle, synth,
-bench, flops.  ``compress-fixed`` runs the same ``compress`` call as
-``compress`` with the split forced by ``--t-sal-fixed``.  Primary outputs
-are canonical JSON (byte-identical for fixed seeds and inputs); errors,
-argument errors included, land on stderr as one JSON line with a
-machine-readable category, and the process exits nonzero.
+Subcommands: entropy, allocate, compress, synth, bench, flops.
+``compress --t-sal N`` forces the saliency share of the split instead of
+deriving it from the entropy.  Primary outputs are canonical JSON
+(byte-identical for fixed seeds and inputs).  Wall-clock phase timings of
+``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``.
+Errors, bad argument values included, land on stderr as one JSON line
+with a machine-readable category, and the process exits 1; a command line
+that does not parse gets argparse's usage message and exit code 2.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from .bench import run_bench
 from .budget import DEFAULT_TAU, MU_PRESETS, CompressConfig, allocate_budget, resolve_mu
@@ -34,14 +34,8 @@ from .io_formats import (
 )
 from .pipeline import compress
 from .prominence import attention_entropy, feature_norm_entropy, spectral_entropy
-from .selection import (
-    _dpp_kernel,
-    brute_force_max_logdet,
-    dpp_greedy_map,
-    dpp_greedy_naive,
-    reduce_head_attention,
-)
-from .synth import subseed_rng, synth_tokens
+from .selection import reduce_head_attention
+from .synth import synth_tokens
 
 _DIVERSITY_FLAGS = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}
 _METRIC_FLAGS = ("spectral", "norm", "attn")
@@ -60,16 +54,6 @@ def _add_sigmoid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="sigmoid smoothness")
     p.add_argument("--preset", choices=sorted(MU_PRESETS), default=None,
                    help="named mu preset (default clip)")
-
-
-def _add_compress_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tokens", required=True, help="input PTM1 token file")
-    p.add_argument("--saliency", required=True, help="input PSV1 saliency file")
-    p.add_argument("--budget", type=int, required=True, help="total token budget T")
-    _add_sigmoid_flags(p)
-    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default="dpp",
-                   help="stage-2 diversity selector")
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,17 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("compress", help="full two-stage compression")
-    _add_compress_flags(p)
-
-    p = sub.add_parser("compress-fixed", help="compression with a forced t_sal")
-    _add_compress_flags(p)
-    p.add_argument("--t-sal-fixed", type=int, required=True, help="forced saliency budget")
-
-    p = sub.add_parser("oracle", help="greedy-vs-naive and greedy-vs-exhaustive checks")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=16)
-    p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--tokens", required=True, help="input PTM1 token file")
+    p.add_argument("--saliency", required=True, help="input PSV1 saliency file")
+    p.add_argument("--budget", type=int, required=True, help="total token budget T")
+    p.add_argument("--t-sal", type=int, default=None,
+                   help="forced saliency budget (derived from the entropy if omitted)")
+    _add_sigmoid_flags(p)
+    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default="dpp",
+                   help="stage-2 diversity selector")
+    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
     p = sub.add_parser("synth", help="emit synthetic token and saliency files")
     p.add_argument("--tokens", required=True, help="output PTM1 path")
@@ -165,7 +147,7 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _run_compress(args, t_sal_fixed: int | None) -> int:
+def _cmd_compress(args) -> int:
     tokens = read_tokens(args.tokens)
     saliency = reduce_head_attention(read_saliency(args.saliency))
     config = CompressConfig(
@@ -174,61 +156,10 @@ def _run_compress(args, t_sal_fixed: int | None) -> int:
         tau=args.tau,
         diversity_method=_DIVERSITY_FLAGS[args.diversity],
     )
-    result = compress(tokens, saliency, config, t_sal=t_sal_fixed)
+    result = compress(tokens, saliency, config, t_sal=args.t_sal)
     _emit(selection_result_to_json(result), args.out)
-    for phase, us in sorted(result.timings_us.items()):
-        print(f"timing {phase}={us:.1f}us", file=sys.stderr)
+    print(json.dumps({"timings_us": result.timings_us}, sort_keys=True), file=sys.stderr)
     return 0
-
-
-def _cmd_oracle(args) -> int:
-    # n is drawn from [4, max_n] and d from [max(k, 4), 13), so k <= 12
-    if args.trials < 1 or args.max_n < 4 or not 1 <= args.max_k <= 12:
-        raise InvalidInputError(
-            "oracle needs --trials >= 1, --max-n >= 4 and 1 <= --max-k <= 12, got "
-            f"{args.trials}, {args.max_n} and {args.max_k}"
-        )
-    trials = int(args.trials)
-    mismatches = 0
-    optimum_violations = 0
-    ratios = []
-    for trial in range(trials):
-        rng = subseed_rng(args.seed, trial)
-        n = int(rng.integers(4, args.max_n + 1))
-        k_max = min(args.max_k, n)
-        k = int(rng.integers(1, k_max + 1))
-        # d >= k keeps the pool full-rank so greedy twins stay comparable
-        d = int(rng.integers(max(k, 4), 13))
-        tokens = rng.standard_normal((n, d))
-        pool = np.arange(n)
-
-        fast = dpp_greedy_map(tokens, pool, k)
-        naive = dpp_greedy_naive(tokens, pool, k)
-        if not np.array_equal(fast.pick_order, naive.pick_order):
-            mismatches += 1
-            continue
-
-        _, opt_logdet = brute_force_max_logdet(tokens, pool, k)
-        greedy_logdet = _subset_logdet(tokens, fast.indices)
-        if greedy_logdet > opt_logdet + 1e-9:
-            optimum_violations += 1
-        ratios.append(float(np.exp(greedy_logdet - opt_logdet)))
-
-    ratio_min = min(ratios) if ratios else float("nan")
-    ratio_median = float(np.median(ratios)) if ratios else float("nan")
-    ok = mismatches == 0 and optimum_violations == 0
-    print(
-        f"oracle trials={trials} index_mismatches={mismatches} "
-        f"optimum_violations={optimum_violations} "
-        f"ratio_min={ratio_min:.6f} ratio_median={ratio_median:.6f} "
-        f"status={'ok' if ok else 'violation'}"
-    )
-    return 0 if ok else 1
-
-
-def _subset_logdet(tokens: np.ndarray, indices: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(_dpp_kernel(tokens, indices))
-    return float(logdet) if sign > 0 else float("-inf")
 
 
 def _cmd_synth(args) -> int:
@@ -303,9 +234,7 @@ def _cmd_flops(args) -> int:
 _COMMANDS = {
     "entropy": _cmd_entropy,
     "allocate": _cmd_allocate,
-    "compress": lambda args: _run_compress(args, None),
-    "compress-fixed": lambda args: _run_compress(args, args.t_sal_fixed),
-    "oracle": _cmd_oracle,
+    "compress": _cmd_compress,
     "synth": _cmd_synth,
     "bench": _cmd_bench,
     "flops": _cmd_flops,
@@ -316,17 +245,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except AdaptokError as err:
-        print(
-            json.dumps({"error": {"category": err.category, "message": str(err)}}),
-            file=sys.stderr,
-        )
-        return 1
-    except OSError as err:
-        print(
-            json.dumps({"error": {"category": "io-error", "message": str(err)}}),
-            file=sys.stderr,
-        )
+    except (AdaptokError, OSError) as err:
+        category = err.category if isinstance(err, AdaptokError) else "io-error"
+        print(json.dumps({"error": {"category": category, "message": str(err)}}), file=sys.stderr)
         return 1
 
 

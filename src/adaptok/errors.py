@@ -30,12 +30,6 @@ class InvalidBudgetError(AdaptokError):
     category = "invalid-budget"
 
 
-class InstanceTooLargeError(AdaptokError):
-    """An exhaustive oracle was asked to enumerate too many subsets."""
-
-    category = "instance-too-large"
-
-
 class FormatError(AdaptokError):
     """An on-disk artifact does not conform to its binary or text schema."""
 

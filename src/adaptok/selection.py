@@ -16,18 +16,15 @@ Ties are always broken toward the lowest token index, so every selector is
 deterministic.  For facility location, ties are judged on the gains as the
 lazy greedy sums them: exactly duplicated tokens tie in exact arithmetic, so
 which copy wins may differ from a greedy that sums in another order.
-``dpp_greedy_naive`` and ``brute_force_max_logdet`` are reference
-oracles for checking the fast DPP path.
 """
 
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, InvalidBudgetError, InvalidInputError
+from .errors import InvalidBudgetError, InvalidInputError
 from .tensor_core import (
     _check_scores,
     _normalize_rows_raw,
@@ -42,11 +39,6 @@ from .tensor_core import (
 # jitter equals the floor, so a gain falls below it only by rounding.
 DEFAULT_JITTER = 1e-10
 RANK_FLOOR = 1e-10
-
-# Exhaustive enumeration guard: reject instances with more subsets than this.
-MAX_ENUMERATION = 10**6
-
-_DET_CHUNK = 65536
 
 # Stale facility-location bounds re-evaluated per row op; 8 measured fastest
 # at a 576-token pool (see facility_location_select).
@@ -164,32 +156,15 @@ def _dpp_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return L
 
 
-def _dpp_pick(
-    idx: np.ndarray, picked: list[int], gains: list[float], avail: np.ndarray, k: int, saliency
-) -> DiversityPick:
-    """Close a greedy DPP run, filling the slots left past the kernel's rank.
-
-    The still-available positions fill them by descending saliency within
-    the pool when a saliency vector is supplied (ties to the lower index),
-    by ascending index otherwise.
-    """
-    fallback_count = k - len(picked)
-    if fallback_count:
-        fill = np.flatnonzero(avail)
-        if saliency is not None:
-            fill = fill[np.argsort(-as_saliency_vector(saliency)[idx[fill]], kind="stable")]
-        picked = picked + fill[:fallback_count].tolist()
-    return _pick(idx, picked, gains, fallback_count)
-
-
 def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     """Greedy MAP selection of k tokens maximizing log det of the cosine kernel.
 
     Implements the fast greedy algorithm with incremental Cholesky-style
     updates: after each pick the residual squared diagonal d_i^2 equals the
-    marginal determinant gain of candidate i, so each step costs O(k * m)
-    instead of a fresh determinant per candidate.  Selection order matches a
-    naive greedy that recomputes full determinants (ties to lowest index).
+    marginal determinant gain of candidate i, so each step over a pool of m
+    costs O(k * m) instead of a fresh determinant per candidate.  Selection
+    order matches a naive greedy that recomputes full determinants (ties to
+    lowest index).
 
     When every remaining gain falls below RANK_FLOOR the pool is rank
     deficient; remaining slots are filled by descending ``saliency`` (or
@@ -206,10 +181,8 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
         return _pick(idx, [], [])
 
     L = _dpp_kernel(E, idx)
-    m = idx.size
-    cis = np.zeros((k, m))
+    cis = np.zeros((k, idx.size))
     di2 = np.diag(L).copy()
-    avail = np.ones(m, dtype=bool)
     picked: list[int] = []
     gains: list[float] = []
 
@@ -222,7 +195,6 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
             break
         gains.append(float(np.log(best)))
         picked.append(j)
-        avail[j] = False
         di2[j] = -np.inf
         if step < k - 1:
             ci = cis[:step, j]
@@ -230,88 +202,16 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
             cis[step] = eis
             di2 -= np.square(eis)
 
-    return _dpp_pick(idx, picked, gains, avail, k, saliency)
-
-
-def dpp_greedy_naive(tokens, pool, k: int, saliency=None) -> DiversityPick:
-    """Reference greedy MAP that recomputes full determinants at every step.
-
-    Oracle twin of :func:`dpp_greedy_map`: same kernel, same tie-break, same
-    rank-deficiency fallback, but each step evaluates det(L_{S + {j}}) for
-    every remaining candidate by direct (batched) determinant computation.
-    """
-    E, idx, k = _selector_inputs(tokens, pool, k)
-    if k == 0:
-        return _pick(idx, [], [])
-
-    L = _dpp_kernel(E, idx)
-    avail = np.ones(idx.size, dtype=bool)
-    picked: list[int] = []
-    gains: list[float] = []
-    det_s = 1.0  # det of the empty submatrix
-
-    for _ in range(k):
-        cand = np.flatnonzero(avail)
-        s = len(picked)
-        subs = np.empty((cand.size, s + 1, s + 1))
-        if s:
-            subs[:, :s, :s] = L[np.ix_(picked, picked)]
-            cross = L[np.ix_(cand, picked)]
-            subs[:, s, :s] = cross
-            subs[:, :s, s] = cross
-        subs[:, s, s] = L[cand, cand]
-        dets = np.linalg.det(subs)
-        best = int(np.argmax(dets))
-        gain = dets[best] / det_s
-        if gain < RANK_FLOOR:
-            break
-        gains.append(float(np.log(gain)))
-        picked.append(int(cand[best]))
-        avail[cand[best]] = False
-        det_s = dets[best]
-
-    return _dpp_pick(idx, picked, gains, avail, k, saliency)
-
-
-def brute_force_max_logdet(tokens, pool, k: int):
-    """Exact argmax of log det(L_S) over all size-k subsets of the pool.
-
-    Returns (indices ascending, log-determinant).  Ties resolve to the
-    lexicographically smallest subset.  Guarded: raises
-    InstanceTooLargeError when C(|pool|, k) exceeds MAX_ENUMERATION.
-    """
-    E, idx, k = _selector_inputs(tokens, pool, k)
-    if k == 0:
-        return np.empty(0, dtype=np.int64), 0.0
-    n_subsets = math.comb(idx.size, k)
-    if n_subsets > MAX_ENUMERATION:
-        raise InstanceTooLargeError(
-            f"C({idx.size}, {k}) = {n_subsets} subsets exceeds the {MAX_ENUMERATION} guard"
-        )
-
-    L = _dpp_kernel(E, idx)
-    best_det = -np.inf
-    best_combo: tuple[int, ...] | None = None
-    # chunked batched determinants keep memory bounded and LAPACK busy;
-    # lexicographic enumeration + strict improvement gives the smallest tie
-    combo_iter = combinations(range(idx.size), k)
-    while True:
-        rows = list(islice(combo_iter, _DET_CHUNK))
-        if not rows:
-            break
-        chunk = np.asarray(rows, dtype=np.int64)
-        subs = L[chunk[:, :, None], chunk[:, None, :]]
-        dets = np.linalg.det(subs)
-        j = int(np.argmax(dets))
-        if dets[j] > best_det:
-            best_det = float(dets[j])
-            best_combo = tuple(chunk[j])
-        if len(rows) < _DET_CHUNK:
-            break
-
-    assert best_combo is not None
-    logdet = float(np.log(best_det)) if best_det > 0 else -np.inf
-    return idx[np.asarray(best_combo, dtype=np.int64)], logdet
+    # the unpicked positions (those not masked with -inf) fill the slots
+    # left past the rank; the stable sort breaks saliency ties toward the
+    # lower index
+    fallback_count = k - len(picked)
+    if fallback_count:
+        fill = np.flatnonzero(di2 != -np.inf)
+        if saliency is not None:
+            fill = fill[np.argsort(-as_saliency_vector(saliency)[idx[fill]], kind="stable")]
+        picked += fill[:fallback_count].tolist()
+    return _pick(idx, picked, gains, fallback_count)
 
 
 def fps_select(tokens, pool, k: int) -> DiversityPick:

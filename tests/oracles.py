@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (plain loops, direct formulas,
-full SVD) and shares no code path with the package internals it checks.
+full SVD, full determinants) and shares no code path with the package
+internals it checks.  The DPP oracles take only the kernel's diagonal
+jitter and the rank floor from the package, so both sides score the same
+kernel.
 """
 
 import heapq
@@ -9,6 +12,8 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+from adaptok.selection import DEFAULT_JITTER, RANK_FLOOR
 
 
 def triple_loop_gram(E: np.ndarray, side: str) -> np.ndarray:
@@ -187,6 +192,60 @@ def facility_location_lazy_rowwise(E: np.ndarray, pool, k: int, epsilon: float =
         gains.append(-neg_gain)
         np.maximum(cover, sim[j], out=cover)
     return pool[np.asarray(picked, dtype=np.int64)], np.asarray(gains)
+
+
+def _jittered_cosine(E: np.ndarray, pool, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(pool, cosine kernel of its normalized rows plus DEFAULT_JITTER on the diagonal)."""
+    pool = np.asarray(pool, dtype=np.int64)
+    rows = E[pool]
+    unit = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + epsilon)
+    L = unit @ unit.T
+    L[np.diag_indices(pool.size)] += DEFAULT_JITTER
+    return pool, L
+
+
+def dpp_greedy_naive(E: np.ndarray, pool, k: int, epsilon: float = 1e-12):
+    """Greedy DPP MAP that recomputes full determinants at every step.
+
+    Returns (pick_order as token indices, per-step log-determinant gains).
+    Each step takes det(L_{S + {j}}) for every remaining candidate j; ties
+    go to the lowest pool position.  It stops once the best gain falls
+    below RANK_FLOOR and fills no slot past the kernel's rank, so callers
+    pass full-rank pools (d >= k).
+    """
+    pool, L = _jittered_cosine(E, pool, epsilon)
+    avail = np.ones(pool.size, dtype=bool)
+    picked: list[int] = []
+    gains: list[float] = []
+    det_s = 1.0  # det of the empty submatrix
+    for _ in range(k):
+        cand = np.flatnonzero(avail)
+        sets = np.asarray([picked + [c] for c in cand.tolist()], dtype=np.int64)
+        dets = np.linalg.det(L[sets[:, :, None], sets[:, None, :]])
+        best = int(np.argmax(dets))
+        gain = dets[best] / det_s
+        if gain < RANK_FLOOR:
+            break
+        gains.append(float(np.log(gain)))
+        picked.append(int(cand[best]))
+        avail[cand[best]] = False
+        det_s = dets[best]
+    return pool[np.asarray(picked, dtype=np.int64)], np.asarray(gains)
+
+
+def brute_force_max_logdet(E: np.ndarray, pool, k: int, epsilon: float = 1e-12):
+    """Exact argmax of log det(L_S) over all size-k subsets of the pool.
+
+    Returns (token indices ascending, log-determinant).  One batched
+    determinant covers every subset in lexicographic order, and argmax
+    takes the first maximum, so ties go to the lexicographically smallest
+    subset.
+    """
+    pool, L = _jittered_cosine(E, pool, epsilon)
+    combos = np.asarray(list(combinations(range(pool.size), k)), dtype=np.int64)
+    dets = np.linalg.det(L[combos[:, :, None], combos[:, None, :]])
+    best = int(np.argmax(dets))
+    return pool[combos[best]], float(np.log(dets[best]))
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

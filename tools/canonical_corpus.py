@@ -2,11 +2,11 @@
 
 Runs a fixed set of inputs through ``compress``, the three diversity
 selectors, ``allocate_budget``, the PTM1/PSV1 writers and the CLI's
-``entropy``, ``allocate``, ``compress``, ``compress-fixed``, ``synth`` and
-``flops`` commands (stdout, and the ``--out`` files of ``compress`` and
-``flops``), and prints the sha256 of all the canonical JSON documents in
-order, followed by their count.  A change that claims to keep
-every output byte prints the same digest before and after it.
+``entropy``, ``allocate``, ``compress`` (with and without ``--t-sal``),
+``synth`` and ``flops`` commands (stdout, and the ``--out`` files of
+``compress`` and ``flops``), and prints the sha256 of all the canonical
+JSON documents in order, followed by their count.  A change that claims to
+keep every output byte prints the same digest before and after it.
 
 The ``src/`` next to this script is imported, so copying the script into
 another checkout checks that checkout:
@@ -188,13 +188,8 @@ def _cli_docs(workdir: Path):
         for diversity in ("dpp", "fps", "fl"):
             for flags in runs:
                 shown = ["compress", "--diversity", diversity, *flags]
-                argv = [*shown, *files]
-                if flags[0] == "--t-sal":
-                    # this CLI still forces the split through compress-fixed
-                    argv = ["compress-fixed", *files, "--diversity", diversity,
-                            "--t-sal-fixed", flags[1]]
                 yield {"kind": "cli", "argv": shown, "input": name,
-                       "stdout": _cli_stdout(argv)}
+                       "stdout": _cli_stdout([*shown, *files])}
     for seq in (0, 64, 320, 2880):
         for extra in ([], ["--baseline-seq", "2880"], ["--text-tokens", "100"]):
             argv = ["flops", "--seq-visual", str(seq), *extra]
