@@ -13,6 +13,7 @@ timings are deliberately not part of the document.
 
 import dataclasses
 import json
+import math
 import operator
 import struct
 from pathlib import Path
@@ -23,12 +24,13 @@ from .budget import BudgetSplit
 from .errors import (
     BadMagicError,
     FormatError,
+    InvalidBudgetError,
     NonFiniteValueError,
     TrailingDataError,
     TruncatedPayloadError,
     ValueRangeError,
 )
-from .pipeline import SelectionResult
+from .pipeline import STAGE_COVERAGE, STAGE_SALIENCY, SelectionResult
 from .prominence import EntropyReport
 
 TOKEN_MAGIC = b"PTM1"
@@ -141,40 +143,77 @@ def _canonical_json(doc) -> str:
 
 
 def selection_result_from_json(text: str) -> SelectionResult:
-    """Parse a serialized selection result; timings come back empty."""
+    """Parse a serialized selection result; timings come back empty.
+
+    Only what some ``compress`` call could write loads; anything else
+    raises FormatError.  Counts and indices must be integers and the other
+    numbers finite.  ``selected`` (strictly increasing, nonnegative) and
+    ``stage_of`` have ``t_sal + t_cov`` entries, ``t_sal`` labels are
+    ``saliency`` and the rest ``coverage``, and ``coverage_pick_order`` is
+    a permutation of the ``coverage`` picks.  An index beyond the token
+    count N is not caught: N is not in the document.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"selection result is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA:
-        raise FormatError(
-            f"unsupported selection result schema {doc.get('schema')!r}, expected {RESULT_SCHEMA}"
-        )
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != RESULT_SCHEMA:
+        raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
-        return SelectionResult(
+        result = SelectionResult(
             selected=_indices(doc["selected"]),
             stage_of=[str(s) for s in doc["stage_of"]],
             split=_from_fields(BudgetSplit, doc),
             entropy=_from_fields(EntropyReport, doc["entropy"]),
             coverage_pick_order=_indices(doc["coverage_pick_order"]),
-            diagnostics={str(k): float(v) for k, v in doc["diagnostics"].items()},
+            diagnostics={str(k): _finite(v) for k, v in doc["diagnostics"].items()},
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+    # BudgetSplit rejects a negative count, which in a document is malformed
+    # data rather than a budget the caller asked for
+    except (
+        KeyError, TypeError, ValueError, OverflowError, AttributeError, InvalidBudgetError
+    ) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
+    selected, stage_of, split = result.selected, result.stage_of, result.split
+    if not set(stage_of) <= {STAGE_SALIENCY, STAGE_COVERAGE}:
+        raise FormatError("stage_of labels must be 'saliency' or 'coverage'")
+    if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
+        raise FormatError("selected must be strictly increasing nonnegative indices")
+    if not selected.size == len(stage_of) == split.t_sal + split.t_cov:
+        raise FormatError("selected and stage_of must both have t_sal + t_cov entries")
+    if stage_of.count(STAGE_SALIENCY) != split.t_sal:
+        raise FormatError("stage_of must hold t_sal saliency labels")
+    if not np.array_equal(np.sort(result.coverage_pick_order), result.coverage_indices):
+        raise FormatError("coverage_pick_order is not a permutation of the coverage picks")
+    return result
+
+
+def _integer(value) -> int:
+    # operator.index, not int(): a fractional value is an error, not
+    # truncated; JSON true/false are not counts either
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _finite(value) -> float:
+    # not a bool, not a string such as "nan", and not the NaN/Infinity
+    # literals that json.loads accepts
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _indices(values) -> np.ndarray:
-    # operator.index, not an int64 cast: a fractional index is an error, not truncated
-    return np.asarray([operator.index(v) for v in values], dtype=np.int64)
+    return np.asarray([_integer(v) for v in values], dtype=np.int64)
 
 
 def _from_fields(cls, doc: dict):
-    # the inverse of dataclasses.asdict: each field cast to its annotated
-    # type, except that an int field takes only an integer
-    return cls(**{
-        f.name: (operator.index if f.type is int else f.type)(doc[f.name])
-        for f in dataclasses.fields(cls)
-    })
+    # the inverse of dataclasses.asdict, each field read for its annotated
+    # type: int through _integer, float through _finite, str through str
+    readers = {int: _integer, float: _finite, str: str}
+    return cls(**{f.name: readers[f.type](doc[f.name]) for f in dataclasses.fields(cls)})
 
 
 def write_selection_result(result: SelectionResult, path) -> None:

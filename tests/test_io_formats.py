@@ -120,6 +120,69 @@ def test_writers_reject_values_not_finite_in_float32(tmp_path, write, value):
     assert not path.exists()
 
 
+# Edits that turn a compress result document into one no compress call
+# writes; the forced split (t_sal=5 of 12) has picks of both stages.
+def _unknown_label(doc):
+    doc["stage_of"][0] = "random"
+
+
+def _unsorted(doc):
+    doc["selected"][:2] = doc["selected"][1::-1]
+
+
+def _duplicate_index(doc):
+    doc["selected"][1] = doc["selected"][0]
+
+
+def _negative_index(doc):
+    doc["selected"][0] = -1
+
+
+def _one_pick_short(doc):
+    doc["selected"].pop()
+    doc["stage_of"].pop()
+
+
+def _extra_label(doc):
+    doc["stage_of"].append("coverage")
+
+
+def _saliency_relabelled(doc):
+    doc["stage_of"][doc["stage_of"].index("saliency")] = "coverage"
+
+
+def _pick_order_short(doc):
+    doc["coverage_pick_order"].pop()
+
+
+def _saliency_in_pick_order(doc):
+    doc["coverage_pick_order"][0] = doc["selected"][doc["stage_of"].index("saliency")]
+
+
+def _negative_t_sal(doc):
+    doc["t_sal"] = -1
+
+
+def _diagnostics_list(doc):
+    doc["diagnostics"] = list(doc["diagnostics"].values())
+
+
+# each edit with the part of the error message that names its check
+_BROKEN = [
+    (_unknown_label, "labels must be"),
+    (_unsorted, "strictly increasing"),
+    (_duplicate_index, "strictly increasing"),
+    (_negative_index, "nonnegative"),
+    (_one_pick_short, "t_sal \\+ t_cov entries"),
+    (_extra_label, "t_sal \\+ t_cov entries"),
+    (_saliency_relabelled, "t_sal saliency labels"),
+    (_pick_order_short, "permutation"),
+    (_saliency_in_pick_order, "permutation"),
+    (_negative_t_sal, "nonnegative"),
+    (_diagnostics_list, "malformed"),
+]
+
+
 class TestSelectionResultJson:
     def _result(self):
         tokens, sal = synth_tokens(40, 10, 4, 1e-3, 5)
@@ -155,8 +218,9 @@ class TestSelectionResultJson:
 
     def test_rejects_wrong_schema(self):
         text = selection_result_to_json(self._result()).replace('"schema": 1', '"schema": 2')
-        with pytest.raises(FormatError):
-            selection_result_from_json(text)
+        for doc in (text, "[1]", "null"):  # the last two have no schema field at all
+            with pytest.raises(FormatError):
+                selection_result_from_json(doc)
 
     def test_rejects_invalid_json(self):
         with pytest.raises(FormatError):
@@ -177,3 +241,46 @@ class TestSelectionResultJson:
         with pytest.raises(FormatError) as info:
             selection_result_from_json(json.dumps(doc))
         assert info.value.category == "format-error"
+
+    @pytest.mark.parametrize(
+        "mutate, message", _BROKEN, ids=[mutate.__name__.strip("_") for mutate, _ in _BROKEN]
+    )
+    def test_rejects_documents_no_compress_writes(self, mutate, message):
+        tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+        result = compress(tokens, sal, CompressConfig(total_budget=12), t_sal=5)
+        doc = json.loads(selection_result_to_json(result))
+        mutate(doc)
+        with pytest.raises(FormatError, match=message) as info:
+            selection_result_from_json(json.dumps(doc))
+        assert info.value.category == "format-error"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("diagnostics.coverage_logdet", "nan"),
+         ("diagnostics.coverage_logdet", float("nan")),
+         ("entropy.normalized_entropy", "Infinity"),
+         ("entropy.normalizer", float("inf")),
+         ("entropy.raw_entropy", True),
+         ("coverage_ratio", "0.5"),
+         ("normalized_entropy", -float("inf"))],
+    )
+    def test_rejects_non_finite_or_non_numeric_floats(self, field, value):
+        # json.dumps writes float nan/inf as the bare NaN/Infinity literals
+        doc = json.loads(selection_result_to_json(self._result()))
+        *parents, name = field.split(".")
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[name] = value
+        with pytest.raises(FormatError) as info:
+            selection_result_from_json(json.dumps(doc))
+        assert info.value.category == "format-error"
+
+    def test_rejects_a_bool_count(self):
+        tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+        result = compress(tokens, sal, CompressConfig(total_budget=12), t_sal=1)
+        doc = json.loads(selection_result_to_json(result))
+        doc["t_sal"] = True  # equal to 1, so only the type is wrong
+        with pytest.raises(FormatError, match="expected an integer"):
+            selection_result_from_json(json.dumps(doc))
+
