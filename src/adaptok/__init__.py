@@ -55,7 +55,6 @@ from .prominence import (
 )
 from .selection import (
     DiversityPick,
-    cosine_kernel,
     dpp_greedy_map,
     facility_location_select,
     fps_select,
@@ -92,7 +91,6 @@ __all__ = [
     "as_token_matrix",
     "attention_entropy",
     "compress",
-    "cosine_kernel",
     "dpp_greedy_map",
     "estimate_kv_cache_bytes",
     "estimate_prefill_flops",

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from .budget import CompressConfig
+from .budget import DEFAULT_TAU, MU_PRESETS, CompressConfig
 from .errors import InvalidInputError
 from .pipeline import compress
 from .synth import subseed_rng, synth_tokens
@@ -26,8 +26,8 @@ def run_bench(
     grid: list[tuple[int, int, int]],
     repeats: int = 5,
     seed: int = 0,
-    mu: float = 0.42,
-    tau: float = 0.02,
+    mu: float = MU_PRESETS["clip"],
+    tau: float = DEFAULT_TAU,
     diversity_method: str = "dpp",
 ) -> dict:
     """Time ``compress`` over each (n_tokens, dim, budget) configuration.

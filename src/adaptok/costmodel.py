@@ -31,12 +31,11 @@ class ModelCostSpec:
 
     hidden_dim: int
     n_layers: int
-    intermediate_dim: int
     n_params: int
     text_tokens: int = 60
 
     def __post_init__(self):
-        for name in ("hidden_dim", "n_layers", "intermediate_dim", "n_params", "text_tokens"):
+        for name in ("hidden_dim", "n_layers", "n_params", "text_tokens"):
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
 
 
@@ -45,7 +44,6 @@ class ModelCostSpec:
 LLAVA_NEXT_7B = ModelCostSpec(
     hidden_dim=4096,
     n_layers=32,
-    intermediate_dim=11008,
     n_params=6_738_415_616,
     text_tokens=60,
 )

@@ -18,12 +18,13 @@ from .prominence import EntropyReport, spectral_entropy
 from .selection import (
     DEFAULT_JITTER,
     _dpp_kernel,
+    _pool_unit_kernel,
     dpp_greedy_map,
     facility_location_select,
     fps_select,
     saliency_topk,
 )
-from .tensor_core import _normalize_rows_raw, _token_count, as_saliency_vector, as_token_matrix
+from .tensor_core import _token_count, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
@@ -162,8 +163,7 @@ def _diagnostics(E: np.ndarray, selected: np.ndarray, cov_idx: np.ndarray) -> di
         diag["coverage_logdet"] = 0.0
 
     if selected.size >= 2:
-        unit = _normalize_rows_raw(E[selected])
-        sims = unit @ unit.T
+        sims = _pool_unit_kernel(E, selected)
         np.fill_diagonal(sims, -np.inf)
         diag["min_pairwise_cosine_distance"] = float(1.0 - sims.max())
 

@@ -129,24 +129,15 @@ def saliency_topk(saliency, k: int) -> np.ndarray:
 
 
 def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # E and idx already validated; unit @ unit.T hits the BLAS symmetric
-    # rank-k path and comes back bitwise symmetric, so no extra
-    # symmetrization pass is needed (covered by a regression test)
-    unit = _normalize_rows_raw(E[idx])
-    return unit @ unit.T
+    """Cosine kernel over the normalized pool rows E[idx]: symmetric PSD,
+    unit diagonal for nonzero rows, zero row and column for zero rows.
 
-
-def cosine_kernel(tokens, pool) -> np.ndarray:
-    """Cosine-similarity kernel over the pooled, row-normalized tokens.
-
-    The result is a symmetric PSD matrix with unit diagonal for nonzero
-    rows; zero rows normalize to zero and contribute zero rows/columns.
-    The pool must be nonempty.
+    E and idx are already validated.  unit @ unit.T hits the BLAS symmetric
+    rank-k path and comes back bitwise symmetric, so no extra
+    symmetrization pass is needed (covered by a regression test).
     """
-    E, idx, _ = _selector_inputs(tokens, pool, 0)
-    if idx.size == 0:
-        raise InvalidInputError("pool must be nonempty")
-    return _pool_unit_kernel(E, idx)
+    unit = _normalize_rows_raw(E, idx)
+    return unit @ unit.T
 
 
 def _dpp_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -226,7 +217,7 @@ def fps_select(tokens, pool, k: int) -> DiversityPick:
     if k == 0:
         return _pick(idx, [], [])
 
-    unit = _normalize_rows_raw(E[idx])
+    unit = _normalize_rows_raw(E, idx)
     picked = [0]
     gains = [np.inf]
     min_dist = 1.0 - unit @ unit[0]
@@ -272,9 +263,8 @@ def facility_location_select(tokens, pool, k: int) -> DiversityPick:
     if k == 0:
         return _pick(idx, [], [])
 
-    unit = _normalize_rows_raw(E[idx])
-    # in place: no m x m temporaries beyond the Gram itself
-    sim = unit @ unit.T
+    # in place: no m x m temporaries beyond the kernel itself
+    sim = _pool_unit_kernel(E, idx)
     sim += 1.0
     sim *= 0.5
     np.clip(sim, 0.0, 1.0, out=sim)

@@ -64,6 +64,6 @@ def synth_tokens(
     return rows, saliency
 
 
-def subseed_rng(seed: int, counter: int) -> np.random.Generator:
+def subseed_rng(seed: int, counter: int) -> "np.random.Generator":
     """Counter-based per-sample generator: parallel and serial runs agree."""
     return np.random.default_rng([int(seed), int(counter)])

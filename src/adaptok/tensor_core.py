@@ -73,7 +73,10 @@ def _clamped_descending_eigvalsh(G: np.ndarray) -> np.ndarray:
     return np.clip(lam[::-1], 0.0, None)
 
 
-def _normalize_rows_raw(E: np.ndarray) -> np.ndarray:
-    # zero rows stay zero; rows with norm >> DEFAULT_EPSILON come out ~unit
-    norms = np.linalg.norm(E, axis=1, keepdims=True)
-    return E / (norms + DEFAULT_EPSILON)
+def _normalize_rows_raw(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # idx is an integer index array, so E[idx] is a copy: dividing it in
+    # place never writes E.  Zero rows stay zero; rows with norm >>
+    # DEFAULT_EPSILON come out ~unit
+    rows = E[idx]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True) + DEFAULT_EPSILON
+    return rows

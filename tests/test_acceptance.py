@@ -22,7 +22,6 @@ from adaptok import (
     CompressConfig,
     allocate_budget,
     compress,
-    cosine_kernel,
     dpp_greedy_map,
     estimate_prefill_flops,
     facility_location_select,
@@ -35,7 +34,7 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok.cli import main as cli_main
-from adaptok.selection import DEFAULT_JITTER
+from adaptok.selection import _dpp_kernel
 
 
 @contextmanager
@@ -53,18 +52,29 @@ def criterion(num: int, label: str, budget_s: float):
     print(f"\n[PASS] criterion {num}: {label} ({elapsed:.2f}s)")
 
 
+def compress_ms(tokens, saliency, cfg):
+    """(wall-clock ms of one ``compress`` call, its result)."""
+    t0 = time.perf_counter()
+    result = compress(tokens, saliency, cfg)
+    return (time.perf_counter() - t0) * 1e3, result
+
+
 def best_of_three_ms(tokens, saliency, cfg):
-    """(fastest of three ``compress`` calls in ms, last result).
+    """(fastest of three ``compress`` calls in ms, all three in ms, last result).
 
     Best of three shields the measurement from CPU steal on shared boxes;
     the bound characterizes the implementation, not the host.
     """
-    elapsed_ms = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = compress(tokens, saliency, cfg)
-        elapsed_ms = min(elapsed_ms, (time.perf_counter() - t0) * 1e3)
-    return elapsed_ms, result
+    runs = [compress_ms(tokens, saliency, cfg) for _ in range(3)]
+    times_ms = [ms for ms, _ in runs]
+    return min(times_ms), times_ms, runs[-1][1]
+
+
+def timings_note(warmup_ms, times_ms):
+    # a slow warm-up with fast timed runs points at a cold host; three
+    # scattered slow runs point at contention
+    runs = ", ".join(f"{t:.1f}" for t in times_ms)
+    return f"warm-up {warmup_ms:.1f} ms, timed runs {runs} ms"
 
 
 def test_criterion_1_entropy_analytics():
@@ -156,9 +166,7 @@ def test_criterion_4_dpp_correctness():
             assert np.all(np.diff(fast.gains) <= 1e-9)  # monotone marginal gains
 
             _, opt_logdet = brute_force_max_logdet(E, pool, k)
-            L = cosine_kernel(E, fast.indices)
-            L[np.diag_indices(k)] += DEFAULT_JITTER
-            sign, greedy_logdet = np.linalg.slogdet(L)
+            sign, greedy_logdet = np.linalg.slogdet(_dpp_kernel(E, fast.indices))
             assert sign > 0
             assert greedy_logdet <= opt_logdet + 1e-9
             ratios.append(math.exp(greedy_logdet - opt_logdet))
@@ -264,12 +272,14 @@ def test_criterion_8_performance_budget(capsys):
         tokens, saliency = synth_tokens(2880, 1024, 18, 1e-3, 83)
         cfg = CompressConfig(total_budget=320, mu=0.42, tau=0.02, diversity_method="dpp")
 
-        result = compress(tokens, saliency, cfg)  # warmup
+        warmup_ms, result = compress_ms(tokens, saliency, cfg)
         assert result.split.t_sal >= 32 and result.split.t_cov >= 32
 
-        elapsed_ms, result = best_of_three_ms(tokens, saliency, cfg)
+        elapsed_ms, times_ms, result = best_of_three_ms(tokens, saliency, cfg)
         assert result.selected.size == 320
-        assert elapsed_ms < 500.0, f"compress took {elapsed_ms:.1f} ms"
+        assert elapsed_ms < 500.0, (
+            f"compress took {elapsed_ms:.1f} ms; {timings_note(warmup_ms, times_ms)}"
+        )
 
         rc = cli_main(["bench", "--grid", "256x64x32", "--repeats", "2", "--seed", "1"])
         assert rc == 0
@@ -289,10 +299,12 @@ def test_criterion_8_facility_location_budget():
             total_budget=320, mu=0.42, tau=0.02, diversity_method="facility_location"
         )
 
-        result = compress(tokens, saliency, cfg)  # warmup
+        warmup_ms, result = compress_ms(tokens, saliency, cfg)
         assert result.split.t_cov > 3 * 320 // 4
 
-        elapsed_ms, result = best_of_three_ms(tokens, saliency, cfg)
+        elapsed_ms, times_ms, result = best_of_three_ms(tokens, saliency, cfg)
         assert result.selected.size == 320
-        assert elapsed_ms < 1500.0, f"compress took {elapsed_ms:.1f} ms"
+        assert elapsed_ms < 1500.0, (
+            f"compress took {elapsed_ms:.1f} ms; {timings_note(warmup_ms, times_ms)}"
+        )
         print(f"\n  full-scale facility location: best of 3 = {elapsed_ms:.1f} ms (budget 1500 ms)")

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from adaptok import read_tokens, selection_result_from_json, write_tokens
+from adaptok import CompressConfig, read_tokens, selection_result_from_json, write_tokens
+from adaptok.bench import run_bench
 from adaptok.cli import main
 
 
@@ -198,6 +200,12 @@ class TestBenchCommand:
 
     def test_zero_repeats_is_invalid_input(self, capsys):
         _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)
+
+    def test_run_bench_defaults_follow_compress_config(self):
+        params = inspect.signature(run_bench).parameters
+        config = CompressConfig(total_budget=1)
+        assert params["mu"].default == config.mu
+        assert params["tau"].default == config.tau
 
 
 class TestFlopsCommand:

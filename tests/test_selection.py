@@ -17,7 +17,6 @@ from adaptok import (
     InvalidBudgetError,
     InvalidInputError,
     compress,
-    cosine_kernel,
     dpp_greedy_map,
     facility_location_select,
     fps_select,
@@ -88,25 +87,39 @@ def test_selectors_reject_fractional_k(select, rng):
         select(E, np.arange(6), 2.7)
 
 
+@pytest.mark.parametrize(
+    "select",
+    [dpp_greedy_map, fps_select, facility_location_select],
+)
+def test_pool_validation(select, rng):
+    E = rng.standard_normal((4, 3))
+    with pytest.raises(InvalidInputError):
+        select(E, [0, 0, 1], 1)
+    with pytest.raises(InvalidInputError):
+        select(E, [2, 1], 1)
+    with pytest.raises(InvalidInputError):
+        select(E, [0, 4], 1)
+
+
 class TestCosineKernel:
     def test_orthogonal_rows_give_identity(self):
-        L = cosine_kernel(np.eye(3), np.arange(3))
+        L = selection._pool_unit_kernel(np.eye(3), np.arange(3))
         np.testing.assert_allclose(L, np.eye(3), atol=1e-9)
 
     def test_duplicate_rows_give_unit_similarity(self):
-        L = cosine_kernel(E1_E1_E2, np.arange(3))
+        L = selection._pool_unit_kernel(E1_E1_E2, np.arange(3))
         np.testing.assert_allclose(L[0, 1], 1.0, atol=1e-9)
 
     def test_unit_diagonal(self, rng):
         E = rng.standard_normal((10, 6))
-        L = cosine_kernel(E, np.arange(10))
+        L = selection._pool_unit_kernel(E, np.arange(10))
         np.testing.assert_allclose(np.diag(L), 1.0, atol=1e-6)
 
     def test_matches_naive_pair_loop(self, rng):
         E = rng.standard_normal((8, 5))
         pool = np.array([0, 2, 3, 7])
         np.testing.assert_allclose(
-            cosine_kernel(E, pool), pairwise_cosine_naive(E, pool), atol=1e-10
+            selection._pool_unit_kernel(E, pool), pairwise_cosine_naive(E, pool), atol=1e-10
         )
 
     def test_exactly_symmetric(self, rng):
@@ -114,33 +127,20 @@ class TestCosineKernel:
         # if a numpy upgrade breaks that, this must fail loudly
         for shape in [(6, 4), (50, 16), (300, 64)]:
             E = rng.standard_normal(shape)
-            L = cosine_kernel(E, np.arange(shape[0]))
+            L = selection._pool_unit_kernel(E, np.arange(shape[0]))
             assert np.array_equal(L, L.T)
 
     def test_psd(self, rng):
         for _ in range(20):
             E = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 8))))
-            L = cosine_kernel(E, np.arange(E.shape[0]))
+            L = selection._pool_unit_kernel(E, np.arange(E.shape[0]))
             assert np.linalg.eigvalsh(L).min() >= -1e-8
 
     def test_zero_rows_allowed(self):
         E = np.zeros((3, 2))
         E[0] = [1.0, 0.0]
-        L = cosine_kernel(E, np.arange(3))
+        L = selection._pool_unit_kernel(E, np.arange(3))
         assert L[1, 1] == 0.0 and L[0, 0] > 0.999
-
-    def test_empty_pool_rejected(self, rng):
-        with pytest.raises(InvalidInputError):
-            cosine_kernel(rng.standard_normal((4, 3)), np.empty(0, dtype=int))
-
-    def test_pool_validation(self, rng):
-        E = rng.standard_normal((4, 3))
-        with pytest.raises(InvalidInputError):
-            cosine_kernel(E, [0, 0, 1])
-        with pytest.raises(InvalidInputError):
-            cosine_kernel(E, [2, 1])
-        with pytest.raises(InvalidInputError):
-            cosine_kernel(E, [0, 4])
 
 
 class TestDppGreedyMap:
@@ -236,8 +236,6 @@ class TestBruteForceMaxLogdet:
         assert abs(logdet) < 1e-8
 
     def test_optimum_dominates_greedy(self, rng):
-        from adaptok.selection import DEFAULT_JITTER
-
         for _ in range(20):
             n = int(rng.integers(5, 9))
             k = int(rng.integers(2, 4))
@@ -245,9 +243,7 @@ class TestBruteForceMaxLogdet:
             pool = np.arange(n)
             greedy = dpp_greedy_map(E, pool, k)
             _, opt = brute_force_max_logdet(E, pool, k)
-            L = cosine_kernel(E, greedy.indices)
-            L[np.diag_indices(k)] += DEFAULT_JITTER
-            _, greedy_logdet = np.linalg.slogdet(L)
+            _, greedy_logdet = np.linalg.slogdet(selection._dpp_kernel(E, greedy.indices))
             assert opt >= greedy_logdet - 1e-9
 
     def test_k_zero(self, rng):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import adaptok
 from adaptok import (
     LLAVA_NEXT_7B,
     InvalidInputError,
@@ -50,6 +55,22 @@ class TestSynthTokens:
         others = np.concatenate([sal[1::3], sal[2::3]]).mean()
         assert group0 > 5 * others
 
+    def test_import_adds_no_numpy_random(self):
+        # compress never draws a random number, so importing the package and
+        # its CLI must not pull in numpy.random (numpy 1.x imports it itself)
+        src = os.path.dirname(os.path.dirname(adaptok.__file__))
+        code = (
+            "import sys, numpy; "
+            "before = 'numpy.random' in sys.modules; "
+            "import adaptok, adaptok.cli; "
+            "print(before, 'numpy.random' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert out[0] == out[1]
+
     def test_k_out_of_range(self):
         with pytest.raises(InvalidInputError):
             synth_tokens(8, 4, 5, 0.0, 0)
@@ -98,7 +119,7 @@ class TestCostModel:
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
-            ModelCostSpec(hidden_dim=0, n_layers=32, intermediate_dim=1, n_params=1)
+            ModelCostSpec(hidden_dim=0, n_layers=32, n_params=1)
         with pytest.raises(InvalidInputError):
             estimate_prefill_flops(-1, LLAVA_NEXT_7B)
 
@@ -108,9 +129,9 @@ class TestCostModel:
         with pytest.raises(InvalidInputError):
             estimate_prefill_flops(1.5, LLAVA_NEXT_7B)
         with pytest.raises(InvalidInputError):
-            ModelCostSpec(hidden_dim=4096.7, n_layers=32, intermediate_dim=1, n_params=1)
+            ModelCostSpec(hidden_dim=4096.7, n_layers=32, n_params=1)
         spec = ModelCostSpec(
-            hidden_dim=np.int64(4096), n_layers=32, intermediate_dim=1, n_params=1
+            hidden_dim=np.int64(4096), n_layers=32, n_params=1
         )
         assert type(spec.hidden_dim) is int
         assert estimate_kv_cache_bytes(np.int64(2), spec) == 2 * 32 * 4096 * 2 * 2

@@ -3,7 +3,12 @@ import pytest
 from oracles import triple_loop_gram
 
 from adaptok import InvalidInputError, as_token_matrix
-from adaptok.tensor_core import _clamped_descending_eigvalsh, _gram, _normalize_rows_raw
+from adaptok.tensor_core import (
+    DEFAULT_EPSILON,
+    _clamped_descending_eigvalsh,
+    _gram,
+    _normalize_rows_raw,
+)
 
 
 class TestGramMatrix:
@@ -96,17 +101,27 @@ class TestSymEigenvalues:
 
 class TestL2NormalizeRows:
     def test_three_four_five(self):
-        out = _normalize_rows_raw(np.array([[3.0, 4.0]]))
+        out = _normalize_rows_raw(np.array([[3.0, 4.0]]), np.arange(1))
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-9)
 
     def test_zero_row_stays_zero(self):
-        out = _normalize_rows_raw(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        out = _normalize_rows_raw(np.array([[0.0, 0.0], [1.0, 0.0]]), np.arange(2))
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
 
     def test_norms_near_one(self, rng):
         E = rng.standard_normal((50, 8)) * rng.uniform(1e-3, 10.0, size=(50, 1))
-        norms = np.linalg.norm(_normalize_rows_raw(E), axis=1)
+        norms = np.linalg.norm(_normalize_rows_raw(E, np.arange(50)), axis=1)
         assert np.all(norms >= 1 - 1e-6) and np.all(norms <= 1.0)
+
+    def test_subset_is_divided_copy_and_leaves_e_unwritten(self, rng):
+        E = rng.standard_normal((20, 6)) * rng.uniform(1e-3, 10.0, size=(20, 1))
+        E_before = E.copy()
+        idx = np.array([1, 4, 5, 11, 19])
+        out = _normalize_rows_raw(E, idx)
+        norms = np.linalg.norm(E[idx], axis=1, keepdims=True)
+        expected = E[idx] / (norms + DEFAULT_EPSILON)
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(E.view(np.int64), E_before.view(np.int64))
 
 
 class TestSpectrumInvariants:
