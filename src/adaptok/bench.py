@@ -9,6 +9,7 @@ from .budget import DEFAULT_TAU, MU_PRESETS, CompressConfig
 from .errors import InvalidInputError
 from .pipeline import compress
 from .synth import subseed_rng, synth_tokens
+from .tensor_core import _count
 
 PHASES = ("entropy", "allocation", "stage1", "stage2")
 
@@ -36,9 +37,11 @@ def run_bench(
     on per-repeat sub-seeded data.  K-directions is varied per repeat so the
     timings cover both saliency- and coverage-heavy splits.
     """
-    if repeats < 1:
-        raise InvalidInputError(f"repeats must be >= 1, got {repeats}")
-    report = {"seed": int(seed), "repeats": int(repeats), "configs": []}
+    report = {
+        "seed": _count(seed, "seed", 0, error=InvalidInputError),
+        "repeats": _count(repeats, "repeats", 1, error=InvalidInputError),
+        "configs": [],
+    }
     for cfg_idx, (n, d, t) in enumerate(grid):
         config = CompressConfig(
             total_budget=t, mu=mu, tau=tau, diversity_method=diversity_method

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBudgetError, InvalidInputError
-from .tensor_core import _token_count
+from .tensor_core import _count
 
 # Midpoints calibrated per vision-encoder family; the smoothness is shared.
 MU_PRESETS = {
@@ -46,11 +46,7 @@ class CompressConfig:
     diversity_method: str = "dpp"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "total_budget", _token_count(self.total_budget, "total_budget")
-        )
-        if self.total_budget < 1:
-            raise InvalidBudgetError(f"total_budget must be >= 1, got {self.total_budget}")
+        object.__setattr__(self, "total_budget", _count(self.total_budget, "total_budget", 1))
         if not 0.0 < self.mu < 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1), got {self.mu}")
         if not self.tau > 0.0:

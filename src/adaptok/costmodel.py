@@ -8,21 +8,10 @@ attention term over the full prefill length L = visual + text tokens:
 KV-cache size assumes K and V per layer at fp16.
 """
 
-import operator
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-
-
-def _count(value, name: str, least: int) -> int:
-    # a fractional count would be truncated or used as given, silently
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise InvalidInputError(f"{name} must be >= {least}, got {count}")
-    return count
+from .tensor_core import _count
 
 
 @dataclass(frozen=True)
@@ -36,7 +25,8 @@ class ModelCostSpec:
 
     def __post_init__(self):
         for name in ("hidden_dim", "n_layers", "n_params", "text_tokens"):
-            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+            count = _count(getattr(self, name), name, 1, error=InvalidInputError)
+            object.__setattr__(self, name, count)
 
 
 # 7B-class decoder (Llama-architecture) behind a high-resolution multi-crop
@@ -51,14 +41,15 @@ LLAVA_NEXT_7B = ModelCostSpec(
 
 def estimate_prefill_flops(seq_visual: int, spec: ModelCostSpec) -> float:
     """Estimated dense-prefill FLOPs for a given visual token count."""
-    length = _count(seq_visual, "seq_visual", 0) + spec.text_tokens
+    length = _count(seq_visual, "seq_visual", 0, error=InvalidInputError) + spec.text_tokens
     return 2.0 * spec.n_params * length + 4.0 * spec.n_layers * length * length * spec.hidden_dim
 
 
 def estimate_kv_cache_bytes(seq_visual: int, spec: ModelCostSpec) -> int:
     """KV-cache bytes for the visual part of the sequence (K and V per layer)."""
     # K and V per layer, 2 bytes per fp16 value
-    return 2 * spec.n_layers * spec.hidden_dim * _count(seq_visual, "seq_visual", 0) * 2
+    visual = _count(seq_visual, "seq_visual", 0, error=InvalidInputError)
+    return 2 * spec.n_layers * spec.hidden_dim * visual * 2
 
 
 def flops_reduction(seq_before: int, seq_after: int, spec: ModelCostSpec) -> float:

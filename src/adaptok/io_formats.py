@@ -14,7 +14,6 @@ timings are deliberately not part of the document.
 import dataclasses
 import json
 import math
-import operator
 import struct
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .pipeline import STAGE_COVERAGE, STAGE_SALIENCY, SelectionResult
 from .prominence import EntropyReport
+from .tensor_core import _count
 
 TOKEN_MAGIC = b"PTM1"
 SALIENCY_MAGIC = b"PSV1"
@@ -162,15 +162,15 @@ def selection_result_from_json(text: str) -> SelectionResult:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
         result = SelectionResult(
-            selected=_indices(doc["selected"]),
+            selected=_indices(doc["selected"], "selected"),
             stage_of=[str(s) for s in doc["stage_of"]],
             split=_from_fields(BudgetSplit, doc),
             entropy=_from_fields(EntropyReport, doc["entropy"]),
-            coverage_pick_order=_indices(doc["coverage_pick_order"]),
-            diagnostics={str(k): _finite(v) for k, v in doc["diagnostics"].items()},
+            coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
+            diagnostics={str(k): _finite(v, k) for k, v in doc["diagnostics"].items()},
         )
-    # BudgetSplit rejects a negative count, which in a document is malformed
-    # data rather than a budget the caller asked for
+    # _count and BudgetSplit raise InvalidBudgetError for a bad count, which
+    # in a document is malformed data rather than a budget the caller asked for
     except (
         KeyError, TypeError, ValueError, OverflowError, AttributeError, InvalidBudgetError
     ) as err:
@@ -189,31 +189,24 @@ def selection_result_from_json(text: str) -> SelectionResult:
     return result
 
 
-def _integer(value) -> int:
-    # operator.index, not int(): a fractional value is an error, not
-    # truncated; JSON true/false are not counts either
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _finite(value) -> float:
+def _finite(value, name: str) -> float:
     # not a bool, not a string such as "nan", and not the NaN/Infinity
     # literals that json.loads accepts
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _indices(values) -> np.ndarray:
-    return np.asarray([_integer(v) for v in values], dtype=np.int64)
+def _indices(values, name: str) -> np.ndarray:
+    # the negative and out-of-order indices are left to the document checks
+    return np.asarray([_count(v, name) for v in values], dtype=np.int64)
 
 
 def _from_fields(cls, doc: dict):
     # the inverse of dataclasses.asdict, each field read for its annotated
-    # type: int through _integer, float through _finite, str through str
-    readers = {int: _integer, float: _finite, str: str}
-    return cls(**{f.name: readers[f.type](doc[f.name]) for f in dataclasses.fields(cls)})
+    # type: int through _count, float through _finite, str through str
+    readers = {int: _count, float: _finite, str: lambda value, name: str(value)}
+    return cls(**{f.name: readers[f.type](doc[f.name], f.name) for f in dataclasses.fields(cls)})
 
 
 def write_selection_result(result: SelectionResult, path) -> None:

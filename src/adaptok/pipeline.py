@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import BudgetSplit, CompressConfig, allocate_budget
-from .errors import InvalidBudgetError
 from .prominence import EntropyReport, spectral_entropy
 from .selection import (
     DEFAULT_JITTER,
@@ -24,7 +23,7 @@ from .selection import (
     fps_select,
     saliency_topk,
 )
-from .tensor_core import _token_count, as_saliency_vector, as_token_matrix
+from .tensor_core import _count, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
@@ -86,13 +85,9 @@ def compress(
     """
     E = as_token_matrix(tokens)
     s = as_saliency_vector(saliency, n_tokens=E.shape[0])
-    T = config.total_budget
-    if T > E.shape[0]:
-        raise InvalidBudgetError(f"budget {T} exceeds n_tokens {E.shape[0]}")
+    T = _count(config.total_budget, "total_budget", most=E.shape[0])
     if t_sal is not None:
-        t_sal = _token_count(t_sal, "t_sal")
-        if t_sal < 0 or t_sal > T:
-            raise InvalidBudgetError(f"t_sal={t_sal} outside [0, total_budget={T}]")
+        t_sal = _count(t_sal, "t_sal", 0, T)
 
     t0 = _now_us()
     entropy = spectral_entropy(E)

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidBudgetError, InvalidInputError
+from .errors import InvalidInputError
 from .tensor_core import (
     _check_scores,
+    _count,
     _normalize_rows_raw,
-    _token_count,
     as_saliency_vector,
     as_token_matrix,
 )
@@ -47,9 +47,14 @@ _FL_STALE_BATCH = 8
 
 def as_index_pool(pool, n_tokens: int) -> np.ndarray:
     """Validate a candidate index set: strictly increasing ints in [0, n_tokens)."""
-    idx = np.asarray(pool, dtype=np.int64)
+    idx = np.asarray(pool)
     if idx.ndim != 1:
         raise InvalidInputError(f"index pool must be 1-D, got shape {idx.shape}")
+    # a fractional or bool pool would be cast to rows it never named; an
+    # empty list comes in as float64 and names no row
+    if idx.size and idx.dtype.kind not in "iu":
+        raise InvalidInputError(f"pool indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size:
         if idx.min() < 0 or idx.max() >= n_tokens:
             raise InvalidInputError(f"pool indices must lie in [0, {n_tokens})")
@@ -58,18 +63,11 @@ def as_index_pool(pool, n_tokens: int) -> np.ndarray:
     return idx
 
 
-def _check_k(k: int, pool_size: int) -> int:
-    k = _token_count(k, "k")
-    if k < 0 or k > pool_size:
-        raise InvalidBudgetError(f"k={k} outside feasible range [0, {pool_size}]")
-    return k
-
-
 def _selector_inputs(tokens, pool, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Validated (E, pool indices, k) for a selector over a pool of E's rows."""
     E = as_token_matrix(tokens)
     idx = as_index_pool(pool, E.shape[0])
-    return E, idx, _check_k(k, idx.size)
+    return E, idx, _count(k, "k", 0, idx.size)
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def reduce_head_attention(head_scores) -> np.ndarray:
 def saliency_topk(saliency, k: int) -> np.ndarray:
     """Indices of the k largest saliency scores, ascending, ties to lower index."""
     s = as_saliency_vector(saliency)
-    k = _check_k(k, s.shape[0])
+    k = _count(k, "k", 0, s.shape[0])
     if k == 0:
         return np.empty(0, dtype=np.int64)
     # stable sort on negated scores keeps the lower index first among ties
@@ -168,6 +166,8 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     are picked in index order at log(1e-10).
     """
     E, idx, k = _selector_inputs(tokens, pool, k)
+    if saliency is not None:
+        saliency = as_saliency_vector(saliency, n_tokens=E.shape[0])
     if k == 0:
         return _pick(idx, [], [])
 
@@ -200,7 +200,7 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     if fallback_count:
         fill = np.flatnonzero(di2 != -np.inf)
         if saliency is not None:
-            fill = fill[np.argsort(-as_saliency_vector(saliency)[idx[fill]], kind="stable")]
+            fill = fill[np.argsort(-saliency[idx[fill]], kind="stable")]
         picked += fill[:fallback_count].tolist()
     return _pick(idx, picked, gains, fallback_count)
 

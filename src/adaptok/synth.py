@@ -6,13 +6,17 @@ directions carry near-equal total energy.  k therefore dials the spectral
 concentration of the sample from rank-1 (k=1) up to a flat spectrum
 (k = min(n, d)).  Saliency tracks each row's alignment with direction 0,
 which makes concentrated samples saliency-aligned by construction.
-"""
 
-import operator
+Sizes and ``subseed_rng``'s seed and counter go through the package's one
+count check (``tensor_core._count``); ``synth_tokens``'s seed is anything
+``np.random.default_rng`` takes (an int, a sequence of ints, a Generator).
+Every bad argument raises ``InvalidInputError``.
+"""
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .tensor_core import _count
 
 # Fraction of each mixture weight drawn at random; the rest is the row's
 # assigned direction.  Small enough that per-direction energies stay equal.
@@ -28,22 +32,16 @@ def synth_tokens(
     perturbation scale applied to both rows and saliency.  Identical seeds
     produce identical outputs.
     """
-    try:
-        n, d, k = (operator.index(v) for v in (n, d, k_directions))
-    except TypeError:
-        raise InvalidInputError(
-            f"n, d and k_directions must be integers, got {n!r}, {d!r}, {k_directions!r}"
-        ) from None
-    if n < 1 or d < 1:
-        raise InvalidInputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if not 1 <= k <= min(n, d):
-        raise InvalidInputError(
-            f"k_directions={k} outside [1, min(n, d)={min(n, d)}]"
-        )
+    n = _count(n, "n", 1, error=InvalidInputError)
+    d = _count(d, "d", 1, error=InvalidInputError)
+    k = _count(k_directions, "k_directions", 1, min(n, d), error=InvalidInputError)
     if not noise >= 0.0:
         raise InvalidInputError(f"noise must be >= 0, got {noise}")
 
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"seed {seed!r} is not a valid numpy seed: {err}") from None
     basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
 
     assign = np.zeros((n, k))
@@ -66,4 +64,6 @@ def synth_tokens(
 
 def subseed_rng(seed: int, counter: int) -> "np.random.Generator":
     """Counter-based per-sample generator: parallel and serial runs agree."""
-    return np.random.default_rng([int(seed), int(counter)])
+    seed = _count(seed, "seed", 0, error=InvalidInputError)
+    counter = _count(counter, "counter", 0, error=InvalidInputError)
+    return np.random.default_rng([seed, counter])

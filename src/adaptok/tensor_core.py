@@ -1,8 +1,11 @@
 """Dense linear-algebra substrate: input checks, Gram spectra, row norms.
 
 Token matrices are plain ``numpy`` arrays of shape (n_tokens, dim); the
-input checks for token matrices, saliency scores and counts live here, and
-all internal computation stays in float64.
+input checks for token matrices and saliency scores live here, and all
+internal computation stays in float64.  ``_count`` is the package's one
+count check: every budget, pick count, size and seed counter goes through
+it, so a bool or a fractional value is rejected everywhere, never taken as
+1 or truncated.
 """
 
 import operator
@@ -51,12 +54,20 @@ def as_saliency_vector(scores, n_tokens: int | None = None) -> np.ndarray:
     return s
 
 
-def _token_count(value, name: str) -> int:
-    # a fractional count would be truncated silently downstream
+def _count(value, name: str, least=None, most=None, error=InvalidBudgetError) -> int:
+    """``value`` as an int in [least, most], else ``error``: a bool or a
+    fractional value is not a count, and is never truncated to one."""
     try:
-        return operator.index(value)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        count = operator.index(value)
     except TypeError:
-        raise InvalidBudgetError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name}: expected an integer, got {value!r}") from None
+    if least is not None and count < least:
+        raise error(f"{name} must be >= {least}, got {count}")
+    if most is not None and count > most:
+        raise error(f"{name} must be <= {most}, got {count}")
+    return count
 
 
 def _gram(E: np.ndarray) -> np.ndarray:

@@ -1,8 +1,29 @@
+import json
+
 import numpy as np
 import pytest
 from oracles import triple_loop_gram
 
-from adaptok import InvalidInputError, as_token_matrix
+from adaptok import (
+    LLAVA_NEXT_7B,
+    AdaptokError,
+    CompressConfig,
+    InvalidInputError,
+    ModelCostSpec,
+    as_token_matrix,
+    compress,
+    dpp_greedy_map,
+    estimate_kv_cache_bytes,
+    estimate_prefill_flops,
+    facility_location_select,
+    fps_select,
+    saliency_topk,
+    selection,
+    subseed_rng,
+    synth_tokens,
+)
+from adaptok.bench import run_bench
+from adaptok.cli import main
 from adaptok.tensor_core import (
     DEFAULT_EPSILON,
     _clamped_descending_eigvalsh,
@@ -139,3 +160,105 @@ class TestSpectrumInvariants:
         a = _clamped_descending_eigvalsh(_gram(E))
         b = _clamped_descending_eigvalsh(_gram(E[perm]))
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
+
+
+_E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
+_POOL = np.arange(2, 10)
+_SPEC = {"hidden_dim": 8, "n_layers": 2, "n_params": 100, "text_tokens": 3}
+
+# every public entry that takes a count: (name, call taking the count, a
+# value outside its range, the category all four bad values raise)
+_COUNT_ENTRIES = [
+    ("CompressConfig.total_budget", lambda v: CompressConfig(total_budget=v), 0, "invalid-budget"),
+    ("compress.total_budget", lambda v: compress(_E, _S, CompressConfig(total_budget=v)), 11,
+     "invalid-budget"),
+    ("compress.t_sal", lambda v: compress(_E, _S, CompressConfig(total_budget=4), t_sal=v), 5,
+     "invalid-budget"),
+    ("dpp_greedy_map.k", lambda v: dpp_greedy_map(_E, _POOL, v), 9, "invalid-budget"),
+    ("fps_select.k", lambda v: fps_select(_E, _POOL, v), 9, "invalid-budget"),
+    ("facility_location_select.k", lambda v: facility_location_select(_E, _POOL, v), -1,
+     "invalid-budget"),
+    ("saliency_topk.k", lambda v: saliency_topk(_S, v), 11, "invalid-budget"),
+    ("synth_tokens.n", lambda v: synth_tokens(v, 4, 1, 0.0, 0), 0, "invalid-input"),
+    ("synth_tokens.d", lambda v: synth_tokens(4, v, 1, 0.0, 0), 0, "invalid-input"),
+    ("synth_tokens.k_directions", lambda v: synth_tokens(4, 3, v, 0.0, 0), 4, "invalid-input"),
+    ("estimate_prefill_flops", lambda v: estimate_prefill_flops(v, LLAVA_NEXT_7B), -1,
+     "invalid-input"),
+    ("estimate_kv_cache_bytes", lambda v: estimate_kv_cache_bytes(v, LLAVA_NEXT_7B), -1,
+     "invalid-input"),
+    *[
+        (f"ModelCostSpec.{field}", lambda v, field=field: ModelCostSpec(**{**_SPEC, field: v}),
+         0, "invalid-input")
+        for field in _SPEC
+    ],
+    ("run_bench.repeats", lambda v: run_bench([(8, 4, 2)], repeats=v), 0, "invalid-input"),
+    ("run_bench.seed", lambda v: run_bench([(8, 4, 2)], repeats=1, seed=v), -1, "invalid-input"),
+    ("subseed_rng.seed", lambda v: subseed_rng(v, 0), -1, "invalid-input"),
+    ("subseed_rng.counter", lambda v: subseed_rng(0, v), -1, "invalid-input"),
+]
+
+
+class TestCountBoundary:
+    @pytest.mark.parametrize("bad", ["fraction", "bool", "numpy-bool", "out-of-range"])
+    @pytest.mark.parametrize(
+        "call, out_of_range, category",
+        [entry[1:] for entry in _COUNT_ENTRIES],
+        ids=[entry[0] for entry in _COUNT_ENTRIES],
+    )
+    def test_bad_count_raises_its_category(self, call, out_of_range, category, bad):
+        value = {"fraction": 1.5, "bool": True, "numpy-bool": np.True_}.get(bad, out_of_range)
+        with pytest.raises(AdaptokError) as info:
+            call(value)
+        assert info.value.category == category
+
+    @pytest.mark.parametrize(
+        "call", [entry[1] for entry in _COUNT_ENTRIES], ids=[entry[0] for entry in _COUNT_ENTRIES]
+    )
+    def test_numpy_integer_count_is_accepted(self, call):
+        call(np.int64(1))
+
+    @pytest.mark.parametrize("select", [dpp_greedy_map, fps_select, facility_location_select])
+    @pytest.mark.parametrize(
+        "pool", [[0.5, 1.7, 2.9, 3.2], np.array([0.0, 1.0, 2.0]), [False, True]],
+        ids=["fractional", "integral-floats", "bools"],
+    )
+    def test_non_integer_pool_is_invalid_input(self, select, pool):
+        # cast to int64, these would name rows the caller never asked for
+        with pytest.raises(InvalidInputError):
+            select(_E, pool, 2)
+
+    @pytest.mark.parametrize("select", [dpp_greedy_map, fps_select, facility_location_select])
+    def test_empty_and_unsigned_pools_still_select(self, select):
+        assert select(_E, [], 0).indices.dtype == np.int64
+        pick = select(_E, np.arange(2, 10, dtype=np.uint8), 3)
+        np.testing.assert_array_equal(pick.indices, select(_E, _POOL, 3).indices)
+
+    @pytest.mark.parametrize(
+        "saliency", [[1.0, 2.0], [np.nan] * 6, [-1.0] * 6], ids=["short", "nan", "negative"]
+    )
+    @pytest.mark.parametrize(
+        "E, k",
+        [(np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0]), 4),
+         (np.random.default_rng(0).standard_normal((6, 3)), 3),
+         (np.random.default_rng(0).standard_normal((6, 3)), 0)],
+        ids=["rank-one-fill", "full-rank", "k-zero"],
+    )
+    def test_dpp_saliency_is_checked_on_entry(self, monkeypatch, saliency, E, k):
+        # without jitter the rank-1 pool fills 3 of its 4 slots by
+        # saliency; the full-rank pool and k=0 never reach that fill
+        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
+        with pytest.raises(InvalidInputError):
+            dpp_greedy_map(E, np.arange(6), k, saliency=saliency)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["synth", "--tokens", "{tmp}/a.ptm", "--saliency", "{tmp}/a.psv",
+          "--n", "8", "--d", "4", "--seed", "-1"],
+         ["bench", "--grid", "8x4x2", "--repeats", "1", "--seed", "-1"]],
+        ids=["synth", "bench"],
+    )
+    def test_negative_seed_is_one_json_error_line(self, tmp_path, capsys, argv):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["category"] == "invalid-input"
