@@ -15,7 +15,6 @@ from .budget import (
     BudgetSplit,
     CompressConfig,
     allocate_budget,
-    resolve_mu,
 )
 from .costmodel import (
     LLAVA_NEXT_7B,
@@ -102,7 +101,6 @@ __all__ = [
     "read_selection_result",
     "read_tokens",
     "reduce_head_attention",
-    "resolve_mu",
     "saliency_topk",
     "selection_result_from_json",
     "selection_result_to_json",

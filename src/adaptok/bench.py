@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from .budget import DEFAULT_TAU, MU_PRESETS, CompressConfig
+from .budget import CompressConfig
 from .errors import InvalidInputError
 from .pipeline import compress
 from .synth import subseed_rng, synth_tokens
@@ -23,18 +23,23 @@ def _percentiles(values: list[float]) -> dict[str, float]:
     }
 
 
+def _grid_entry(entry) -> tuple[int, int, int]:
+    try:
+        n, d, t = entry
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"grid entries are (n, d, T), got {entry!r}") from None
+    return tuple(_count(v, name, 1, error=InvalidInputError) for v, name in zip((n, d, t), "ndT"))
+
+
 def run_bench(
-    grid: list[tuple[int, int, int]],
-    repeats: int = 5,
-    seed: int = 0,
-    mu: float = MU_PRESETS["clip"],
-    tau: float = DEFAULT_TAU,
-    diversity_method: str = "dpp",
+    grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0, **settings
 ) -> dict:
     """Time ``compress`` over each (n_tokens, dim, budget) configuration.
 
-    Each configuration gets one untimed warmup, then ``repeats`` timed runs
-    on per-repeat sub-seeded data.  K-directions is varied per repeat so the
+    ``settings`` are ``CompressConfig`` keyword arguments (``mu``, ``tau``,
+    ``diversity_method``); the ones left out keep its defaults.  Each
+    configuration gets one untimed warmup, then ``repeats`` timed runs on
+    per-repeat sub-seeded data.  K-directions is varied per repeat so the
     timings cover both saliency- and coverage-heavy splits.
     """
     report = {
@@ -42,10 +47,9 @@ def run_bench(
         "repeats": _count(repeats, "repeats", 1, error=InvalidInputError),
         "configs": [],
     }
+    grid = [_grid_entry(entry) for entry in grid]  # all checked before any is timed
     for cfg_idx, (n, d, t) in enumerate(grid):
-        config = CompressConfig(
-            total_budget=t, mu=mu, tau=tau, diversity_method=diversity_method
-        )
+        config = CompressConfig(total_budget=t, **settings)
         phase_samples: dict[str, list[float]] = {p: [] for p in PHASES}
         totals: list[float] = []
         sum_vs_total: list[float] = []
@@ -64,13 +68,10 @@ def run_bench(
                 phase_samples[p].append(result.timings_us[p])
             sum_vs_total.append(sum(result.timings_us[p] for p in PHASES) / elapsed_us)
 
-        entry = {
-            "n_tokens": n,
-            "dim": d,
-            "budget": t,
+        report["configs"].append({
+            "n_tokens": n, "dim": d, "budget": t,
             "total": _percentiles(totals),
             "phases": {p: _percentiles(phase_samples[p]) for p in PHASES},
             "phase_sum_over_total_max": float(max(sum_vs_total)),
-        }
-        report["configs"].append(entry)
+        })
     return report

@@ -103,15 +103,3 @@ def allocate_budget(normalized_entropy: float, config: CompressConfig) -> Budget
         coverage_ratio=ratio,
     )
 
-
-def resolve_mu(preset: str | None = None, mu: float | None = None) -> float:
-    """Pick the sigmoid midpoint: an explicit ``mu`` wins over a preset name."""
-    if mu is not None:
-        return float(mu)
-    if preset is None:
-        preset = "clip"
-    if preset not in MU_PRESETS:
-        raise InvalidInputError(
-            f"unknown preset {preset!r}, expected one of {tuple(MU_PRESETS)}"
-        )
-    return MU_PRESETS[preset]

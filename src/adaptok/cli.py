@@ -2,7 +2,9 @@
 
 Subcommands: entropy, allocate, compress, synth, bench, flops.
 ``compress --t-sal N`` forces the saliency share of the split instead of
-deriving it from the entropy.  Primary outputs are canonical JSON
+deriving it from the entropy.  ``--mu NAME|NUMBER`` takes a preset name or a
+number; ``CompressConfig`` holds the default of each setting flag left out.
+Primary outputs are canonical JSON
 (byte-identical for fixed seeds and inputs).  Wall-clock phase timings of
 ``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``.
 Errors, bad argument values included, land on stderr as one JSON line
@@ -16,7 +18,7 @@ import json
 import sys
 
 from .bench import run_bench
-from .budget import DEFAULT_TAU, MU_PRESETS, CompressConfig, allocate_budget, resolve_mu
+from .budget import MU_PRESETS, CompressConfig, allocate_budget
 from .costmodel import (
     LLAVA_NEXT_7B,
     estimate_kv_cache_bytes,
@@ -49,11 +51,21 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _mu(text: str) -> float:
+    return MU_PRESETS[text] if text in MU_PRESETS else float(text)
+
+
 def _add_sigmoid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=None, help="sigmoid midpoint (overrides --preset)")
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU, help="sigmoid smoothness")
-    p.add_argument("--preset", choices=sorted(MU_PRESETS), default=None,
-                   help="named mu preset (default clip)")
+    p.add_argument("--mu", type=_mu, default=None, metavar="NAME|NUMBER",
+                   help=f"sigmoid midpoint: a number or a preset {sorted(MU_PRESETS)}")
+    p.add_argument("--tau", type=float, default=None, help="sigmoid smoothness")
+
+
+def _settings(args) -> dict:
+    """The --mu, --tau and --diversity values given, as CompressConfig keyword arguments."""
+    diversity = _DIVERSITY_FLAGS.get(getattr(args, "diversity", None))
+    given = {"mu": args.mu, "tau": args.tau, "diversity_method": diversity}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-sal", type=int, default=None,
                    help="forced saliency budget (derived from the entropy if omitted)")
     _add_sigmoid_flags(p)
-    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default="dpp",
+    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default=None,
                    help="stage-2 diversity selector")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
@@ -101,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     _add_sigmoid_flags(p)
-    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default="dpp")
+    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("flops", help="prefill FLOPs / KV-cache cost model")
@@ -132,9 +144,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_allocate(args) -> int:
     tokens = read_tokens(args.tokens)
     report = spectral_entropy(tokens)
-    config = CompressConfig(
-        total_budget=args.budget, mu=resolve_mu(args.preset, args.mu), tau=args.tau
-    )
+    config = CompressConfig(total_budget=args.budget, **_settings(args))
     split = allocate_budget(report.normalized_entropy, config)
     doc = {
         "entropy": dataclasses.asdict(report),
@@ -150,12 +160,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_compress(args) -> int:
     tokens = read_tokens(args.tokens)
     saliency = reduce_head_attention(read_saliency(args.saliency))
-    config = CompressConfig(
-        total_budget=args.budget,
-        mu=resolve_mu(args.preset, args.mu),
-        tau=args.tau,
-        diversity_method=_DIVERSITY_FLAGS[args.diversity],
-    )
+    config = CompressConfig(total_budget=args.budget, **_settings(args))
     result = compress(tokens, saliency, config, t_sal=args.t_sal)
     _emit(selection_result_to_json(result), args.out)
     print(json.dumps({"timings_us": result.timings_us}, sort_keys=True), file=sys.stderr)
@@ -180,19 +185,14 @@ def _cmd_synth(args) -> int:
 
 
 def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
-    if not specs:
-        return [(576, 1024, 64), (576, 1024, 128)]
     grid = []
-    for spec in specs:
-        parts = spec.lower().split("x")
+    for spec in specs or ["576x1024x64", "576x1024x128"]:
         try:
-            n, d, t = (int(p) for p in parts)
+            n, d, t = (int(p) for p in spec.lower().split("x"))
         except ValueError:
             raise InvalidInputError(
                 f"--grid expects NxDxT with integer parts, got {spec!r}"
             ) from None
-        if min(n, d, t) < 1:
-            raise InvalidInputError(f"--grid needs N, D and T >= 1, got {spec!r}")
         grid.append((n, d, t))
     return grid
 
@@ -202,9 +202,7 @@ def _cmd_bench(args) -> int:
         _parse_grid(args.grid),
         repeats=args.repeats,
         seed=args.seed,
-        mu=resolve_mu(args.preset, args.mu),
-        tau=args.tau,
-        diversity_method=_DIVERSITY_FLAGS[args.diversity],
+        **_settings(args),
     )
     _emit(_canonical_json(report), args.out)
     return 0

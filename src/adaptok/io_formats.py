@@ -31,7 +31,7 @@ from .errors import (
 )
 from .pipeline import STAGE_COVERAGE, STAGE_SALIENCY, SelectionResult
 from .prominence import EntropyReport
-from .tensor_core import _count
+from .tensor_core import _as_float64, _count
 
 TOKEN_MAGIC = b"PTM1"
 SALIENCY_MAGIC = b"PSV1"
@@ -43,7 +43,7 @@ RESULT_SCHEMA = 1
 
 def write_tokens(tokens, path) -> None:
     """Write an N x d matrix as a PTM1 file (float32 LE payload)."""
-    arr = np.asarray(tokens, dtype=np.float64)
+    arr = _as_float64(tokens, "token payload", error=FormatError)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise FormatError(f"token payload must be a nonempty 2-D matrix, got shape {arr.shape}")
     _write_binary(path, TOKEN_MAGIC, _float32_payload(arr, "token"))
@@ -56,7 +56,7 @@ def read_tokens(path) -> np.ndarray:
 
 def write_saliency(head_scores, path) -> None:
     """Write H x N per-head scores (or a 1-D pre-reduced vector) as a PSV1 file."""
-    arr = np.asarray(head_scores, dtype=np.float64)
+    arr = _as_float64(head_scores, "saliency payload", error=FormatError)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor_core import (
+    _as_float64,
     _check_scores,
     _count,
     _normalize_rows_raw,
@@ -107,7 +108,7 @@ def reduce_head_attention(head_scores) -> np.ndarray:
     or, for encoders without a CLS token, the column-mean attention each
     token receives.  Either way the reduction is the mean over heads.
     """
-    A = np.asarray(head_scores, dtype=np.float64)
+    A = _as_float64(head_scores, "head scores")
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"head scores must be H x N with H >= 1, got shape {A.shape}")
     # per-head entries, not just the mean, must be valid scores

@@ -2,10 +2,11 @@
 
 Token matrices are plain ``numpy`` arrays of shape (n_tokens, dim); the
 input checks for token matrices and saliency scores live here, and all
-internal computation stays in float64.  ``_count`` is the package's one
-count check: every budget, pick count, size and seed counter goes through
-it, so a bool or a fractional value is rejected everywhere, never taken as
-1 or truncated.
+internal computation stays in float64.  ``_as_float64`` is the one array
+conversion: complex, ragged or non-numeric input is rejected, never cast.
+``_count`` is the package's one count check: every budget, pick count, size
+and seed counter goes through it, so a bool or a fractional value is
+rejected everywhere, never taken as 1 or truncated.
 """
 
 import operator
@@ -17,13 +18,25 @@ from .errors import InvalidBudgetError, InvalidInputError
 DEFAULT_EPSILON = 1e-12
 
 
+def _as_float64(values, name: str, error=InvalidInputError) -> np.ndarray:
+    """``values`` as a float64 array, else ``error``: complex values are not
+    stripped of their imaginary part, and no raw numpy error escapes."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError(f"complex dtype {arr.dtype}")
+        return np.asarray(arr, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise error(f"{name} must be an array of real numbers: {err}") from None
+
+
 def as_token_matrix(tokens) -> np.ndarray:
     """Validate and return a token matrix as a C-contiguous float64 array.
 
-    Requires a 2-D array with at least one row and one column and no
+    Requires a real 2-D array with at least one row and one column and no
     NaN/Inf entries.
     """
-    arr = np.asarray(tokens, dtype=np.float64)
+    arr = _as_float64(tokens, "token matrix")
     if arr.ndim != 2:
         raise InvalidInputError(f"token matrix must be 2-D, got shape {arr.shape}")
     n, d = arr.shape
@@ -42,8 +55,8 @@ def _check_scores(scores: np.ndarray, name: str) -> None:
 
 
 def as_saliency_vector(scores, n_tokens: int | None = None) -> np.ndarray:
-    """Validate a per-token saliency vector: 1-D, finite, nonnegative."""
-    s = np.asarray(scores, dtype=np.float64)
+    """Validate a per-token saliency vector: real, 1-D, finite, nonnegative."""
+    s = _as_float64(scores, "saliency")
     if s.ndim != 1:
         raise InvalidInputError(f"saliency must be 1-D, got shape {s.shape}")
     _check_scores(s, "saliency")

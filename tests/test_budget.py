@@ -15,7 +15,6 @@ from adaptok import (
     InvalidBudgetError,
     InvalidInputError,
     allocate_budget,
-    resolve_mu,
 )
 from adaptok.budget import _logistic
 
@@ -134,19 +133,6 @@ class TestCompressConfig:
     def test_numpy_integer_budget_stored_as_int(self):
         cfg = CompressConfig(total_budget=np.int64(8))
         assert type(cfg.total_budget) is int and cfg.total_budget == 8
-
-
-class TestResolveMu:
-    def test_explicit_mu_wins(self):
-        assert resolve_mu("clip", 0.3) == 0.3
-
-    def test_preset_lookup(self):
-        assert resolve_mu("qwen25vl", None) == 0.5744
-        assert resolve_mu(None, None) == 0.42
-
-    def test_unknown_preset(self):
-        with pytest.raises(InvalidInputError):
-            resolve_mu("resnet", None)
 
 
 class TestLogistic:

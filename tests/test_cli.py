@@ -1,11 +1,18 @@
-import inspect
 import json
 
 import numpy as np
 import pytest
 
-from adaptok import CompressConfig, read_tokens, selection_result_from_json, write_tokens
-from adaptok.bench import run_bench
+from adaptok import (
+    CompressConfig,
+    compress,
+    read_saliency,
+    read_tokens,
+    reduce_head_attention,
+    selection_result_from_json,
+    selection_result_to_json,
+    write_tokens,
+)
 from adaptok.cli import main
 
 
@@ -86,7 +93,7 @@ class TestCompressCommand:
         rc = main(
             [
                 "compress", "--tokens", str(tok), "--saliency", str(sal),
-                "--budget", "64", "--preset", "clip", "--diversity", "dpp",
+                "--budget", "64", "--mu", "clip", "--diversity", "dpp",
                 "--out", str(out),
             ]
         )
@@ -117,6 +124,14 @@ class TestCompressCommand:
             ]
         )
         assert rc == 0
+
+    def test_flags_left_out_keep_compress_config_defaults(self, tmp_path, capsys):
+        tok, sal = _synth_files(tmp_path, capsys=capsys)
+        argv = ["compress", "--tokens", str(tok), "--saliency", str(sal), "--budget", "32"]
+        assert main(argv) == 0
+        E, s = read_tokens(tok), reduce_head_attention(read_saliency(sal))
+        expected = selection_result_to_json(compress(E, s, CompressConfig(total_budget=32)))
+        assert capsys.readouterr().out == expected
 
     def test_budget_error_category(self, tmp_path, capsys):
         small, large = tmp_path / "n8", tmp_path / "n96"
@@ -201,11 +216,38 @@ class TestBenchCommand:
     def test_zero_repeats_is_invalid_input(self, capsys):
         _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)
 
-    def test_run_bench_defaults_follow_compress_config(self):
-        params = inspect.signature(run_bench).parameters
-        config = CompressConfig(total_budget=1)
-        assert params["mu"].default == config.mu
-        assert params["tau"].default == config.tau
+    def test_settings_reach_compress_config(self, capsys):
+        _invalid_input(["bench", "--grid", "8x4x2", "--repeats", "1", "--tau", "0"], capsys)
+        _invalid_input(["bench", "--grid", "8x4x2", "--repeats", "1", "--mu", "1.5"], capsys)
+
+
+class TestMuFlag:
+    @pytest.mark.parametrize("command", ["allocate", "compress"])
+    def test_preset_name_prints_the_bytes_of_its_value(self, tmp_path, capsys, command):
+        # this sample's entropy (about 0.50) lies between the clip and
+        # qwen25vl midpoints, so the two presets split it differently
+        tok, sal = _synth_files(tmp_path, capsys=capsys)
+        argv = [command, "--tokens", str(tok), "--budget", "32"]
+        if command == "compress":
+            argv += ["--saliency", str(sal)]
+        outputs = []
+        for mu in (["--mu", "qwen25vl"], ["--mu", "0.5744"], []):
+            assert main([*argv, *mu]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
+    @pytest.mark.parametrize("command", ["allocate", "compress", "bench"])
+    @pytest.mark.parametrize("flags", [["--preset", "clip"], ["--mu", "bogus"]],
+                             ids=["preset", "bogus-mu"])
+    def test_removed_flag_or_unknown_mu_is_usage_error(self, capsys, command, flags):
+        # argparse rejects the command line before any file is opened
+        files = {"allocate": ["--tokens", "a.ptm", "--budget", "4"],
+                 "compress": ["--tokens", "a.ptm", "--saliency", "a.psv", "--budget", "4"],
+                 "bench": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 class TestFlopsCommand:

@@ -120,6 +120,20 @@ def test_writers_reject_values_not_finite_in_float32(tmp_path, write, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("write", [write_tokens, write_saliency])
+@pytest.mark.parametrize(
+    "values",
+    [[[1.0, 2.0], [3.0]], [["a", "b"]], np.eye(2) + 1j, [[1j, 2.0]]],
+    ids=["ragged", "string", "complex-array", "complex-list"],
+)
+def test_writers_reject_non_real_arrays(tmp_path, write, values):
+    path = tmp_path / "bad.bin"
+    with pytest.raises(FormatError) as info:
+        write(values, path)
+    assert info.value.category == "format-error"
+    assert not path.exists()
+
+
 # Edits that turn a compress result document into one no compress call
 # writes; the forced split (t_sal=5 of 12) has picks of both stages.
 def _unknown_label(doc):

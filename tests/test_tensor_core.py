@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from adaptok import (
     estimate_prefill_flops,
     facility_location_select,
     fps_select,
+    reduce_head_attention,
     saliency_topk,
     selection,
     subseed_rng,
@@ -26,9 +28,11 @@ from adaptok.bench import run_bench
 from adaptok.cli import main
 from adaptok.tensor_core import (
     DEFAULT_EPSILON,
+    _as_float64,
     _clamped_descending_eigvalsh,
     _gram,
     _normalize_rows_raw,
+    as_saliency_vector,
 )
 
 
@@ -193,6 +197,9 @@ _COUNT_ENTRIES = [
     ],
     ("run_bench.repeats", lambda v: run_bench([(8, 4, 2)], repeats=v), 0, "invalid-input"),
     ("run_bench.seed", lambda v: run_bench([(8, 4, 2)], repeats=1, seed=v), -1, "invalid-input"),
+    ("run_bench.grid.n", lambda v: run_bench([(v, 4, 1)], repeats=1), 0, "invalid-input"),
+    ("run_bench.grid.d", lambda v: run_bench([(8, v, 2)], repeats=1), 0, "invalid-input"),
+    ("run_bench.grid.T", lambda v: run_bench([(8, 4, v)], repeats=1), 0, "invalid-input"),
     ("subseed_rng.seed", lambda v: subseed_rng(v, 0), -1, "invalid-input"),
     ("subseed_rng.counter", lambda v: subseed_rng(0, v), -1, "invalid-input"),
 ]
@@ -216,6 +223,11 @@ class TestCountBoundary:
     )
     def test_numpy_integer_count_is_accepted(self, call):
         call(np.int64(1))
+
+    @pytest.mark.parametrize("entry", [(8, 4), (8, 4, 2, 1), 8], ids=["short", "long", "scalar"])
+    def test_run_bench_grid_entry_needs_three_parts(self, entry):
+        with pytest.raises(InvalidInputError):
+            run_bench([entry], repeats=1)
 
     @pytest.mark.parametrize("select", [dpp_greedy_map, fps_select, facility_location_select])
     @pytest.mark.parametrize(
@@ -262,3 +274,56 @@ class TestCountBoundary:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["category"] == "invalid-input"
+
+
+def _ragged(good: np.ndarray) -> list:
+    rows = good.tolist()
+    rows[-1] = rows[-1][:-1] if good.ndim == 2 else [rows[-1]] * 2
+    return rows
+
+
+# inputs numpy cannot convert to float64, or can only by dropping the
+# imaginary part; each is made from a valid input of the same shape
+_NON_REAL = {
+    "ragged": _ragged,
+    "string": lambda good: np.full(good.shape, "x").tolist(),
+    "complex-array": lambda good: good + 1j * good,
+    "complex-list": lambda good: (good + 1j * good).tolist(),
+}
+
+# every public entry that converts an array: (name, call, a valid input)
+_ARRAY_ENTRIES = [
+    ("as_token_matrix", as_token_matrix, _E),
+    ("as_saliency_vector", as_saliency_vector, _S),
+    ("reduce_head_attention", reduce_head_attention, np.stack([_S, _S[::-1]])),
+    ("compress.tokens", lambda v: compress(v, _S, CompressConfig(total_budget=4)), _E),
+    ("compress.saliency", lambda v: compress(_E, v, CompressConfig(total_budget=4)), _S),
+]
+
+
+class TestArrayConversion:
+    @pytest.mark.parametrize("bad", sorted(_NON_REAL))
+    @pytest.mark.parametrize(
+        "call, good",
+        [entry[1:] for entry in _ARRAY_ENTRIES],
+        ids=[entry[0] for entry in _ARRAY_ENTRIES],
+    )
+    def test_non_real_array_is_invalid_input(self, call, good, bad):
+        call(good)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning is a silent cast
+            with pytest.raises(InvalidInputError) as info:
+                call(_NON_REAL[bad](good))
+        assert info.value.category == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.arange(6, dtype=np.float32).reshape(2, 3) / 3, [[1, 2], [3, 2**53 + 1]],
+         [2**70, -(2**64)], [True, False], ["1.5", "2e3"], np.float16(0.1), 7],
+        ids=["float32", "int-list", "huge-ints", "bools", "numeric-strings", "float16", "scalar"],
+    )
+    def test_accepts_what_numpy_converts(self, values):
+        arr = _as_float64(values, "values")
+        expected = np.asarray(values, dtype=np.float64)
+        assert arr.dtype == np.float64
+        np.testing.assert_array_equal(arr, expected)

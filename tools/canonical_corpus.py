@@ -174,7 +174,7 @@ def _cli_docs(workdir: Path):
                    "stdout": _cli_stdout(argv)}
         for preset in sorted(MU_PRESETS):
             argv = ["allocate", "--tokens", str(tok), "--budget", str(BUDGET),
-                    "--preset", preset]
+                    "--mu", preset]
             yield {"kind": "cli", "argv": ["allocate", preset], "input": name,
                    "stdout": _cli_stdout(argv)}
         out = workdir / "out.json"
@@ -183,13 +183,15 @@ def _cli_docs(workdir: Path):
         yield {"kind": "cli-out", "argv": ["compress", "heads"], "input": name,
                "out": out.read_text(encoding="utf-8")}
         files = ["--tokens", str(tok), "--saliency", str(sal), "--budget", str(BUDGET)]
-        runs = [["--preset", preset] for preset in sorted(MU_PRESETS)]
-        runs += [["--t-sal", str(t)] for t in (0, BUDGET // 3, BUDGET)]
+        # (label, flags): a preset run keeps the label of the --preset flag
+        # that --mu NAME replaced, so the digest stays comparable across it
+        runs = [(["--preset", preset], ["--mu", preset]) for preset in sorted(MU_PRESETS)]
+        runs += [(["--t-sal", str(t)],) * 2 for t in (0, BUDGET // 3, BUDGET)]
         for diversity in ("dpp", "fps", "fl"):
-            for flags in runs:
-                shown = ["compress", "--diversity", diversity, *flags]
-                yield {"kind": "cli", "argv": shown, "input": name,
-                       "stdout": _cli_stdout([*shown, *files])}
+            for label, flags in runs:
+                shown = ["compress", "--diversity", diversity]
+                yield {"kind": "cli", "argv": [*shown, *label], "input": name,
+                       "stdout": _cli_stdout([*shown, *flags, *files])}
     for seq in (0, 64, 320, 2880):
         for extra in ([], ["--baseline-seq", "2880"], ["--text-tokens", "100"]):
             argv = ["flops", "--seq-visual", str(seq), *extra]
