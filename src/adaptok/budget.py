@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBudgetError, InvalidInputError
-from .tensor_core import _count
+from .tensor_core import _count, _real
 
 # Midpoints calibrated per vision-encoder family; the smoothness is shared.
 MU_PRESETS = {
@@ -47,9 +47,9 @@ class CompressConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "total_budget", _count(self.total_budget, "total_budget", 1))
-        if not 0.0 < self.mu < 1.0:
+        if not 0.0 < _real(self.mu, "mu") < 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1), got {self.mu}")
-        if not self.tau > 0.0:
+        if not _real(self.tau, "tau") > 0.0:
             raise InvalidInputError(f"tau must be positive, got {self.tau}")
         if self.diversity_method not in DIVERSITY_METHODS:
             raise InvalidInputError(
@@ -88,8 +88,8 @@ def allocate_budget(normalized_entropy: float, config: CompressConfig) -> Budget
     sigmoid output is kept in the open interval (0, 1) so t_sal >= 1 even
     when float64 saturates the logistic for extreme (h - mu) / tau.
     """
-    h = float(normalized_entropy)
-    if not np.isfinite(h) or h < -ENTROPY_TOL or h > 1.0 + ENTROPY_TOL:
+    h = _real(normalized_entropy, "normalized entropy")
+    if h < -ENTROPY_TOL or h > 1.0 + ENTROPY_TOL:
         raise InvalidInputError(f"normalized entropy must lie in [0, 1], got {h}")
     h = min(max(h, 0.0), 1.0)
 

@@ -5,8 +5,9 @@ Subcommands: entropy, allocate, compress, synth, bench, flops.
 deriving it from the entropy.  ``--mu NAME|NUMBER`` takes a preset name or a
 number; ``CompressConfig`` holds the default of each setting flag left out.
 Primary outputs are canonical JSON
-(byte-identical for fixed seeds and inputs).  Wall-clock phase timings of
-``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``.
+(byte-identical for fixed seeds and inputs).  Wall-clock span timings of
+``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``,
+keyed by span path (``total``, ``entropy/gram``, ``stage2/greedy``, ...).
 Errors, bad argument values included, land on stderr as one JSON line
 with a machine-readable category, and the process exits 1; a command line
 that does not parse gets argparse's usage message and exit code 2.

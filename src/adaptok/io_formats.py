@@ -13,7 +13,6 @@ timings are deliberately not part of the document.
 
 import dataclasses
 import json
-import math
 import struct
 from pathlib import Path
 
@@ -21,9 +20,9 @@ import numpy as np
 
 from .budget import BudgetSplit
 from .errors import (
+    AdaptokError,
     BadMagicError,
     FormatError,
-    InvalidBudgetError,
     NonFiniteValueError,
     TrailingDataError,
     TruncatedPayloadError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .pipeline import STAGE_COVERAGE, STAGE_SALIENCY, SelectionResult
 from .prominence import EntropyReport
-from .tensor_core import _as_float64, _count
+from .tensor_core import _as_float64, _count, _real
 
 TOKEN_MAGIC = b"PTM1"
 SALIENCY_MAGIC = b"PSV1"
@@ -167,12 +166,12 @@ def selection_result_from_json(text: str) -> SelectionResult:
             split=_from_fields(BudgetSplit, doc),
             entropy=_from_fields(EntropyReport, doc["entropy"]),
             coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
-            diagnostics={str(k): _finite(v, k) for k, v in doc["diagnostics"].items()},
+            diagnostics={str(k): _real(v, k) for k, v in doc["diagnostics"].items()},
         )
-    # _count and BudgetSplit raise InvalidBudgetError for a bad count, which
-    # in a document is malformed data rather than a budget the caller asked for
+    # _count, _real and BudgetSplit raise their own categories for a bad
+    # value, which in a document is malformed data rather than a bad argument
     except (
-        KeyError, TypeError, ValueError, OverflowError, AttributeError, InvalidBudgetError
+        KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError
     ) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
     selected, stage_of, split = result.selected, result.stage_of, result.split
@@ -189,14 +188,6 @@ def selection_result_from_json(text: str) -> SelectionResult:
     return result
 
 
-def _finite(value, name: str) -> float:
-    # not a bool, not a string such as "nan", and not the NaN/Infinity
-    # literals that json.loads accepts
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _indices(values, name: str) -> np.ndarray:
     # the negative and out-of-order indices are left to the document checks
     return np.asarray([_count(v, name) for v in values], dtype=np.int64)
@@ -204,8 +195,10 @@ def _indices(values, name: str) -> np.ndarray:
 
 def _from_fields(cls, doc: dict):
     # the inverse of dataclasses.asdict, each field read for its annotated
-    # type: int through _count, float through _finite, str through str
-    readers = {int: _count, float: _finite, str: lambda value, name: str(value)}
+    # type: int through _count, float through _real, str through str; _real
+    # rejects a bool, a string such as "nan" and the NaN/Infinity literals
+    # that json.loads accepts
+    readers = {int: _count, float: _real, str: lambda value, name: str(value)}
     return cls(**{f.name: readers[f.type](doc[f.name], f.name) for f in dataclasses.fields(cls)})
 
 

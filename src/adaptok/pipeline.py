@@ -7,7 +7,6 @@ with per-index provenance.  Passing ``t_sal`` forces the split instead, for
 fixed-allocation baselines; everything after the split is the same path.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +16,14 @@ from .prominence import EntropyReport, spectral_entropy
 from .selection import (
     DEFAULT_JITTER,
     _dpp_kernel,
+    _pick,
     _pool_unit_kernel,
     dpp_greedy_map,
     facility_location_select,
     fps_select,
     saliency_topk,
 )
-from .tensor_core import _count, as_saliency_vector, as_token_matrix
+from .tensor_core import _count, _span, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
@@ -36,8 +36,12 @@ class SelectionResult:
     ``selected`` is ascending (original spatial order); the greedy order of
     the coverage stage is kept in ``coverage_pick_order``.  ``stage_of`` is
     aligned with ``selected``.  ``diagnostics`` holds deterministic scalars
-    only; wall-clock phase timings live in ``timings_us`` and are excluded
-    from serialization and equality so repeated runs stay bit-identical.
+    only; wall-clock timings live in ``timings_us`` and are excluded from
+    serialization and equality so repeated runs stay bit-identical.
+    The keys of ``timings_us`` are span paths: ``total``, ``validate``,
+    ``entropy`` and ``entropy/{validate,gram,eigvalsh}``, ``allocation``,
+    ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
+    ``stage2/{validate,kernel,greedy}``), ``assemble``, ``diagnostics``.
     """
 
     selected: np.ndarray
@@ -69,10 +73,6 @@ def selection_results_equal(a: SelectionResult, b: SelectionResult) -> bool:
     )
 
 
-def _now_us() -> float:
-    return time.perf_counter_ns() / 1e3
-
-
 def compress(
     tokens, saliency, config: CompressConfig, t_sal: int | None = None
 ) -> SelectionResult:
@@ -83,65 +83,63 @@ def compress(
     but it does not influence the split.  ``t_sal`` must be a Python or
     numpy integer in [0, T].
     """
-    E = as_token_matrix(tokens)
-    s = as_saliency_vector(saliency, n_tokens=E.shape[0])
-    T = _count(config.total_budget, "total_budget", most=E.shape[0])
-    if t_sal is not None:
-        t_sal = _count(t_sal, "t_sal", 0, T)
+    timings: dict[str, float] = {}
+    with _span("total", timings):
+        with _span("validate"):
+            E = as_token_matrix(tokens)
+            s = as_saliency_vector(saliency, n_tokens=E.shape[0])
+            T = _count(config.total_budget, "total_budget", most=E.shape[0])
+            if t_sal is not None:
+                t_sal = _count(t_sal, "t_sal", 0, T)
 
-    t0 = _now_us()
-    entropy = spectral_entropy(E)
-    t1 = _now_us()
-    if t_sal is None:
-        split = allocate_budget(entropy.normalized_entropy, config)
-    else:
-        t_cov = T - t_sal
-        split = BudgetSplit(
-            t_sal=t_sal,
-            t_cov=t_cov,
-            normalized_entropy=entropy.normalized_entropy,
-            coverage_ratio=t_cov / T,
-        )
-    t2 = _now_us()
-    sal_idx = saliency_topk(s, split.t_sal)
-    t3 = _now_us()
+        with _span("entropy"):
+            entropy = spectral_entropy(E)
+        with _span("allocation"):
+            if t_sal is None:
+                split = allocate_budget(entropy.normalized_entropy, config)
+            else:
+                t_cov = T - t_sal
+                split = BudgetSplit(
+                    t_sal=t_sal,
+                    t_cov=t_cov,
+                    normalized_entropy=entropy.normalized_entropy,
+                    coverage_ratio=t_cov / T,
+                )
+        with _span("stage1"):
+            sal_idx = saliency_topk(s, split.t_sal)
 
-    pool = np.setdiff1d(np.arange(E.shape[0], dtype=np.int64), sal_idx, assume_unique=True)
-    cov_idx = cov_order = np.empty(0, dtype=np.int64)
-    fallback_count = 0
-    if split.t_cov > 0:
-        # called by their module-global names, so span tracing can
-        # interpose on each selector
-        if config.diversity_method == "dpp":
-            pick = dpp_greedy_map(E, pool, split.t_cov, saliency=s)
-        elif config.diversity_method == "fps":
-            pick = fps_select(E, pool, split.t_cov)
-        else:
-            pick = facility_location_select(E, pool, split.t_cov)
-        cov_idx, cov_order, fallback_count = pick.indices, pick.pick_order, pick.fallback_count
-    t4 = _now_us()
+        with _span("stage2"):
+            with _span("pool"):
+                pool = np.setdiff1d(np.arange(len(E), dtype=np.int64), sal_idx, assume_unique=True)
+            # called by their module-global names, so the benchmark's tracer
+            # can interpose on each selector
+            if split.t_cov == 0:
+                pick = _pick(pool, [], [])
+            elif config.diversity_method == "dpp":
+                pick = dpp_greedy_map(E, pool, split.t_cov, saliency=s)
+            elif config.diversity_method == "fps":
+                pick = fps_select(E, pool, split.t_cov)
+            else:
+                pick = facility_location_select(E, pool, split.t_cov)
 
-    selected = np.sort(np.concatenate([sal_idx, cov_idx]))
-    sal_set = set(sal_idx.tolist())
-    stage_of = [STAGE_SALIENCY if i in sal_set else STAGE_COVERAGE for i in selected.tolist()]
-
-    diagnostics = _diagnostics(E, selected, cov_idx)
-    diagnostics["stage2_fallback_count"] = float(fallback_count)
+        with _span("assemble"):
+            selected = np.sort(np.concatenate([sal_idx, pick.indices]))
+            sal_set = set(sal_idx.tolist())
+            stage_of = [
+                STAGE_SALIENCY if i in sal_set else STAGE_COVERAGE for i in selected.tolist()
+            ]
+        with _span("diagnostics"):
+            diagnostics = _diagnostics(E, selected, pick.indices)
+            diagnostics["stage2_fallback_count"] = float(pick.fallback_count)
 
     return SelectionResult(
         selected=selected,
         stage_of=stage_of,
         split=split,
         entropy=entropy,
-        coverage_pick_order=cov_order,
+        coverage_pick_order=pick.pick_order,
         diagnostics=diagnostics,
-        timings_us={
-            "entropy": t1 - t0,
-            "allocation": t2 - t1,
-            "stage1": t3 - t2,
-            "stage2": t4 - t3,
-            "total": _now_us() - t0,
-        },
+        timings_us=timings,
     )
 
 

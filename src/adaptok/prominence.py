@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .tensor_core import _clamped_descending_eigvalsh, _gram, as_saliency_vector, as_token_matrix
+from .tensor_core import (
+    _clamped_descending_eigvalsh, _gram, _span, as_saliency_vector, as_token_matrix
+)
 
 # Eigenvalues below this fraction of the largest are numerical noise and
 # are zeroed before forming the spectral distribution.
@@ -67,10 +69,14 @@ def spectral_entropy(tokens) -> EntropyReport:
     no full SVD is needed.  The normalizer is log min(n_tokens, dim).
     Raises DegenerateInputError on an all-zero matrix.
     """
-    E = as_token_matrix(tokens)
-    if not np.any(E):
-        raise DegenerateInputError("spectral entropy is undefined for an all-zero matrix")
-    lam = _clamped_descending_eigvalsh(_gram(E))
+    with _span("validate"):
+        E = as_token_matrix(tokens)
+        if not np.any(E):
+            raise DegenerateInputError("spectral entropy is undefined for an all-zero matrix")
+    with _span("gram"):
+        G = _gram(E)
+    with _span("eigvalsh"):
+        lam = _clamped_descending_eigvalsh(G)
     lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
     return _report(lam, min(E.shape), "spectral")
 

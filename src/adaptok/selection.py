@@ -30,6 +30,7 @@ from .tensor_core import (
     _check_scores,
     _count,
     _normalize_rows_raw,
+    _span,
     as_saliency_vector,
     as_token_matrix,
 )
@@ -48,7 +49,10 @@ _FL_STALE_BATCH = 8
 
 def as_index_pool(pool, n_tokens: int) -> np.ndarray:
     """Validate a candidate index set: strictly increasing ints in [0, n_tokens)."""
-    idx = np.asarray(pool)
+    try:
+        idx = np.asarray(pool)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"index pool must be an array of integers: {err}") from None
     if idx.ndim != 1:
         raise InvalidInputError(f"index pool must be 1-D, got shape {idx.shape}")
     # a fractional or bool pool would be cast to rows it never named; an
@@ -66,9 +70,10 @@ def as_index_pool(pool, n_tokens: int) -> np.ndarray:
 
 def _selector_inputs(tokens, pool, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Validated (E, pool indices, k) for a selector over a pool of E's rows."""
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    return E, idx, _count(k, "k", 0, idx.size)
+    with _span("validate"):
+        E = as_token_matrix(tokens)
+        idx = as_index_pool(pool, E.shape[0])
+        return E, idx, _count(k, "k", 0, idx.size)
 
 
 @dataclass(frozen=True)
@@ -168,42 +173,45 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     """
     E, idx, k = _selector_inputs(tokens, pool, k)
     if saliency is not None:
-        saliency = as_saliency_vector(saliency, n_tokens=E.shape[0])
+        with _span("validate"):
+            saliency = as_saliency_vector(saliency, n_tokens=E.shape[0])
     if k == 0:
         return _pick(idx, [], [])
 
-    L = _dpp_kernel(E, idx)
-    cis = np.zeros((k, idx.size))
-    di2 = np.diag(L).copy()
-    picked: list[int] = []
-    gains: list[float] = []
+    with _span("kernel"):
+        L = _dpp_kernel(E, idx)
+    with _span("greedy"):
+        cis = np.zeros((k, idx.size))
+        di2 = np.diag(L).copy()
+        picked: list[int] = []
+        gains: list[float] = []
 
-    for step in range(k):
-        # selected entries are masked in place with -inf, so the argmax
-        # runs straight over di2 without a temporary per step
-        j = int(np.argmax(di2))
-        best = di2[j]
-        if best < RANK_FLOOR:
-            break
-        gains.append(float(np.log(best)))
-        picked.append(j)
-        di2[j] = -np.inf
-        if step < k - 1:
-            ci = cis[:step, j]
-            eis = (L[j] - ci @ cis[:step]) / math.sqrt(best)
-            cis[step] = eis
-            di2 -= np.square(eis)
+        for step in range(k):
+            # selected entries are masked in place with -inf, so the argmax
+            # runs straight over di2 without a temporary per step
+            j = int(np.argmax(di2))
+            best = di2[j]
+            if best < RANK_FLOOR:
+                break
+            gains.append(float(np.log(best)))
+            picked.append(j)
+            di2[j] = -np.inf
+            if step < k - 1:
+                ci = cis[:step, j]
+                eis = (L[j] - ci @ cis[:step]) / math.sqrt(best)
+                cis[step] = eis
+                di2 -= np.square(eis)
 
-    # the unpicked positions (those not masked with -inf) fill the slots
-    # left past the rank; the stable sort breaks saliency ties toward the
-    # lower index
-    fallback_count = k - len(picked)
-    if fallback_count:
-        fill = np.flatnonzero(di2 != -np.inf)
-        if saliency is not None:
-            fill = fill[np.argsort(-saliency[idx[fill]], kind="stable")]
-        picked += fill[:fallback_count].tolist()
-    return _pick(idx, picked, gains, fallback_count)
+        # the unpicked positions (those not masked with -inf) fill the slots
+        # left past the rank; the stable sort breaks saliency ties toward the
+        # lower index
+        fallback_count = k - len(picked)
+        if fallback_count:
+            fill = np.flatnonzero(di2 != -np.inf)
+            if saliency is not None:
+                fill = fill[np.argsort(-saliency[idx[fill]], kind="stable")]
+            picked += fill[:fallback_count].tolist()
+        return _pick(idx, picked, gains, fallback_count)
 
 
 def fps_select(tokens, pool, k: int) -> DiversityPick:
@@ -218,20 +226,22 @@ def fps_select(tokens, pool, k: int) -> DiversityPick:
     if k == 0:
         return _pick(idx, [], [])
 
-    unit = _normalize_rows_raw(E, idx)
-    picked = [0]
-    gains = [np.inf]
-    min_dist = 1.0 - unit @ unit[0]
-    min_dist[0] = -np.inf
+    with _span("kernel"):
+        unit = _normalize_rows_raw(E, idx)
+    with _span("greedy"):
+        picked = [0]
+        gains = [np.inf]
+        min_dist = 1.0 - unit @ unit[0]
+        min_dist[0] = -np.inf
 
-    while len(picked) < k:
-        j = int(np.argmax(min_dist))
-        picked.append(j)
-        gains.append(float(min_dist[j]))
-        min_dist = np.minimum(min_dist, 1.0 - unit @ unit[j])
-        min_dist[j] = -np.inf
+        while len(picked) < k:
+            j = int(np.argmax(min_dist))
+            picked.append(j)
+            gains.append(float(min_dist[j]))
+            min_dist = np.minimum(min_dist, 1.0 - unit @ unit[j])
+            min_dist[j] = -np.inf
 
-    return _pick(idx, picked, gains)
+        return _pick(idx, picked, gains)
 
 
 def facility_location_select(tokens, pool, k: int) -> DiversityPick:
@@ -264,34 +274,36 @@ def facility_location_select(tokens, pool, k: int) -> DiversityPick:
     if k == 0:
         return _pick(idx, [], [])
 
-    # in place: no m x m temporaries beyond the kernel itself
-    sim = _pool_unit_kernel(E, idx)
-    sim += 1.0
-    sim *= 0.5
-    np.clip(sim, 0.0, 1.0, out=sim)
+    with _span("kernel"):
+        # in place: no m x m temporaries beyond the kernel itself
+        sim = _pool_unit_kernel(E, idx)
+        sim += 1.0
+        sim *= 0.5
+        np.clip(sim, 0.0, 1.0, out=sim)
 
-    # step-1 gains are exact (the cover is empty), so every bound starts
-    # current; sim is bitwise symmetric, so sim[j] is candidate j's column
-    heap = [(-g, j) for j, g in enumerate(sim.sum(axis=0).tolist())]
-    heapq.heapify(heap)
-    fresh_at = [0] * idx.size  # step at which each bound was computed
-    cover = np.zeros(idx.size)
-    picked: list[int] = []
-    gains: list[float] = []
+    with _span("greedy"):
+        # step-1 gains are exact (the cover is empty), so every bound starts
+        # current; sim is bitwise symmetric, so sim[j] is candidate j's column
+        heap = [(-g, j) for j, g in enumerate(sim.sum(axis=0).tolist())]
+        heapq.heapify(heap)
+        fresh_at = [0] * idx.size  # step at which each bound was computed
+        cover = np.zeros(idx.size)
+        picked: list[int] = []
+        gains: list[float] = []
 
-    for step in range(k):
-        while fresh_at[heap[0][1]] != step:
-            stale = [heapq.heappop(heap)[1]]
-            while len(stale) < _FL_STALE_BATCH and heap and fresh_at[heap[0][1]] != step:
-                stale.append(heapq.heappop(heap)[1])
-            # each row of the batched sum is bitwise that row's 1-D sum (tested)
-            fresh = np.maximum(sim[stale] - cover, 0.0).sum(axis=1)
-            for j, gain in zip(stale, fresh.tolist()):
-                fresh_at[j] = step
-                heapq.heappush(heap, (-gain, j))
-        neg_gain, j = heapq.heappop(heap)
-        picked.append(j)
-        gains.append(-neg_gain)
-        np.maximum(cover, sim[j], out=cover)
+        for step in range(k):
+            while fresh_at[heap[0][1]] != step:
+                stale = [heapq.heappop(heap)[1]]
+                while len(stale) < _FL_STALE_BATCH and heap and fresh_at[heap[0][1]] != step:
+                    stale.append(heapq.heappop(heap)[1])
+                # each row of the batched sum is bitwise that row's 1-D sum (tested)
+                fresh = np.maximum(sim[stale] - cover, 0.0).sum(axis=1)
+                for j, gain in zip(stale, fresh.tolist()):
+                    fresh_at[j] = step
+                    heapq.heappush(heap, (-gain, j))
+            neg_gain, j = heapq.heappop(heap)
+            picked.append(j)
+            gains.append(-neg_gain)
+            np.maximum(cover, sim[j], out=cover)
 
-    return _pick(idx, picked, gains)
+        return _pick(idx, picked, gains)

@@ -16,7 +16,7 @@ Every bad argument raises ``InvalidInputError``.
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor_core import _count
+from .tensor_core import _count, _real
 
 # Fraction of each mixture weight drawn at random; the rest is the row's
 # assigned direction.  Small enough that per-direction energies stay equal.
@@ -35,6 +35,7 @@ def synth_tokens(
     n = _count(n, "n", 1, error=InvalidInputError)
     d = _count(d, "d", 1, error=InvalidInputError)
     k = _count(k_directions, "k_directions", 1, min(n, d), error=InvalidInputError)
+    noise = _real(noise, "noise")
     if not noise >= 0.0:
         raise InvalidInputError(f"noise must be >= 0, got {noise}")
 

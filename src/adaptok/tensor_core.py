@@ -6,10 +6,15 @@ internal computation stays in float64.  ``_as_float64`` is the one array
 conversion: complex, ragged or non-numeric input is rejected, never cast.
 ``_count`` is the package's one count check: every budget, pick count, size
 and seed counter goes through it, so a bool or a fractional value is
-rejected everywhere, never taken as 1 or truncated.
+rejected everywhere, never taken as 1 or truncated; ``_real`` is its
+counterpart for real settings.  ``_span`` times the phases of a call.
 """
 
+import numbers
 import operator
+import time
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -81,6 +86,40 @@ def _count(value, name: str, least=None, most=None, error=InvalidBudgetError) ->
     if most is not None and count > most:
         raise error(f"{name} must be <= {most}, got {count}")
     return count
+
+
+def _real(value, name: str, error=InvalidInputError) -> float:
+    """``value`` as a finite float, else ``error``; bools and strings are not numbers."""
+    real = np.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range stays nan
+            real = float(value)
+    if not np.isfinite(real):
+        raise error(f"{name}: expected a finite real number, got {value!r}")
+    return real
+
+
+# (timings, path prefix) of the recording running in this context
+_SPANS: ContextVar = ContextVar("adaptok_spans", default=None)
+
+
+@contextmanager
+def _span(name: str, timings: dict | None = None):
+    """Add the block's microseconds to the running recording under the
+    enclosing span's path plus ``/name``, or do nothing outside one; given
+    ``timings``, record the block into it as ``name``, its spans at the top."""
+    into, prefix = (timings, "") if timings is not None else _SPANS.get() or (None, "")
+    if into is None:
+        yield
+        return
+    path = prefix + name
+    token = _SPANS.set((into, "" if timings is not None else path + "/"))
+    start = time.perf_counter_ns()
+    try:
+        yield
+    finally:
+        into[path] = into.get(path, 0.0) + (time.perf_counter_ns() - start) / 1e3
+        _SPANS.reset(token)
 
 
 def _gram(E: np.ndarray) -> np.ndarray:

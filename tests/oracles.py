@@ -251,3 +251,26 @@ def brute_force_max_logdet(E: np.ndarray, pool, k: int, epsilon: float = 1e-12):
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
     return Q * np.sign(np.diag(R))
+
+
+def span_paths(t_cov: int) -> set[str]:
+    """The ``timings_us`` keys of a ``compress`` call, written out by hand:
+    the selector's own spans appear only when it runs (t_cov > 0)."""
+    paths = {
+        "total", "validate", "entropy", "entropy/validate", "entropy/gram",
+        "entropy/eigvalsh", "allocation", "stage1", "stage2", "stage2/pool",
+        "assemble", "diagnostics",
+    }
+    if t_cov > 0:
+        paths |= {"stage2/validate", "stage2/kernel", "stage2/greedy"}
+    return paths
+
+
+def leaf_share(timings: dict[str, float]) -> float:
+    """Share of ``total`` that the leaf spans (those no other path nests
+    under) cover."""
+    leaves = [
+        us for path, us in timings.items()
+        if path != "total" and not any(other.startswith(path + "/") for other in timings)
+    ]
+    return sum(leaves) / timings["total"]

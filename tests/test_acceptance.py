@@ -12,8 +12,10 @@ import pytest
 from oracles import (
     brute_force_max_logdet,
     dpp_greedy_naive,
+    leaf_share,
     random_orthogonal,
     sigmoid_scalar,
+    span_paths,
     verify_fps_order,
 )
 
@@ -280,13 +282,14 @@ def test_criterion_8_performance_budget(capsys):
         assert elapsed_ms < 500.0, (
             f"compress took {elapsed_ms:.1f} ms; {timings_note(warmup_ms, times_ms)}"
         )
+        assert leaf_share(result.timings_us) >= 0.95, result.timings_us
 
         rc = cli_main(["bench", "--grid", "256x64x32", "--repeats", "2", "--seed", "1"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        phases = doc["configs"][0]["phases"]
-        assert set(phases) == {"entropy", "allocation", "stage1", "stage2"}
-        assert doc["configs"][0]["phase_sum_over_total_max"] <= 1.05
+        cfg = doc["configs"][0]
+        assert span_paths(0) <= {"total", *cfg["phases"]} <= span_paths(1)
+        assert all(p["max_us"] <= cfg["total"]["max_us"] for p in cfg["phases"].values())
         print(f"\n  full-scale compress: best of 3 = {elapsed_ms:.1f} ms (budget 500 ms)")
 
 
@@ -307,4 +310,5 @@ def test_criterion_8_facility_location_budget():
         assert elapsed_ms < 1500.0, (
             f"compress took {elapsed_ms:.1f} ms; {timings_note(warmup_ms, times_ms)}"
         )
+        assert leaf_share(result.timings_us) >= 0.95, result.timings_us
         print(f"\n  full-scale facility location: best of 3 = {elapsed_ms:.1f} ms (budget 1500 ms)")

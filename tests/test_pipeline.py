@@ -1,5 +1,9 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from oracles import leaf_share, span_paths
 
 from adaptok import (
     CompressConfig,
@@ -7,10 +11,15 @@ from adaptok import (
     InvalidBudgetError,
     InvalidInputError,
     compress,
+    dpp_greedy_map,
+    facility_location_select,
+    fps_select,
     saliency_topk,
     selection_results_equal,
+    spectral_entropy,
     synth_tokens,
 )
+from adaptok.tensor_core import _SPANS
 
 CLIP = dict(mu=0.42, tau=0.02)
 
@@ -95,7 +104,7 @@ class TestCompress:
         res = compress(tokens, sal, CompressConfig(total_budget=12, **CLIP))
         assert "coverage_logdet" in res.diagnostics
         assert "min_pairwise_cosine_distance" in res.diagnostics
-        assert set(res.timings_us) == {"entropy", "allocation", "stage1", "stage2", "total"}
+        assert set(res.timings_us) == span_paths(res.split.t_cov)
 
     def test_budget_above_n_rejected(self):
         tokens, sal = _instance(n=10)
@@ -181,3 +190,86 @@ class TestCompressFixed:
             assert f.stage_of == r.stage_of
             np.testing.assert_array_equal(f.coverage_pick_order, r.coverage_pick_order)
             assert f.diagnostics == r.diagnostics
+
+
+def _assert_nested(timings: dict[str, float]) -> None:
+    # the spans under one parent run one after another inside it
+    children: dict[str, float] = {}
+    for path, us in timings.items():
+        if path != "total":
+            parent = path.rpartition("/")[0] or "total"
+            children[parent] = children.get(parent, 0.0) + us
+    for parent, us in children.items():
+        assert us <= timings[parent] * (1 + 1e-9), parent
+
+
+class TestTimings:
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    @pytest.mark.parametrize("t_sal", [None, 0, 4, 12], ids=["adaptive", "0", "4", "T"])
+    def test_span_paths_and_nesting(self, method, t_sal):
+        tokens, sal = _instance()
+        config = CompressConfig(total_budget=12, diversity_method=method, **CLIP)
+        res = compress(tokens, sal, config, t_sal=t_sal)
+        assert set(res.timings_us) == span_paths(res.split.t_cov)
+        assert all(us >= 0.0 for us in res.timings_us.values())
+        _assert_nested(res.timings_us)
+
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    def test_leaves_cover_the_call_at_clip_shape(self, method):
+        # 16 directions put this input near the clip midpoint: t_sal = 19
+        tokens, sal = synth_tokens(576, 1024, 16, 1e-3, 0)
+        res = compress(tokens, sal, CompressConfig(total_budget=64, diversity_method=method))
+        assert 0 < res.split.t_cov < 64
+        assert leaf_share(res.timings_us) >= 0.95
+
+    def test_calls_outside_compress_record_nothing(self):
+        tokens, sal = _instance()
+        res = compress(tokens, sal, CompressConfig(total_budget=12, **CLIP))
+        before = dict(res.timings_us)
+        spectral_entropy(tokens)
+        for select in (dpp_greedy_map, fps_select, facility_location_select):
+            select(tokens, np.arange(48), 5)
+        assert res.timings_us == before
+        assert _SPANS.get() is None
+
+    def test_raising_compress_leaves_no_recording(self):
+        # raised inside the nested entropy/validate span
+        with pytest.raises(DegenerateInputError):
+            compress(np.zeros((8, 4)), np.ones(8), CompressConfig(total_budget=4, **CLIP))
+        assert _SPANS.get() is None
+        tokens, sal = _instance()
+        res = compress(tokens, sal, CompressConfig(total_budget=12, **CLIP), t_sal=12)
+        assert set(res.timings_us) == span_paths(0)
+        _assert_nested(res.timings_us)
+
+    def test_concurrent_calls_keep_their_own_timings(self):
+        # one thread never runs a selector and the other always does, so a
+        # recording shared between them leaks stage-2 paths into the first
+        jobs = {"saliency-only": (12, span_paths(0)), "coverage": (2, span_paths(10))}
+        tokens, sal = _instance()
+        config = CompressConfig(total_budget=12, **CLIP)
+        barrier = threading.Barrier(len(jobs))
+        results: dict[str, list] = {name: [] for name in jobs}
+        runs = 200  # 40 runs each let a shared recording pass now and then
+
+        def work(name):
+            barrier.wait(timeout=10)
+            for _ in range(runs):
+                results[name].append(compress(tokens, sal, config, t_sal=jobs[name][0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name, (_, paths) in jobs.items():
+            assert len(results[name]) == runs
+            for res in results[name]:
+                assert set(res.timings_us) == paths
+                _assert_nested(res.timings_us)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from adaptok import (
     CompressConfig,
     InvalidInputError,
     ModelCostSpec,
+    allocate_budget,
     as_token_matrix,
     compress,
     dpp_greedy_map,
@@ -205,6 +207,38 @@ _COUNT_ENTRIES = [
 ]
 
 
+# every public entry that takes a real setting: (name, call taking the value)
+_REAL_ENTRIES = [
+    ("CompressConfig.mu", lambda v: CompressConfig(4, mu=v)),
+    ("CompressConfig.tau", lambda v: CompressConfig(4, tau=v)),
+    ("allocate_budget.normalized_entropy", lambda v: allocate_budget(v, CompressConfig(4))),
+    ("synth_tokens.noise", lambda v: synth_tokens(4, 3, 1, v, 0)),
+    ("run_bench.mu", lambda v: run_bench([(8, 4, 2)], 1, 0, mu=v)),
+    ("run_bench.tau", lambda v: run_bench([(8, 4, 2)], 1, 0, tau=v)),
+]
+
+
+class TestRealBoundary:
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "x", None, True, np.False_, 0.5 + 0j, np.nan, np.inf, 10**400],
+        ids=["numeric-str", "str", "none", "bool", "numpy-bool", "complex", "nan", "inf",
+             "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "call", [entry[1] for entry in _REAL_ENTRIES], ids=[entry[0] for entry in _REAL_ENTRIES]
+    )
+    def test_non_real_value_is_invalid_input(self, call, bad):
+        with pytest.raises(InvalidInputError):
+            call(bad)
+
+    @pytest.mark.parametrize("good", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2)])
+    @pytest.mark.parametrize(
+        "call", [entry[1] for entry in _REAL_ENTRIES], ids=[entry[0] for entry in _REAL_ENTRIES]
+    )
+    def test_real_numbers_are_accepted(self, call, good):
+        call(good)
+
+
 class TestCountBoundary:
     @pytest.mark.parametrize("bad", ["fraction", "bool", "numpy-bool", "out-of-range"])
     @pytest.mark.parametrize(
@@ -231,11 +265,12 @@ class TestCountBoundary:
 
     @pytest.mark.parametrize("select", [dpp_greedy_map, fps_select, facility_location_select])
     @pytest.mark.parametrize(
-        "pool", [[0.5, 1.7, 2.9, 3.2], np.array([0.0, 1.0, 2.0]), [False, True]],
-        ids=["fractional", "integral-floats", "bools"],
+        "pool", [[0.5, 1.7, 2.9, 3.2], np.array([0.0, 1.0, 2.0]), [False, True], [[0, 1], [2]]],
+        ids=["fractional", "integral-floats", "bools", "ragged"],
     )
     def test_non_integer_pool_is_invalid_input(self, select, pool):
-        # cast to int64, these would name rows the caller never asked for
+        # cast to int64, these would name rows the caller never asked for; a
+        # ragged pool is no array at all
         with pytest.raises(InvalidInputError):
             select(_E, pool, 2)
 

@@ -1,12 +1,18 @@
-"""Canonical output corpus: one sha256 over adaptok's deterministic outputs.
+"""Canonical output corpus: two sha256 digests over adaptok's deterministic outputs.
 
 Runs a fixed set of inputs through ``compress``, the three diversity
 selectors, ``allocate_budget``, the PTM1/PSV1 writers and the CLI's
 ``entropy``, ``allocate``, ``compress`` (with and without ``--t-sal``),
 ``synth`` and ``flops`` commands (stdout, and the ``--out`` files of
-``compress`` and ``flops``), and prints the sha256 of all the canonical
-JSON documents in order, followed by their count.  A change that claims to
-keep every output byte prints the same digest before and after it.
+``compress`` and ``flops``), and prints two digests of the documents in
+order, each followed by their count:
+
+* ``bytes`` hashes every canonical JSON document whole.  A change that
+  claims to keep every output byte prints the same digest before and after
+  it, on one host: float bytes also depend on the BLAS kernel.
+* ``picks`` hashes only the pick fields of each document (``PICK_FIELDS``),
+  the ones inside the serialized results and CLI outputs included.  Floats
+  that round differently leave it unchanged unless they change a pick.
 
 The ``src/`` next to this script is imported, so copying the script into
 another checkout checks that checkout:
@@ -46,6 +52,12 @@ from adaptok.cli import main as cli_main  # noqa: E402
 
 TAUS = (0.02, 0.5)
 BUDGET = 12
+
+# the decisions a document records: which tokens, in which order, from which stage
+PICK_FIELDS = frozenset({
+    "selected", "stage_of", "coverage_pick_order", "t_sal", "t_cov", "fallback_count",
+    "indices", "pick_order",
+})
 
 
 def _inputs():
@@ -209,16 +221,32 @@ def _cli_docs(workdir: Path):
                "tokens": _sha256(tok), "saliency": _sha256(sal)}
 
 
+def _picks(doc: dict) -> dict:
+    """The ``PICK_FIELDS`` of a document, and of the JSON documents held in
+    its string fields (a serialized result, a CLI's stdout or ``--out``)."""
+    picks = {}
+    for key, value in doc.items():
+        if isinstance(value, str) and value.startswith("{"):
+            value = _picks(json.loads(value))
+            if value:
+                picks[key] = value
+        elif key in PICK_FIELDS:
+            picks[key] = value
+    return picks
+
+
 def main() -> int:
-    digest = hashlib.sha256()
+    digests = {"picks": hashlib.sha256(), "bytes": hashlib.sha256()}
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         for source in (_compress_docs(), _selector_docs(), _allocate_docs(),
                        _cli_docs(Path(tmp))):
             for doc in source:
-                digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                digests["bytes"].update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                digests["picks"].update(json.dumps(_picks(doc), sort_keys=True).encode() + b"\n")
                 count += 1
-    print(f"{digest.hexdigest()}  {count} documents")
+    for name, digest in digests.items():
+        print(f"{name} {digest.hexdigest()}  {count} documents")
     return 0
 
 
