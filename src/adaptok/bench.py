@@ -10,12 +10,12 @@ from .synth import subseed_rng, synth_tokens
 from .tensor_core import _count
 
 
-def _percentiles(values: list[float]) -> dict[str, float]:
-    arr = np.asarray(values)
+def _percentiles(values: list[float]) -> dict:
     return {
-        "p50_us": float(np.percentile(arr, 50)),
-        "p90_us": float(np.percentile(arr, 90)),
-        "max_us": float(arr.max()),
+        "n": len(values),
+        "p50_us": float(np.percentile(values, 50)),
+        "p90_us": float(np.percentile(values, 90)),
+        "max_us": float(max(values)),
     }
 
 
@@ -37,7 +37,7 @@ def run_bench(
     configuration gets one untimed warmup, then ``repeats`` timed runs on
     per-repeat sub-seeded data.  K-directions is varied per repeat so the
     timings cover both saliency- and coverage-heavy splits.  Each span path
-    of ``timings_us`` gets percentiles over the repeats that recorded it.
+    gets percentiles over the ``n`` repeats that ran it (t_cov > 0 for a selector's).
     """
     report = {
         "seed": _count(seed, "seed", 0, error=InvalidInputError),

@@ -88,14 +88,14 @@ def _count(value, name: str, least=None, most=None, error=InvalidBudgetError) ->
     return count
 
 
-def _real(value, name: str, error=InvalidInputError) -> float:
-    """``value`` as a finite float, else ``error``; bools and strings are not numbers."""
+def _real(value, name: str) -> float:
+    """``value`` as a finite float, else InvalidInputError; bools and strings are not numbers."""
     real = np.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with suppress(OverflowError):  # an int beyond the float range stays nan
             real = float(value)
     if not np.isfinite(real):
-        raise error(f"{name}: expected a finite real number, got {value!r}")
+        raise InvalidInputError(f"{name}: expected a finite real number, got {value!r}")
     return real
 
 

@@ -205,6 +205,11 @@ class TestBenchCommand:
         assert span_paths(0) <= {"total", *cfg["phases"]} <= span_paths(1)
         # every span runs inside its call
         assert all(p["max_us"] <= cfg["total"]["max_us"] for p in cfg["phases"].values())
+        # each path counts the repeats it was recorded in; the selector's
+        # spans are missing from a repeat whose split has t_cov == 0
+        assert cfg["total"]["n"] == 2
+        assert all(1 <= p["n"] <= 2 for p in cfg["phases"].values())
+        assert all(cfg["phases"][path]["n"] == 2 for path in span_paths(0) - {"total"})
 
     def test_bad_grid_spec(self, capsys):
         assert main(["bench", "--grid", "12x34"]) == 1
