@@ -38,7 +38,8 @@ _RATIO_MAX = float(np.nextafter(1.0, 0.0))
 
 @dataclass(frozen=True)
 class CompressConfig:
-    """Knobs for one compression run; ``total_budget`` is stored as an int."""
+    """Knobs for one compression run; ``total_budget`` is stored as an int,
+    ``mu`` and ``tau`` as floats."""
 
     total_budget: int
     mu: float = MU_PRESETS["clip"]
@@ -47,9 +48,11 @@ class CompressConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "total_budget", _count(self.total_budget, "total_budget", 1))
-        if not 0.0 < _real(self.mu, "mu") < 1.0:
+        object.__setattr__(self, "mu", _real(self.mu, "mu"))
+        object.__setattr__(self, "tau", _real(self.tau, "tau"))
+        if not 0.0 < self.mu < 1.0:
             raise InvalidInputError(f"mu must lie in (0, 1), got {self.mu}")
-        if not _real(self.tau, "tau") > 0.0:
+        if not self.tau > 0.0:
             raise InvalidInputError(f"tau must be positive, got {self.tau}")
         if self.diversity_method not in DIVERSITY_METHODS:
             raise InvalidInputError(

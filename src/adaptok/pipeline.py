@@ -12,16 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import BudgetSplit, CompressConfig, allocate_budget
-from .prominence import EntropyReport, spectral_entropy
+from .prominence import EntropyReport, _spectral_entropy
 from .selection import (
-    DEFAULT_JITTER,
-    _dpp_kernel,
-    _pick,
-    _pool_unit_kernel,
-    dpp_greedy_map,
-    facility_location_select,
-    fps_select,
-    saliency_topk,
+    _SELECTORS, DEFAULT_JITTER, _dpp_kernel, _pick, _pool_unit_kernel, _token_gram, saliency_topk
 )
 from .tensor_core import _count, _span, as_saliency_vector, as_token_matrix
 
@@ -41,7 +34,7 @@ class SelectionResult:
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
     ``entropy`` and ``entropy/{validate,gram,eigvalsh}``, ``allocation``,
     ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
-    ``stage2/{validate,kernel,greedy}``), ``assemble``, ``diagnostics``.
+    ``stage2/{kernel,greedy}``), ``assemble``, ``diagnostics``.
     """
 
     selected: np.ndarray
@@ -82,6 +75,9 @@ def compress(
     fixed-allocation baselines: the entropy is still computed and reported,
     but it does not influence the split.  ``t_sal`` must be a Python or
     numpy integer in [0, T].
+
+    E is validated once, here; at n < d, stage 2 and the diagnostics read
+    their cosine kernels from the entropy's Gram E E^T (see ``selection``).
     """
     timings: dict[str, float] = {}
     with _span("total", timings):
@@ -93,7 +89,8 @@ def compress(
                 t_sal = _count(t_sal, "t_sal", 0, T)
 
         with _span("entropy"):
-            entropy = spectral_entropy(E)
+            entropy, G = _spectral_entropy(E)
+        G = _token_gram(E, G)
         with _span("allocation"):
             if t_sal is None:
                 split = allocate_budget(entropy.normalized_entropy, config)
@@ -111,16 +108,10 @@ def compress(
         with _span("stage2"):
             with _span("pool"):
                 pool = np.setdiff1d(np.arange(len(E), dtype=np.int64), sal_idx, assume_unique=True)
-            # called by their module-global names, so the benchmark's tracer
-            # can interpose on each selector
             if split.t_cov == 0:
                 pick = _pick(pool, [], [])
-            elif config.diversity_method == "dpp":
-                pick = dpp_greedy_map(E, pool, split.t_cov, saliency=s)
-            elif config.diversity_method == "fps":
-                pick = fps_select(E, pool, split.t_cov)
             else:
-                pick = facility_location_select(E, pool, split.t_cov)
+                pick = _SELECTORS[config.diversity_method](E, pool, split.t_cov, G, s)
 
         with _span("assemble"):
             selected = np.sort(np.concatenate([sal_idx, pick.indices]))
@@ -129,7 +120,7 @@ def compress(
                 STAGE_SALIENCY if i in sal_set else STAGE_COVERAGE for i in selected.tolist()
             ]
         with _span("diagnostics"):
-            diagnostics = _diagnostics(E, selected, pick.indices)
+            diagnostics = _diagnostics(E, G, selected, pick.indices)
             diagnostics["stage2_fallback_count"] = float(pick.fallback_count)
 
     return SelectionResult(
@@ -143,11 +134,11 @@ def compress(
     )
 
 
-def _diagnostics(E: np.ndarray, selected: np.ndarray, cov_idx: np.ndarray) -> dict[str, float]:
+def _diagnostics(E: np.ndarray, G, selected: np.ndarray, cov_idx: np.ndarray) -> dict[str, float]:
     diag: dict[str, float] = {}
 
     if cov_idx.size:
-        sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx))
+        sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx, G))
         # jittered PSD kernel has det >= jitter^k; a nonpositive sign is LU
         # pathology, so clamp to that floor to keep the value finite
         floor = cov_idx.size * np.log(DEFAULT_JITTER)
@@ -156,7 +147,7 @@ def _diagnostics(E: np.ndarray, selected: np.ndarray, cov_idx: np.ndarray) -> di
         diag["coverage_logdet"] = 0.0
 
     if selected.size >= 2:
-        sims = _pool_unit_kernel(E, selected)
+        sims = _pool_unit_kernel(E, selected, G)
         np.fill_diagonal(sims, -np.inf)
         diag["min_pairwise_cosine_distance"] = float(1.0 - sims.max())
 

@@ -69,8 +69,12 @@ def spectral_entropy(tokens) -> EntropyReport:
     no full SVD is needed.  The normalizer is log min(n_tokens, dim).
     Raises DegenerateInputError on an all-zero matrix.
     """
+    return _spectral_entropy(as_token_matrix(tokens))[0]
+
+
+def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray]:
+    """``spectral_entropy`` of a validated E, and the ``_gram(E)`` it decomposed."""
     with _span("validate"):
-        E = as_token_matrix(tokens)
         if not np.any(E):
             raise DegenerateInputError("spectral entropy is undefined for an all-zero matrix")
     with _span("gram"):
@@ -78,7 +82,7 @@ def spectral_entropy(tokens) -> EntropyReport:
     with _span("eigvalsh"):
         lam = _clamped_descending_eigvalsh(G)
     lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
-    return _report(lam, min(E.shape), "spectral")
+    return _report(lam, min(E.shape), "spectral"), G
 
 
 def feature_norm_entropy(tokens) -> EntropyReport:

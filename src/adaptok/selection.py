@@ -12,6 +12,13 @@ from the residual pool with one of three interchangeable selectors:
   s = (cos + 1) / 2, re-evaluating only the candidates on top of a heap of
   stale gain bounds, a few rows per matrix op.
 
+All three read the cosine kernel of the pool rows E[idx] by one rule,
+``_pool_unit_kernel``.  At n < d it is a block of the token Gram G = E E^T,
+which ``compress`` already formed for the entropy, scaled by w_a w_b with
+w = 1 / (sqrt(diag G) + eps); at n >= d it is ``unit @ unit.T`` over the
+normalized rows.  The public selectors form G themselves at n < d, so
+their picks are bitwise those of ``compress``'s stage 2 on the same pool.
+
 Ties are always broken toward the lowest token index, so every selector is
 deterministic.  For facility location, ties are judged on the gains as the
 lazy greedy sums them: exactly duplicated tokens tie in exact arithmetic, so
@@ -26,9 +33,11 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .tensor_core import (
+    DEFAULT_EPSILON,
     _as_float64,
     _check_scores,
     _count,
+    _gram,
     _normalize_rows_raw,
     _span,
     as_saliency_vector,
@@ -66,14 +75,6 @@ def as_index_pool(pool, n_tokens: int) -> np.ndarray:
         if np.any(np.diff(idx) <= 0):
             raise InvalidInputError("pool indices must be strictly increasing")
     return idx
-
-
-def _selector_inputs(tokens, pool, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Validated (E, pool indices, k) for a selector over a pool of E's rows."""
-    with _span("validate"):
-        E = as_token_matrix(tokens)
-        idx = as_index_pool(pool, E.shape[0])
-        return E, idx, _count(k, "k", 0, idx.size)
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,50 @@ def saliency_topk(saliency, k: int) -> np.ndarray:
     return np.sort(order[:k]).astype(np.int64)
 
 
-def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Cosine kernel over the normalized pool rows E[idx]: symmetric PSD,
-    unit diagonal for nonzero rows, zero row and column for zero rows.
+def _token_gram(E: np.ndarray, G: np.ndarray | None = None) -> np.ndarray | None:
+    """E E^T at n < d, where it is ``_gram(E)`` (``G`` if given), else None."""
+    if E.shape[0] >= E.shape[1]:
+        return None
+    return _gram(E) if G is None else G
 
-    E and idx are already validated.  unit @ unit.T hits the BLAS symmetric
-    rank-k path and comes back bitwise symmetric, so no extra
-    symmetrization pass is needed (covered by a regression test).
+
+def _inv_norms(G: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return 1.0 / (np.sqrt(np.diag(G)[idx]) + DEFAULT_EPSILON)
+
+
+def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> np.ndarray:
+    """Cosine kernel of the rows E[idx]: bitwise symmetric PSD, unit
+    diagonal for nonzero rows, zero row and column for zero rows.
+
+    E and idx are already validated, and G is ``_token_gram(E)``.  At n < d
+    it is G[idx][:, idx] * outer(w, w), w = 1 / (sqrt(diag G[idx]) +
+    DEFAULT_EPSILON): one product with a symmetric matrix keeps it bitwise
+    symmetric.  At n >= d it is unit @ unit.T over the normalized rows, which
+    the BLAS symmetric rank-k update returns bitwise symmetric.  Both are
+    covered by regression tests, C order too: facility location reads rows.
     """
-    unit = _normalize_rows_raw(E, idx)
-    return unit @ unit.T
+    if G is None:
+        unit = _normalize_rows_raw(E, idx)
+        return unit @ unit.T
+    w = _inv_norms(G, idx)
+    return G[idx].take(idx, axis=1) * np.multiply.outer(w, w)  # G[idx][:, idx] is F order
 
 
-def _dpp_kernel(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _dpp_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> np.ndarray:
     """Pool cosine kernel plus DEFAULT_JITTER, read at call time, on the diagonal."""
-    L = _pool_unit_kernel(E, idx)
+    L = _pool_unit_kernel(E, idx, G)
     L[np.diag_indices(idx.size)] += DEFAULT_JITTER
     return L
+
+
+def _select(core, tokens, pool, k: int, saliency=None) -> DiversityPick:
+    """A public selector: validate, then run ``core`` on E's token Gram."""
+    E = as_token_matrix(tokens)
+    idx = as_index_pool(pool, E.shape[0])
+    k = _count(k, "k", 0, idx.size)
+    if saliency is not None:
+        saliency = as_saliency_vector(saliency, n_tokens=E.shape[0])
+    return core(E, idx, k, _token_gram(E), saliency) if k else _pick(idx, [], [])
 
 
 def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
@@ -171,15 +199,12 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     with k=6 fills no slot and its last gains are about -22, and zero rows
     are picked in index order at log(1e-10).
     """
-    E, idx, k = _selector_inputs(tokens, pool, k)
-    if saliency is not None:
-        with _span("validate"):
-            saliency = as_saliency_vector(saliency, n_tokens=E.shape[0])
-    if k == 0:
-        return _pick(idx, [], [])
+    return _select(_dpp_greedy, tokens, pool, k, saliency)
 
+
+def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
     with _span("kernel"):
-        L = _dpp_kernel(E, idx)
+        L = _dpp_kernel(E, idx, G)
     with _span("greedy"):
         cis = np.zeros((k, idx.size))
         di2 = np.diag(L).copy()
@@ -222,23 +247,30 @@ def fps_select(tokens, pool, k: int) -> DiversityPick:
     index.  ``gains`` records that max-min distance per pick (inf for the
     seed).
     """
-    E, idx, k = _selector_inputs(tokens, pool, k)
-    if k == 0:
-        return _pick(idx, [], [])
+    return _select(_fps, tokens, pool, k)
 
+
+def _fps(E, idx, k, G, saliency) -> DiversityPick:
     with _span("kernel"):
-        unit = _normalize_rows_raw(E, idx)
+        if G is None:
+            unit = _normalize_rows_raw(E, idx)
+        else:
+            w = _inv_norms(G, idx)
+
+    def cosines(j):  # at n < d bitwise row j of _pool_unit_kernel, as G is symmetric
+        return unit @ unit[j] if G is None else G[idx[j], idx] * (w * w[j])
+
     with _span("greedy"):
         picked = [0]
         gains = [np.inf]
-        min_dist = 1.0 - unit @ unit[0]
+        min_dist = 1.0 - cosines(0)
         min_dist[0] = -np.inf
 
         while len(picked) < k:
             j = int(np.argmax(min_dist))
             picked.append(j)
             gains.append(float(min_dist[j]))
-            min_dist = np.minimum(min_dist, 1.0 - unit @ unit[j])
+            min_dist = np.minimum(min_dist, 1.0 - cosines(j))
             min_dist[j] = -np.inf
 
         return _pick(idx, picked, gains)
@@ -270,13 +302,13 @@ def facility_location_select(tokens, pool, k: int) -> DiversityPick:
     lazy sums round in a different order, and the two may pick different
     copies of a duplicate, with the same F(S) up to rounding.
     """
-    E, idx, k = _selector_inputs(tokens, pool, k)
-    if k == 0:
-        return _pick(idx, [], [])
+    return _select(_facility_location, tokens, pool, k)
 
+
+def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
     with _span("kernel"):
         # in place: no m x m temporaries beyond the kernel itself
-        sim = _pool_unit_kernel(E, idx)
+        sim = _pool_unit_kernel(E, idx, G)
         sim += 1.0
         sim *= 0.5
         np.clip(sim, 0.0, 1.0, out=sim)
@@ -307,3 +339,8 @@ def facility_location_select(tokens, pool, k: int) -> DiversityPick:
             np.maximum(cover, sim[j], out=cover)
 
         return _pick(idx, picked, gains)
+
+
+# compress's stage 2 by diversity method: each core takes validated (E, pool,
+# k >= 1), _token_gram(E) and the saliency, which only DPP's rank fill reads
+_SELECTORS = {"dpp": _dpp_greedy, "fps": _fps, "facility_location": _facility_location}

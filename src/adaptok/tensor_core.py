@@ -89,8 +89,11 @@ def _count(value, name: str, least=None, most=None, error=InvalidBudgetError) ->
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a finite float, else InvalidInputError; bools and strings are not numbers."""
+    """``value`` as a finite float, else InvalidInputError; bools and strings
+    are not numbers, and a 0-d array counts only with a real numeric dtype."""
     real = np.nan
+    if isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf":
+        value = value.item()
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with suppress(OverflowError):  # an int beyond the float range stays nan
             real = float(value)

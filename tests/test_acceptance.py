@@ -36,7 +36,7 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok.cli import main as cli_main
-from adaptok.selection import _dpp_kernel
+from adaptok.selection import _dpp_kernel, _token_gram
 
 
 @contextmanager
@@ -168,7 +168,7 @@ def test_criterion_4_dpp_correctness():
             assert np.all(np.diff(fast.gains) <= 1e-9)  # monotone marginal gains
 
             _, opt_logdet = brute_force_max_logdet(E, pool, k)
-            sign, greedy_logdet = np.linalg.slogdet(_dpp_kernel(E, fast.indices))
+            sign, greedy_logdet = np.linalg.slogdet(_dpp_kernel(E, fast.indices, _token_gram(E)))
             assert sign > 0
             assert greedy_logdet <= opt_logdet + 1e-9
             ratios.append(math.exp(greedy_logdet - opt_logdet))

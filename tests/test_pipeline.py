@@ -191,6 +191,31 @@ class TestCompressFixed:
             np.testing.assert_array_equal(f.coverage_pick_order, r.coverage_pick_order)
             assert f.diagnostics == r.diagnostics
 
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    @pytest.mark.parametrize(
+        "n, d, k_dir, seed, T",
+        # the second is a corpus input on which facility location's last
+        # pick is a near-tie that the kernel's rounding decides
+        [(576, 1024, 256, 11, 128), (24, 40, 6, 3, 12), (64, 64, 16, 11, 16),
+         (96, 64, 16, 11, 24)],
+        ids=["n<d", "n<d-near-tie", "n=d", "n>d"],
+    )
+    def test_stage2_picks_are_the_public_selectors(self, method, n, d, k_dir, seed, T):
+        # at n < d stage 2 slices the entropy's Gram and a public selector
+        # forms the same Gram itself, so the picks agree bit for bit
+        tokens, sal = synth_tokens(n, d, k_dir, 1e-3, seed)
+        cfg = CompressConfig(total_budget=T, diversity_method=method)
+        res = compress(tokens, sal, cfg, t_sal=T // 2)
+        pool = np.setdiff1d(np.arange(n), res.saliency_indices)
+        select = {
+            "dpp": lambda *args: dpp_greedy_map(*args, saliency=sal),
+            "fps": fps_select,
+            "facility_location": facility_location_select,
+        }[method]
+        pick = select(tokens, pool, res.split.t_cov)
+        assert res.split.t_cov > 0
+        assert pick.pick_order.tobytes() == res.coverage_pick_order.tobytes()
+
 
 def _assert_nested(timings: dict[str, float]) -> None:
     # the spans under one parent run one after another inside it

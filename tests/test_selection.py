@@ -7,6 +7,7 @@ from oracles import (
     facility_location_lazy_rowwise,
     facility_optimum,
     facility_value,
+    package_kernel,
     pairwise_cosine_naive,
     topk_by_sort,
     verify_fps_order,
@@ -26,6 +27,7 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok import selection
+from adaptok.tensor_core import DEFAULT_EPSILON
 
 E1_E1_E2 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -101,46 +103,75 @@ def test_pool_validation(select, rng):
         select(E, [0, 4], 1)
 
 
+# tall, square and wide: the kernel rule slices E E^T only at n < d
+KERNEL_SHAPES = [(8, 5), (30, 20), (6, 6), (5, 8), (20, 30)]
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+def _pool_of(rng, n):
+    return np.sort(rng.choice(n, size=max(2, 3 * n // 4), replace=False))
+
+
 class TestCosineKernel:
     def test_orthogonal_rows_give_identity(self):
-        L = selection._pool_unit_kernel(np.eye(3), np.arange(3))
+        L = package_kernel(np.eye(3), np.arange(3))
         np.testing.assert_allclose(L, np.eye(3), atol=1e-9)
 
     def test_duplicate_rows_give_unit_similarity(self):
-        L = selection._pool_unit_kernel(E1_E1_E2, np.arange(3))
-        np.testing.assert_allclose(L[0, 1], 1.0, atol=1e-9)
+        for E in (E1_E1_E2, np.hstack([E1_E1_E2, np.zeros((3, 2))])):  # n > d, n < d
+            L = package_kernel(E, np.arange(3))
+            np.testing.assert_allclose(L[0, 1], 1.0, atol=1e-9)
 
-    def test_unit_diagonal(self, rng):
-        E = rng.standard_normal((10, 6))
-        L = selection._pool_unit_kernel(E, np.arange(10))
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=_shape_id)
+    def test_unit_diagonal(self, rng, shape):
+        L = package_kernel(rng.standard_normal(shape), np.arange(shape[0]))
         np.testing.assert_allclose(np.diag(L), 1.0, atol=1e-6)
 
-    def test_matches_naive_pair_loop(self, rng):
-        E = rng.standard_normal((8, 5))
-        pool = np.array([0, 2, 3, 7])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=_shape_id)
+    def test_matches_naive_pair_loop(self, rng, shape):
+        E = rng.standard_normal(shape)
+        pool = _pool_of(rng, shape[0])
         np.testing.assert_allclose(
-            selection._pool_unit_kernel(E, pool), pairwise_cosine_naive(E, pool), atol=1e-10
+            package_kernel(E, pool), pairwise_cosine_naive(E, pool), rtol=0, atol=1e-12
         )
 
-    def test_exactly_symmetric(self, rng):
-        # the kernel relies on the BLAS rank-k path being bitwise symmetric;
-        # if a numpy upgrade breaks that, this must fail loudly
-        for shape in [(6, 4), (50, 16), (300, 64)]:
-            E = rng.standard_normal(shape)
-            L = selection._pool_unit_kernel(E, np.arange(shape[0]))
-            assert np.array_equal(L, L.T)
+    @pytest.mark.parametrize(
+        "shape", KERNEL_SHAPES + [(300, 64), (64, 300), (576, 1024)], ids=_shape_id
+    )
+    def test_exactly_symmetric(self, rng, shape):
+        # facility location reads rows of the kernel as its columns, fast
+        # only in C order; if a numpy upgrade breaks either, this must fail loudly
+        E = rng.standard_normal(shape)
+        for pool in (np.arange(shape[0]), _pool_of(rng, shape[0])):
+            L = package_kernel(E, pool)
+            assert np.array_equal(L, L.T) and L.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "shape", [s for s in KERNEL_SHAPES if s[0] >= s[1]] + [(300, 64)], ids=_shape_id
+    )
+    def test_kernel_at_n_ge_d_is_the_normalized_rank_k_product(self, rng, shape):
+        E = rng.standard_normal(shape)
+        pool = _pool_of(rng, shape[0])
+        rows = E[pool]
+        unit = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + DEFAULT_EPSILON)
+        assert package_kernel(E, pool).tobytes() == (unit @ unit.T).tobytes()
 
     def test_psd(self, rng):
         for _ in range(20):
-            E = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 8))))
-            L = selection._pool_unit_kernel(E, np.arange(E.shape[0]))
+            E = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 12))))
+            L = package_kernel(E, np.arange(E.shape[0]))
             assert np.linalg.eigvalsh(L).min() >= -1e-8
 
-    def test_zero_rows_allowed(self):
-        E = np.zeros((3, 2))
-        E[0] = [1.0, 0.0]
-        L = selection._pool_unit_kernel(E, np.arange(3))
-        assert L[1, 1] == 0.0 and L[0, 0] > 0.999
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=_shape_id)
+    def test_zero_rows_give_zero_row_and_column(self, rng, shape):
+        E = rng.standard_normal(shape)
+        E[[1, 3]] = 0.0
+        L = package_kernel(E, np.arange(shape[0]))
+        assert not L[[1, 3]].any() and not L[:, [1, 3]].any()
+        np.testing.assert_allclose(np.delete(np.diag(L), [1, 3]), 1.0, atol=1e-9)
 
 
 class TestDppGreedyMap:
@@ -243,7 +274,9 @@ class TestBruteForceMaxLogdet:
             pool = np.arange(n)
             greedy = dpp_greedy_map(E, pool, k)
             _, opt = brute_force_max_logdet(E, pool, k)
-            _, greedy_logdet = np.linalg.slogdet(selection._dpp_kernel(E, greedy.indices))
+            _, greedy_logdet = np.linalg.slogdet(
+                selection._dpp_kernel(E, greedy.indices, selection._token_gram(E))
+            )
             assert opt >= greedy_logdet - 1e-9
 
     def test_k_zero(self, rng):

@@ -220,9 +220,12 @@ _REAL_ENTRIES = [
 
 class TestRealBoundary:
     @pytest.mark.parametrize(
-        "bad", ["0.5", "x", None, True, np.False_, 0.5 + 0j, np.nan, np.inf, 10**400],
+        "bad", ["0.5", "x", None, True, np.False_, 0.5 + 0j, np.nan, np.inf, 10**400,
+                np.array(True), np.array(0.5 + 0j), np.array(0.5, dtype=object),
+                np.array("0.5"), np.array(np.nan), np.array(np.inf), np.array([0.5])],
         ids=["numeric-str", "str", "none", "bool", "numpy-bool", "complex", "nan", "inf",
-             "huge-int"],
+             "huge-int", "0d-bool", "0d-complex", "0d-object", "0d-str", "0d-nan", "0d-inf",
+             "1d"],
     )
     @pytest.mark.parametrize(
         "call", [entry[1] for entry in _REAL_ENTRIES], ids=[entry[0] for entry in _REAL_ENTRIES]
@@ -231,12 +234,22 @@ class TestRealBoundary:
         with pytest.raises(InvalidInputError):
             call(bad)
 
-    @pytest.mark.parametrize("good", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2)])
+    # a 0-d real array counts, as a 0-d integer array counts for _count
+    @pytest.mark.parametrize(
+        "good", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.array(0.5),
+                 np.array(0.5, dtype=np.float32)]
+    )
     @pytest.mark.parametrize(
         "call", [entry[1] for entry in _REAL_ENTRIES], ids=[entry[0] for entry in _REAL_ENTRIES]
     )
     def test_real_numbers_are_accepted(self, call, good):
         call(good)
+
+    def test_config_stores_the_checked_floats(self):
+        # a 0-d array kept as given would leave the frozen config unhashable
+        cfg = CompressConfig(4, mu=np.array(0.5), tau=np.float32(0.5))
+        assert type(cfg.mu) is float and type(cfg.tau) is float
+        assert hash(cfg) == hash(CompressConfig(4, mu=0.5, tau=0.5))
 
 
 class TestCountBoundary:

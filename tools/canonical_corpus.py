@@ -14,12 +14,18 @@ order, each followed by their count:
   the ones inside the serialized results and CLI outputs included.  Floats
   that round differently leave it unchanged unless they change a pick.
 
+With ``--per-doc`` it first prints one line per document: its index, its
+labels (``LABEL_FIELDS``), and the first 16 hex digits of the ``picks`` and
+the ``bytes`` digest of that document alone.  Diffing two such listings
+names the documents a change moved.
+
 The ``src/`` next to this script is imported, so copying the script into
 another checkout checks that checkout:
 
-    python3 tools/canonical_corpus.py
+    python3 tools/canonical_corpus.py [--per-doc]
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -58,6 +64,9 @@ PICK_FIELDS = frozenset({
     "selected", "stage_of", "coverage_pick_order", "t_sal", "t_cov", "fallback_count",
     "indices", "pick_order",
 })
+# the fields that name a document rather than record an output
+LABEL_FIELDS = ("kind", "input", "method", "preset", "tau", "t_sal", "pool", "k", "selector",
+                "argv")
 
 
 def _inputs():
@@ -235,15 +244,30 @@ def _picks(doc: dict) -> dict:
     return picks
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--per-doc", action="store_true",
+                        help="also print each document's labels and digests")
+    args = parser.parse_args(argv)
     digests = {"picks": hashlib.sha256(), "bytes": hashlib.sha256()}
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         for source in (_compress_docs(), _selector_docs(), _allocate_docs(),
                        _cli_docs(Path(tmp))):
             for doc in source:
-                digests["bytes"].update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-                digests["picks"].update(json.dumps(_picks(doc), sort_keys=True).encode() + b"\n")
+                lines = {
+                    "picks": json.dumps(_picks(doc), sort_keys=True).encode() + b"\n",
+                    "bytes": json.dumps(doc, sort_keys=True).encode() + b"\n",
+                }
+                for name, line in lines.items():
+                    digests[name].update(line)
+                if args.per_doc:
+                    labels = {key: doc[key] for key in LABEL_FIELDS if key in doc}
+                    own = " ".join(
+                        f"{name} {hashlib.sha256(line).hexdigest()[:16]}"
+                        for name, line in lines.items()
+                    )
+                    print(f"{count} {json.dumps(labels, sort_keys=True)} {own}")
                 count += 1
     for name, digest in digests.items():
         print(f"{name} {digest.hexdigest()}  {count} documents")
