@@ -5,9 +5,12 @@ attention term over the full prefill length L = visual + text tokens:
 
     FLOPs ~= 2 * n_params * L  +  4 * n_layers * L^2 * hidden_dim
 
-KV-cache size assumes K and V per layer at fp16.
+KV-cache size assumes K and V per layer at fp16.  An estimate beyond the
+float64 range raises InvalidInputError rather than giving inf.
 """
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -42,7 +45,14 @@ LLAVA_NEXT_7B = ModelCostSpec(
 def estimate_prefill_flops(seq_visual: int, spec: ModelCostSpec) -> float:
     """Estimated dense-prefill FLOPs for a given visual token count."""
     length = _count(seq_visual, "seq_visual", 0, error=InvalidInputError) + spec.text_tokens
-    return 2.0 * spec.n_params * length + 4.0 * spec.n_layers * length * length * spec.hidden_dim
+    flops = math.inf
+    with suppress(OverflowError):  # a count beyond the float range stays inf
+        flops = (
+            2.0 * spec.n_params * length + 4.0 * spec.n_layers * length * length * spec.hidden_dim
+        )
+    if not math.isfinite(flops):
+        raise InvalidInputError("the prefill FLOPs estimate overflows float64")
+    return flops
 
 
 def estimate_kv_cache_bytes(seq_visual: int, spec: ModelCostSpec) -> int:

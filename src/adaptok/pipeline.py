@@ -32,7 +32,7 @@ class SelectionResult:
     only; wall-clock timings live in ``timings_us`` and are excluded from
     serialization and equality so repeated runs stay bit-identical.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
-    ``entropy`` and ``entropy/{validate,gram,eigvalsh}``, ``allocation``,
+    ``entropy`` and ``entropy/{gram,eigvalsh}``, ``allocation``,
     ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
     ``stage2/{kernel,greedy}``), ``assemble``, ``diagnostics``.
     """

@@ -9,6 +9,8 @@ comparison studies.
 
 All entropies use the natural log; normalization by the log of the support
 size makes the normalized value base-independent and confined to [0, 1].
+An entropy needs a positive, finite total mass; ``_report`` is the one check,
+so a mass that is zero, underflows or overflows raises, never gives 0 or NaN.
 """
 
 from dataclasses import dataclass
@@ -45,8 +47,12 @@ def _shannon(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum() + 0.0)
 
 
-def _report(mass: np.ndarray, support: int, metric: str) -> EntropyReport:
+def _report(
+    mass: np.ndarray, support: int, metric: str, error=DegenerateInputError
+) -> EntropyReport:
     total = mass.sum()
+    if not 0.0 < total < np.inf:
+        raise error(f"{metric} entropy needs a positive, finite total mass, got {total}")
     p = mass[mass > 0] / total
     raw = _shannon(p)
     normalizer = float(np.log(support)) if support > 1 else 0.0
@@ -67,16 +73,13 @@ def spectral_entropy(tokens) -> EntropyReport:
 
     The squared singular values are the eigenvalues of the Gram matrix, so
     no full SVD is needed.  The normalizer is log min(n_tokens, dim).
-    Raises DegenerateInputError on an all-zero matrix.
+    Raises DegenerateInputError when the Gram is all zero or overflows.
     """
     return _spectral_entropy(as_token_matrix(tokens))[0]
 
 
 def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray]:
     """``spectral_entropy`` of a validated E, and the ``_gram(E)`` it decomposed."""
-    with _span("validate"):
-        if not np.any(E):
-            raise DegenerateInputError("spectral entropy is undefined for an all-zero matrix")
     with _span("gram"):
         G = _gram(E)
     with _span("eigvalsh"):
@@ -88,10 +91,7 @@ def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray]:
 def feature_norm_entropy(tokens) -> EntropyReport:
     """Entropy of the distribution of per-token feature L2 norms."""
     E = as_token_matrix(tokens)
-    norms = np.linalg.norm(E, axis=1)
-    if norms.sum() <= 0.0:
-        raise DegenerateInputError("feature norm entropy is undefined for an all-zero matrix")
-    return _report(norms, E.shape[0], "feature_norm")
+    return _report(np.linalg.norm(E, axis=1), E.shape[0], "feature_norm")
 
 
 def attention_entropy(saliency) -> EntropyReport:
@@ -99,9 +99,7 @@ def attention_entropy(saliency) -> EntropyReport:
 
     Expects the already head-reduced saliency vector (see
     ``selection.reduce_head_attention``); raises InvalidInputError on
-    negative entries or zero total mass.
+    negative entries, or on a total mass that is zero or overflows.
     """
     s = as_saliency_vector(saliency)
-    if s.sum() <= 0.0:
-        raise InvalidInputError("attention entropy requires positive total attention mass")
-    return _report(s, s.shape[0], "attention")
+    return _report(s, s.shape[0], "attention", error=InvalidInputError)

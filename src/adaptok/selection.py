@@ -119,7 +119,9 @@ def reduce_head_attention(head_scores) -> np.ndarray:
         raise InvalidInputError(f"head scores must be H x N with H >= 1, got shape {A.shape}")
     # per-head entries, not just the mean, must be valid scores
     _check_scores(A, "head scores")
-    return A.mean(axis=0)
+    mean = A.mean(axis=0)
+    _check_scores(mean, "the mean over heads")  # finite scores can sum past float64
+    return mean
 
 
 def saliency_topk(saliency, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import InvalidBudgetError, InvalidInputError
+from .errors import DegenerateInputError, InvalidBudgetError, InvalidInputError
 
 DEFAULT_EPSILON = 1e-12
 
@@ -135,7 +135,10 @@ def _gram(E: np.ndarray) -> np.ndarray:
 
 
 def _clamped_descending_eigvalsh(G: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(G)
+    try:
+        lam = np.linalg.eigvalsh(G)
+    except np.linalg.LinAlgError:  # LAPACK does not converge on a G that overflowed to inf
+        raise DegenerateInputError("the eigensolve did not converge: the Gram overflows") from None
     return np.clip(lam[::-1], 0.0, None)
 
 

@@ -259,9 +259,8 @@ def span_paths(t_cov: int) -> set[str]:
     """The ``timings_us`` keys of a ``compress`` call, written out by hand:
     the selector's own spans appear only when it runs (t_cov > 0)."""
     paths = {
-        "total", "validate", "entropy", "entropy/validate", "entropy/gram",
-        "entropy/eigvalsh", "allocation", "stage1", "stage2", "stage2/pool",
-        "assemble", "diagnostics",
+        "total", "validate", "entropy", "entropy/gram", "entropy/eigvalsh",
+        "allocation", "stage1", "stage2", "stage2/pool", "assemble", "diagnostics",
     }
     if t_cov > 0:
         paths |= {"stage2/kernel", "stage2/greedy"}

@@ -258,7 +258,7 @@ class TestTimings:
         assert _SPANS.get() is None
 
     def test_raising_compress_leaves_no_recording(self):
-        # raised inside the nested entropy/validate span
+        # raised inside the entropy span, once its nested spans have closed
         with pytest.raises(DegenerateInputError):
             compress(np.zeros((8, 4)), np.ones(8), CompressConfig(total_budget=4, **CLIP))
         assert _SPANS.get() is None

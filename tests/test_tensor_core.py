@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from fractions import Fraction
@@ -14,15 +15,18 @@ from adaptok import (
     ModelCostSpec,
     allocate_budget,
     as_token_matrix,
+    attention_entropy,
     compress,
     dpp_greedy_map,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
     facility_location_select,
+    feature_norm_entropy,
     fps_select,
     reduce_head_attention,
     saliency_topk,
     selection,
+    spectral_entropy,
     subseed_rng,
     synth_tokens,
 )
@@ -250,6 +254,95 @@ class TestRealBoundary:
         cfg = CompressConfig(4, mu=np.array(0.5), tau=np.float32(0.5))
         assert type(cfg.mu) is float and type(cfg.tau) is float
         assert hash(cfg) == hash(CompressConfig(4, mu=0.5, tau=0.5))
+
+
+_WIDE, _WIDE_S = synth_tokens(6, 10, 2, 1e-3, 0)
+_SHAPES = {"tall": (_E, _S), "wide": (_WIDE, _WIDE_S)}
+_METHODS = ("dpp", "fps", "facility_location")
+
+
+def _compress_scaled(method, shape, scale):
+    E, s = _SHAPES[shape]
+    return compress(E * scale, s, CompressConfig(total_budget=4, diversity_method=method))
+
+
+# finite inputs whose mass, Gram or estimate leaves the float64 range inside
+# the call, plus the all-zero inputs: (name, call, the category it raises).
+# Public selectors at these scales are ROADMAP item 4's, not this table's
+_MAGNITUDE_ENTRIES = [
+    *[(f"spectral_entropy-{shape}-x{scale:g}",
+       lambda shape=shape, scale=scale: spectral_entropy(_SHAPES[shape][0] * scale),
+       "degenerate-input")
+      for shape in _SHAPES for scale in (1e160, 1e-170, 0.0)],
+    ("feature_norm_entropy-x1e300", lambda: feature_norm_entropy(_E * 1e300), "degenerate-input"),
+    ("feature_norm_entropy-zero", lambda: feature_norm_entropy(_E * 0.0), "degenerate-input"),
+    ("attention_entropy-1e308", lambda: attention_entropy(np.full(4, 1e308)), "invalid-input"),
+    ("attention_entropy-zero", lambda: attention_entropy(np.zeros(4)), "invalid-input"),
+    *[(f"compress-{method}-{shape}-x{scale:g}",
+       lambda method=method, shape=shape, scale=scale: _compress_scaled(method, shape, scale),
+       "degenerate-input")
+      for method in _METHODS for shape in _SHAPES for scale in (1e160, 1e-170, 0.0)],
+    ("reduce_head_attention-1e308", lambda: reduce_head_attention(np.full((3, 4), 1e308)),
+     "invalid-input"),
+    *[(f"estimate_prefill_flops-10**{exp}",
+       lambda exp=exp: estimate_prefill_flops(10**exp, LLAVA_NEXT_7B), "invalid-input")
+      for exp in (200, 400)],
+    ("ModelCostSpec.n_params-10**400",
+     lambda: estimate_prefill_flops(1, ModelCostSpec(**{**_SPEC, "n_params": 10**400})),
+     "invalid-input"),
+]
+
+# the same entries just inside the range, which must still give a result
+_IN_RANGE_ENTRIES = [
+    ("spectral_entropy-tall-x1e150", lambda: spectral_entropy(_E * 1e150)),
+    ("spectral_entropy-wide-x1e-150", lambda: spectral_entropy(_WIDE * 1e-150)),
+    ("feature_norm_entropy-x1e150", lambda: feature_norm_entropy(_E * 1e150)),
+    ("attention_entropy-1e307", lambda: attention_entropy(np.full(4, 1e307))),
+    *[(f"compress-{method}-{shape}-x{scale:g}",
+       lambda method=method, shape=shape, scale=scale: _compress_scaled(method, shape, scale))
+      for method in _METHODS for shape in _SHAPES for scale in (1e150, 1e-150)],
+    ("reduce_head_attention-1e307", lambda: reduce_head_attention(np.full((3, 4), 1e307))),
+    ("estimate_prefill_flops-10**100", lambda: estimate_prefill_flops(10**100, LLAVA_NEXT_7B)),
+]
+
+
+def _floats_finite(result) -> bool:
+    """Whether every float in a result (a dataclass, dict, array or scalar) is finite."""
+    if dataclasses.is_dataclass(result):
+        result = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    if isinstance(result, dict):
+        return all(_floats_finite(value) for value in result.values())
+    arr = np.asarray(result)
+    return arr.dtype.kind != "f" or bool(np.all(np.isfinite(arr)))
+
+
+# numpy warns as a product or a sum overflows, before the package raises
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestMagnitudeBoundary:
+    @pytest.mark.parametrize(
+        "call, category",
+        [entry[1:] for entry in _MAGNITUDE_ENTRIES],
+        ids=[entry[0] for entry in _MAGNITUDE_ENTRIES],
+    )
+    def test_out_of_range_mass_raises_its_category(self, call, category):
+        with pytest.raises(AdaptokError) as info:
+            call()
+        assert info.value.category == category
+
+    @pytest.mark.parametrize(
+        "call",
+        [entry[1] for entry in _IN_RANGE_ENTRIES],
+        ids=[entry[0] for entry in _IN_RANGE_ENTRIES],
+    )
+    def test_in_range_result_is_finite(self, call):
+        assert _floats_finite(call())
+
+    @pytest.mark.parametrize("exp", [200, 400])
+    def test_cli_flops_overflow_is_one_json_error_line(self, capsys, exp):
+        assert main(["flops", "--seq-visual", str(10**exp)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["category"] == "invalid-input"
 
 
 class TestCountBoundary:
