@@ -160,9 +160,10 @@ def selection_result_from_json(text: str) -> SelectionResult:
     if schema != RESULT_SCHEMA:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
+        selected = _indices(doc["selected"], "selected")
+        stage_of = [str(s) for s in doc["stage_of"]]
         result = SelectionResult(
-            selected=_indices(doc["selected"], "selected"),
-            stage_of=[str(s) for s in doc["stage_of"]],
+            selected=selected,
             split=_from_fields(BudgetSplit, doc),
             entropy=_from_fields(EntropyReport, doc["entropy"]),
             coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
@@ -174,16 +175,16 @@ def selection_result_from_json(text: str) -> SelectionResult:
         KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError
     ) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
-    selected, stage_of, split = result.selected, result.stage_of, result.split
     if not set(stage_of) <= {STAGE_SALIENCY, STAGE_COVERAGE}:
         raise FormatError("stage_of labels must be 'saliency' or 'coverage'")
     if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
         raise FormatError("selected must be strictly increasing nonnegative indices")
-    if not selected.size == len(stage_of) == split.t_sal + split.t_cov:
+    if not selected.size == len(stage_of) == result.split.t_sal + result.split.t_cov:
         raise FormatError("selected and stage_of must both have t_sal + t_cov entries")
-    if stage_of.count(STAGE_SALIENCY) != split.t_sal:
+    if stage_of.count(STAGE_SALIENCY) != result.split.t_sal:
         raise FormatError("stage_of must hold t_sal saliency labels")
-    if not np.array_equal(np.sort(result.coverage_pick_order), result.coverage_indices):
+    coverage = selected[[s == STAGE_COVERAGE for s in stage_of]]
+    if not np.array_equal(np.sort(result.coverage_pick_order), coverage):
         raise FormatError("coverage_pick_order is not a permutation of the coverage picks")
     return result
 

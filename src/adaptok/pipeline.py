@@ -27,10 +27,10 @@ class SelectionResult:
     """Selected token set with provenance and diagnostics.
 
     ``selected`` is ascending (original spatial order); the greedy order of
-    the coverage stage is kept in ``coverage_pick_order``.  ``stage_of`` is
-    aligned with ``selected``.  ``diagnostics`` holds deterministic scalars
-    only; wall-clock timings live in ``timings_us`` and are excluded from
-    serialization and equality so repeated runs stay bit-identical.
+    the coverage stage is kept in ``coverage_pick_order``.  ``stage_of``,
+    aligned with ``selected``, and the per-stage indices derive from both.
+    ``diagnostics`` holds deterministic scalars only; wall-clock timings in
+    ``timings_us`` are left out of serialization and equality, so both are bit-stable.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
     ``entropy`` and ``entropy/{gram,eigvalsh}``, ``allocation``,
     ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
@@ -38,7 +38,6 @@ class SelectionResult:
     """
 
     selected: np.ndarray
-    stage_of: list[str]
     split: BudgetSplit
     entropy: EntropyReport
     coverage_pick_order: np.ndarray
@@ -46,19 +45,23 @@ class SelectionResult:
     timings_us: dict[str, float] = field(default_factory=dict)
 
     @property
+    def stage_of(self) -> list[str]:
+        is_cov = np.isin(self.selected, self.coverage_pick_order).tolist()
+        return [STAGE_COVERAGE if c else STAGE_SALIENCY for c in is_cov]
+
+    @property
     def saliency_indices(self) -> np.ndarray:
-        return self.selected[[s == STAGE_SALIENCY for s in self.stage_of]]
+        return np.setdiff1d(self.selected, self.coverage_pick_order, assume_unique=True)
 
     @property
     def coverage_indices(self) -> np.ndarray:
-        return self.selected[[s == STAGE_COVERAGE for s in self.stage_of]]
+        return np.sort(self.coverage_pick_order)
 
 
 def selection_results_equal(a: SelectionResult, b: SelectionResult) -> bool:
     """Deterministic-field equality (timings are run-dependent and ignored)."""
     return (
         np.array_equal(a.selected, b.selected)
-        and a.stage_of == b.stage_of
         and a.split == b.split
         and a.entropy == b.entropy
         and np.array_equal(a.coverage_pick_order, b.coverage_pick_order)
@@ -114,18 +117,13 @@ def compress(
                 pick = _SELECTORS[config.diversity_method](E, pool, split.t_cov, G, s)
 
         with _span("assemble"):
-            selected = np.sort(np.concatenate([sal_idx, pick.indices]))
-            sal_set = set(sal_idx.tolist())
-            stage_of = [
-                STAGE_SALIENCY if i in sal_set else STAGE_COVERAGE for i in selected.tolist()
-            ]
+            selected = np.sort(np.concatenate([sal_idx, pick.pick_order]))
         with _span("diagnostics"):
             diagnostics = _diagnostics(E, G, selected, pick.indices)
             diagnostics["stage2_fallback_count"] = float(pick.fallback_count)
 
     return SelectionResult(
         selected=selected,
-        stage_of=stage_of,
         split=split,
         entropy=entropy,
         coverage_pick_order=pick.pick_order,

@@ -50,7 +50,8 @@ def _shannon(p: np.ndarray) -> float:
 def _report(
     mass: np.ndarray, support: int, metric: str, error=DegenerateInputError
 ) -> EntropyReport:
-    total = mass.sum()
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        total = mass.sum()
     if not 0.0 < total < np.inf:
         raise error(f"{metric} entropy needs a positive, finite total mass, got {total}")
     p = mass[mass > 0] / total
@@ -91,7 +92,9 @@ def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray]:
 def feature_norm_entropy(tokens) -> EntropyReport:
     """Entropy of the distribution of per-token feature L2 norms."""
     E = as_token_matrix(tokens)
-    return _report(np.linalg.norm(E, axis=1), E.shape[0], "feature_norm")
+    with np.errstate(over="ignore"):  # an inf norm makes an inf mass, which _report refuses
+        norms = np.linalg.norm(E, axis=1)
+    return _report(norms, E.shape[0], "feature_norm")
 
 
 def attention_entropy(saliency) -> EntropyReport:

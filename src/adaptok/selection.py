@@ -88,10 +88,13 @@ class DiversityPick:
     number of slots filled past the kernel's numerical rank (DPP only).
     """
 
-    indices: np.ndarray
     pick_order: np.ndarray
     gains: np.ndarray = field(default_factory=lambda: np.empty(0))
     fallback_count: int = 0
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.sort(self.pick_order)
 
 
 def _pick(
@@ -100,7 +103,6 @@ def _pick(
     """DiversityPick from pool positions ``picked`` in greedy order."""
     order = idx[np.asarray(picked, dtype=np.int64)]
     return DiversityPick(
-        indices=np.sort(order),
         pick_order=order,
         gains=np.asarray(gains, dtype=np.float64),
         fallback_count=fallback_count,
@@ -119,8 +121,9 @@ def reduce_head_attention(head_scores) -> np.ndarray:
         raise InvalidInputError(f"head scores must be H x N with H >= 1, got shape {A.shape}")
     # per-head entries, not just the mean, must be valid scores
     _check_scores(A, "head scores")
-    mean = A.mean(axis=0)
-    _check_scores(mean, "the mean over heads")  # finite scores can sum past float64
+    with np.errstate(over="ignore"):  # finite scores can sum past float64
+        mean = A.mean(axis=0)
+    _check_scores(mean, "the mean over heads")
     return mean
 
 
@@ -288,8 +291,8 @@ def facility_location_select(tokens, pool, k: int) -> DiversityPick:
 
     Accelerated greedy (Minoux 1978): by submodularity a candidate's gain
     can only shrink as the cover grows, so a gain computed at an earlier
-    step is an upper bound now.  Candidates wait in a heap keyed
-    ``(-bound, position)``, and the top one is picked once its bound is
+    step is an upper bound now.  Candidates wait in a heap of ``(-bound,
+    position, step computed)``, and the top one is picked once its bound is
     current, so among equal gains the lowest position wins.  While the top
     is stale, up to ``_FL_STALE_BATCH`` stale entries are popped from the
     top and re-evaluated in one row op, then pushed back.  Every bound
@@ -318,24 +321,22 @@ def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
     with _span("greedy"):
         # step-1 gains are exact (the cover is empty), so every bound starts
         # current; sim is bitwise symmetric, so sim[j] is candidate j's column
-        heap = [(-g, j) for j, g in enumerate(sim.sum(axis=0).tolist())]
+        heap = [(-g, j, 0) for j, g in enumerate(sim.sum(axis=0).tolist())]
         heapq.heapify(heap)
-        fresh_at = [0] * idx.size  # step at which each bound was computed
         cover = np.zeros(idx.size)
         picked: list[int] = []
         gains: list[float] = []
 
         for step in range(k):
-            while fresh_at[heap[0][1]] != step:
+            while heap[0][2] != step:
                 stale = [heapq.heappop(heap)[1]]
-                while len(stale) < _FL_STALE_BATCH and heap and fresh_at[heap[0][1]] != step:
+                while len(stale) < _FL_STALE_BATCH and heap and heap[0][2] != step:
                     stale.append(heapq.heappop(heap)[1])
                 # each row of the batched sum is bitwise that row's 1-D sum (tested)
                 fresh = np.maximum(sim[stale] - cover, 0.0).sum(axis=1)
                 for j, gain in zip(stale, fresh.tolist()):
-                    fresh_at[j] = step
-                    heapq.heappush(heap, (-gain, j))
-            neg_gain, j = heapq.heappop(heap)
+                    heapq.heappush(heap, (-gain, j, step))
+            neg_gain, j, _ = heapq.heappop(heap)
             picked.append(j)
             gains.append(-neg_gain)
             np.maximum(cover, sim[j], out=cover)

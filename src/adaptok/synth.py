@@ -29,8 +29,9 @@ def synth_tokens(
     """Generate an (n, d) token matrix and a length-n saliency vector.
 
     ``k_directions`` must lie in [1, min(n, d)]; ``noise`` is the isotropic
-    perturbation scale applied to both rows and saliency.  Identical seeds
-    produce identical outputs.
+    perturbation scale applied to both rows and saliency, and one large
+    enough to make either non-finite is refused.  Identical seeds produce
+    identical outputs.
     """
     n = _count(n, "n", 1, error=InvalidInputError)
     d = _count(d, "d", 1, error=InvalidInputError)
@@ -51,14 +52,18 @@ def synth_tokens(
     admix /= admix.sum(axis=1, keepdims=True)
     weights = (1.0 - MIX) * assign + MIX * admix
 
-    rows = weights @ basis.T
-    if noise > 0.0:
-        rows = rows + noise * rng.standard_normal((n, d))
+    # a noise scale near the float64 limit overflows; the result is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = weights @ basis.T
+        if noise > 0.0:
+            rows = rows + noise * rng.standard_normal((n, d))
 
-    alignment = rows @ basis[:, 0]
-    if noise > 0.0:
-        alignment = alignment + noise * rng.standard_normal(n)
+        alignment = rows @ basis[:, 0]
+        if noise > 0.0:
+            alignment = alignment + noise * rng.standard_normal(n)
     saliency = np.clip(alignment, 0.0, None)
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(saliency))):
+        raise InvalidInputError(f"noise {noise:g} gives tokens or saliency beyond float64")
 
     return rows, saliency
 

@@ -129,9 +129,11 @@ def _gram(E: np.ndarray) -> np.ndarray:
     # E is already validated float64.  The smaller side keeps the
     # eigensolve at O(min(n, d)^3); numpy sends E.T @ E and E @ E.T to the
     # BLAS symmetric rank-k update, which mirrors one triangle, so G comes
-    # back bitwise symmetric (covered by a regression test)
+    # back bitwise symmetric (covered by a regression test).  The entropy's
+    # eigensolve refuses a Gram that overflowed, so numpy's warning is silenced
     n, d = E.shape
-    return E.T @ E if d <= n else E @ E.T
+    with np.errstate(over="ignore"):
+        return E.T @ E if d <= n else E @ E.T
 
 
 def _clamped_descending_eigvalsh(G: np.ndarray) -> np.ndarray:

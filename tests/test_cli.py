@@ -211,6 +211,17 @@ class TestBenchCommand:
         assert all(1 <= p["n"] <= 2 for p in cfg["phases"].values())
         assert all(cfg["phases"][path]["n"] == 2 for path in span_paths(0) - {"total"})
 
+    def test_default_grid_times_every_split_kind(self, capsys):
+        assert main(["bench"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(c["n_tokens"], c["dim"], c["budget"]) for c in doc["configs"]] == [
+            (576, 1024, 64), (576, 1024, 128)
+        ]
+        for cfg in doc["configs"]:
+            assert set(cfg["splits"]) == {"saliency_heavy", "midpoint", "coverage_heavy"}
+            assert min(cfg["splits"].values()) >= 1, cfg["splits"]
+            assert sum(cfg["splits"].values()) == cfg["total"]["n"] == doc["repeats"]
+
     def test_bad_grid_spec(self, capsys):
         assert main(["bench", "--grid", "12x34"]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"

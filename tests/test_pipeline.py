@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -63,6 +64,24 @@ class TestCompress:
             cov_set = set(res.coverage_indices.tolist())
             assert not sal_set & cov_set
             assert sal_set | cov_set == set(res.selected.tolist())
+
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    @pytest.mark.parametrize("t_sal", [0, 5, 16])
+    def test_stage_labels_are_derived_from_the_two_stages(self, method, t_sal):
+        # only selected and coverage_pick_order are stored; the labels and
+        # the per-stage index sets are read from them
+        tokens, sal = _instance(k=6)
+        cfg = CompressConfig(total_budget=16, diversity_method=method, **CLIP)
+        res = compress(tokens, sal, cfg, t_sal=t_sal)
+        top = saliency_topk(sal, t_sal)
+        sal_set = set(top.tolist())
+        assert res.stage_of == [
+            "saliency" if i in sal_set else "coverage" for i in res.selected.tolist()
+        ]
+        np.testing.assert_array_equal(res.saliency_indices, top)
+        np.testing.assert_array_equal(res.coverage_indices, np.sort(res.coverage_pick_order))
+        assert res.saliency_indices.dtype == res.coverage_indices.dtype == np.int64
+        assert "stage_of" not in {f.name for f in dataclasses.fields(res)}
 
     @pytest.mark.parametrize(
         "n_tokens,budgets",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import (
@@ -212,6 +214,7 @@ class TestDppGreedyMap:
         assert np.all(np.diff(pick.indices) > 0)
         assert set(pick.indices).issubset(set(pool.tolist()))
         assert sorted(pick.pick_order.tolist()) == pick.indices.tolist()
+        assert "indices" not in {f.name for f in dataclasses.fields(pick)}  # derived
 
     def test_rank_deficient_pool_still_fills_budget(self, rng):
         # with the default jitter the kernel stays PD, so degenerate pools

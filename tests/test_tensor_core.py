@@ -290,6 +290,7 @@ _MAGNITUDE_ENTRIES = [
     ("ModelCostSpec.n_params-10**400",
      lambda: estimate_prefill_flops(1, ModelCostSpec(**{**_SPEC, "n_params": 10**400})),
      "invalid-input"),
+    ("synth_tokens-noise1e308", lambda: synth_tokens(4, 3, 1, 1e308, 0), "invalid-input"),
 ]
 
 # the same entries just inside the range, which must still give a result
@@ -303,6 +304,7 @@ _IN_RANGE_ENTRIES = [
       for method in _METHODS for shape in _SHAPES for scale in (1e150, 1e-150)],
     ("reduce_head_attention-1e307", lambda: reduce_head_attention(np.full((3, 4), 1e307))),
     ("estimate_prefill_flops-10**100", lambda: estimate_prefill_flops(10**100, LLAVA_NEXT_7B)),
+    ("synth_tokens-noise1e300", lambda: dict(zip("Es", synth_tokens(4, 3, 1, 1e300, 0)))),
 ]
 
 
@@ -316,8 +318,9 @@ def _floats_finite(result) -> bool:
     return arr.dtype.kind != "f" or bool(np.all(np.isfinite(arr)))
 
 
-# numpy warns as a product or a sum overflows, before the package raises
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# an overflow inside the call reaches the caller as the package's error,
+# never as numpy's RuntimeWarning, even where warnings are errors
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestMagnitudeBoundary:
     @pytest.mark.parametrize(
         "call, category",
