@@ -8,7 +8,11 @@ payload that is not finite in float32.
 
 Selection results serialize as versioned JSON (``schema: 1``) with sorted
 keys, so a fixed input always produces byte-identical output.  Wall-clock
-timings are deliberately not part of the document.
+timings are deliberately not part of the document.  The reader loads only
+what ``compress`` writes: it checks the stored facts (picks, counts,
+entropy, ratio, diagnostics), then requires the document to equal the one
+its parsed result writes back, so the derived ``stage_of`` labels have one
+rule, the writer's.
 """
 
 import dataclasses
@@ -28,8 +32,8 @@ from .errors import (
     TruncatedPayloadError,
     ValueRangeError,
 )
-from .pipeline import STAGE_COVERAGE, STAGE_SALIENCY, SelectionResult
-from .prominence import EntropyReport
+from .pipeline import SelectionResult
+from .prominence import EntropyReport, _normalized
 from .tensor_core import _as_float64, _count, _real
 
 TOKEN_MAGIC = b"PTM1"
@@ -146,11 +150,13 @@ def selection_result_from_json(text: str) -> SelectionResult:
 
     Only what some ``compress`` call could write loads; anything else
     raises FormatError.  Counts and indices must be integers and the other
-    numbers finite.  ``selected`` (strictly increasing, nonnegative) and
-    ``stage_of`` have ``t_sal + t_cov`` entries, ``t_sal`` labels are
-    ``saliency`` and the rest ``coverage``, and ``coverage_pick_order`` is
-    a permutation of the ``coverage`` picks.  An index beyond the token
-    count N is not caught: N is not in the document.
+    numbers finite.  ``selected`` is strictly increasing and nonnegative
+    with ``t_sal + t_cov`` entries, ``coverage_pick_order`` holds ``t_cov``
+    distinct entries of it, and the entropy, ratio and diagnostics are
+    values ``compress`` computes.  The document must then equal the one the
+    parsed result writes back: ``SelectionResult.stage_of`` is the one rule
+    for the labels, and an unknown key is refused at any level.  An index
+    beyond the token count N is not caught: N is not in the document.
     """
     try:
         doc = json.loads(text)
@@ -161,7 +167,6 @@ def selection_result_from_json(text: str) -> SelectionResult:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
         selected = _indices(doc["selected"], "selected")
-        stage_of = [str(s) for s in doc["stage_of"]]
         result = SelectionResult(
             selected=selected,
             split=_from_fields(BudgetSplit, doc),
@@ -175,18 +180,42 @@ def selection_result_from_json(text: str) -> SelectionResult:
         KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError
     ) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
-    if not set(stage_of) <= {STAGE_SALIENCY, STAGE_COVERAGE}:
-        raise FormatError("stage_of labels must be 'saliency' or 'coverage'")
+    split, order = result.split, result.coverage_pick_order
     if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
         raise FormatError("selected must be strictly increasing nonnegative indices")
-    if not selected.size == len(stage_of) == result.split.t_sal + result.split.t_cov:
-        raise FormatError("selected and stage_of must both have t_sal + t_cov entries")
-    if stage_of.count(STAGE_SALIENCY) != result.split.t_sal:
-        raise FormatError("stage_of must hold t_sal saliency labels")
-    coverage = selected[[s == STAGE_COVERAGE for s in stage_of]]
-    if not np.array_equal(np.sort(result.coverage_pick_order), coverage):
-        raise FormatError("coverage_pick_order is not a permutation of the coverage picks")
+    if selected.size != split.t_sal + split.t_cov:
+        raise FormatError("selected must have t_sal + t_cov entries")
+    if not order.size == np.intersect1d(order, selected).size == split.t_cov:
+        raise FormatError("coverage_pick_order is not a permutation of t_cov entries of selected")
+    _check_stored_values(result)
+    if json.loads(selection_result_to_json(result)) != doc:
+        raise FormatError("selection result document is not the one its fields write back")
     return result
+
+
+def _check_stored_values(result: SelectionResult) -> None:
+    # the values the round trip writes back as they are, checked against
+    # what compress computes: prominence._report's entropy, the split's
+    # ratio, and the diagnostics _diagnostics and compress record
+    entropy, split, diagnostics = result.entropy, result.split, result.diagnostics
+    if entropy.metric != "spectral":
+        raise FormatError(f"entropy metric {entropy.metric!r} is not 'spectral'")
+    if entropy.raw_entropy < 0 or entropy.normalizer < 0:
+        raise FormatError("raw_entropy and normalizer must be nonnegative")
+    if entropy.normalized_entropy != _normalized(entropy.raw_entropy, entropy.normalizer):
+        raise FormatError("entropy.normalized_entropy is not raw_entropy / normalizer in [0, 1]")
+    if split.normalized_entropy != entropy.normalized_entropy:
+        raise FormatError("normalized_entropy differs from entropy.normalized_entropy")
+    if not 0.0 <= split.coverage_ratio <= 1.0:
+        raise FormatError(f"coverage_ratio {split.coverage_ratio} is outside [0, 1]")
+    keys = {"coverage_logdet", "stage2_fallback_count"}
+    if result.selected.size >= 2:
+        keys.add("min_pairwise_cosine_distance")
+    if diagnostics.keys() != keys:
+        raise FormatError(f"diagnostics keys {sorted(diagnostics)} are not {sorted(keys)}")
+    fallback = diagnostics["stage2_fallback_count"]
+    if not (fallback.is_integer() and 0 <= fallback <= split.t_cov):
+        raise FormatError(f"stage2_fallback_count {fallback} is not an integer in [0, t_cov]")
 
 
 def _indices(values, name: str) -> np.ndarray:

@@ -47,6 +47,11 @@ def _shannon(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum() + 0.0)
 
 
+def _normalized(raw: float, normalizer: float) -> float:
+    # raw / normalizer clamped to [0, 1]; 0 for a single-element support
+    return min(max(raw / normalizer, 0.0), 1.0) if normalizer > 0.0 else 0.0
+
+
 def _report(
     mass: np.ndarray, support: int, metric: str, error=DegenerateInputError
 ) -> EntropyReport:
@@ -57,13 +62,9 @@ def _report(
     p = mass[mass > 0] / total
     raw = _shannon(p)
     normalizer = float(np.log(support)) if support > 1 else 0.0
-    if normalizer > 0.0:
-        normalized = min(max(raw / normalizer, 0.0), 1.0)
-    else:
-        normalized = 0.0
     return EntropyReport(
         raw_entropy=raw,
-        normalized_entropy=normalized,
+        normalized_entropy=_normalized(raw, normalizer),
         metric=metric,
         normalizer=normalizer,
     )

@@ -181,19 +181,95 @@ def _diagnostics_list(doc):
     doc["diagnostics"] = list(doc["diagnostics"].values())
 
 
+def _unknown_key(doc):
+    doc["note"] = "hand-edited"
+
+
+def _unknown_entropy_key(doc):
+    doc["entropy"]["support"] = 40
+
+
+def _split_entropy_differs(doc):
+    doc["normalized_entropy"] /= 2
+
+
+def _attention_metric(doc):
+    doc["entropy"]["metric"] = "attention"
+
+
+def _negative_raw_entropy(doc):
+    doc["entropy"]["raw_entropy"] = -1.0
+
+
+def _negative_normalizer(doc):
+    doc["entropy"]["normalizer"] = -doc["entropy"]["normalizer"]
+
+
+def _entropy_not_normalized(doc):
+    # both copies agree, but neither is raw_entropy / normalizer
+    doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 0.5
+
+
+def _coverage_ratio_five(doc):
+    doc["coverage_ratio"] = 5
+
+
+def _negative_coverage_ratio(doc):
+    doc["coverage_ratio"] = -0.25
+
+
+def _empty_diagnostics(doc):
+    doc["diagnostics"] = {}
+
+
+def _unknown_diagnostic(doc):
+    doc["diagnostics"]["coverage_rank"] = 7.0
+
+
+def _no_min_distance(doc):
+    del doc["diagnostics"]["min_pairwise_cosine_distance"]
+
+
+def _fractional_fallback(doc):
+    doc["diagnostics"]["stage2_fallback_count"] = 0.5
+
+
+def _negative_fallback(doc):
+    doc["diagnostics"]["stage2_fallback_count"] = -1.0
+
+
+def _fallback_beyond_t_cov(doc):
+    doc["diagnostics"]["stage2_fallback_count"] = doc["t_cov"] + 1.0
+
+
 # each edit with the part of the error message that names its check
 _BROKEN = [
-    (_unknown_label, "labels must be"),
+    (_unknown_label, "write back"),
     (_unsorted, "strictly increasing"),
     (_duplicate_index, "strictly increasing"),
     (_negative_index, "nonnegative"),
     (_one_pick_short, "t_sal \\+ t_cov entries"),
-    (_extra_label, "t_sal \\+ t_cov entries"),
-    (_saliency_relabelled, "t_sal saliency labels"),
+    (_extra_label, "write back"),
+    (_saliency_relabelled, "write back"),
     (_pick_order_short, "permutation"),
-    (_saliency_in_pick_order, "permutation"),
+    (_saliency_in_pick_order, "write back"),
     (_negative_t_sal, "nonnegative"),
     (_diagnostics_list, "malformed"),
+    (_unknown_key, "write back"),
+    (_unknown_entropy_key, "write back"),
+    (_split_entropy_differs, "differs from entropy.normalized_entropy"),
+    (_attention_metric, "metric 'attention'"),
+    (_negative_raw_entropy, "normalizer must be nonnegative"),
+    (_negative_normalizer, "normalizer must be nonnegative"),
+    (_entropy_not_normalized, "raw_entropy / normalizer"),
+    (_coverage_ratio_five, "outside \\[0, 1\\]"),
+    (_negative_coverage_ratio, "outside \\[0, 1\\]"),
+    (_empty_diagnostics, "diagnostics keys"),
+    (_unknown_diagnostic, "diagnostics keys"),
+    (_no_min_distance, "diagnostics keys"),
+    (_fractional_fallback, "not an integer"),
+    (_negative_fallback, "not an integer"),
+    (_fallback_beyond_t_cov, "not an integer"),
 ]
 
 
@@ -207,16 +283,18 @@ class TestSelectionResultJson:
         back = selection_result_from_json(selection_result_to_json(res))
         assert selection_results_equal(res, back)
         assert back.timings_us == {}
-        # every selector and split reads back equal, to the same bytes
-        tokens, sal = synth_tokens(48, 12, 3, 1e-3, 6)
-        for method in ("dpp", "fps", "facility_location"):
-            cfg = CompressConfig(total_budget=12, diversity_method=method)
-            for t_sal in (None, 0, 5, 12):
-                res = compress(tokens, sal, cfg, t_sal=t_sal)
-                text = selection_result_to_json(res)
-                back = selection_result_from_json(text)
-                assert selection_results_equal(res, back)
-                assert selection_result_to_json(back) == text
+        # every selector and split reads back equal, to the same bytes, with
+        # the Gram taken as E^T E (n >= d) and as E E^T (n < d)
+        for n, d, k, seed in ((48, 12, 3, 6), (24, 40, 6, 3)):
+            tokens, sal = synth_tokens(n, d, k, 1e-3, seed)
+            for method in ("dpp", "fps", "facility_location"):
+                cfg = CompressConfig(total_budget=12, diversity_method=method)
+                for t_sal in (None, 0, 5, 12):
+                    res = compress(tokens, sal, cfg, t_sal=t_sal)
+                    text = selection_result_to_json(res)
+                    back = selection_result_from_json(text)
+                    assert selection_results_equal(res, back)
+                    assert selection_result_to_json(back) == text
 
     def test_serialization_is_byte_stable(self):
         a = selection_result_to_json(self._result())
@@ -265,6 +343,15 @@ class TestSelectionResultJson:
         doc = json.loads(selection_result_to_json(result))
         mutate(doc)
         with pytest.raises(FormatError, match=message) as info:
+            selection_result_from_json(json.dumps(doc))
+        assert info.value.category == "format-error"
+
+    def test_min_distance_only_with_two_picks(self):
+        tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+        doc = json.loads(selection_result_to_json(compress(tokens, sal, CompressConfig(1))))
+        assert "min_pairwise_cosine_distance" not in doc["diagnostics"]
+        doc["diagnostics"]["min_pairwise_cosine_distance"] = 1.0
+        with pytest.raises(FormatError, match="diagnostics keys") as info:
             selection_result_from_json(json.dumps(doc))
         assert info.value.category == "format-error"
 

@@ -14,6 +14,15 @@ order, each followed by their count:
   the ones inside the serialized results and CLI outputs included.  Floats
   that round differently leave it unchanged unless they change a pick.
 
+A third line, ``blas <name> <version> <corename>``, names the BLAS build
+and the kernel it picked on this CPU, with ``unknown`` for any part that
+cannot be found; a digest means nothing without it.
+
+Every serialized ``compress`` result (the ``compress`` documents' JSON, the
+``compress`` CLI's stdout and its ``--out`` file) must load through
+``selection_result_from_json`` and write back to the same bytes; otherwise
+the tool names the document's index and exits 1.
+
 With ``--per-doc`` it first prints one line per document: its index, its
 labels (``LABEL_FIELDS``), and the first 16 hex digits of the ``picks`` and
 the ``bytes`` digest of that document alone.  Diffing two such listings
@@ -27,6 +36,7 @@ another checkout checks that checkout:
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -43,11 +53,13 @@ from adaptok import (  # noqa: E402
     DIVERSITY_METHODS,
     MU_PRESETS,
     CompressConfig,
+    FormatError,
     allocate_budget,
     compress,
     dpp_greedy_map,
     facility_location_select,
     fps_select,
+    selection_result_from_json,
     selection_result_to_json,
     synth_tokens,
     write_saliency,
@@ -244,6 +256,50 @@ def _picks(doc: dict) -> dict:
     return picks
 
 
+def _reads_back(doc: dict) -> bool:
+    """Whether the serialized ``compress`` result a document holds, if any,
+    loads through the reader and writes back to the same bytes."""
+    if doc["kind"] == "compress":
+        text = doc["json"]
+    elif doc.get("argv", [None])[0] == "compress":
+        text = doc["stdout"] if doc["kind"] == "cli" else doc["out"]
+    else:
+        return True
+    try:
+        result = selection_result_from_json(text)
+    except FormatError:
+        return False
+    return selection_result_to_json(result) == text
+
+
+def _corename() -> str | None:
+    # the kernel OpenBLAS picked for this CPU, from the bundled library's
+    # *get_corename* symbol (numpy 2 renames it with a scipy_ prefix)
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def _blas() -> str:
+    """``blas <name> <version> <corename>``, ``unknown`` for a part that
+    cannot be found: numpy before 1.26 has no ``show_config(mode="dicts")``."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        info = {}
+    parts = (info.get("name"), info.get("version"), _corename())
+    return "blas " + " ".join(str(part or "unknown") for part in parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--per-doc", action="store_true",
@@ -255,6 +311,10 @@ def main(argv=None) -> int:
         for source in (_compress_docs(), _selector_docs(), _allocate_docs(),
                        _cli_docs(Path(tmp))):
             for doc in source:
+                if not _reads_back(doc):
+                    print(f"document {count}: a compress result does not read back to "
+                          "the same bytes", file=sys.stderr)
+                    return 1
                 lines = {
                     "picks": json.dumps(_picks(doc), sort_keys=True).encode() + b"\n",
                     "bytes": json.dumps(doc, sort_keys=True).encode() + b"\n",
@@ -271,6 +331,7 @@ def main(argv=None) -> int:
                 count += 1
     for name, digest in digests.items():
         print(f"{name} {digest.hexdigest()}  {count} documents")
+    print(_blas())
     return 0
 
 
