@@ -1,7 +1,7 @@
 """adaptok: entropy-adaptive visual token subset selection.
 
-Measures how concentrated a sample's feature energy is via the spectral
-entropy of its token matrix, splits a fixed token budget between
+Measures a sample's semantic prominence by one signal, the spectral entropy
+of its token matrix (``spectral_entropy``), splits a fixed token budget between
 saliency-driven and coverage-driven selection through a sigmoidal mapping,
 and runs a two-stage selection: attention top-k, then diversity completion
 (greedy DPP MAP by default, farthest point sampling and facility location
@@ -46,12 +46,7 @@ from .io_formats import (
     write_tokens,
 )
 from .pipeline import SelectionResult, compress, selection_results_equal
-from .prominence import (
-    EntropyReport,
-    attention_entropy,
-    feature_norm_entropy,
-    spectral_entropy,
-)
+from .prominence import EntropyReport, spectral_entropy
 from .selection import (
     DiversityPick,
     dpp_greedy_map,
@@ -88,13 +83,11 @@ __all__ = [
     "ValueRangeError",
     "allocate_budget",
     "as_token_matrix",
-    "attention_entropy",
     "compress",
     "dpp_greedy_map",
     "estimate_kv_cache_bytes",
     "estimate_prefill_flops",
     "facility_location_select",
-    "feature_norm_entropy",
     "flops_reduction",
     "fps_select",
     "read_saliency",

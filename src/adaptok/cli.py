@@ -36,12 +36,11 @@ from .io_formats import (
     write_tokens,
 )
 from .pipeline import compress
-from .prominence import attention_entropy, feature_norm_entropy, spectral_entropy
+from .prominence import spectral_entropy
 from .selection import reduce_head_attention
 from .synth import synth_tokens
 
 _DIVERSITY_FLAGS = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}
-_METRIC_FLAGS = ("spectral", "norm", "attn")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -76,10 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", help="compute an entropy metric on a token file")
-    p.add_argument("--tokens", default=None, help="input PTM1 token file")
-    p.add_argument("--saliency", default=None, help="input PSV1 saliency file (attn metric)")
-    p.add_argument("--metric", choices=_METRIC_FLAGS, default="spectral")
+    p = sub.add_parser("entropy", help="spectral entropy of a token file")
+    p.add_argument("--tokens", required=True, help="input PTM1 token file")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("allocate", help="entropy plus budget split, no selection")
@@ -128,16 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_entropy(args) -> int:
-    if args.metric == "attn":
-        if not args.saliency:
-            raise InvalidInputError("--saliency is required for --metric attn")
-        scores = reduce_head_attention(read_saliency(args.saliency))
-        report = attention_entropy(scores)
-    else:
-        if not args.tokens:
-            raise InvalidInputError(f"--tokens is required for --metric {args.metric}")
-        tokens = read_tokens(args.tokens)
-        report = spectral_entropy(tokens) if args.metric == "spectral" else feature_norm_entropy(tokens)
+    report = spectral_entropy(read_tokens(args.tokens))
     _emit(_canonical_json(dataclasses.asdict(report)), args.out)
     return 0
 

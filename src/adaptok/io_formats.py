@@ -10,8 +10,8 @@ Selection results serialize as versioned JSON (``schema: 1``) with sorted
 keys, so a fixed input always produces byte-identical output.  Wall-clock
 timings are deliberately not part of the document.  The reader loads only
 what ``compress`` writes: it checks the stored facts (picks, counts,
-entropy, ratio, diagnostics), then requires the document to equal the one
-its parsed result writes back, so the derived ``stage_of`` labels have one
+entropy, ratio, diagnostics), then requires the text to be the bytes its
+parsed result writes back, so the derived ``stage_of`` labels have one
 rule, the writer's.
 """
 
@@ -153,10 +153,11 @@ def selection_result_from_json(text: str) -> SelectionResult:
     numbers finite.  ``selected`` is strictly increasing and nonnegative
     with ``t_sal + t_cov`` entries, ``coverage_pick_order`` holds ``t_cov``
     distinct entries of it, and the entropy, ratio and diagnostics are
-    values ``compress`` computes.  The document must then equal the one the
+    values ``compress`` computes.  The text must then be the bytes the
     parsed result writes back: ``SelectionResult.stage_of`` is the one rule
-    for the labels, and an unknown key is refused at any level.  An index
-    beyond the token count N is not caught: N is not in the document.
+    for the labels, and an unknown key, other spacing or another literal
+    (``true`` or ``1.0`` for 1) is refused.  An index beyond the token count
+    N is not caught: N is not in the document.
     """
     try:
         doc = json.loads(text)
@@ -188,7 +189,7 @@ def selection_result_from_json(text: str) -> SelectionResult:
     if not order.size == np.intersect1d(order, selected).size == split.t_cov:
         raise FormatError("coverage_pick_order is not a permutation of t_cov entries of selected")
     _check_stored_values(result)
-    if json.loads(selection_result_to_json(result)) != doc:
+    if selection_result_to_json(result) != text:
         raise FormatError("selection result document is not the one its fields write back")
     return result
 
@@ -213,6 +214,11 @@ def _check_stored_values(result: SelectionResult) -> None:
         keys.add("min_pairwise_cosine_distance")
     if diagnostics.keys() != keys:
         raise FormatError(f"diagnostics keys {sorted(diagnostics)} are not {sorted(keys)}")
+    # a cosine distance of unit rows, in [0, 2] up to the rounding of a d-term
+    # dot product, about d * 2**-53 (-2.2e-16 is written for exact duplicates)
+    distance = diagnostics.get("min_pairwise_cosine_distance", 1.0)
+    if not -1e-9 <= distance <= 2.0 + 1e-9:
+        raise FormatError(f"min_pairwise_cosine_distance {distance} is outside [0, 2]")
     fallback = diagnostics["stage2_fallback_count"]
     if not (fallback.is_integer() and 0 <= fallback <= split.t_cov):
         raise FormatError(f"stage2_fallback_count {fallback} is not an integer in [0, t_cov]")

@@ -1,26 +1,22 @@
-"""Entropy metrics that score how concentrated a sample's information is.
+"""Semantic prominence: how concentrated a sample's information is.
 
-``spectral_entropy`` is the production metric: the Shannon entropy of the
-normalized squared singular values of the token matrix, computed through
-the Gram eigenvalues.  Low values mean the feature energy sits in a few
-directions; high values mean it is spread out.  ``feature_norm_entropy``
-and ``attention_entropy`` are the alternative metrics kept around for
-comparison studies.
+``spectral_entropy`` is the one prominence signal: the Shannon entropy of
+the normalized squared singular values of the token matrix, computed
+through the Gram eigenvalues.  Low values mean the feature energy sits in
+a few directions; high values mean it is spread out.
 
-All entropies use the natural log; normalization by the log of the support
+The entropy uses the natural log; normalization by the log of the support
 size makes the normalized value base-independent and confined to [0, 1].
-An entropy needs a positive, finite total mass; ``_report`` is the one check,
-so a mass that is zero, underflows or overflows raises, never gives 0 or NaN.
+It needs a positive, finite total mass; ``_report`` is the one check, so a
+mass that is zero, underflows or overflows raises, never gives 0 or NaN.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
-from .tensor_core import (
-    _clamped_descending_eigvalsh, _gram, _span, as_saliency_vector, as_token_matrix
-)
+from .errors import DegenerateInputError
+from .tensor_core import _clamped_descending_eigvalsh, _gram, _span, as_token_matrix
 
 # Eigenvalues below this fraction of the largest are numerical noise and
 # are zeroed before forming the spectral distribution.
@@ -29,9 +25,9 @@ EIGENVALUE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Raw and normalized entropy for one metric.
+    """Raw and normalized spectral entropy of one sample (``metric`` is "spectral").
 
-    ``normalizer`` is the log of the metric's maximum-entropy support size;
+    ``normalizer`` is the log of the maximum-entropy support size;
     ``normalized_entropy`` is raw / normalizer, defined as 0 when the
     normalizer is 0 (single-element support).
     """
@@ -42,30 +38,25 @@ class EntropyReport:
     normalizer: float
 
 
-def _shannon(p: np.ndarray) -> float:
-    # p is already filtered to strictly positive mass; + 0.0 avoids -0.0
-    return float(-(p * np.log(p)).sum() + 0.0)
-
-
 def _normalized(raw: float, normalizer: float) -> float:
     # raw / normalizer clamped to [0, 1]; 0 for a single-element support
     return min(max(raw / normalizer, 0.0), 1.0) if normalizer > 0.0 else 0.0
 
 
-def _report(
-    mass: np.ndarray, support: int, metric: str, error=DegenerateInputError
-) -> EntropyReport:
+def _report(mass: np.ndarray, support: int) -> EntropyReport:
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
         total = mass.sum()
     if not 0.0 < total < np.inf:
-        raise error(f"{metric} entropy needs a positive, finite total mass, got {total}")
+        raise DegenerateInputError(
+            f"spectral entropy needs a positive, finite total mass, got {total}"
+        )
     p = mass[mass > 0] / total
-    raw = _shannon(p)
+    raw = float(-(p * np.log(p)).sum() + 0.0)  # + 0.0 avoids -0.0
     normalizer = float(np.log(support)) if support > 1 else 0.0
     return EntropyReport(
         raw_entropy=raw,
         normalized_entropy=_normalized(raw, normalizer),
-        metric=metric,
+        metric="spectral",
         normalizer=normalizer,
     )
 
@@ -75,7 +66,7 @@ def spectral_entropy(tokens) -> EntropyReport:
 
     The squared singular values are the eigenvalues of the Gram matrix, so
     no full SVD is needed.  The normalizer is log min(n_tokens, dim).
-    Raises DegenerateInputError when the Gram is all zero or overflows.
+    Raises DegenerateInputError when the Gram or its eigenvalue sum is zero or overflows.
     """
     return _spectral_entropy(as_token_matrix(tokens))[0]
 
@@ -87,23 +78,5 @@ def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray]:
     with _span("eigvalsh"):
         lam = _clamped_descending_eigvalsh(G)
     lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
-    return _report(lam, min(E.shape), "spectral"), G
+    return _report(lam, min(E.shape)), G
 
-
-def feature_norm_entropy(tokens) -> EntropyReport:
-    """Entropy of the distribution of per-token feature L2 norms."""
-    E = as_token_matrix(tokens)
-    with np.errstate(over="ignore"):  # an inf norm makes an inf mass, which _report refuses
-        norms = np.linalg.norm(E, axis=1)
-    return _report(norms, E.shape[0], "feature_norm")
-
-
-def attention_entropy(saliency) -> EntropyReport:
-    """Entropy of head-averaged per-token attention mass.
-
-    Expects the already head-reduced saliency vector (see
-    ``selection.reduce_head_attention``); raises InvalidInputError on
-    negative entries, or on a total mass that is zero or overflows.
-    """
-    s = as_saliency_vector(saliency)
-    return _report(s, s.shape[0], "attention", error=InvalidInputError)

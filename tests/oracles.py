@@ -71,6 +71,13 @@ def scalar_entropy(masses) -> float:
     return acc
 
 
+def feature_norm_entropy(E: np.ndarray) -> float:
+    """Normalized entropy of the per-token L2 norms: a signal that, unlike
+    the spectral entropy, does not see how many directions the tokens span."""
+    n = E.shape[0]
+    return scalar_entropy(np.linalg.norm(E, axis=1)) / math.log(n) if n > 1 else 0.0
+
+
 def sigmoid_scalar(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))

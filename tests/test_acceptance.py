@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     brute_force_max_logdet,
     dpp_greedy_naive,
+    feature_norm_entropy,
     leaf_share,
     random_orthogonal,
     sigmoid_scalar,
@@ -27,7 +28,6 @@ from adaptok import (
     dpp_greedy_map,
     estimate_prefill_flops,
     facility_location_select,
-    feature_norm_entropy,
     flops_reduction,
     fps_select,
     selection_results_equal,
@@ -116,7 +116,7 @@ def test_criterion_2_monotone_concentration():
             for seed in range(20):
                 tokens, _ = synth_tokens(256, 64, k, 1e-3, [17, k, seed])
                 sp.append(spectral_entropy(tokens).normalized_entropy)
-                fn.append(feature_norm_entropy(tokens).normalized_entropy)
+                fn.append(feature_norm_entropy(tokens))
             spectral_means.append(float(np.mean(sp)))
             norm_means.append(float(np.mean(fn)))
 

@@ -53,29 +53,19 @@ class TestSynthCommand:
 class TestEntropyCommand:
     def test_spectral_on_rank_one_file(self, tmp_path, capsys):
         tok, _ = _synth_files(tmp_path, k=1, noise=0.0, capsys=capsys)
-        assert main(["entropy", "--tokens", str(tok), "--metric", "spectral"]) == 0
+        assert main(["entropy", "--tokens", str(tok)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["metric"] == "spectral"
         assert doc["normalized_entropy"] == 0.0
 
-    def test_norm_metric(self, tmp_path, capsys):
-        tok, _ = _synth_files(tmp_path, capsys=capsys)
-        assert main(["entropy", "--tokens", str(tok), "--metric", "norm"]) == 0
-        assert json.loads(capsys.readouterr().out)["metric"] == "feature_norm"
-
-    def test_attn_metric_uses_saliency(self, tmp_path, capsys):
-        _, sal = _synth_files(tmp_path, capsys=capsys)
-        assert main(["entropy", "--saliency", str(sal), "--metric", "attn"]) == 0
-        assert json.loads(capsys.readouterr().out)["metric"] == "attention"
-
-    def test_attn_without_saliency_fails(self, tmp_path, capsys):
-        assert main(["entropy", "--metric", "attn"]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["category"] == "invalid-input"
-
-    @pytest.mark.parametrize("metric", ["spectral", "norm"])
-    def test_token_metric_without_tokens_fails(self, metric, capsys):
-        _invalid_input(["entropy", "--metric", metric], capsys)
+    @pytest.mark.parametrize("argv", [["--tokens", "a.ptm", "--metric", "norm"], []],
+                             ids=["removed-metric", "no-tokens"])
+    def test_metric_flag_or_missing_tokens_is_usage_error(self, argv, capsys):
+        # argparse rejects the command line before any file is opened
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", *argv])
+        assert exc.value.code == 2
+        assert ("--metric" if argv else "--tokens") in capsys.readouterr().err
 
 
 class TestAllocateCommand:

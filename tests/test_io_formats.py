@@ -134,6 +134,12 @@ def test_writers_reject_non_real_arrays(tmp_path, write, values):
     assert not path.exists()
 
 
+def _text(doc) -> str:
+    # an edited document in the writer's layout, so that only the edit can
+    # make the reader refuse it
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 # Edits that turn a compress result document into one no compress call
 # writes; the forced split (t_sal=5 of 12) has picks of both stages.
 def _unknown_label(doc):
@@ -230,6 +236,14 @@ def _no_min_distance(doc):
     del doc["diagnostics"]["min_pairwise_cosine_distance"]
 
 
+def _min_distance_beyond_two(doc):
+    doc["diagnostics"]["min_pairwise_cosine_distance"] = 7.5
+
+
+def _negative_min_distance(doc):
+    doc["diagnostics"]["min_pairwise_cosine_distance"] = -0.5
+
+
 def _fractional_fallback(doc):
     doc["diagnostics"]["stage2_fallback_count"] = 0.5
 
@@ -267,6 +281,8 @@ _BROKEN = [
     (_empty_diagnostics, "diagnostics keys"),
     (_unknown_diagnostic, "diagnostics keys"),
     (_no_min_distance, "diagnostics keys"),
+    (_min_distance_beyond_two, "outside \\[0, 2\\]"),
+    (_negative_min_distance, "outside \\[0, 2\\]"),
     (_fractional_fallback, "not an integer"),
     (_negative_fallback, "not an integer"),
     (_fallback_beyond_t_cov, "not an integer"),
@@ -295,6 +311,17 @@ class TestSelectionResultJson:
                     back = selection_result_from_json(text)
                     assert selection_results_equal(res, back)
                     assert selection_result_to_json(back) == text
+        # exact duplicates write a distance just below 0, and antiparallel
+        # rows exactly 2: both are values compress writes, so both load
+        tokens, sal = synth_tokens(24, 8, 2, 1e-3, 0)
+        tokens = tokens[np.arange(24) % 3] * 2**20
+        antiparallel = np.array([[1e100, 0.0], [-1e100, 0.0]])
+        for E, s, T, distance in ((tokens, sal, 6, -2.0**-52),
+                                  (antiparallel, np.array([1.0, 0.5]), 2, 2.0)):
+            res = compress(E, s, CompressConfig(T), t_sal=0)
+            assert res.diagnostics["min_pairwise_cosine_distance"] == distance
+            assert selection_results_equal(res, selection_result_from_json(
+                selection_result_to_json(res)))
 
     def test_serialization_is_byte_stable(self):
         a = selection_result_to_json(self._result())
@@ -331,7 +358,7 @@ class TestSelectionResultJson:
         else:
             doc[field] = value
         with pytest.raises(FormatError) as info:
-            selection_result_from_json(json.dumps(doc))
+            selection_result_from_json(_text(doc))
         assert info.value.category == "format-error"
 
     @pytest.mark.parametrize(
@@ -340,10 +367,33 @@ class TestSelectionResultJson:
     def test_rejects_documents_no_compress_writes(self, mutate, message):
         tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
         result = compress(tokens, sal, CompressConfig(total_budget=12), t_sal=5)
-        doc = json.loads(selection_result_to_json(result))
+        text = selection_result_to_json(result)
+        doc = json.loads(text)
+        assert _text(doc) == text  # so only the edit can be refused
         mutate(doc)
         with pytest.raises(FormatError, match=message) as info:
-            selection_result_from_json(json.dumps(doc))
+            selection_result_from_json(_text(doc))
+        assert info.value.category == "format-error"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"schema": 1,', '"schema": true,'),
+         ('"schema": 1,', '"schema": 1.0,'),
+         ('"coverage_logdet": 0.0,', '"coverage_logdet": 0,'),
+         (None, None)],
+        ids=["schema-true", "schema-float", "integer-logdet", "compact-layout"],
+    )
+    def test_rejects_text_compress_never_writes(self, old, new):
+        # equal values under json.loads, in bytes that compress never writes
+        tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+        text = selection_result_to_json(compress(tokens, sal, CompressConfig(12), t_sal=12))
+        if old is None:
+            edited = json.dumps(json.loads(text))
+        else:
+            assert text.count(old) == 1
+            edited = text.replace(old, new)
+        with pytest.raises(FormatError, match="write back") as info:
+            selection_result_from_json(edited)
         assert info.value.category == "format-error"
 
     def test_min_distance_only_with_two_picks(self):
@@ -352,7 +402,7 @@ class TestSelectionResultJson:
         assert "min_pairwise_cosine_distance" not in doc["diagnostics"]
         doc["diagnostics"]["min_pairwise_cosine_distance"] = 1.0
         with pytest.raises(FormatError, match="diagnostics keys") as info:
-            selection_result_from_json(json.dumps(doc))
+            selection_result_from_json(_text(doc))
         assert info.value.category == "format-error"
 
     @pytest.mark.parametrize(
@@ -374,7 +424,7 @@ class TestSelectionResultJson:
             target = target[key]
         target[name] = value
         with pytest.raises(FormatError) as info:
-            selection_result_from_json(json.dumps(doc))
+            selection_result_from_json(_text(doc))
         assert info.value.category == "format-error"
 
     def test_rejects_a_bool_count(self):
@@ -383,5 +433,5 @@ class TestSelectionResultJson:
         doc = json.loads(selection_result_to_json(result))
         doc["t_sal"] = True  # equal to 1, so only the type is wrong
         with pytest.raises(FormatError, match="expected an integer"):
-            selection_result_from_json(json.dumps(doc))
+            selection_result_from_json(_text(doc))
 

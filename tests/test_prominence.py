@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from oracles import random_orthogonal, scalar_entropy, svd_spectral_entropy
 
-from adaptok import (
-    DegenerateInputError,
-    InvalidInputError,
-    attention_entropy,
-    feature_norm_entropy,
-    spectral_entropy,
-    synth_tokens,
-)
+from adaptok import DegenerateInputError, spectral_entropy, synth_tokens
 
 
 class TestSpectralEntropy:
@@ -59,54 +52,6 @@ class TestSpectralEntropy:
         assert rep.normalized_entropy == 0.0
 
 
-class TestFeatureNormEntropy:
-    def test_uniform_norms(self, rng):
-        Q = random_orthogonal(5, rng)  # all rows unit norm
-        rep = feature_norm_entropy(Q)
-        np.testing.assert_allclose(rep.raw_entropy, math.log(5), rtol=1e-12)
-        np.testing.assert_allclose(rep.normalized_entropy, 1.0, atol=1e-12)
-
-    def test_single_nonzero_row(self):
-        E = np.zeros((4, 3))
-        E[2] = [1.0, 2.0, 2.0]
-        rep = feature_norm_entropy(E)
-        assert rep.raw_entropy == 0.0
-
-    def test_norms_three_one(self):
-        E = np.array([[3.0, 0.0], [0.0, 1.0]])
-        rep = feature_norm_entropy(E)
-        np.testing.assert_allclose(rep.raw_entropy, scalar_entropy([3.0, 1.0]), rtol=1e-12)
-        np.testing.assert_allclose(rep.raw_entropy, 0.5623351446188083, rtol=1e-12)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            feature_norm_entropy(np.zeros((2, 2)))
-
-
-class TestAttentionEntropy:
-    def test_uniform(self):
-        rep = attention_entropy(np.full(8, 0.125))
-        np.testing.assert_allclose(rep.raw_entropy, math.log(8), rtol=1e-12)
-        np.testing.assert_allclose(rep.normalized_entropy, 1.0, atol=1e-12)
-
-    def test_one_hot(self):
-        rep = attention_entropy(np.array([0.0, 1.0, 0.0]))
-        assert rep.raw_entropy == 0.0
-
-    def test_two_one_one(self):
-        rep = attention_entropy(np.array([2.0, 1.0, 1.0]))
-        np.testing.assert_allclose(rep.raw_entropy, scalar_entropy([2, 1, 1]), rtol=1e-12)
-        np.testing.assert_allclose(rep.raw_entropy, 1.0397207708399179, rtol=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            attention_entropy(np.array([0.5, -0.1]))
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(InvalidInputError):
-            attention_entropy(np.zeros(4))
-
-
 class TestInvariances:
     def test_scale_invariance(self, rng):
         for _ in range(50):
@@ -125,23 +70,19 @@ class TestInvariances:
             b = spectral_entropy(E @ Q).normalized_entropy
             assert abs(a - b) < 1e-8
 
-    def test_row_permutation_all_metrics(self, rng):
+    def test_row_permutation(self, rng):
         for _ in range(50):
             n, d = int(rng.integers(2, 10)), int(rng.integers(2, 10))
             E = np.abs(rng.standard_normal((n, d))) + 0.1
             perm = rng.permutation(n)
-            for metric in (spectral_entropy, feature_norm_entropy):
-                assert abs(metric(E).raw_entropy - metric(E[perm]).raw_entropy) < 1e-8
-            s = np.abs(rng.standard_normal(n)) + 0.1
-            assert abs(attention_entropy(s).raw_entropy - attention_entropy(s[perm]).raw_entropy) < 1e-8
+            a = spectral_entropy(E).raw_entropy
+            assert abs(a - spectral_entropy(E[perm]).raw_entropy) < 1e-8
 
     def test_normalized_in_unit_interval(self, rng):
         for _ in range(50):
             n, d = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             E = rng.standard_normal((n, d))
-            for metric in (spectral_entropy, feature_norm_entropy):
-                v = metric(E).normalized_entropy
-                assert 0.0 <= v <= 1.0
+            assert 0.0 <= spectral_entropy(E).normalized_entropy <= 1.0
 
 
 class TestMonotoneConcentration:
