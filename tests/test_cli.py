@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from adaptok import (
     reduce_head_attention,
     selection_result_from_json,
     selection_result_to_json,
+    spectral_entropy,
     write_tokens,
 )
 from adaptok.cli import main
@@ -58,14 +60,29 @@ class TestEntropyCommand:
         assert doc["metric"] == "spectral"
         assert doc["normalized_entropy"] == 0.0
 
-    @pytest.mark.parametrize("argv", [["--tokens", "a.ptm", "--metric", "norm"], []],
-                             ids=["removed-metric", "no-tokens"])
-    def test_metric_flag_or_missing_tokens_is_usage_error(self, argv, capsys):
+    def test_prints_the_library_report(self, tmp_path, capsys):
+        tok, _ = _synth_files(tmp_path, capsys=capsys)
+        assert main(["entropy", "--tokens", str(tok)]) == 0
+        report = spectral_entropy(read_tokens(tok))
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(report)
+
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        assert main(["entropy", "--tokens", str(tmp_path / "no.ptm")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "io-error"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--tokens", "a.ptm", "--metric", "norm"], "--metric"),
+         ([], "--tokens"),
+         (["--tokens", "a.ptm", "--saliency", "a.psv"], "--saliency")],
+        ids=["removed-metric", "no-tokens", "removed-saliency"],
+    )
+    def test_metric_flag_or_missing_tokens_is_usage_error(self, argv, flag, capsys):
         # argparse rejects the command line before any file is opened
         with pytest.raises(SystemExit) as exc:
             main(["entropy", *argv])
         assert exc.value.code == 2
-        assert ("--metric" if argv else "--tokens") in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestAllocateCommand:

@@ -396,6 +396,23 @@ class TestSelectionResultJson:
             selection_result_from_json(edited)
         assert info.value.category == "format-error"
 
+    @pytest.mark.parametrize(
+        "distance, loads",
+        [(-1e-9, True), (2.0 + 1e-9, True), (-2e-9, False), (2.0 + 2e-9, False)],
+        ids=["low-slack", "high-slack", "below-slack", "above-slack"],
+    )
+    def test_min_distance_rounding_slack(self, distance, loads):
+        # [0, 2] widened by 1e-9 for rounding, and not further
+        tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+        doc = json.loads(selection_result_to_json(compress(tokens, sal, CompressConfig(12))))
+        doc["diagnostics"]["min_pairwise_cosine_distance"] = distance
+        if loads:
+            back = selection_result_from_json(_text(doc))
+            assert back.diagnostics["min_pairwise_cosine_distance"] == distance
+        else:
+            with pytest.raises(FormatError, match="outside \\[0, 2\\]"):
+                selection_result_from_json(_text(doc))
+
     def test_min_distance_only_with_two_picks(self):
         tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
         doc = json.loads(selection_result_to_json(compress(tokens, sal, CompressConfig(1))))

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import random_orthogonal, scalar_entropy, svd_spectral_entropy
+from oracles import (
+    feature_norm_entropy,
+    random_orthogonal,
+    scalar_entropy,
+    svd_spectral_entropy,
+)
 
 from adaptok import DegenerateInputError, spectral_entropy, synth_tokens
 
@@ -50,6 +55,49 @@ class TestSpectralEntropy:
         rep = spectral_entropy(np.array([[3.0, 1.0, 2.0]]))
         assert rep.normalizer == 0.0
         assert rep.normalized_entropy == 0.0
+
+    def test_orthogonal_rows_are_maximal(self, rng):
+        rep = spectral_entropy(random_orthogonal(5, rng))  # every eigenvalue 1
+        np.testing.assert_allclose(rep.raw_entropy, math.log(5), rtol=1e-12)
+        np.testing.assert_allclose(rep.normalized_entropy, 1.0, atol=1e-12)
+
+    def test_zero_rows_carry_no_mass(self):
+        E = np.zeros((4, 3))
+        E[2] = [1.0, 2.0, 2.0]
+        rep = spectral_entropy(E)
+        assert rep.raw_entropy == 0.0
+        assert rep.normalized_entropy == 0.0
+        np.testing.assert_allclose(rep.normalizer, math.log(3))
+
+    @pytest.mark.parametrize("sigma, expected", [(1e-7, 0.0), (1e-5, scalar_entropy([1.0, 1e-10]))],
+                             ids=["below-floor", "above-floor"])
+    def test_eigenvalue_floor(self, sigma, expected):
+        # an eigenvalue under EIGENVALUE_FLOOR (1e-12) of the largest is dropped
+        rep = spectral_entropy(np.diag([1.0, sigma]))
+        assert rep.raw_entropy == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 5)], ids=["tall", "wide"])
+    def test_normalizer_is_log_of_smaller_side(self, rng, shape):
+        rep = spectral_entropy(rng.standard_normal(shape))
+        np.testing.assert_allclose(rep.normalizer, math.log(2), rtol=1e-15)
+
+
+class TestFeatureNormEntropyOracle:
+    # the contrast signal that criterion 2 and test_norm_entropy_stays_flat
+    # compare the spectral entropy with
+    def test_uniform_norms(self, rng):
+        Q = random_orthogonal(5, rng)  # all rows unit norm
+        np.testing.assert_allclose(feature_norm_entropy(Q), 1.0, atol=1e-12)
+
+    def test_single_nonzero_row(self):
+        E = np.zeros((4, 3))
+        E[2] = [1.0, 2.0, 2.0]
+        assert feature_norm_entropy(E) == 0.0
+
+    def test_norms_three_one(self):
+        E = np.array([[3.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(feature_norm_entropy(E),
+                                   0.5623351446188083 / math.log(2), rtol=1e-12)
 
 
 class TestInvariances:
