@@ -41,11 +41,12 @@ from .io_formats import (
     read_tokens,
     selection_result_from_json,
     selection_result_to_json,
+    selection_results_equal,
     write_saliency,
     write_selection_result,
     write_tokens,
 )
-from .pipeline import SelectionResult, compress, selection_results_equal
+from .pipeline import SelectionResult, compress
 from .prominence import EntropyReport, spectral_entropy
 from .selection import (
     DiversityPick,

@@ -6,13 +6,13 @@ payload whose byte length must match the header exactly.  Compute happens
 in float64; files stay float32, and both readers and writers reject a
 payload that is not finite in float32.
 
-Selection results serialize as versioned JSON (``schema: 1``) with sorted
-keys, so a fixed input always produces byte-identical output.  Wall-clock
-timings are deliberately not part of the document.  The reader loads only
-what ``compress`` writes: it checks the stored facts (picks, counts,
-entropy, ratio, diagnostics), then requires the text to be the bytes its
-parsed result writes back, so the derived ``stage_of`` labels have one
-rule, the writer's.
+Selection results serialize as versioned JSON (``schema: 2``) with sorted
+keys, so a fixed input always produces byte-identical output; wall-clock
+timings are not part of it, and two results are equal when their documents
+are.  The reader reads each fact that decided the split once, derives the
+split, the normalized entropy and the ``stage_of`` labels as ``compress``
+does, then requires the text to be the bytes its parsed result writes back,
+so every stored copy of a derived value is checked.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetSplit
+from .budget import CompressConfig
 from .errors import (
     AdaptokError,
     BadMagicError,
@@ -41,7 +41,7 @@ SALIENCY_MAGIC = b"PSV1"
 
 _HEADER = struct.Struct("<4sII")
 
-RESULT_SCHEMA = 1
+RESULT_SCHEMA = 2
 
 
 def write_tokens(tokens, path) -> None:
@@ -130,6 +130,8 @@ def selection_result_to_json(result: SelectionResult) -> str:
     """Serialize a selection result to canonical (byte-stable) JSON."""
     doc = {
         "schema": RESULT_SCHEMA,
+        "config": dataclasses.asdict(result.config),
+        "forced_t_sal": result.forced_t_sal,
         "selected": [int(i) for i in result.selected],
         "stage_of": list(result.stage_of),
         **dataclasses.asdict(result.split),
@@ -138,6 +140,11 @@ def selection_result_to_json(result: SelectionResult) -> str:
         "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
     }
     return _canonical_json(doc)
+
+
+def selection_results_equal(a: SelectionResult, b: SelectionResult) -> bool:
+    """Whether two results write the same document (timings are not in it)."""
+    return selection_result_to_json(a) == selection_result_to_json(b)
 
 
 def _canonical_json(doc) -> str:
@@ -149,15 +156,17 @@ def selection_result_from_json(text: str) -> SelectionResult:
     """Parse a serialized selection result; timings come back empty.
 
     Only what some ``compress`` call could write loads; anything else
-    raises FormatError.  Counts and indices must be integers and the other
-    numbers finite.  ``selected`` is strictly increasing and nonnegative
-    with ``t_sal + t_cov`` entries, ``coverage_pick_order`` holds ``t_cov``
-    distinct entries of it, and the entropy, ratio and diagnostics are
-    values ``compress`` computes.  The text must then be the bytes the
-    parsed result writes back: ``SelectionResult.stage_of`` is the one rule
-    for the labels, and an unknown key, other spacing or another literal
-    (``true`` or ``1.0`` for 1) is refused.  An index beyond the token count
-    N is not caught: N is not in the document.
+    raises FormatError.  Each fact that decided the split is read once:
+    ``config`` through ``CompressConfig``, ``forced_t_sal`` as null or an
+    integer in [0, total_budget], the raw entropy and normalizer as
+    nonnegative finite numbers.  ``selected`` is strictly increasing and
+    nonnegative with ``total_budget`` entries, ``coverage_pick_order`` holds
+    ``t_cov`` distinct entries of it, and the diagnostics are values
+    ``compress`` records.  The text must then be the bytes the parsed result
+    writes back: a derived copy its rule does not give (the split, the
+    normalized entropy, the labels), an unknown key, other spacing or another
+    literal (``1.0`` for 1) is refused.  An index beyond the token count N is
+    not caught: N is not in the document.
     """
     try:
         doc = json.loads(text)
@@ -167,48 +176,44 @@ def selection_result_from_json(text: str) -> SelectionResult:
     if schema != RESULT_SCHEMA:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
-        selected = _indices(doc["selected"], "selected")
+        config, forced = _from_fields(CompressConfig, doc["config"]), doc["forced_t_sal"]
+        if forced is not None:
+            forced = _count(forced, "forced_t_sal", 0, config.total_budget)
+        raw, normalizer = (_real(doc["entropy"][k], k) for k in ("raw_entropy", "normalizer"))
         result = SelectionResult(
-            selected=selected,
-            split=_from_fields(BudgetSplit, doc),
-            entropy=_from_fields(EntropyReport, doc["entropy"]),
+            selected=_indices(doc["selected"], "selected"),
+            config=config,
+            forced_t_sal=forced,
+            entropy=EntropyReport(raw, _normalized(raw, normalizer), normalizer),
             coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
             diagnostics={str(k): _real(v, k) for k, v in doc["diagnostics"].items()},
         )
-    # _count, _real and BudgetSplit raise their own categories for a bad
+    # _count, _real and CompressConfig raise their own categories for a bad
     # value, which in a document is malformed data rather than a bad argument
     except (
         KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError
     ) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
-    split, order = result.split, result.coverage_pick_order
+    selected, order = result.selected, result.coverage_pick_order
     if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
         raise FormatError("selected must be strictly increasing nonnegative indices")
-    if selected.size != split.t_sal + split.t_cov:
-        raise FormatError("selected must have t_sal + t_cov entries")
-    if not order.size == np.intersect1d(order, selected).size == split.t_cov:
+    if selected.size != config.total_budget:
+        raise FormatError("selected must have config.total_budget entries")
+    t_cov = result.split.t_cov
+    if not order.size == np.intersect1d(order, selected).size == t_cov:
         raise FormatError("coverage_pick_order is not a permutation of t_cov entries of selected")
-    _check_stored_values(result)
+    _check_stored_values(result, t_cov)
     if selection_result_to_json(result) != text:
         raise FormatError("selection result document is not the one its fields write back")
     return result
 
 
-def _check_stored_values(result: SelectionResult) -> None:
-    # the values the round trip writes back as they are, checked against
-    # what compress computes: prominence._report's entropy, the split's
-    # ratio, and the diagnostics _diagnostics and compress record
-    entropy, split, diagnostics = result.entropy, result.split, result.diagnostics
-    if entropy.metric != "spectral":
-        raise FormatError(f"entropy metric {entropy.metric!r} is not 'spectral'")
+def _check_stored_values(result: SelectionResult, t_cov: int) -> None:
+    # the stored values nothing derives, checked against what compress
+    # computes: prominence._report's entropy and the recorded diagnostics
+    entropy, diagnostics = result.entropy, result.diagnostics
     if entropy.raw_entropy < 0 or entropy.normalizer < 0:
         raise FormatError("raw_entropy and normalizer must be nonnegative")
-    if entropy.normalized_entropy != _normalized(entropy.raw_entropy, entropy.normalizer):
-        raise FormatError("entropy.normalized_entropy is not raw_entropy / normalizer in [0, 1]")
-    if split.normalized_entropy != entropy.normalized_entropy:
-        raise FormatError("normalized_entropy differs from entropy.normalized_entropy")
-    if not 0.0 <= split.coverage_ratio <= 1.0:
-        raise FormatError(f"coverage_ratio {split.coverage_ratio} is outside [0, 1]")
     keys = {"coverage_logdet", "stage2_fallback_count"}
     if result.selected.size >= 2:
         keys.add("min_pairwise_cosine_distance")
@@ -220,7 +225,7 @@ def _check_stored_values(result: SelectionResult) -> None:
     if not -1e-9 <= distance <= 2.0 + 1e-9:
         raise FormatError(f"min_pairwise_cosine_distance {distance} is outside [0, 2]")
     fallback = diagnostics["stage2_fallback_count"]
-    if not (fallback.is_integer() and 0 <= fallback <= split.t_cov):
+    if not (fallback.is_integer() and 0 <= fallback <= t_cov):
         raise FormatError(f"stage2_fallback_count {fallback} is not an integer in [0, t_cov]")
 
 

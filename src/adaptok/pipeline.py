@@ -28,7 +28,9 @@ class SelectionResult:
 
     ``selected`` is ascending (original spatial order); the greedy order of
     the coverage stage is kept in ``coverage_pick_order``.  ``stage_of``,
-    aligned with ``selected``, and the per-stage indices derive from both.
+    aligned with ``selected``, and the per-stage indices derive from both;
+    ``split`` derives from ``config``, ``forced_t_sal`` (None when the
+    sigmoid allocated the split) and the entropy, as ``compress`` makes it.
     ``diagnostics`` holds deterministic scalars only; wall-clock timings in
     ``timings_us`` are left out of serialization and equality, so both are bit-stable.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
@@ -38,11 +40,16 @@ class SelectionResult:
     """
 
     selected: np.ndarray
-    split: BudgetSplit
+    config: CompressConfig
+    forced_t_sal: int | None
     entropy: EntropyReport
     coverage_pick_order: np.ndarray
     diagnostics: dict[str, float] = field(default_factory=dict)
     timings_us: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def split(self) -> BudgetSplit:
+        return _split(self.entropy.normalized_entropy, self.config, self.forced_t_sal)
 
     @property
     def stage_of(self) -> list[str]:
@@ -58,15 +65,12 @@ class SelectionResult:
         return np.sort(self.coverage_pick_order)
 
 
-def selection_results_equal(a: SelectionResult, b: SelectionResult) -> bool:
-    """Deterministic-field equality (timings are run-dependent and ignored)."""
-    return (
-        np.array_equal(a.selected, b.selected)
-        and a.split == b.split
-        and a.entropy == b.entropy
-        and np.array_equal(a.coverage_pick_order, b.coverage_pick_order)
-        and a.diagnostics == b.diagnostics
-    )
+def _split(h: float, config: CompressConfig, forced_t_sal: int | None) -> BudgetSplit:
+    # the sigmoid's split of the entropy h, or the forced (t_sal, T - t_sal)
+    if forced_t_sal is None:
+        return allocate_budget(h, config)
+    t_cov = config.total_budget - forced_t_sal
+    return BudgetSplit(forced_t_sal, t_cov, h, t_cov / config.total_budget)
 
 
 def compress(
@@ -95,16 +99,7 @@ def compress(
             entropy, G = _spectral_entropy(E)
         G = _token_gram(E, G)
         with _span("allocation"):
-            if t_sal is None:
-                split = allocate_budget(entropy.normalized_entropy, config)
-            else:
-                t_cov = T - t_sal
-                split = BudgetSplit(
-                    t_sal=t_sal,
-                    t_cov=t_cov,
-                    normalized_entropy=entropy.normalized_entropy,
-                    coverage_ratio=t_cov / T,
-                )
+            split = _split(entropy.normalized_entropy, config, t_sal)
         with _span("stage1"):
             sal_idx = saliency_topk(s, split.t_sal)
 
@@ -124,7 +119,8 @@ def compress(
 
     return SelectionResult(
         selected=selected,
-        split=split,
+        config=config,
+        forced_t_sal=t_sal,
         entropy=entropy,
         coverage_pick_order=pick.pick_order,
         diagnostics=diagnostics,

@@ -25,7 +25,7 @@ EIGENVALUE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Raw and normalized spectral entropy of one sample (``metric`` is "spectral").
+    """Raw and normalized spectral entropy of one sample.
 
     ``normalizer`` is the log of the maximum-entropy support size;
     ``normalized_entropy`` is raw / normalizer, defined as 0 when the
@@ -34,7 +34,6 @@ class EntropyReport:
 
     raw_entropy: float
     normalized_entropy: float
-    metric: str
     normalizer: float
 
 
@@ -56,7 +55,6 @@ def _report(mass: np.ndarray, support: int) -> EntropyReport:
     return EntropyReport(
         raw_entropy=raw,
         normalized_entropy=_normalized(raw, normalizer),
-        metric="spectral",
         normalizer=normalizer,
     )
 

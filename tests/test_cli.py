@@ -57,7 +57,6 @@ class TestEntropyCommand:
         tok, _ = _synth_files(tmp_path, k=1, noise=0.0, capsys=capsys)
         assert main(["entropy", "--tokens", str(tok)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["metric"] == "spectral"
         assert doc["normalized_entropy"] == 0.0
 
     def test_prints_the_library_report(self, tmp_path, capsys):

@@ -256,28 +256,66 @@ def _fallback_beyond_t_cov(doc):
     doc["diagnostics"]["stage2_fallback_count"] = doc["t_cov"] + 1.0
 
 
+def _zero_coverage_ratio(doc):
+    # t_cov = 7 of 12 is forced, so the ratio can only be 7 / 12
+    doc["coverage_ratio"] = 0.0
+
+
+def _coverage_ratio_one_ulp(doc):
+    # on an allocated document: floor(T * ratio) still gives t_cov
+    doc["coverage_ratio"] = float(np.nextafter(doc["coverage_ratio"], 1.0))
+
+
+def _forced_t_sal_four(doc):
+    doc["forced_t_sal"] = 4
+
+
+def _forced_t_sal_beyond_budget(doc):
+    doc["forced_t_sal"] = 13
+
+
+def _forced_t_sal_true(doc):
+    doc["forced_t_sal"] = True
+
+
+def _unknown_method(doc):
+    doc["config"]["diversity_method"] = "random"
+
+
+def _budget_eleven(doc):
+    doc["config"]["total_budget"] = 11
+
+
+def _no_config(doc):
+    del doc["config"]
+
+
+# edits made to the allocated document; the others edit the forced one
+_ON_ALLOCATED = {_coverage_ratio_one_ulp}
+
+
 # each edit with the part of the error message that names its check
 _BROKEN = [
     (_unknown_label, "write back"),
     (_unsorted, "strictly increasing"),
     (_duplicate_index, "strictly increasing"),
     (_negative_index, "nonnegative"),
-    (_one_pick_short, "t_sal \\+ t_cov entries"),
+    (_one_pick_short, "total_budget entries"),
     (_extra_label, "write back"),
     (_saliency_relabelled, "write back"),
     (_pick_order_short, "permutation"),
     (_saliency_in_pick_order, "write back"),
-    (_negative_t_sal, "nonnegative"),
+    (_negative_t_sal, "write back"),
     (_diagnostics_list, "malformed"),
     (_unknown_key, "write back"),
     (_unknown_entropy_key, "write back"),
-    (_split_entropy_differs, "differs from entropy.normalized_entropy"),
-    (_attention_metric, "metric 'attention'"),
+    (_split_entropy_differs, "write back"),
+    (_attention_metric, "write back"),
     (_negative_raw_entropy, "normalizer must be nonnegative"),
     (_negative_normalizer, "normalizer must be nonnegative"),
-    (_entropy_not_normalized, "raw_entropy / normalizer"),
-    (_coverage_ratio_five, "outside \\[0, 1\\]"),
-    (_negative_coverage_ratio, "outside \\[0, 1\\]"),
+    (_entropy_not_normalized, "write back"),
+    (_coverage_ratio_five, "write back"),
+    (_negative_coverage_ratio, "write back"),
     (_empty_diagnostics, "diagnostics keys"),
     (_unknown_diagnostic, "diagnostics keys"),
     (_no_min_distance, "diagnostics keys"),
@@ -286,6 +324,14 @@ _BROKEN = [
     (_fractional_fallback, "not an integer"),
     (_negative_fallback, "not an integer"),
     (_fallback_beyond_t_cov, "not an integer"),
+    (_zero_coverage_ratio, "write back"),
+    (_coverage_ratio_one_ulp, "write back"),
+    (_forced_t_sal_four, "permutation"),
+    (_forced_t_sal_beyond_budget, "forced_t_sal must be <= 12"),
+    (_forced_t_sal_true, "forced_t_sal: expected an integer"),
+    (_unknown_method, "unknown diversity method"),
+    (_budget_eleven, "total_budget entries"),
+    (_no_config, "malformed: 'config'"),
 ]
 
 
@@ -299,6 +345,7 @@ class TestSelectionResultJson:
         back = selection_result_from_json(selection_result_to_json(res))
         assert selection_results_equal(res, back)
         assert back.timings_us == {}
+        assert back.config == res.config and back.forced_t_sal is None
         # every selector and split reads back equal, to the same bytes, with
         # the Gram taken as E^T E (n >= d) and as E E^T (n < d)
         for n, d, k, seed in ((48, 12, 3, 6), (24, 40, 6, 3)):
@@ -311,6 +358,7 @@ class TestSelectionResultJson:
                     back = selection_result_from_json(text)
                     assert selection_results_equal(res, back)
                     assert selection_result_to_json(back) == text
+                    assert back.config == cfg and back.forced_t_sal == t_sal
         # exact duplicates write a distance just below 0, and antiparallel
         # rows exactly 2: both are values compress writes, so both load
         tokens, sal = synth_tokens(24, 8, 2, 1e-3, 0)
@@ -330,14 +378,15 @@ class TestSelectionResultJson:
 
     def test_schema_field_present(self):
         doc = json.loads(selection_result_to_json(self._result()))
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["t_sal"] + doc["t_cov"] == 12
         assert doc["selected"] == sorted(doc["selected"])
         assert set(doc["stage_of"]) <= {"saliency", "coverage"}
 
     def test_rejects_wrong_schema(self):
-        text = selection_result_to_json(self._result()).replace('"schema": 1', '"schema": 2')
-        for doc in (text, "[1]", "null"):  # the last two have no schema field at all
+        text = selection_result_to_json(self._result())
+        wrong = [text.replace('"schema": 2', f'"schema": {value}') for value in (1, "true")]
+        for doc in (*wrong, "[1]", "null"):  # the last two have no schema field at all
             with pytest.raises(FormatError):
                 selection_result_from_json(doc)
 
@@ -366,7 +415,8 @@ class TestSelectionResultJson:
     )
     def test_rejects_documents_no_compress_writes(self, mutate, message):
         tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
-        result = compress(tokens, sal, CompressConfig(total_budget=12), t_sal=5)
+        t_sal = None if mutate in _ON_ALLOCATED else 5
+        result = compress(tokens, sal, CompressConfig(total_budget=12), t_sal=t_sal)
         text = selection_result_to_json(result)
         doc = json.loads(text)
         assert _text(doc) == text  # so only the edit can be refused
@@ -377,11 +427,11 @@ class TestSelectionResultJson:
 
     @pytest.mark.parametrize(
         "old, new",
-        [('"schema": 1,', '"schema": true,'),
-         ('"schema": 1,', '"schema": 1.0,'),
+        [('"schema": 2,', '"schema": 2.0,'),
+         ('"mu": 0.42,', '"mu": 4.2e-1,'),
          ('"coverage_logdet": 0.0,', '"coverage_logdet": 0,'),
          (None, None)],
-        ids=["schema-true", "schema-float", "integer-logdet", "compact-layout"],
+        ids=["schema-float", "mu-exponent", "integer-logdet", "compact-layout"],
     )
     def test_rejects_text_compress_never_writes(self, old, new):
         # equal values under json.loads, in bytes that compress never writes
@@ -448,7 +498,11 @@ class TestSelectionResultJson:
         tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
         result = compress(tokens, sal, CompressConfig(total_budget=12), t_sal=1)
         doc = json.loads(selection_result_to_json(result))
-        doc["t_sal"] = True  # equal to 1, so only the type is wrong
+        doc["forced_t_sal"] = True  # equal to 1, so only the type is wrong
         with pytest.raises(FormatError, match="expected an integer"):
+            selection_result_from_json(_text(doc))
+        # the stored t_sal is derived, so the write-back refuses its bool
+        doc["forced_t_sal"], doc["t_sal"] = 1, True
+        with pytest.raises(FormatError, match="write back"):
             selection_result_from_json(_text(doc))
 

@@ -194,6 +194,21 @@ class TestCompressFixed:
         assert type(res.split.t_sal) is int
         assert selection_results_equal(res, compress(tokens, sal, cfg, t_sal=4))
 
+    def test_equality_is_document_equality(self):
+        tokens, sal = _instance()
+        h = spectral_entropy(tokens).normalized_entropy
+        # at mu = h the sigmoid gives ratio 0.5, the ratio the forced half split stores
+        cfg = CompressConfig(total_budget=16, mu=h, tau=0.02)
+        allocated = compress(tokens, sal, cfg)
+        timed = dataclasses.replace(allocated, timings_us={"total": 1.0})
+        assert selection_results_equal(allocated, timed)
+        forced = compress(tokens, sal, cfg, t_sal=8)
+        assert forced.split == allocated.split
+        np.testing.assert_array_equal(forced.selected, allocated.selected)
+        # the documents differ in forced_t_sal, and only there
+        assert not selection_results_equal(forced, allocated)
+        assert selection_results_equal(dataclasses.replace(forced, forced_t_sal=None), allocated)
+
     @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
     def test_forcing_the_chosen_split_changes_nothing(self, method):
         # the forced path must select exactly what the adaptive path did

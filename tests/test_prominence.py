@@ -18,7 +18,6 @@ class TestSpectralEntropy:
         rep = spectral_entropy(E)
         assert rep.raw_entropy == 0.0
         assert rep.normalized_entropy == 0.0
-        assert rep.metric == "spectral"
 
     def test_identity_is_maximal(self):
         rep = spectral_entropy(np.eye(4))
