@@ -5,7 +5,8 @@ of its token matrix (``spectral_entropy``), splits a fixed token budget between
 saliency-driven and coverage-driven selection through a sigmoidal mapping,
 and runs a two-stage selection: attention top-k, then diversity completion
 (greedy DPP MAP by default, farthest point sampling and facility location
-as alternates).
+as alternates).  ``compress`` is the one entry to both stages; with
+``t_sal=0`` it runs the diversity stage alone.
 """
 
 from .budget import (
@@ -48,14 +49,7 @@ from .io_formats import (
 )
 from .pipeline import SelectionResult, compress
 from .prominence import EntropyReport, spectral_entropy
-from .selection import (
-    DiversityPick,
-    dpp_greedy_map,
-    facility_location_select,
-    fps_select,
-    reduce_head_attention,
-    saliency_topk,
-)
+from .selection import reduce_head_attention, saliency_topk
 from .synth import subseed_rng, synth_tokens
 from .tensor_core import as_token_matrix
 
@@ -69,7 +63,6 @@ __all__ = [
     "DEFAULT_TAU",
     "DIVERSITY_METHODS",
     "DegenerateInputError",
-    "DiversityPick",
     "EntropyReport",
     "FormatError",
     "InvalidBudgetError",
@@ -85,12 +78,9 @@ __all__ = [
     "allocate_budget",
     "as_token_matrix",
     "compress",
-    "dpp_greedy_map",
     "estimate_kv_cache_bytes",
     "estimate_prefill_flops",
-    "facility_location_select",
     "flops_reduction",
-    "fps_select",
     "read_saliency",
     "read_selection_result",
     "read_tokens",

@@ -202,14 +202,15 @@ def _cmd_flops(args) -> int:
     if args.text_tokens is not None:
         spec = dataclasses.replace(spec, text_tokens=args.text_tokens)
     flops = estimate_prefill_flops(args.seq_visual, spec)
+    kv_bytes = estimate_kv_cache_bytes(args.seq_visual, spec)
     doc = {
         "model": "llava-next-7b",
         "seq_visual": args.seq_visual,
         "text_tokens": spec.text_tokens,
         "flops": flops,
         "tflops": flops / 1e12,
-        "kv_cache_bytes": estimate_kv_cache_bytes(args.seq_visual, spec),
-        "kv_cache_mb": estimate_kv_cache_bytes(args.seq_visual, spec) / 2**20,
+        "kv_cache_bytes": kv_bytes,
+        "kv_cache_mb": kv_bytes / 2**20,
     }
     if args.baseline_seq is not None:
         doc["baseline_seq"] = args.baseline_seq

@@ -1,23 +1,29 @@
 """Token subset selectors: saliency top-k and diversity completion.
 
 Stage 1 keeps the highest-saliency tokens.  Stage 2 picks a diverse subset
-from the residual pool with one of three interchangeable selectors:
+from the residual pool with one of three interchangeable cores, chosen by
+``CompressConfig.diversity_method`` through ``_SELECTORS``:
 
-* ``dpp_greedy_map`` — greedy log-determinant maximization over the cosine
+* ``_dpp_greedy`` — greedy log-determinant maximization over the cosine
   kernel, using incremental Cholesky-style residual updates.
-* ``fps_select`` — farthest point sampling under the cosine distance
+* ``_fps`` — farthest point sampling under the cosine distance
   d(i,j) = 1 - e_i . e_j on normalized features.
-* ``facility_location_select`` — lazy (accelerated) greedy maximization of
-  the coverage objective F(S) = sum_i max_{j in S} s(i,j) with
+* ``_facility_location`` — lazy (accelerated) greedy maximization of the
+  coverage objective F(S) = sum_i max_{j in S} s(i,j) with
   s = (cos + 1) / 2, re-evaluating only the candidates on top of a heap of
   stale gain bounds, a few rows per matrix op.
+
+``compress`` is the one entry to stage 2: it validates E, the saliency and
+the budget, and runs a core on the pool stage 1 leaves.  To run stage 2
+over rows of one's own, pass them to ``compress`` with ``t_sal=0``; at
+n < d their kernel then comes from their own Gram, not from a block of a
+larger one, so a near-tie may break otherwise.
 
 All three read the cosine kernel of the pool rows E[idx] by one rule,
 ``_pool_unit_kernel``.  At n < d it is a block of the token Gram G = E E^T,
 which ``compress`` already formed for the entropy, scaled by w_a w_b with
 w = 1 / (sqrt(diag G) + eps); at n >= d it is ``unit @ unit.T`` over the
-normalized rows.  The public selectors form G themselves at n < d, so
-their picks are bitwise those of ``compress``'s stage 2 on the same pool.
+normalized rows.
 
 Ties are always broken toward the lowest token index, so every selector is
 deterministic.  For facility location, ties are judged on the gains as the
@@ -41,7 +47,6 @@ from .tensor_core import (
     _normalize_rows_raw,
     _span,
     as_saliency_vector,
-    as_token_matrix,
 )
 
 # Diagonal jitter keeps the incremental updates stable on collinear pools;
@@ -52,29 +57,8 @@ DEFAULT_JITTER = 1e-10
 RANK_FLOOR = 1e-10
 
 # Stale facility-location bounds re-evaluated per row op; 8 measured fastest
-# at a 576-token pool (see facility_location_select).
+# at a 576-token pool (see _facility_location).
 _FL_STALE_BATCH = 8
-
-
-def as_index_pool(pool, n_tokens: int) -> np.ndarray:
-    """Validate a candidate index set: strictly increasing ints in [0, n_tokens)."""
-    try:
-        idx = np.asarray(pool)
-    except (TypeError, ValueError) as err:
-        raise InvalidInputError(f"index pool must be an array of integers: {err}") from None
-    if idx.ndim != 1:
-        raise InvalidInputError(f"index pool must be 1-D, got shape {idx.shape}")
-    # a fractional or bool pool would be cast to rows it never named; an
-    # empty list comes in as float64 and names no row
-    if idx.size and idx.dtype.kind not in "iu":
-        raise InvalidInputError(f"pool indices must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= n_tokens:
-            raise InvalidInputError(f"pool indices must lie in [0, {n_tokens})")
-        if np.any(np.diff(idx) <= 0):
-            raise InvalidInputError("pool indices must be strictly increasing")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -174,17 +158,7 @@ def _dpp_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> np.ndar
     return L
 
 
-def _select(core, tokens, pool, k: int, saliency=None) -> DiversityPick:
-    """A public selector: validate, then run ``core`` on E's token Gram."""
-    E = as_token_matrix(tokens)
-    idx = as_index_pool(pool, E.shape[0])
-    k = _count(k, "k", 0, idx.size)
-    if saliency is not None:
-        saliency = as_saliency_vector(saliency, n_tokens=E.shape[0])
-    return core(E, idx, k, _token_gram(E), saliency) if k else _pick(idx, [], [])
-
-
-def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
+def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
     """Greedy MAP selection of k tokens maximizing log det of the cosine kernel.
 
     Implements the fast greedy algorithm with incremental Cholesky-style
@@ -195,19 +169,15 @@ def dpp_greedy_map(tokens, pool, k: int, saliency=None) -> DiversityPick:
     lowest index).
 
     When every remaining gain falls below RANK_FLOOR the pool is rank
-    deficient; remaining slots are filled by descending ``saliency`` (or
-    ascending index if none is given) so the budget contract still holds.
-    A residual jittered by DEFAULT_JITTER (equal to RANK_FLOOR) is at least
-    the jitter in exact arithmetic, so this fill runs only when rounding
-    pushes a residual below the floor.  Otherwise a rank-deficient pool
-    goes on picking greedily at gains near log(DEFAULT_JITTER): an 8x2 pool
-    with k=6 fills no slot and its last gains are about -22, and zero rows
-    are picked in index order at log(1e-10).
+    deficient; remaining slots are filled by descending ``saliency`` (ties
+    to the lower index) so the budget contract still holds.  A residual
+    jittered by DEFAULT_JITTER (equal to RANK_FLOOR) is at least the jitter
+    in exact arithmetic, so this fill runs only when rounding pushes a
+    residual below the floor.  Otherwise a rank-deficient pool goes on
+    picking greedily at gains near log(DEFAULT_JITTER): an 8x2 pool with
+    k=6 fills no slot and its last gains are about -22, and zero rows are
+    picked in index order at log(1e-10).
     """
-    return _select(_dpp_greedy, tokens, pool, k, saliency)
-
-
-def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
     with _span("kernel"):
         L = _dpp_kernel(E, idx, G)
     with _span("greedy"):
@@ -238,13 +208,12 @@ def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
         fallback_count = k - len(picked)
         if fallback_count:
             fill = np.flatnonzero(di2 != -np.inf)
-            if saliency is not None:
-                fill = fill[np.argsort(-saliency[idx[fill]], kind="stable")]
+            fill = fill[np.argsort(-saliency[idx[fill]], kind="stable")]
             picked += fill[:fallback_count].tolist()
         return _pick(idx, picked, gains, fallback_count)
 
 
-def fps_select(tokens, pool, k: int) -> DiversityPick:
+def _fps(E, idx, k, G, saliency) -> DiversityPick:
     """Farthest point sampling over the pool under d(i,j) = 1 - e_i . e_j.
 
     Starts from the pool's lowest index, then repeatedly picks the candidate
@@ -252,10 +221,6 @@ def fps_select(tokens, pool, k: int) -> DiversityPick:
     index.  ``gains`` records that max-min distance per pick (inf for the
     seed).
     """
-    return _select(_fps, tokens, pool, k)
-
-
-def _fps(E, idx, k, G, saliency) -> DiversityPick:
     with _span("kernel"):
         if G is None:
             unit = _normalize_rows_raw(E, idx)
@@ -281,7 +246,7 @@ def _fps(E, idx, k, G, saliency) -> DiversityPick:
         return _pick(idx, picked, gains)
 
 
-def facility_location_select(tokens, pool, k: int) -> DiversityPick:
+def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
     """Lazy-greedy facility location over s(i,j) = clip((e_i . e_j + 1) / 2, 0, 1).
 
     Maximizes F(S) = sum_{i in pool} max_{j in S} s(i,j) with unit weights:
@@ -307,10 +272,6 @@ def facility_location_select(tokens, pool, k: int) -> DiversityPick:
     lazy sums round in a different order, and the two may pick different
     copies of a duplicate, with the same F(S) up to rounding.
     """
-    return _select(_facility_location, tokens, pool, k)
-
-
-def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
     with _span("kernel"):
         # in place: no m x m temporaries beyond the kernel itself
         sim = _pool_unit_kernel(E, idx, G)

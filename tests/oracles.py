@@ -16,7 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
+from adaptok import as_token_matrix
 from adaptok.selection import (
+    _SELECTORS,
     DEFAULT_JITTER,
     RANK_FLOOR,
     _dpp_kernel,
@@ -108,6 +110,14 @@ def pairwise_cosine_naive(E: np.ndarray, pool, epsilon: float = 1e-12) -> np.nda
 def package_kernel(E: np.ndarray, pool) -> np.ndarray:
     """The pool's cosine kernel by the package's rule, as a selector reads it."""
     return _pool_unit_kernel(E, np.asarray(pool, dtype=np.int64), _token_gram(E))
+
+
+def run_core(method: str, tokens, pool, k: int, saliency=None):
+    """The stage-2 core ``method`` over a valid pool (strictly increasing
+    row indices) with 1 <= k <= its size, given ``_token_gram(E)`` as
+    ``compress`` gives it; only DPP's rank fill reads ``saliency``."""
+    E = as_token_matrix(tokens)
+    return _SELECTORS[method](E, np.asarray(pool, dtype=np.int64), k, _token_gram(E), saliency)
 
 
 def verify_fps_order(E: np.ndarray, pool: np.ndarray, pick_order: np.ndarray) -> bool:

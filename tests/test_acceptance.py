@@ -15,6 +15,7 @@ from oracles import (
     feature_norm_entropy,
     leaf_share,
     random_orthogonal,
+    run_core,
     sigmoid_scalar,
     span_paths,
     verify_fps_order,
@@ -25,11 +26,8 @@ from adaptok import (
     CompressConfig,
     allocate_budget,
     compress,
-    dpp_greedy_map,
     estimate_prefill_flops,
-    facility_location_select,
     flops_reduction,
-    fps_select,
     selection_results_equal,
     spectral_entropy,
     subseed_rng,
@@ -161,7 +159,7 @@ def test_criterion_4_dpp_correctness():
             E = rng.standard_normal((n, d))
             pool = np.arange(n)
 
-            fast = dpp_greedy_map(E, pool, k)
+            fast = run_core("dpp", E, pool, k)
             naive_order, _ = dpp_greedy_naive(E, pool, k)
             np.testing.assert_array_equal(fast.pick_order, naive_order)
 
@@ -188,7 +186,7 @@ def test_criterion_5_alternate_selectors():
             E = rng.standard_normal((n, d))
             pool = np.arange(n)
             k = int(rng.integers(1, n + 1))
-            pick = fps_select(E, pool, k)
+            pick = run_core("fps", E, pool, k)
             assert verify_fps_order(E, pool, pick.pick_order)
 
         from oracles import facility_optimum
@@ -201,7 +199,7 @@ def test_criterion_5_alternate_selectors():
             k = int(rng.integers(1, min(3, n) + 1))
             E = rng.standard_normal((n, int(rng.integers(2, 8))))
             pool = np.arange(n)
-            greedy_f = facility_location_select(E, pool, k).gains.sum()
+            greedy_f = run_core("facility_location", E, pool, k).gains.sum()
             opt_f = facility_optimum(E, pool, k)
             assert greedy_f >= bound * opt_f - 1e-9
             worst = min(worst, greedy_f / opt_f)

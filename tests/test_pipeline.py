@@ -4,22 +4,22 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import leaf_share, span_paths
+from oracles import leaf_share, run_core, span_paths
 
 from adaptok import (
     CompressConfig,
     DegenerateInputError,
     InvalidBudgetError,
     InvalidInputError,
+    as_token_matrix,
     compress,
-    dpp_greedy_map,
-    facility_location_select,
-    fps_select,
     saliency_topk,
     selection_results_equal,
     spectral_entropy,
     synth_tokens,
 )
+from adaptok.prominence import _spectral_entropy
+from adaptok.selection import _token_gram
 from adaptok.tensor_core import _SPANS
 
 CLIP = dict(mu=0.42, tau=0.02)
@@ -234,20 +234,19 @@ class TestCompressFixed:
          (96, 64, 16, 11, 24)],
         ids=["n<d", "n<d-near-tie", "n=d", "n>d"],
     )
-    def test_stage2_picks_are_the_public_selectors(self, method, n, d, k_dir, seed, T):
-        # at n < d stage 2 slices the entropy's Gram and a public selector
-        # forms the same Gram itself, so the picks agree bit for bit
+    @pytest.mark.parametrize("share", [0.5, 0.0], ids=["t_sal=T/2", "t_sal=0"])
+    def test_stage2_picks_are_the_selector_cores(self, method, n, d, k_dir, seed, T, share):
+        # at n < d stage 2 slices the entropy's Gram and run_core forms the
+        # same Gram itself, so the picks agree bit for bit; t_sal=0 is how a
+        # caller runs stage 2 over rows of its own, the core over every row
         tokens, sal = synth_tokens(n, d, k_dir, 1e-3, seed)
-        cfg = CompressConfig(total_budget=T, diversity_method=method)
-        res = compress(tokens, sal, cfg, t_sal=T // 2)
+        E = as_token_matrix(tokens)
+        if n < d:
+            assert _spectral_entropy(E)[1].tobytes() == _token_gram(E).tobytes()
+        t_sal = int(share * T)
+        res = compress(tokens, sal, CompressConfig(total_budget=T, diversity_method=method), t_sal)
         pool = np.setdiff1d(np.arange(n), res.saliency_indices)
-        select = {
-            "dpp": lambda *args: dpp_greedy_map(*args, saliency=sal),
-            "fps": fps_select,
-            "facility_location": facility_location_select,
-        }[method]
-        pick = select(tokens, pool, res.split.t_cov)
-        assert res.split.t_cov > 0
+        pick = run_core(method, tokens, pool, T - t_sal, sal)
         assert pick.pick_order.tobytes() == res.coverage_pick_order.tobytes()
 
 
@@ -286,8 +285,8 @@ class TestTimings:
         res = compress(tokens, sal, CompressConfig(total_budget=12, **CLIP))
         before = dict(res.timings_us)
         spectral_entropy(tokens)
-        for select in (dpp_greedy_map, fps_select, facility_location_select):
-            select(tokens, np.arange(48), 5)
+        for method in ("dpp", "fps", "facility_location"):
+            run_core(method, tokens, np.arange(48), 5, sal)
         assert res.timings_us == before
         assert _SPANS.get() is None
 

