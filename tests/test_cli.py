@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import span_paths
+from oracles import run_core, span_paths
 
 from adaptok import (
     CompressConfig,
@@ -139,6 +139,21 @@ class TestCompressCommand:
         E, s = read_tokens(tok), reduce_head_attention(read_saliency(sal))
         expected = selection_result_to_json(compress(E, s, CompressConfig(total_budget=32)))
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("flag", ["dpp", "fps", "fl"])
+    def test_diversity_flag_runs_its_core(self, tmp_path, capsys, flag):
+        # the CLI is the installed package's one route to each stage-2 core;
+        # at --t-sal 0 that core picks over every row
+        tok, sal = _synth_files(tmp_path, capsys=capsys)
+        argv = ["compress", "--tokens", str(tok), "--saliency", str(sal), "--budget", "16",
+                "--t-sal", "0", "--diversity", flag]
+        assert main(argv) == 0
+        res = selection_result_from_json(capsys.readouterr().out)
+        E, s = read_tokens(tok), reduce_head_attention(read_saliency(sal))
+        method = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}[flag]
+        assert res.config.diversity_method == method
+        pick = run_core(method, E, np.arange(len(E)), 16, s)
+        assert res.coverage_pick_order.tobytes() == pick.pick_order.tobytes()
 
     def test_budget_error_category(self, tmp_path, capsys):
         small, large = tmp_path / "n8", tmp_path / "n96"

@@ -209,6 +209,16 @@ class TestDppGreedyMap:
         np.testing.assert_array_equal(pick.pick_order, [0, 1, 3])
         assert pick.fallback_count == 2
 
+    def test_k_zero_and_errors(self, rng):
+        # through compress, the one entry: a stage 2 of k = 0 runs no core,
+        # and a budget beyond the rows is refused before any core runs
+        E, s = rng.standard_normal((5, 3)), rng.random(5)
+        res = compress(E, s, CompressConfig(total_budget=5, diversity_method="dpp"), t_sal=5)
+        assert res.coverage_pick_order.size == 0
+        assert res.coverage_pick_order.dtype == np.int64
+        with pytest.raises(InvalidBudgetError):
+            compress(E, s, CompressConfig(total_budget=6, diversity_method="dpp"), t_sal=0)
+
     def test_deterministic(self, rng):
         E = rng.standard_normal((14, 7))
         a = run_core("dpp", E, np.arange(14), 5)
@@ -272,6 +282,10 @@ class TestFpsSelect:
             pick = run_core("fps", E, np.arange(n), k)
             assert verify_fps_order(E, np.arange(n), pick.pick_order)
 
+    def test_errors(self, rng):
+        E, s = rng.standard_normal((4, 2)), rng.random(4)
+        with pytest.raises(InvalidBudgetError):
+            compress(E, s, CompressConfig(total_budget=5, diversity_method="fps"), t_sal=0)
 
 
 FL_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")
@@ -343,6 +357,11 @@ class TestFacilityLocationSelect:
             opt = facility_optimum(E, np.arange(n), k)
             assert pick.gains.sum() >= bound * opt - 1e-9
 
+    def test_errors(self, rng):
+        E, s = rng.standard_normal((3, 2)), rng.random(3)
+        cfg = CompressConfig(total_budget=4, diversity_method="facility_location")
+        with pytest.raises(InvalidBudgetError):
+            compress(E, s, cfg, t_sal=0)
 
     @pytest.mark.parametrize("kind", [k for k in FL_KINDS if k != "duplicates"])
     def test_pick_order_matches_dense_greedy(self, kind):

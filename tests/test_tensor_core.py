@@ -20,6 +20,7 @@ from adaptok import (
     estimate_prefill_flops,
     reduce_head_attention,
     saliency_topk,
+    selection,
     spectral_entropy,
     subseed_rng,
     synth_tokens,
@@ -167,6 +168,7 @@ class TestSpectrumInvariants:
 
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
+_METHODS = ("dpp", "fps", "facility_location")
 _SPEC = {"hidden_dim": 8, "n_layers": 2, "n_params": 100, "text_tokens": 3}
 
 # every public entry that takes a count: (name, call taking the count, a
@@ -177,6 +179,12 @@ _COUNT_ENTRIES = [
      "invalid-budget"),
     ("compress.t_sal", lambda v: compress(_E, _S, CompressConfig(total_budget=4), t_sal=v), 5,
      "invalid-budget"),
+    # the route to each stage-2 core: at t_sal=0 the budget is the core's k
+    *[(f"compress-{method}-t_sal=0.total_budget",
+       lambda v, method=method: compress(
+           _E, _S, CompressConfig(total_budget=v, diversity_method=method), t_sal=0),
+       11, "invalid-budget")
+      for method in _METHODS],
     ("saliency_topk.k", lambda v: saliency_topk(_S, v), 11, "invalid-budget"),
     ("synth_tokens.n", lambda v: synth_tokens(v, 4, 1, 0.0, 0), 0, "invalid-input"),
     ("synth_tokens.d", lambda v: synth_tokens(4, v, 1, 0.0, 0), 0, "invalid-input"),
@@ -247,7 +255,6 @@ class TestRealBoundary:
 
 _WIDE, _WIDE_S = synth_tokens(6, 10, 2, 1e-3, 0)
 _SHAPES = {"tall": (_E, _S), "wide": (_WIDE, _WIDE_S)}
-_METHODS = ("dpp", "fps", "facility_location")
 
 
 def _compress_scaled(method, shape, scale):
@@ -366,6 +373,43 @@ class TestCountBoundary:
     def test_run_bench_grid_entry_needs_three_parts(self, entry):
         with pytest.raises(InvalidInputError):
             run_bench([entry], repeats=1)
+
+    @pytest.mark.parametrize("method", _METHODS)
+    def test_empty_stage2_and_unsigned_counts_still_select(self, method):
+        cfg = CompressConfig(total_budget=3, diversity_method=method)
+        assert compress(_E, _S, cfg, t_sal=3).coverage_pick_order.dtype == np.int64
+        # numpy unsigned counts are taken as ints, so T - t_sal cannot wrap
+        unsigned = CompressConfig(total_budget=np.uint8(3), diversity_method=method)
+        res = compress(_E, _S, unsigned, t_sal=np.uint8(0))
+        expected = compress(_E, _S, cfg, t_sal=0).coverage_pick_order
+        assert res.coverage_pick_order.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "saliency", [[1.0, 2.0], [np.nan] * 6, [-1.0] * 6], ids=["short", "nan", "negative"]
+    )
+    @pytest.mark.parametrize(
+        "E, k",
+        [(np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0]), 4),
+         (np.random.default_rng(0).standard_normal((6, 3)), 3),
+         (np.random.default_rng(0).standard_normal((6, 3)), 0)],
+        ids=["rank-one-fill", "full-rank", "k-zero"],
+    )
+    def test_dpp_saliency_is_checked_on_entry(self, monkeypatch, saliency, E, k):
+        # compress hands DPP all six rows and k picks; without jitter the
+        # rank-1 pool fills 3 of its 4 slots by saliency, and the full-rank
+        # pool and k=0 (no core runs) never reach that fill
+        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
+        T = max(k, 1)
+        with pytest.raises(InvalidInputError):
+            compress(E, saliency, CompressConfig(total_budget=T, diversity_method="dpp"), T - k)
+
+    @pytest.mark.parametrize(
+        "saliency", [[1.0, 2.0], [np.nan] * 10, [-1.0] * 10], ids=["short", "nan", "negative"]
+    )
+    @pytest.mark.parametrize("method", ["fps", "facility_location"])
+    def test_saliency_the_core_never_reads_is_still_checked(self, method, saliency):
+        with pytest.raises(InvalidInputError):
+            compress(_E, saliency, CompressConfig(total_budget=4, diversity_method=method), 0)
 
     @pytest.mark.parametrize(
         "argv",
