@@ -36,7 +36,8 @@ def _grid_entry(entry) -> tuple[int, int, int]:
         n, d, t = entry
     except (TypeError, ValueError):
         raise InvalidInputError(f"grid entries are (n, d, T), got {entry!r}") from None
-    return tuple(_count(v, name, 1, error=InvalidInputError) for v, name in zip((n, d, t), "ndT"))
+    n, d, t = (_count(v, name, 1, error=InvalidInputError) for v, name in zip((n, d, t), "ndT"))
+    return n, d, _count(t, "T", most=n)  # InvalidBudgetError, as compress raises for T > n
 
 
 def run_bench(

@@ -14,7 +14,7 @@ import numpy as np
 from .budget import BudgetSplit, CompressConfig, allocate_budget
 from .prominence import EntropyReport, _spectral_entropy
 from .selection import (
-    _SELECTORS, DEFAULT_JITTER, _dpp_kernel, _pick, _pool_unit_kernel, _token_gram, saliency_topk
+    _SELECTORS, DEFAULT_JITTER, _dpp_kernel, _pick, _pool_unit_kernel, saliency_topk
 )
 from .tensor_core import _count, _span, as_saliency_vector, as_token_matrix
 
@@ -97,7 +97,6 @@ def compress(
 
         with _span("entropy"):
             entropy, G = _spectral_entropy(E)
-        G = _token_gram(E, G)
         with _span("allocation"):
             split = _split(entropy.normalized_entropy, config, t_sal)
         with _span("stage1"):

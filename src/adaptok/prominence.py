@@ -69,12 +69,13 @@ def spectral_entropy(tokens) -> EntropyReport:
     return _spectral_entropy(as_token_matrix(tokens))[0]
 
 
-def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray]:
-    """``spectral_entropy`` of a validated E, and the ``_gram(E)`` it decomposed."""
+def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray | None]:
+    """``spectral_entropy`` of a validated E, and the Gram it decomposed if that
+    is the token Gram E E^T (n < d), which stage 2 reads; None at n >= d."""
     with _span("gram"):
         G = _gram(E)
     with _span("eigvalsh"):
         lam = _clamped_descending_eigvalsh(G)
     lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
-    return _report(lam, min(E.shape)), G
+    return _report(lam, min(E.shape)), G if E.shape[0] < E.shape[1] else None
 

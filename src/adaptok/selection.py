@@ -20,10 +20,10 @@ n < d their kernel then comes from their own Gram, not from a block of a
 larger one, so a near-tie may break otherwise.
 
 All three read the cosine kernel of the pool rows E[idx] by one rule,
-``_pool_unit_kernel``.  At n < d it is a block of the token Gram G = E E^T,
-which ``compress`` already formed for the entropy, scaled by w_a w_b with
-w = 1 / (sqrt(diag G) + eps); at n >= d it is ``unit @ unit.T`` over the
-normalized rows.
+``_pool_unit_kernel``.  At n < d it is a block of the token Gram G = E E^T
+that ``compress`` takes from the entropy (``_spectral_entropy``), scaled by
+w_a w_b with w = 1 / (sqrt(diag G) + eps); at n >= d, where G is None, it
+is ``unit @ unit.T`` over the normalized rows.
 
 Ties are always broken toward the lowest token index, so every selector is
 deterministic.  For facility location, ties are judged on the gains as the
@@ -43,7 +43,6 @@ from .tensor_core import (
     _as_float64,
     _check_scores,
     _count,
-    _gram,
     _normalize_rows_raw,
     _span,
     as_saliency_vector,
@@ -122,13 +121,6 @@ def saliency_topk(saliency, k: int) -> np.ndarray:
     return np.sort(order[:k]).astype(np.int64)
 
 
-def _token_gram(E: np.ndarray, G: np.ndarray | None = None) -> np.ndarray | None:
-    """E E^T at n < d, where it is ``_gram(E)`` (``G`` if given), else None."""
-    if E.shape[0] >= E.shape[1]:
-        return None
-    return _gram(E) if G is None else G
-
-
 def _inv_norms(G: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return 1.0 / (np.sqrt(np.diag(G)[idx]) + DEFAULT_EPSILON)
 
@@ -137,8 +129,8 @@ def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> n
     """Cosine kernel of the rows E[idx]: bitwise symmetric PSD, unit
     diagonal for nonzero rows, zero row and column for zero rows.
 
-    E and idx are already validated, and G is ``_token_gram(E)``.  At n < d
-    it is G[idx][:, idx] * outer(w, w), w = 1 / (sqrt(diag G[idx]) +
+    E and idx are already validated, and G is ``_spectral_entropy(E)[1]``.
+    At n < d it is G[idx][:, idx] * outer(w, w), w = 1 / (sqrt(diag G[idx]) +
     DEFAULT_EPSILON): one product with a symmetric matrix keeps it bitwise
     symmetric.  At n >= d it is unit @ unit.T over the normalized rows, which
     the BLAS symmetric rank-k update returns bitwise symmetric.  Both are
@@ -306,5 +298,5 @@ def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
 
 
 # compress's stage 2 by diversity method: each core takes validated (E, pool,
-# k >= 1), _token_gram(E) and the saliency, which only DPP's rank fill reads
+# k >= 1), _spectral_entropy(E)[1] and the saliency, which only DPP's rank fill reads
 _SELECTORS = {"dpp": _dpp_greedy, "fps": _fps, "facility_location": _facility_location}

@@ -17,14 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from adaptok import as_token_matrix
-from adaptok.selection import (
-    _SELECTORS,
-    DEFAULT_JITTER,
-    RANK_FLOOR,
-    _dpp_kernel,
-    _pool_unit_kernel,
-    _token_gram,
-)
+from adaptok.prominence import _spectral_entropy
+from adaptok.selection import _SELECTORS, DEFAULT_JITTER, RANK_FLOOR, _dpp_kernel, _pool_unit_kernel
 
 
 def triple_loop_gram(E: np.ndarray, side: str) -> np.ndarray:
@@ -109,15 +103,17 @@ def pairwise_cosine_naive(E: np.ndarray, pool, epsilon: float = 1e-12) -> np.nda
 
 def package_kernel(E: np.ndarray, pool) -> np.ndarray:
     """The pool's cosine kernel by the package's rule, as a selector reads it."""
-    return _pool_unit_kernel(E, np.asarray(pool, dtype=np.int64), _token_gram(E))
+    return _pool_unit_kernel(E, np.asarray(pool, dtype=np.int64), _spectral_entropy(E)[1])
 
 
 def run_core(method: str, tokens, pool, k: int, saliency=None):
     """The stage-2 core ``method`` over a valid pool (strictly increasing
-    row indices) with 1 <= k <= its size, given ``_token_gram(E)`` as
-    ``compress`` gives it; only DPP's rank fill reads ``saliency``."""
+    row indices) with 1 <= k <= its size, given the entropy's token Gram
+    (None at n >= d) as ``compress`` gives it; only DPP's rank fill reads
+    ``saliency``."""
     E = as_token_matrix(tokens)
-    return _SELECTORS[method](E, np.asarray(pool, dtype=np.int64), k, _token_gram(E), saliency)
+    G = _spectral_entropy(E)[1]
+    return _SELECTORS[method](E, np.asarray(pool, dtype=np.int64), k, G, saliency)
 
 
 def verify_fps_order(E: np.ndarray, pool: np.ndarray, pick_order: np.ndarray) -> bool:
@@ -230,7 +226,7 @@ def dpp_greedy_naive(E: np.ndarray, pool, k: int):
     pass full-rank pools (d >= k).
     """
     pool = np.asarray(pool, dtype=np.int64)
-    L = _dpp_kernel(E, pool, _token_gram(E))
+    L = _dpp_kernel(E, pool, _spectral_entropy(E)[1])
     avail = np.ones(pool.size, dtype=bool)
     picked: list[int] = []
     gains: list[float] = []

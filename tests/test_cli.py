@@ -252,6 +252,13 @@ class TestBenchCommand:
     def test_empty_grid_dimension_is_invalid_input(self, grid, capsys):
         _invalid_input(["bench", f"--grid={grid}"], capsys)
 
+    def test_budget_above_n_fails_before_any_output(self, capsys):
+        # the first entry is valid, but no entry is timed before all are checked
+        assert main(["bench", "--grid", "64x32x8", "--grid", "48x16x100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["category"] == "invalid-budget"
+
     def test_zero_repeats_is_invalid_input(self, capsys):
         _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)
 

@@ -11,15 +11,12 @@ from adaptok import (
     DegenerateInputError,
     InvalidBudgetError,
     InvalidInputError,
-    as_token_matrix,
     compress,
     saliency_topk,
     selection_results_equal,
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.prominence import _spectral_entropy
-from adaptok.selection import _token_gram
 from adaptok.tensor_core import _SPANS
 
 CLIP = dict(mu=0.42, tau=0.02)
@@ -236,13 +233,10 @@ class TestCompressFixed:
     )
     @pytest.mark.parametrize("share", [0.5, 0.0], ids=["t_sal=T/2", "t_sal=0"])
     def test_stage2_picks_are_the_selector_cores(self, method, n, d, k_dir, seed, T, share):
-        # at n < d stage 2 slices the entropy's Gram and run_core forms the
-        # same Gram itself, so the picks agree bit for bit; t_sal=0 is how a
-        # caller runs stage 2 over rows of its own, the core over every row
+        # run_core hands the core the entropy's Gram as compress does, so
+        # the picks agree bit for bit; t_sal=0 is how a caller runs stage 2
+        # over rows of its own, the core over every row
         tokens, sal = synth_tokens(n, d, k_dir, 1e-3, seed)
-        E = as_token_matrix(tokens)
-        if n < d:
-            assert _spectral_entropy(E)[1].tobytes() == _token_gram(E).tobytes()
         t_sal = int(share * T)
         res = compress(tokens, sal, CompressConfig(total_budget=T, diversity_method=method), t_sal)
         pool = np.setdiff1d(np.arange(n), res.saliency_indices)

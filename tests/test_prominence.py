@@ -10,6 +10,8 @@ from oracles import (
 )
 
 from adaptok import DegenerateInputError, spectral_entropy, synth_tokens
+from adaptok.prominence import _spectral_entropy
+from adaptok.tensor_core import _gram
 
 
 class TestSpectralEntropy:
@@ -79,6 +81,18 @@ class TestSpectralEntropy:
     def test_normalizer_is_log_of_smaller_side(self, rng, shape):
         rep = spectral_entropy(rng.standard_normal(shape))
         np.testing.assert_allclose(rep.normalizer, math.log(2), rtol=1e-15)
+
+    @pytest.mark.parametrize("n, d", [(6, 9), (7, 7), (9, 6)], ids=["n<d", "n=d", "n>d"])
+    def test_hands_on_the_gram_only_at_n_below_d(self, rng, n, d):
+        # stage 2 reads the token Gram E E^T; at n >= d the entropy
+        # decomposed E^T E, which it does not hand on
+        E = rng.standard_normal((n, d))
+        rep, G = _spectral_entropy(E)
+        assert rep == spectral_entropy(E)
+        if n < d:
+            assert G.tobytes() == _gram(E).tobytes()
+        else:
+            assert G is None
 
 
 class TestFeatureNormEntropyOracle:

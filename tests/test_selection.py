@@ -27,6 +27,7 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok import selection
+from adaptok.prominence import _spectral_entropy
 from adaptok.tensor_core import DEFAULT_EPSILON
 
 E1_E1_E2 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -247,7 +248,7 @@ class TestBruteForceMaxLogdet:
             greedy = run_core("dpp", E, pool, k)
             _, opt = brute_force_max_logdet(E, pool, k)
             _, greedy_logdet = np.linalg.slogdet(
-                selection._dpp_kernel(E, greedy.indices, selection._token_gram(E))
+                selection._dpp_kernel(E, greedy.indices, _spectral_entropy(E)[1])
             )
             assert opt >= greedy_logdet - 1e-9
 

@@ -11,10 +11,12 @@ from adaptok import (
     LLAVA_NEXT_7B,
     AdaptokError,
     CompressConfig,
+    InvalidBudgetError,
     InvalidInputError,
     ModelCostSpec,
     allocate_budget,
     as_token_matrix,
+    bench,
     compress,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
@@ -373,6 +375,13 @@ class TestCountBoundary:
     def test_run_bench_grid_entry_needs_three_parts(self, entry):
         with pytest.raises(InvalidInputError):
             run_bench([entry], repeats=1)
+
+    def test_run_bench_checks_every_budget_before_timing_any(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "compress", lambda *args: calls.append(args))
+        with pytest.raises(InvalidBudgetError):
+            run_bench([(64, 32, 8), (48, 16, 100)], repeats=1)
+        assert calls == []
 
     @pytest.mark.parametrize("method", _METHODS)
     def test_empty_stage2_and_unsigned_counts_still_select(self, method):

@@ -65,6 +65,7 @@ from adaptok import (  # noqa: E402
     write_tokens,
 )
 from adaptok import selection  # noqa: E402
+from adaptok.prominence import _spectral_entropy  # noqa: E402
 from adaptok.cli import main as cli_main  # noqa: E402
 
 TAUS = (0.02, 0.5)
@@ -131,10 +132,11 @@ def _compress_docs():
 
 
 def _run(method, tokens, pool, k, saliency):
-    """The stage-2 core ``method`` over ``pool``, as ``compress`` calls it."""
+    """The stage-2 core ``method`` over ``pool``, as ``compress`` calls it:
+    with the token Gram that the entropy decomposed (None at n >= d)."""
     E = as_token_matrix(tokens)
     return selection._SELECTORS[method](
-        E, np.asarray(pool, dtype=np.int64), k, selection._token_gram(E), saliency
+        E, np.asarray(pool, dtype=np.int64), k, _spectral_entropy(E)[1], saliency
     )
 
 
