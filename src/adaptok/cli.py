@@ -39,6 +39,7 @@ from .pipeline import compress
 from .prominence import spectral_entropy
 from .selection import reduce_head_attention
 from .synth import synth_tokens
+from .tensor_core import _count
 
 _DIVERSITY_FLAGS = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}
 
@@ -132,8 +133,9 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_allocate(args) -> int:
     tokens = read_tokens(args.tokens)
-    report = spectral_entropy(tokens)
     config = CompressConfig(total_budget=args.budget, **_settings(args))
+    _count(config.total_budget, "total_budget", most=len(tokens))  # as compress refuses T > n
+    report = spectral_entropy(tokens)
     split = allocate_budget(report.normalized_entropy, config)
     doc = {
         "entropy": dataclasses.asdict(report),

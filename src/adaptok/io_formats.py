@@ -8,11 +8,12 @@ payload that is not finite in float32.
 
 Selection results serialize as versioned JSON (``schema: 2``) with sorted
 keys, so a fixed input always produces byte-identical output; wall-clock
-timings are not part of it, and two results are equal when their documents
-are.  The reader reads each fact that decided the split once, derives the
-split, the normalized entropy and the ``stage_of`` labels as ``compress``
-does, then requires the text to be the bytes its parsed result writes back,
-so every stored copy of a derived value is checked.
+timings are not part of it.  ``selection_results_equal`` compares two
+results' documents; ``==`` on results is identity.  The reader builds
+``config`` and the entropy through their types, derives the split, the
+normalized entropy and the ``stage_of`` labels as ``compress`` does, then
+requires the text to be the bytes its parsed result writes back, so every
+stored copy of a derived value is checked.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from .errors import (
     ValueRangeError,
 )
 from .pipeline import SelectionResult
-from .prominence import EntropyReport, _normalized
+from .prominence import EntropyReport
 from .tensor_core import _as_float64, _count, _real
 
 TOKEN_MAGIC = b"PTM1"
@@ -156,17 +157,18 @@ def selection_result_from_json(text: str) -> SelectionResult:
     """Parse a serialized selection result; timings come back empty.
 
     Only what some ``compress`` call could write loads; anything else
-    raises FormatError.  Each fact that decided the split is read once:
-    ``config`` through ``CompressConfig``, ``forced_t_sal`` as null or an
-    integer in [0, total_budget], the raw entropy and normalizer as
-    nonnegative finite numbers.  ``selected`` is strictly increasing and
+    raises FormatError.  Each fact that decided the split is checked once,
+    by the type that holds it: ``CompressConfig(**config)``, then
+    ``EntropyReport(raw_entropy, normalizer)``; a value or key either type
+    refuses is malformed.  ``forced_t_sal`` is null or an integer in
+    [0, total_budget].  ``selected`` is strictly increasing and
     nonnegative with ``total_budget`` entries, ``coverage_pick_order`` holds
     ``t_cov`` distinct entries of it, and the diagnostics are values
     ``compress`` records.  The text must then be the bytes the parsed result
-    writes back: a derived copy its rule does not give (the split, the
-    normalized entropy, the labels), an unknown key, other spacing or another
-    literal (``1.0`` for 1) is refused.  An index beyond the token count N is
-    not caught: N is not in the document.
+    writes back: a missing key a type defaults, a derived copy its rule does
+    not give (the split, the normalized entropy, the labels), an unknown
+    key, other spacing or another literal (``1.0`` for 1) is refused.  An
+    index beyond the token count N is not caught: N is not in the document.
     """
     try:
         doc = json.loads(text)
@@ -176,19 +178,18 @@ def selection_result_from_json(text: str) -> SelectionResult:
     if schema != RESULT_SCHEMA:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
-        config, forced = _from_fields(CompressConfig, doc["config"]), doc["forced_t_sal"]
+        config, forced = CompressConfig(**doc["config"]), doc["forced_t_sal"]
         if forced is not None:
             forced = _count(forced, "forced_t_sal", 0, config.total_budget)
-        raw, normalizer = (_real(doc["entropy"][k], k) for k in ("raw_entropy", "normalizer"))
         result = SelectionResult(
             selected=_indices(doc["selected"], "selected"),
             config=config,
             forced_t_sal=forced,
-            entropy=EntropyReport(raw, _normalized(raw, normalizer), normalizer),
+            entropy=EntropyReport(doc["entropy"]["raw_entropy"], doc["entropy"]["normalizer"]),
             coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
             diagnostics={str(k): _real(v, k) for k, v in doc["diagnostics"].items()},
         )
-    # _count, _real and CompressConfig raise their own categories for a bad
+    # _count, _real and the two types raise their own categories for a bad
     # value, which in a document is malformed data rather than a bad argument
     except (
         KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError
@@ -209,11 +210,9 @@ def selection_result_from_json(text: str) -> SelectionResult:
 
 
 def _check_stored_values(result: SelectionResult, t_cov: int) -> None:
-    # the stored values nothing derives, checked against what compress
-    # computes: prominence._report's entropy and the recorded diagnostics
-    entropy, diagnostics = result.entropy, result.diagnostics
-    if entropy.raw_entropy < 0 or entropy.normalizer < 0:
-        raise FormatError("raw_entropy and normalizer must be nonnegative")
+    # the diagnostics, which nothing derives and no type checks, against
+    # the keys and ranges compress records
+    diagnostics = result.diagnostics
     keys = {"coverage_logdet", "stage2_fallback_count"}
     if result.selected.size >= 2:
         keys.add("min_pairwise_cosine_distance")
@@ -232,15 +231,6 @@ def _check_stored_values(result: SelectionResult, t_cov: int) -> None:
 def _indices(values, name: str) -> np.ndarray:
     # the negative and out-of-order indices are left to the document checks
     return np.asarray([_count(v, name) for v in values], dtype=np.int64)
-
-
-def _from_fields(cls, doc: dict):
-    # the inverse of dataclasses.asdict, each field read for its annotated
-    # type: int through _count, float through _real, str through str; _real
-    # rejects a bool, a string such as "nan" and the NaN/Infinity literals
-    # that json.loads accepts
-    readers = {int: _count, float: _real, str: lambda value, name: str(value)}
-    return cls(**{f.name: readers[f.type](doc[f.name], f.name) for f in dataclasses.fields(cls)})
 
 
 def write_selection_result(result: SelectionResult, path) -> None:

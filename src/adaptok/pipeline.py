@@ -22,7 +22,7 @@ STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionResult:
     """Selected token set with provenance and diagnostics.
 
@@ -33,6 +33,7 @@ class SelectionResult:
     sigmoid allocated the split) and the entropy, as ``compress`` makes it.
     ``diagnostics`` holds deterministic scalars only; wall-clock timings in
     ``timings_us`` are left out of serialization and equality, so both are bit-stable.
+    ``==`` is identity; ``io_formats.selection_results_equal`` is equality.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
     ``entropy`` and ``entropy/{gram,eigvalsh}``, ``allocation``,
     ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,

@@ -11,12 +11,12 @@ It needs a positive, finite total mass; ``_report`` is the one check, so a
 mass that is zero, underflows or overflows raises, never gives 0 or NaN.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .tensor_core import _clamped_descending_eigvalsh, _gram, _span, as_token_matrix
+from .errors import DegenerateInputError, InvalidInputError
+from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_token_matrix
 
 # Eigenvalues below this fraction of the largest are numerical noise and
 # are zeroed before forming the spectral distribution.
@@ -27,19 +27,27 @@ EIGENVALUE_FLOOR = 1e-12
 class EntropyReport:
     """Raw and normalized spectral entropy of one sample.
 
-    ``normalizer`` is the log of the maximum-entropy support size;
-    ``normalized_entropy`` is raw / normalizer, defined as 0 when the
-    normalizer is 0 (single-element support).
+    Built from two facts, each a nonnegative finite real: ``raw_entropy``
+    and ``normalizer``, the log of the maximum-entropy support size.
+    ``normalized_entropy`` derives from them: raw / normalizer, capped at 1
+    against rounding, and 0 when the normalizer is 0 (one-element support).
     """
 
     raw_entropy: float
-    normalized_entropy: float
     normalizer: float
+    normalized_entropy: float = field(init=False)
 
-
-def _normalized(raw: float, normalizer: float) -> float:
-    # raw / normalizer clamped to [0, 1]; 0 for a single-element support
-    return min(max(raw / normalizer, 0.0), 1.0) if normalizer > 0.0 else 0.0
+    def __post_init__(self):
+        raw = _real(self.raw_entropy, "raw_entropy")
+        normalizer = _real(self.normalizer, "normalizer")
+        if raw < 0 or normalizer < 0:
+            raise InvalidInputError(
+                f"raw_entropy and normalizer must be nonnegative, got {raw} and {normalizer}"
+            )
+        h = min(raw / normalizer, 1.0) if normalizer > 0.0 else 0.0
+        object.__setattr__(self, "raw_entropy", raw)
+        object.__setattr__(self, "normalizer", normalizer)
+        object.__setattr__(self, "normalized_entropy", h)
 
 
 def _report(mass: np.ndarray, support: int) -> EntropyReport:
@@ -52,11 +60,7 @@ def _report(mass: np.ndarray, support: int) -> EntropyReport:
     p = mass[mass > 0] / total
     raw = float(-(p * np.log(p)).sum() + 0.0)  # + 0.0 avoids -0.0
     normalizer = float(np.log(support)) if support > 1 else 0.0
-    return EntropyReport(
-        raw_entropy=raw,
-        normalized_entropy=_normalized(raw, normalizer),
-        normalizer=normalizer,
-    )
+    return EntropyReport(raw, normalizer)
 
 
 def spectral_entropy(tokens) -> EntropyReport:

@@ -60,7 +60,7 @@ RANK_FLOOR = 1e-10
 _FL_STALE_BATCH = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiversityPick:
     """Output of a diversity selector.
 
@@ -69,6 +69,7 @@ class DiversityPick:
     objective gain (log-determinant gain for DPP, max-min distance for FPS,
     marginal coverage for facility location).  ``fallback_count`` is the
     number of slots filled past the kernel's numerical rank (DPP only).
+    ``==`` and ``hash`` are by identity, as arrays have no single truth value.
     """
 
     pick_order: np.ndarray

@@ -92,6 +92,15 @@ class TestAllocateCommand:
         assert doc["t_sal"] + doc["t_cov"] == 64
         assert doc["t_cov"] == 0  # concentrated sample with clip preset
 
+    def test_budget_above_n_is_refused_as_compress_refuses_it(self, tmp_path, capsys):
+        tok, _ = _synth_files(tmp_path, n=48, capsys=capsys)
+        assert main(["allocate", "--tokens", str(tok), "--budget", "1000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["category"] == "invalid-budget"
+        assert error["message"] == "total_budget must be <= 48, got 1000"
+
 
 class TestCompressCommand:
     def test_writes_selection_result(self, tmp_path, capsys):

@@ -290,6 +290,27 @@ def _no_config(doc):
     del doc["config"]
 
 
+def _config_without_tau(doc):
+    # CompressConfig supplies the default, which the text then lacks
+    del doc["config"]["tau"]
+
+
+def _config_extra_key(doc):
+    doc["config"]["seed"] = 0
+
+
+def _float_budget(doc):
+    doc["config"]["total_budget"] = 12.0
+
+
+def _true_budget(doc):
+    doc["config"]["total_budget"] = True
+
+
+def _string_mu(doc):
+    doc["config"]["mu"] = "0.42"
+
+
 # edits made to the allocated document; the others edit the forced one
 _ON_ALLOCATED = {_coverage_ratio_one_ulp}
 
@@ -332,6 +353,11 @@ _BROKEN = [
     (_unknown_method, "unknown diversity method"),
     (_budget_eleven, "total_budget entries"),
     (_no_config, "malformed: 'config'"),
+    (_config_without_tau, "write back"),
+    (_config_extra_key, "malformed: .*'seed'"),
+    (_float_budget, "malformed: total_budget: expected an integer"),
+    (_true_budget, "malformed: total_budget: expected an integer"),
+    (_string_mu, "malformed: mu: expected a finite real number"),
 ]
 
 

@@ -206,6 +206,18 @@ class TestCompressFixed:
         assert not selection_results_equal(forced, allocated)
         assert selection_results_equal(dataclasses.replace(forced, forced_t_sal=None), allocated)
 
+    def test_eq_in_and_hash_are_identity(self):
+        # arrays have no single truth value, so a field-wise == would raise
+        tokens, sal = _instance()
+        cfg = CompressConfig(total_budget=12, **CLIP)
+        a, b = compress(tokens, sal, cfg), compress(tokens, sal, cfg)
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert len({a, b, a}) == 2
+        pick, again = (run_core("dpp", tokens, np.arange(len(tokens)), 4, sal) for _ in range(2))
+        assert pick == pick and pick != again
+        assert pick in {pick} and again not in {pick}
+
     @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
     def test_forcing_the_chosen_split_changes_nothing(self, method):
         # the forced path must select exactly what the adaptive path did

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ from oracles import (
     svd_spectral_entropy,
 )
 
-from adaptok import DegenerateInputError, spectral_entropy, synth_tokens
+from adaptok import (
+    DegenerateInputError,
+    EntropyReport,
+    InvalidInputError,
+    spectral_entropy,
+    synth_tokens,
+)
 from adaptok.prominence import _spectral_entropy
 from adaptok.tensor_core import _gram
 
@@ -93,6 +100,32 @@ class TestSpectralEntropy:
             assert G.tobytes() == _gram(E).tobytes()
         else:
             assert G is None
+
+
+class TestEntropyReport:
+    @pytest.mark.parametrize(
+        "raw, normalizer, expected",
+        [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0), (0.5, 2.0, 0.25), (3.0, 2.0, 1.0), (2, 2, 1.0)],
+    )
+    def test_derives_the_clamped_ratio(self, raw, normalizer, expected):
+        # 0 at a single-element support (normalizer 0), else capped at 1
+        report = EntropyReport(raw, normalizer)
+        assert report.normalized_entropy == expected
+        assert type(report.raw_entropy) is type(report.normalizer) is float
+
+    @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf"), True, "0.5", None])
+    @pytest.mark.parametrize("field", ["raw_entropy", "normalizer"])
+    def test_refuses_a_field_that_is_not_a_nonnegative_real(self, field, bad):
+        with pytest.raises(InvalidInputError, match=field):
+            EntropyReport(**{"raw_entropy": 0.5, "normalizer": 1.0, field: bad})
+
+    def test_takes_two_facts_and_keeps_three_keys(self):
+        report = EntropyReport(0.5, 1.0)
+        assert dataclasses.asdict(report) == {
+            "raw_entropy": 0.5, "normalizer": 1.0, "normalized_entropy": 0.5
+        }
+        with pytest.raises(TypeError):
+            EntropyReport(0.5, 0.5, 1.0)
 
 
 class TestFeatureNormEntropyOracle:
