@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBudgetError, InvalidInputError
+from .errors import InvalidInputError
 from .tensor_core import _count, _real
 
 # Midpoints calibrated per vision-encoder family; the smoothness is shared.
@@ -63,7 +63,7 @@ class CompressConfig:
 
 @dataclass(frozen=True)
 class BudgetSplit:
-    """A (t_sal, t_cov) partition plus the entropy and ratio that produced it."""
+    """A (t_sal, t_cov) partition into counts, plus the entropy and ratio that produced it."""
 
     t_sal: int
     t_cov: int
@@ -71,8 +71,8 @@ class BudgetSplit:
     coverage_ratio: float
 
     def __post_init__(self):
-        if self.t_sal < 0 or self.t_cov < 0:
-            raise InvalidBudgetError("budget parts must be nonnegative")
+        object.__setattr__(self, "t_sal", _count(self.t_sal, "t_sal", 0))
+        object.__setattr__(self, "t_cov", _count(self.t_cov, "t_cov", 0))
 
 
 def _logistic(x: float) -> float:

@@ -9,11 +9,10 @@ payload that is not finite in float32.
 Selection results serialize as versioned JSON (``schema: 2``) with sorted
 keys, so a fixed input always produces byte-identical output; wall-clock
 timings are not part of it.  ``selection_results_equal`` compares two
-results' documents; ``==`` on results is identity.  The reader builds
-``config`` and the entropy through their types, derives the split, the
-normalized entropy and the ``stage_of`` labels as ``compress`` does, then
-requires the text to be the bytes its parsed result writes back, so every
-stored copy of a derived value is checked.
+results' documents; ``==`` on results is identity.  The reader checks no
+field itself: it builds the result through its types, which check the
+facts they hold, then requires the text to be the bytes the built result
+writes back, so every stored copy of a derived value is checked.
 """
 
 import dataclasses
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .pipeline import SelectionResult
 from .prominence import EntropyReport
-from .tensor_core import _as_float64, _count, _real
+from .tensor_core import _as_float64, _count
 
 TOKEN_MAGIC = b"PTM1"
 SALIENCY_MAGIC = b"PSV1"
@@ -156,19 +155,15 @@ def _canonical_json(doc) -> str:
 def selection_result_from_json(text: str) -> SelectionResult:
     """Parse a serialized selection result; timings come back empty.
 
-    Only what some ``compress`` call could write loads; anything else
-    raises FormatError.  Each fact that decided the split is checked once,
-    by the type that holds it: ``CompressConfig(**config)``, then
-    ``EntropyReport(raw_entropy, normalizer)``; a value or key either type
-    refuses is malformed.  ``forced_t_sal`` is null or an integer in
-    [0, total_budget].  ``selected`` is strictly increasing and
-    nonnegative with ``total_budget`` entries, ``coverage_pick_order`` holds
-    ``t_cov`` distinct entries of it, and the diagnostics are values
-    ``compress`` records.  The text must then be the bytes the parsed result
-    writes back: a missing key a type defaults, a derived copy its rule does
-    not give (the split, the normalized entropy, the labels), an unknown
-    key, other spacing or another literal (``1.0`` for 1) is refused.  An
-    index beyond the token count N is not caught: N is not in the document.
+    Only what some ``compress`` call could write loads; anything else raises
+    FormatError.  The reader parses the JSON, checks the schema, and builds
+    the result through ``CompressConfig(**config)``, ``EntropyReport(raw_entropy,
+    normalizer)`` and ``SelectionResult``, each of which checks the facts it
+    holds.  The text must then be the bytes the result writes back, so a key
+    a type defaults, a derived copy its rule does not give (the split, the
+    normalized entropy, the labels), an unknown key, other spacing or another
+    literal (``1.0`` for 1) is refused.  An index beyond the token count N is
+    not caught: N is not in the document.
     """
     try:
         doc = json.loads(text)
@@ -178,58 +173,25 @@ def selection_result_from_json(text: str) -> SelectionResult:
     if schema != RESULT_SCHEMA:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
-        config, forced = CompressConfig(**doc["config"]), doc["forced_t_sal"]
-        if forced is not None:
-            forced = _count(forced, "forced_t_sal", 0, config.total_budget)
         result = SelectionResult(
             selected=_indices(doc["selected"], "selected"),
-            config=config,
-            forced_t_sal=forced,
+            config=CompressConfig(**doc["config"]),
+            forced_t_sal=doc["forced_t_sal"],
             entropy=EntropyReport(doc["entropy"]["raw_entropy"], doc["entropy"]["normalizer"]),
             coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
-            diagnostics={str(k): _real(v, k) for k, v in doc["diagnostics"].items()},
+            diagnostics=doc["diagnostics"],
         )
-    # _count, _real and the two types raise their own categories for a bad
-    # value, which in a document is malformed data rather than a bad argument
-    except (
-        KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError
-    ) as err:
+    # the types raise their own categories for a bad value, which in a
+    # document is malformed data rather than a bad argument
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
-    selected, order = result.selected, result.coverage_pick_order
-    if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
-        raise FormatError("selected must be strictly increasing nonnegative indices")
-    if selected.size != config.total_budget:
-        raise FormatError("selected must have config.total_budget entries")
-    t_cov = result.split.t_cov
-    if not order.size == np.intersect1d(order, selected).size == t_cov:
-        raise FormatError("coverage_pick_order is not a permutation of t_cov entries of selected")
-    _check_stored_values(result, t_cov)
     if selection_result_to_json(result) != text:
         raise FormatError("selection result document is not the one its fields write back")
     return result
 
 
-def _check_stored_values(result: SelectionResult, t_cov: int) -> None:
-    # the diagnostics, which nothing derives and no type checks, against
-    # the keys and ranges compress records
-    diagnostics = result.diagnostics
-    keys = {"coverage_logdet", "stage2_fallback_count"}
-    if result.selected.size >= 2:
-        keys.add("min_pairwise_cosine_distance")
-    if diagnostics.keys() != keys:
-        raise FormatError(f"diagnostics keys {sorted(diagnostics)} are not {sorted(keys)}")
-    # a cosine distance of unit rows, in [0, 2] up to the rounding of a d-term
-    # dot product, about d * 2**-53 (-2.2e-16 is written for exact duplicates)
-    distance = diagnostics.get("min_pairwise_cosine_distance", 1.0)
-    if not -1e-9 <= distance <= 2.0 + 1e-9:
-        raise FormatError(f"min_pairwise_cosine_distance {distance} is outside [0, 2]")
-    fallback = diagnostics["stage2_fallback_count"]
-    if not (fallback.is_integer() and 0 <= fallback <= t_cov):
-        raise FormatError(f"stage2_fallback_count {fallback} is not an integer in [0, t_cov]")
-
-
 def _indices(values, name: str) -> np.ndarray:
-    # the negative and out-of-order indices are left to the document checks
+    # the negative and out-of-order indices are left to SelectionResult
     return np.asarray([_count(v, name) for v in values], dtype=np.int64)
 
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import BudgetSplit, CompressConfig, allocate_budget
+from .errors import InvalidInputError
 from .prominence import EntropyReport, _spectral_entropy
 from .selection import (
     _SELECTORS, DEFAULT_JITTER, _dpp_kernel, _pick, _pool_unit_kernel, saliency_topk
 )
-from .tensor_core import _count, _span, as_saliency_vector, as_token_matrix
+from .tensor_core import _count, _real, _span, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
@@ -34,6 +35,9 @@ class SelectionResult:
     ``diagnostics`` holds deterministic scalars only; wall-clock timings in
     ``timings_us`` are left out of serialization and equality, so both are bit-stable.
     ``==`` is identity; ``io_formats.selection_results_equal`` is equality.
+    Built, it checks that ``compress`` could return it: ``forced_t_sal`` is None
+    or in [0, T]; ``selected`` is T strictly increasing nonnegative indices, the
+    pick order ``split.t_cov`` distinct ones of them; ``_check_diagnostics`` passes.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
     ``entropy`` and ``entropy/{gram,eigvalsh}``, ``allocation``,
     ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
@@ -47,6 +51,22 @@ class SelectionResult:
     coverage_pick_order: np.ndarray
     diagnostics: dict[str, float] = field(default_factory=dict)
     timings_us: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        T = self.config.total_budget
+        if self.forced_t_sal is not None:
+            self.forced_t_sal = _count(self.forced_t_sal, "forced_t_sal", 0, T)
+        selected, order = self.selected, self.coverage_pick_order
+        if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
+            raise InvalidInputError("selected must be strictly increasing nonnegative indices")
+        if selected.size != T:
+            raise InvalidInputError("selected must have config.total_budget entries")
+        t_cov = self.split.t_cov
+        if not order.size == t_cov == len(set(order.tolist()) & set(selected.tolist())):
+            raise InvalidInputError(
+                "coverage_pick_order is not a permutation of t_cov entries of selected"
+            )
+        self.diagnostics = _check_diagnostics(self.diagnostics, T, t_cov)
 
     @property
     def split(self) -> BudgetSplit:
@@ -129,20 +149,35 @@ def compress(
 
 
 def _diagnostics(E: np.ndarray, G, selected: np.ndarray, cov_idx: np.ndarray) -> dict[str, float]:
-    diag: dict[str, float] = {}
-
-    if cov_idx.size:
-        sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx, G))
-        # jittered PSD kernel has det >= jitter^k; a nonpositive sign is LU
-        # pathology, so clamp to that floor to keep the value finite
-        floor = cov_idx.size * np.log(DEFAULT_JITTER)
-        diag["coverage_logdet"] = float(logdet) if sign > 0 else float(floor)
-    else:
-        diag["coverage_logdet"] = 0.0
+    # an empty stage 2's 0x0 kernel has slogdet (1.0, 0.0).  A jittered PSD
+    # kernel has det >= jitter^k; a nonpositive sign is LU pathology, so
+    # clamp to that floor to keep the value finite
+    sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx, G))
+    floor = cov_idx.size * np.log(DEFAULT_JITTER)
+    diag = {"coverage_logdet": float(logdet) if sign > 0 else float(floor)}
 
     if selected.size >= 2:
         sims = _pool_unit_kernel(E, selected, G)
         np.fill_diagonal(sims, -np.inf)
         diag["min_pairwise_cosine_distance"] = float(1.0 - sims.max())
 
+    return diag
+
+
+def _check_diagnostics(diagnostics, n_selected: int, t_cov: int) -> dict[str, float]:
+    # as floats, if they are the keys compress records, in their ranges
+    diag = {k: _real(v, k) for k, v in diagnostics.items()}
+    keys = {"coverage_logdet", "stage2_fallback_count"}
+    if n_selected >= 2:
+        keys.add("min_pairwise_cosine_distance")
+    if diag.keys() != keys:
+        raise InvalidInputError(f"diagnostics keys {sorted(diag)} are not {sorted(keys)}")
+    # a cosine distance of unit rows, in [0, 2] up to the rounding of a d-term
+    # dot product, about d * 2**-53 (-2.2e-16 is written for exact duplicates)
+    distance = diag.get("min_pairwise_cosine_distance", 1.0)
+    if not -1e-9 <= distance <= 2.0 + 1e-9:
+        raise InvalidInputError(f"min_pairwise_cosine_distance {distance} is outside [0, 2]")
+    count = diag["stage2_fallback_count"]
+    if not (count.is_integer() and 0 <= count <= t_cov):
+        raise InvalidInputError(f"stage2_fallback_count {count} is not an integer in [0, t_cov]")
     return diag

@@ -30,7 +30,8 @@ class EntropyReport:
     Built from two facts, each a nonnegative finite real: ``raw_entropy``
     and ``normalizer``, the log of the maximum-entropy support size.
     ``normalized_entropy`` derives from them: raw / normalizer, capped at 1
-    against rounding, and 0 when the normalizer is 0 (one-element support).
+    against rounding (a raw entropy beyond the normalizer by more is refused),
+    and 0 when the normalizer is 0 (one-element support).
     """
 
     raw_entropy: float
@@ -44,6 +45,9 @@ class EntropyReport:
             raise InvalidInputError(
                 f"raw_entropy and normalizer must be nonnegative, got {raw} and {normalizer}"
             )
+        # raw <= log(support size), up to the rounding of a sum of logs (one ulp measured)
+        if raw > normalizer * (1 + 1e-9):
+            raise InvalidInputError(f"raw_entropy {raw} exceeds its normalizer {normalizer}")
         h = min(raw / normalizer, 1.0) if normalizer > 0.0 else 0.0
         object.__setattr__(self, "raw_entropy", raw)
         object.__setattr__(self, "normalizer", normalizer)
@@ -59,8 +63,7 @@ def _report(mass: np.ndarray, support: int) -> EntropyReport:
         )
     p = mass[mass > 0] / total
     raw = float(-(p * np.log(p)).sum() + 0.0)  # + 0.0 avoids -0.0
-    normalizer = float(np.log(support)) if support > 1 else 0.0
-    return EntropyReport(raw, normalizer)
+    return EntropyReport(raw, float(np.log(support)))
 
 
 def spectral_entropy(tokens) -> EntropyReport:

@@ -11,6 +11,7 @@ import adaptok
 from adaptok import (
     DEFAULT_TAU,
     MU_PRESETS,
+    BudgetSplit,
     CompressConfig,
     InvalidBudgetError,
     InvalidInputError,
@@ -133,6 +134,22 @@ class TestCompressConfig:
     def test_numpy_integer_budget_stored_as_int(self):
         cfg = CompressConfig(total_budget=np.int64(8))
         assert type(cfg.total_budget) is int and cfg.total_budget == 8
+
+
+class TestBudgetSplit:
+    @pytest.mark.parametrize(
+        "t_sal, t_cov",
+        [(2.5, 9.5), (True, 11), (3, np.float64(9.0)), (-1, 13), (12, -1), ("3", 9)],
+        ids=["fractions", "bool", "numpy-float", "negative-t_sal", "negative-t_cov", "str"],
+    )
+    def test_parts_are_counts(self, t_sal, t_cov):
+        with pytest.raises(InvalidBudgetError):
+            BudgetSplit(t_sal, t_cov, 0.5, 0.8)
+
+    def test_numpy_integer_parts_stored_as_int(self):
+        split = BudgetSplit(np.int64(3), np.int32(9), 0.5, 0.75)
+        assert (split.t_sal, split.t_cov) == (3, 9)
+        assert type(split.t_sal) is type(split.t_cov) is int
 
 
 class TestLogistic:

@@ -216,6 +216,13 @@ def _entropy_not_normalized(doc):
     doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 0.5
 
 
+def _raw_entropy_beyond_normalizer(doc):
+    # every derived copy agrees with the cap at 1, but no support of size
+    # e^normalizer has this entropy
+    doc["entropy"]["raw_entropy"] = 1.5 * doc["entropy"]["normalizer"]
+    doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 1.0
+
+
 def _coverage_ratio_five(doc):
     doc["coverage_ratio"] = 5
 
@@ -335,6 +342,7 @@ _BROKEN = [
     (_negative_raw_entropy, "normalizer must be nonnegative"),
     (_negative_normalizer, "normalizer must be nonnegative"),
     (_entropy_not_normalized, "write back"),
+    (_raw_entropy_beyond_normalizer, "malformed: raw_entropy .* exceeds its normalizer"),
     (_coverage_ratio_five, "write back"),
     (_negative_coverage_ratio, "write back"),
     (_empty_diagnostics, "diagnostics keys"),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 
@@ -7,12 +8,14 @@ import pytest
 from oracles import leaf_share, run_core, span_paths
 
 from adaptok import (
+    AdaptokError,
     CompressConfig,
     DegenerateInputError,
     InvalidBudgetError,
     InvalidInputError,
     compress,
     saliency_topk,
+    selection_result_to_json,
     selection_results_equal,
     spectral_entropy,
     synth_tokens,
@@ -114,6 +117,17 @@ class TestCompress:
         tokens, sal = _instance(k=5, seed=9)
         cfg = CompressConfig(total_budget=20, **CLIP)
         assert selection_results_equal(compress(tokens, sal, cfg), compress(tokens, sal, cfg))
+
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    @pytest.mark.parametrize("n, d", [(24, 40), (48, 12)], ids=["n<d", "n>=d"])
+    def test_empty_stage2_has_coverage_logdet_zero(self, method, n, d):
+        # t_sal = T leaves stage 2 empty: the log-determinant of its 0x0
+        # kernel is +0.0, written as 0.0
+        tokens, sal = synth_tokens(n, d, 3, 1e-3, 0)
+        res = compress(tokens, sal, CompressConfig(12, diversity_method=method), t_sal=12)
+        logdet = res.diagnostics["coverage_logdet"]
+        assert logdet == 0.0 and math.copysign(1.0, logdet) == 1.0
+        assert '"coverage_logdet": 0.0,' in selection_result_to_json(res)
 
     def test_diagnostics_present(self):
         tokens, sal = _instance()
@@ -255,6 +269,59 @@ class TestCompressFixed:
         pick = run_core(method, tokens, pool, T - t_sal, sal)
         assert pick.pick_order.tobytes() == res.coverage_pick_order.tobytes()
 
+
+
+def _forced_result():
+    # t_sal = 5 of 12 has picks of both stages
+    tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+    return compress(tokens, sal, CompressConfig(12), t_sal=5)
+
+
+def _outside_pick_order(res):
+    order = res.coverage_pick_order.copy()
+    order[0] = np.setdiff1d(np.arange(40), res.selected)[0]
+    return order
+
+
+class TestSelectionResult:
+    # each is written by selection_result_to_json if it builds, and refused
+    # by the reader; building it is refused instead
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda r: {"selected": r.selected[::-1]}, "strictly increasing"),
+         (lambda r: {"selected": r.selected[:-1]}, "total_budget entries"),
+         (lambda r: {"forced_t_sal": 2.5}, "forced_t_sal: expected an integer"),
+         (lambda r: {"diagnostics": {}}, "diagnostics keys"),
+         (lambda r: {"coverage_pick_order": _outside_pick_order(r)}, "permutation")],
+        ids=["reversed", "one-pick-short", "fractional-forced-t_sal", "empty-diagnostics",
+             "pick-order-outside-selected"],
+    )
+    def test_refuses_a_result_no_compress_returns(self, edit, message):
+        res = _forced_result()
+        with pytest.raises(AdaptokError, match=message):
+            dataclasses.replace(res, **edit(res))
+
+    @pytest.mark.parametrize("method", ["dpp", "fps", "facility_location"])
+    @pytest.mark.parametrize(
+        "t_sal", [None, 0, 6, 12],
+        ids=["allocated", "coverage-heavy", "midpoint", "saliency-heavy"],
+    )
+    def test_rebuilding_a_compress_result_writes_the_same_bytes(self, method, t_sal):
+        for n, d in ((24, 40), (48, 12)):
+            tokens, sal = synth_tokens(n, d, 3, 1e-3, 1)
+            res = compress(tokens, sal, CompressConfig(12, diversity_method=method), t_sal)
+            copy = dataclasses.replace(res)
+            assert selection_result_to_json(copy) == selection_result_to_json(res)
+
+    def test_stores_checked_values(self):
+        # a numpy count is stored as an int and an integral diagnostic as a
+        # float, as compress stores them
+        res = _forced_result()
+        diagnostics = {**res.diagnostics, "stage2_fallback_count": 0}
+        copy = dataclasses.replace(res, forced_t_sal=np.int64(5), diagnostics=diagnostics)
+        assert type(copy.forced_t_sal) is int
+        assert type(copy.diagnostics["stage2_fallback_count"]) is float
+        assert selection_results_equal(copy, res)
 
 def _assert_nested(timings: dict[str, float]) -> None:
     # the spans under one parent run one after another inside it

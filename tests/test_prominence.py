@@ -60,9 +60,10 @@ class TestSpectralEntropy:
             spectral_entropy(np.zeros((3, 3)))
 
     def test_single_token_normalizes_to_zero(self):
-        rep = spectral_entropy(np.array([[3.0, 1.0, 2.0]]))
-        assert rep.normalizer == 0.0
-        assert rep.normalized_entropy == 0.0
+        # one token, or one feature: a support of one, whose log(1) is 0.0
+        for E in (np.array([[3.0, 1.0, 2.0]]), np.array([[3.0], [1.0], [2.0]])):
+            rep = spectral_entropy(E)
+            assert rep.raw_entropy == rep.normalizer == rep.normalized_entropy == 0.0
 
     def test_orthogonal_rows_are_maximal(self, rng):
         rep = spectral_entropy(random_orthogonal(5, rng))  # every eigenvalue 1
@@ -105,13 +106,25 @@ class TestSpectralEntropy:
 class TestEntropyReport:
     @pytest.mark.parametrize(
         "raw, normalizer, expected",
-        [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0), (0.5, 2.0, 0.25), (3.0, 2.0, 1.0), (2, 2, 1.0)],
+        [(0.0, 0.0, 0.0), (0.5, 2.0, 0.25), (2, 2, 1.0),
+         (float(np.nextafter(2.0, 3.0)), 2.0, 1.0), (2.0 * (1 + 1e-9), 2.0, 1.0)],
     )
     def test_derives_the_clamped_ratio(self, raw, normalizer, expected):
-        # 0 at a single-element support (normalizer 0), else capped at 1
+        # 0 at a single-element support (normalizer 0), else capped at 1: a
+        # raw entropy rounded just past the normalizer still loads
         report = EntropyReport(raw, normalizer)
         assert report.normalized_entropy == expected
         assert type(report.raw_entropy) is type(report.normalizer) is float
+
+    @pytest.mark.parametrize(
+        "raw, normalizer", [(1.5, 0.0), (3.0, 2.0), (2.0 * (1 + 2e-9), 2.0), (1e-300, 0.0)],
+        ids=["over-zero", "one-and-a-half", "beyond-the-slack", "tiny-over-zero"],
+    )
+    def test_refuses_a_raw_entropy_beyond_its_normalizer(self, raw, normalizer):
+        # the entropy of a support is at most the log of its size; the cap at
+        # 1 is for rounding only, never for a raw entropy above the normalizer
+        with pytest.raises(InvalidInputError, match="exceeds its normalizer"):
+            EntropyReport(raw, normalizer)
 
     @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf"), True, "0.5", None])
     @pytest.mark.parametrize("field", ["raw_entropy", "normalizer"])
