@@ -1,9 +1,15 @@
-"""Timing harness: runs the pipeline over (N, d, T) grids and reports
-latency percentiles of each span ``compress`` records."""
+"""Timing harness: runs every stage-2 selector over (N, d, T) grids and
+reports latency percentiles of each span ``compress`` records, with the
+host they ran on (``host_fingerprint``)."""
+
+import ctypes
+import os
+import platform
+from pathlib import Path
 
 import numpy as np
 
-from .budget import CompressConfig
+from .budget import DIVERSITY_METHODS, CompressConfig
 from .errors import InvalidInputError
 from .pipeline import compress
 from .synth import subseed_rng, synth_tokens
@@ -40,19 +46,61 @@ def _grid_entry(entry) -> tuple[int, int, int]:
     return n, d, _count(t, "T", most=n)  # InvalidBudgetError, as compress raises for T > n
 
 
-def run_bench(
-    grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0, **settings
-) -> dict:
-    """Time ``compress`` over each (n_tokens, dim, budget) configuration.
+def _openblas():
+    # (corename, threads) getters of the OpenBLAS bundled with numpy, found
+    # by one lookup: numpy 2 prefixes its symbols with scipy_, and a 64-bit
+    # integer build suffixes them with 64_
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    return corename, getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+    return None, None
 
-    ``settings`` are ``CompressConfig`` keyword arguments (``mu``, ``tau``,
-    ``diversity_method``); the ones left out keep its defaults.  Each
-    configuration gets one untimed warmup, then ``repeats`` timed runs on
+
+def host_fingerprint() -> dict:
+    """The host facts timings and output bytes depend on; a fact that cannot
+    be found is None (numpy before 1.26 has no ``show_config(mode="dicts")``)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    corename, threads = _openblas()
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        nproc = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_corename": corename().decode() if corename else None,
+        "blas_threads": threads() if threads else None,
+        "nproc": nproc,
+    }
+
+
+def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0) -> dict:
+    """Time ``compress`` with each selector over each (n_tokens, dim, budget).
+
+    Every selector runs at ``CompressConfig``'s default mu and tau.  Each
+    grid entry gets one untimed warmup, then ``repeats`` timed runs on
     per-repeat sub-seeded data, whose k_directions cycles through
     ``K_DIRECTIONS`` so the timings cover saliency-heavy, midpoint and
-    coverage-heavy splits; ``splits`` counts the timed repeats of each kind.
-    Each span path gets percentiles over the ``n`` repeats that ran it
-    (t_cov > 0 for a selector's).
+    coverage-heavy splits.  Within a repeat the selectors run in turn, in
+    ``DIVERSITY_METHODS`` order, on the same input, so host drift falls on
+    all of them alike.  ``configs`` holds one entry per (grid entry,
+    selector), in that order; ``splits`` counts the timed repeats of each
+    kind, which the selector does not change.  Each span path gets
+    percentiles over the ``n`` repeats that ran it (t_cov > 0 for a
+    selector's).  ``host`` is the ``host_fingerprint``.
     """
     report = {
         "seed": _count(seed, "seed", 0, error=InvalidInputError),
@@ -61,25 +109,29 @@ def run_bench(
         "configs": [],
     }
     grid = [_grid_entry(entry) for entry in grid]  # all checked before any is timed
+    report["host"] = host_fingerprint()
     for cfg_idx, (n, d, t) in enumerate(grid):
-        config = CompressConfig(total_budget=t, **settings)
-        samples: dict[str, list[float]] = {}
+        samples: dict[str, dict[str, list[float]]] = {m: {} for m in DIVERSITY_METHODS}
         splits = dict.fromkeys(("saliency_heavy", "midpoint", "coverage_heavy"), 0)
 
         for rep in range(-1, repeats):
             rng = subseed_rng(seed, cfg_idx * 10_000 + rep + 1)
             k = min(K_DIRECTIONS[rep % len(K_DIRECTIONS)], n, d)
             tokens, saliency = synth_tokens(n, d, k, 1e-3, rng)
-            result = compress(tokens, saliency, config)
-            if rep < 0:
-                continue  # warmup
-            splits[_split_kind(result.split.t_cov, t)] += 1
-            for path, us in result.timings_us.items():
-                samples.setdefault(path, []).append(us)
+            for method in DIVERSITY_METHODS:
+                config = CompressConfig(total_budget=t, diversity_method=method)
+                result = compress(tokens, saliency, config)
+                if rep >= 0:  # else warmup
+                    for path, us in result.timings_us.items():
+                        samples[method].setdefault(path, []).append(us)
+            if rep >= 0:
+                splits[_split_kind(result.split.t_cov, t)] += 1
 
-        report["configs"].append({
-            "n_tokens": n, "dim": d, "budget": t, "splits": splits,
-            "total": _percentiles(samples.pop("total")),
-            "phases": {path: _percentiles(us) for path, us in samples.items()},
-        })
+        for method, paths in samples.items():
+            report["configs"].append({
+                "n_tokens": n, "dim": d, "budget": t, "diversity_method": method,
+                "splits": dict(splits),
+                "total": _percentiles(paths.pop("total")),
+                "phases": {path: _percentiles(us) for path, us in paths.items()},
+            })
     return report

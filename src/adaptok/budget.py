@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .selection import _SELECTORS
 from .tensor_core import _count, _real
 
 # Midpoints calibrated per vision-encoder family; the smoothness is shared.
@@ -26,7 +27,8 @@ MU_PRESETS = {
 }
 DEFAULT_TAU = 0.02
 
-DIVERSITY_METHODS = ("dpp", "fps", "facility_location")
+# the stage-2 selectors, named once, by their cores
+DIVERSITY_METHODS = tuple(_SELECTORS)
 
 # Entropy values this far outside [0, 1] are floating-point noise and get
 # clamped; anything further out is rejected.

@@ -4,6 +4,8 @@ Subcommands: entropy, allocate, compress, synth, bench, flops.
 ``compress --t-sal N`` forces the saliency share of the split instead of
 deriving it from the entropy.  ``--mu NAME|NUMBER`` takes a preset name or a
 number; ``CompressConfig`` holds the default of each setting flag left out.
+``bench`` takes no setting flag: it times every stage-2 selector at the
+default mu and tau (``run_bench``), and records the host it ran on.
 Primary outputs are canonical JSON
 (byte-identical for fixed seeds and inputs).  Wall-clock span timings of
 ``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``,
@@ -106,13 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("bench", help="latency percentiles over (N,d,T) grids")
+    p = sub.add_parser("bench", help="latency percentiles of every selector over (N,d,T) grids")
     p.add_argument("--grid", action="append", default=None, metavar="NxDxT",
                    help="configuration like 576x1024x64 (repeatable)")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    _add_sigmoid_flags(p)
-    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("flops", help="prefill FLOPs / KV-cache cost model")
@@ -189,12 +189,7 @@ def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
 
 
 def _cmd_bench(args) -> int:
-    report = run_bench(
-        _parse_grid(args.grid),
-        repeats=args.repeats,
-        seed=args.seed,
-        **_settings(args),
-    )
+    report = run_bench(_parse_grid(args.grid), repeats=args.repeats, seed=args.seed)
     _emit(_canonical_json(report), args.out)
     return 0
 

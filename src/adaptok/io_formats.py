@@ -34,7 +34,7 @@ from .errors import (
 )
 from .pipeline import SelectionResult
 from .prominence import EntropyReport
-from .tensor_core import _as_float64, _count
+from .tensor_core import _as_float64
 
 TOKEN_MAGIC = b"PTM1"
 SALIENCY_MAGIC = b"PSV1"
@@ -174,11 +174,11 @@ def selection_result_from_json(text: str) -> SelectionResult:
         raise FormatError(f"selection result schema {schema!r} is not {RESULT_SCHEMA}")
     try:
         result = SelectionResult(
-            selected=_indices(doc["selected"], "selected"),
+            selected=doc["selected"],
             config=CompressConfig(**doc["config"]),
             forced_t_sal=doc["forced_t_sal"],
             entropy=EntropyReport(doc["entropy"]["raw_entropy"], doc["entropy"]["normalizer"]),
-            coverage_pick_order=_indices(doc["coverage_pick_order"], "coverage_pick_order"),
+            coverage_pick_order=doc["coverage_pick_order"],
             diagnostics=doc["diagnostics"],
         )
     # the types raise their own categories for a bad value, which in a
@@ -188,11 +188,6 @@ def selection_result_from_json(text: str) -> SelectionResult:
     if selection_result_to_json(result) != text:
         raise FormatError("selection result document is not the one its fields write back")
     return result
-
-
-def _indices(values, name: str) -> np.ndarray:
-    # the negative and out-of-order indices are left to SelectionResult
-    return np.asarray([_count(v, name) for v in values], dtype=np.int64)
 
 
 def write_selection_result(result: SelectionResult, path) -> None:

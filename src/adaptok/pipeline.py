@@ -23,7 +23,7 @@ STAGE_SALIENCY = "saliency"
 STAGE_COVERAGE = "coverage"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Selected token set with provenance and diagnostics.
 
@@ -38,6 +38,7 @@ class SelectionResult:
     Built, it checks that ``compress`` could return it: ``forced_t_sal`` is None
     or in [0, T]; ``selected`` is T strictly increasing nonnegative indices, the
     pick order ``split.t_cov`` distinct ones of them; ``_check_diagnostics`` passes.
+    Both index sequences are stored as read-only int64 copies.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
     ``entropy`` and ``entropy/{gram,eigvalsh}``, ``allocation``,
     ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
@@ -55,8 +56,12 @@ class SelectionResult:
     def __post_init__(self):
         T = self.config.total_budget
         if self.forced_t_sal is not None:
-            self.forced_t_sal = _count(self.forced_t_sal, "forced_t_sal", 0, T)
-        selected, order = self.selected, self.coverage_pick_order
+            forced = _count(self.forced_t_sal, "forced_t_sal", 0, T)
+            object.__setattr__(self, "forced_t_sal", forced)
+        selected = _indices(self.selected, "selected")
+        order = _indices(self.coverage_pick_order, "coverage_pick_order")
+        object.__setattr__(self, "selected", selected)
+        object.__setattr__(self, "coverage_pick_order", order)
         if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
             raise InvalidInputError("selected must be strictly increasing nonnegative indices")
         if selected.size != T:
@@ -66,7 +71,7 @@ class SelectionResult:
             raise InvalidInputError(
                 "coverage_pick_order is not a permutation of t_cov entries of selected"
             )
-        self.diagnostics = _check_diagnostics(self.diagnostics, T, t_cov)
+        object.__setattr__(self, "diagnostics", _check_diagnostics(self.diagnostics, T, t_cov))
 
     @property
     def split(self) -> BudgetSplit:
@@ -84,6 +89,16 @@ class SelectionResult:
     @property
     def coverage_indices(self) -> np.ndarray:
         return np.sort(self.coverage_pick_order)
+
+
+def _indices(values, name: str) -> np.ndarray:
+    # a read-only int64 copy; the negative and out-of-order indices are left to the caller
+    try:
+        arr = np.array([_count(v, name, error=InvalidInputError) for v in values], dtype=np.int64)
+    except (TypeError, OverflowError) as err:  # not iterable, or beyond int64
+        raise InvalidInputError(f"{name} must be a sequence of int64 indices: {err}") from None
+    arr.flags.writeable = False
+    return arr
 
 
 def _split(h: float, config: CompressConfig, forced_t_sal: int | None) -> BudgetSplit:

@@ -298,6 +298,7 @@ def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
         return _pick(idx, picked, gains)
 
 
-# compress's stage 2 by diversity method: each core takes validated (E, pool,
-# k >= 1), _spectral_entropy(E)[1] and the saliency, which only DPP's rank fill reads
+# compress's stage 2 by diversity method, whose keys are budget.DIVERSITY_METHODS:
+# each core takes validated (E, pool, k >= 1), _spectral_entropy(E)[1] and the
+# saliency, which only DPP's rank fill reads
 _SELECTORS = {"dpp": _dpp_greedy, "fps": _fps, "facility_location": _facility_location}

@@ -6,6 +6,7 @@ import pytest
 from oracles import run_core, span_paths
 
 from adaptok import (
+    DIVERSITY_METHODS,
     CompressConfig,
     compress,
     read_saliency,
@@ -245,8 +246,7 @@ class TestBenchCommand:
         assert main(["bench"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [(c["n_tokens"], c["dim"], c["budget"]) for c in doc["configs"]] == [
-            (576, 1024, 64), (576, 1024, 128)
-        ]
+            (576, 1024, 64)] * 3 + [(576, 1024, 128)] * 3
         for cfg in doc["configs"]:
             assert set(cfg["splits"]) == {"saliency_heavy", "midpoint", "coverage_heavy"}
             assert min(cfg["splits"].values()) >= 1, cfg["splits"]
@@ -271,9 +271,34 @@ class TestBenchCommand:
     def test_zero_repeats_is_invalid_input(self, capsys):
         _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)
 
-    def test_settings_reach_compress_config(self, capsys):
-        _invalid_input(["bench", "--grid", "8x4x2", "--repeats", "1", "--tau", "0"], capsys)
-        _invalid_input(["bench", "--grid", "8x4x2", "--repeats", "1", "--mu", "1.5"], capsys)
+    def test_times_every_selector_on_each_grid_entry(self, capsys):
+        assert main(["bench", "--grid", "48x16x12", "--grid", "40x8x6", "--repeats", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(c["n_tokens"], c["diversity_method"]) for c in doc["configs"]] == [
+            (n, method) for n in (48, 40) for method in DIVERSITY_METHODS
+        ]
+        # the selectors time the same inputs, so the split of each repeat is theirs alike
+        m = len(DIVERSITY_METHODS)
+        for entry in (doc["configs"][:m], doc["configs"][m:]):
+            assert all(c["splits"] == entry[0]["splits"] for c in entry)
+            assert all(c["total"]["n"] == 4 for c in entry)
+
+    def test_records_the_host(self, capsys):
+        assert main(["bench", "--grid", "8x4x2", "--repeats", "1"]) == 0
+        host = json.loads(capsys.readouterr().out)["host"]
+        assert set(host) == {"python", "numpy", "blas_name", "blas_version", "blas_corename",
+                             "blas_threads", "nproc"}
+        assert host["numpy"] == np.__version__ and host["nproc"] >= 1
+
+
+_USAGE_ERRORS = {
+    f"{name}-{command}": (command, flags)
+    for name, flags in (("preset", ["--preset", "clip"]), ("bogus-mu", ["--mu", "bogus"]))
+    for command in ("allocate", "compress", "bench")
+}
+# bench takes no setting flag: it times every selector at the default mu and tau
+_USAGE_ERRORS |= {"tau-bench": ("bench", ["--tau", "0.5"]),
+                  "diversity-bench": ("bench", ["--diversity", "fl"])}
 
 
 class TestMuFlag:
@@ -291,9 +316,9 @@ class TestMuFlag:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != outputs[2]
 
-    @pytest.mark.parametrize("command", ["allocate", "compress", "bench"])
-    @pytest.mark.parametrize("flags", [["--preset", "clip"], ["--mu", "bogus"]],
-                             ids=["preset", "bogus-mu"])
+    @pytest.mark.parametrize(
+        "command, flags", list(_USAGE_ERRORS.values()), ids=list(_USAGE_ERRORS)
+    )
     def test_removed_flag_or_unknown_mu_is_usage_error(self, capsys, command, flags):
         # argparse rejects the command line before any file is opened
         files = {"allocate": ["--tokens", "a.ptm", "--budget", "4"],

@@ -292,9 +292,15 @@ class TestSelectionResult:
          (lambda r: {"selected": r.selected[:-1]}, "total_budget entries"),
          (lambda r: {"forced_t_sal": 2.5}, "forced_t_sal: expected an integer"),
          (lambda r: {"diagnostics": {}}, "diagnostics keys"),
-         (lambda r: {"coverage_pick_order": _outside_pick_order(r)}, "permutation")],
+         (lambda r: {"coverage_pick_order": _outside_pick_order(r)}, "permutation"),
+         (lambda r: {"selected": r.selected.astype(float)}, "selected: expected an integer"),
+         (lambda r: {"selected": np.ones(12, dtype=bool)}, "selected: expected an integer"),
+         (lambda r: {"coverage_pick_order": [True] * 7}, "coverage_pick_order: expected an"),
+         (lambda r: {"selected": 12}, "selected must be a sequence of int64 indices"),
+         (lambda r: {"selected": [*r.selected[:-1].tolist(), 2**63]}, "sequence of int64")],
         ids=["reversed", "one-pick-short", "fractional-forced-t_sal", "empty-diagnostics",
-             "pick-order-outside-selected"],
+             "pick-order-outside-selected", "float-selected", "bool-selected",
+             "bool-pick-order", "scalar-selected", "beyond-int64"],
     )
     def test_refuses_a_result_no_compress_returns(self, edit, message):
         res = _forced_result()
@@ -322,6 +328,23 @@ class TestSelectionResult:
         assert type(copy.forced_t_sal) is int
         assert type(copy.diagnostics["stage2_fallback_count"]) is float
         assert selection_results_equal(copy, res)
+
+    def test_stores_indices_as_read_only_int64_copies(self):
+        res = _forced_result()
+        given = res.selected.tolist(), res.coverage_pick_order.astype(np.int32)
+        copy = dataclasses.replace(res, selected=given[0], coverage_pick_order=given[1])
+        assert selection_results_equal(copy, res)
+        given[1][0] = 39  # the caller's array is not the stored one
+        assert selection_results_equal(copy, res)
+        for arr in (copy.selected, copy.coverage_pick_order):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 39
+
+    def test_fields_cannot_be_rebound(self):
+        res = _forced_result()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.selected = res.selected[::-1]
 
 def _assert_nested(timings: dict[str, float]) -> None:
     # the spans under one parent run one after another inside it

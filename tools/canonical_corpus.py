@@ -16,8 +16,9 @@ order, each followed by their count:
   that round differently leave it unchanged unless they change a pick.
 
 A third line, ``blas <name> <version> <corename>``, names the BLAS build
-and the kernel it picked on this CPU, with ``unknown`` for any part that
-cannot be found; a digest means nothing without it.
+and the kernel it picked on this CPU (``adaptok.bench.host_fingerprint``),
+with ``unknown`` for any part that cannot be found; a digest means nothing
+without it.
 
 Every serialized ``compress`` result (the ``compress`` documents' JSON, the
 ``compress`` CLI's stdout and its ``--out`` file) must load through
@@ -37,7 +38,6 @@ another checkout checks that checkout:
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -65,6 +65,7 @@ from adaptok import (  # noqa: E402
     write_tokens,
 )
 from adaptok import selection  # noqa: E402
+from adaptok.bench import host_fingerprint  # noqa: E402
 from adaptok.prominence import _spectral_entropy  # noqa: E402
 from adaptok.cli import main as cli_main  # noqa: E402
 
@@ -282,31 +283,11 @@ def _reads_back(doc: dict) -> bool:
     return True
 
 
-def _corename() -> str | None:
-    # the kernel OpenBLAS picked for this CPU, from the bundled library's
-    # *get_corename* symbol (numpy 2 renames it with a scipy_ prefix)
-    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                    "openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
-
-
 def _blas() -> str:
-    """``blas <name> <version> <corename>``, ``unknown`` for a part that
-    cannot be found: numpy before 1.26 has no ``show_config(mode="dicts")``."""
-    try:
-        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        info = {}
-    parts = (info.get("name"), info.get("version"), _corename())
+    """``blas <name> <version> <corename>``, ``unknown`` for a part the host
+    fingerprint cannot find."""
+    host = host_fingerprint()
+    parts = (host["blas_name"], host["blas_version"], host["blas_corename"])
     return "blas " + " ".join(str(part or "unknown") for part in parts)
 
 
