@@ -13,6 +13,7 @@ from adaptok import (
     LLAVA_NEXT_7B,
     AdaptokError,
     CompressConfig,
+    EntropyReport,
     InvalidBudgetError,
     InvalidInputError,
     ModelCostSpec,
@@ -218,6 +219,8 @@ _REAL_ENTRIES = [
     ("CompressConfig.tau", lambda v: CompressConfig(4, tau=v)),
     ("allocate_budget.normalized_entropy", lambda v: allocate_budget(v, CompressConfig(4))),
     ("synth_tokens.noise", lambda v: synth_tokens(4, 3, 1, v, 0)),
+    ("EntropyReport.raw_entropy", lambda v: EntropyReport(v, 1.0)),
+    ("EntropyReport.normalizer", lambda v: EntropyReport(0.25, v)),
 ]
 
 
