@@ -17,13 +17,7 @@ from .budget import (
     CompressConfig,
     allocate_budget,
 )
-from .costmodel import (
-    LLAVA_NEXT_7B,
-    ModelCostSpec,
-    estimate_kv_cache_bytes,
-    estimate_prefill_flops,
-    flops_reduction,
-)
+from .costmodel import estimate_kv_cache_bytes, estimate_prefill_flops, flops_reduction
 from .errors import (
     AdaptokError,
     BadMagicError,
@@ -67,9 +61,7 @@ __all__ = [
     "FormatError",
     "InvalidBudgetError",
     "InvalidInputError",
-    "LLAVA_NEXT_7B",
     "MU_PRESETS",
-    "ModelCostSpec",
     "NonFiniteValueError",
     "SelectionResult",
     "TrailingDataError",

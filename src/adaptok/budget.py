@@ -40,8 +40,8 @@ _RATIO_MAX = float(np.nextafter(1.0, 0.0))
 
 @dataclass(frozen=True)
 class CompressConfig:
-    """Knobs for one compression run; ``total_budget`` is stored as an int,
-    ``mu`` and ``tau`` as floats."""
+    """Knobs for one compression run; ``total_budget`` is stored as an int up
+    to 2**53 (the split multiplies it by a float64 ratio), ``mu`` and ``tau`` as floats."""
 
     total_budget: int
     mu: float = MU_PRESETS["clip"]
@@ -49,7 +49,8 @@ class CompressConfig:
     diversity_method: str = "dpp"
 
     def __post_init__(self):
-        object.__setattr__(self, "total_budget", _count(self.total_budget, "total_budget", 1))
+        budget = _count(self.total_budget, "total_budget", 1, 2**53)
+        object.__setattr__(self, "total_budget", budget)
         object.__setattr__(self, "mu", _real(self.mu, "mu"))
         object.__setattr__(self, "tau", _real(self.tau, "tau"))
         if not 0.0 < self.mu < 1.0:

@@ -23,7 +23,7 @@ import sys
 from .bench import run_bench
 from .budget import MU_PRESETS, CompressConfig, allocate_budget
 from .costmodel import (
-    LLAVA_NEXT_7B,
+    TEXT_TOKENS,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
     flops_reduction,
@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="prefill FLOPs / KV-cache cost model")
     p.add_argument("--seq-visual", type=int, required=True, help="visual tokens in the prefill")
-    p.add_argument("--text-tokens", type=int, default=None, help="override prompt length")
+    p.add_argument("--text-tokens", type=int, default=TEXT_TOKENS,
+                   help="prompt length (default: %(default)s)")
     p.add_argument("--baseline-seq", type=int, default=None,
                    help="uncompressed visual length to report the reduction against")
     p.add_argument("--out", default=None)
@@ -195,15 +196,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    spec = LLAVA_NEXT_7B
-    if args.text_tokens is not None:
-        spec = dataclasses.replace(spec, text_tokens=args.text_tokens)
-    flops = estimate_prefill_flops(args.seq_visual, spec)
-    kv_bytes = estimate_kv_cache_bytes(args.seq_visual, spec)
+    flops = estimate_prefill_flops(args.seq_visual, args.text_tokens)
+    kv_bytes = estimate_kv_cache_bytes(args.seq_visual)
     doc = {
         "model": "llava-next-7b",
         "seq_visual": args.seq_visual,
-        "text_tokens": spec.text_tokens,
+        "text_tokens": args.text_tokens,
         "flops": flops,
         "tflops": flops / 1e12,
         "kv_cache_bytes": kv_bytes,
@@ -211,7 +209,9 @@ def _cmd_flops(args) -> int:
     }
     if args.baseline_seq is not None:
         doc["baseline_seq"] = args.baseline_seq
-        doc["flops_reduction"] = flops_reduction(args.baseline_seq, args.seq_visual, spec)
+        doc["flops_reduction"] = flops_reduction(
+            args.baseline_seq, args.seq_visual, args.text_tokens
+        )
     _emit(_canonical_json(doc), args.out)
     return 0
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .pipeline import SelectionResult
 from .prominence import EntropyReport
-from .tensor_core import _as_float64
+from .tensor_core import _as_float64, _matrix
 
 TOKEN_MAGIC = b"PTM1"
 SALIENCY_MAGIC = b"PSV1"
@@ -46,9 +46,7 @@ RESULT_SCHEMA = 2
 
 def write_tokens(tokens, path) -> None:
     """Write an N x d matrix as a PTM1 file (float32 LE payload)."""
-    arr = _as_float64(tokens, "token payload", error=FormatError)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise FormatError(f"token payload must be a nonempty 2-D matrix, got shape {arr.shape}")
+    arr = _matrix(tokens, "token payload", FormatError)
     _write_binary(path, TOKEN_MAGIC, _float32_payload(arr, "token"))
 
 
@@ -59,11 +57,8 @@ def read_tokens(path) -> np.ndarray:
 
 def write_saliency(head_scores, path) -> None:
     """Write H x N per-head scores (or a 1-D pre-reduced vector) as a PSV1 file."""
-    arr = _as_float64(head_scores, "saliency payload", error=FormatError)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise FormatError(f"saliency payload must be H x N, got shape {arr.shape}")
+    arr = _as_float64(head_scores, "saliency payload", FormatError)
+    arr = _matrix(arr[None, :] if arr.ndim == 1 else arr, "saliency payload", FormatError)
     out = _float32_payload(arr, "saliency")
     if np.any(arr < 0):
         raise ValueRangeError("saliency payload contains negative values")
@@ -132,12 +127,12 @@ def selection_result_to_json(result: SelectionResult) -> str:
         "schema": RESULT_SCHEMA,
         "config": dataclasses.asdict(result.config),
         "forced_t_sal": result.forced_t_sal,
-        "selected": [int(i) for i in result.selected],
-        "stage_of": list(result.stage_of),
+        "selected": result.selected.tolist(),
+        "stage_of": result.stage_of,
         **dataclasses.asdict(result.split),
         "entropy": dataclasses.asdict(result.entropy),
-        "coverage_pick_order": [int(i) for i in result.coverage_pick_order],
-        "diagnostics": {k: float(v) for k, v in sorted(result.diagnostics.items())},
+        "coverage_pick_order": result.coverage_pick_order.tolist(),
+        "diagnostics": result.diagnostics,
     }
     return _canonical_json(doc)
 
@@ -183,7 +178,7 @@ def selection_result_from_json(text: str) -> SelectionResult:
         )
     # the types raise their own categories for a bad value, which in a
     # document is malformed data rather than a bad argument
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, AdaptokError) as err:
+    except (KeyError, TypeError, AdaptokError) as err:
         raise FormatError(f"selection result document is malformed: {err}") from err
     if selection_result_to_json(result) != text:
         raise FormatError("selection result document is not the one its fields write back")

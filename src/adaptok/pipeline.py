@@ -50,10 +50,13 @@ class SelectionResult:
     forced_t_sal: int | None
     entropy: EntropyReport
     coverage_pick_order: np.ndarray
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    diagnostics: dict[str, float]
     timings_us: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (isinstance(self.config, CompressConfig)
+                and isinstance(self.entropy, EntropyReport)):
+            raise InvalidInputError("config must be a CompressConfig and entropy an EntropyReport")
         T = self.config.total_budget
         if self.forced_t_sal is not None:
             forced = _count(self.forced_t_sal, "forced_t_sal", 0, T)
@@ -150,7 +153,7 @@ def compress(
             selected = np.sort(np.concatenate([sal_idx, pick.pick_order]))
         with _span("diagnostics"):
             diagnostics = _diagnostics(E, G, selected, pick.indices)
-            diagnostics["stage2_fallback_count"] = float(pick.fallback_count)
+            diagnostics["stage2_fallback_count"] = pick.fallback_count
 
     return SelectionResult(
         selected=selected,
@@ -169,18 +172,20 @@ def _diagnostics(E: np.ndarray, G, selected: np.ndarray, cov_idx: np.ndarray) ->
     # clamp to that floor to keep the value finite
     sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx, G))
     floor = cov_idx.size * np.log(DEFAULT_JITTER)
-    diag = {"coverage_logdet": float(logdet) if sign > 0 else float(floor)}
+    diag = {"coverage_logdet": logdet if sign > 0 else floor}
 
     if selected.size >= 2:
         sims = _pool_unit_kernel(E, selected, G)
         np.fill_diagonal(sims, -np.inf)
-        diag["min_pairwise_cosine_distance"] = float(1.0 - sims.max())
+        diag["min_pairwise_cosine_distance"] = 1.0 - sims.max()
 
     return diag
 
 
 def _check_diagnostics(diagnostics, n_selected: int, t_cov: int) -> dict[str, float]:
     # as floats, if they are the keys compress records, in their ranges
+    if not isinstance(diagnostics, dict):
+        raise InvalidInputError(f"diagnostics must be a dict, got {diagnostics!r}")
     diag = {k: _real(v, k) for k, v in diagnostics.items()}
     keys = {"coverage_logdet", "stage2_fallback_count"}
     if n_selected >= 2:

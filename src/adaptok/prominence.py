@@ -7,8 +7,8 @@ a few directions; high values mean it is spread out.
 
 The entropy uses the natural log; normalization by the log of the support
 size makes the normalized value base-independent and confined to [0, 1].
-It needs a positive, finite total mass; ``_report`` is the one check, so a
-mass that is zero, underflows or overflows raises, never gives 0 or NaN.
+It needs a positive, finite total mass, checked once in ``_spectral_entropy``,
+so a mass that is zero, underflows or overflows raises, never gives 0 or NaN.
 """
 
 from dataclasses import dataclass, field
@@ -54,18 +54,6 @@ class EntropyReport:
         object.__setattr__(self, "normalized_entropy", h)
 
 
-def _report(mass: np.ndarray, support: int) -> EntropyReport:
-    with np.errstate(over="ignore"):  # an overflowed sum is refused below
-        total = mass.sum()
-    if not 0.0 < total < np.inf:
-        raise DegenerateInputError(
-            f"spectral entropy needs a positive, finite total mass, got {total}"
-        )
-    p = mass[mass > 0] / total
-    raw = float(-(p * np.log(p)).sum() + 0.0)  # + 0.0 avoids -0.0
-    return EntropyReport(raw, float(np.log(support)))
-
-
 def spectral_entropy(tokens) -> EntropyReport:
     """Entropy of the normalized squared singular values of the token matrix.
 
@@ -84,5 +72,14 @@ def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray | None]:
     with _span("eigvalsh"):
         lam = _clamped_descending_eigvalsh(G)
     lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
-    return _report(lam, min(E.shape)), G if E.shape[0] < E.shape[1] else None
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        total = lam.sum()
+    if not 0.0 < total < np.inf:
+        raise DegenerateInputError(
+            f"spectral entropy needs a positive, finite total mass, got {total}"
+        )
+    p = lam[lam > 0] / total
+    raw = float(-(p * np.log(p)).sum() + 0.0)  # + 0.0 avoids -0.0
+    report = EntropyReport(raw, float(np.log(min(E.shape))))
+    return report, G if E.shape[0] < E.shape[1] else None
 

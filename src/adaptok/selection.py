@@ -33,16 +33,15 @@ which copy wins may differ from a greedy that sums in another order.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .tensor_core import (
     DEFAULT_EPSILON,
-    _as_float64,
     _check_scores,
     _count,
+    _matrix,
     _normalize_rows_raw,
     _span,
     as_saliency_vector,
@@ -73,8 +72,8 @@ class DiversityPick:
     """
 
     pick_order: np.ndarray
-    gains: np.ndarray = field(default_factory=lambda: np.empty(0))
-    fallback_count: int = 0
+    gains: np.ndarray
+    fallback_count: int
 
     @property
     def indices(self) -> np.ndarray:
@@ -100,9 +99,7 @@ def reduce_head_attention(head_scores) -> np.ndarray:
     or, for encoders without a CLS token, the column-mean attention each
     token receives.  Either way the reduction is the mean over heads.
     """
-    A = _as_float64(head_scores, "head scores")
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise InvalidInputError(f"head scores must be H x N with H >= 1, got shape {A.shape}")
+    A = _matrix(head_scores, "head scores")
     # per-head entries, not just the mean, must be valid scores
     _check_scores(A, "head scores")
     with np.errstate(over="ignore"):  # finite scores can sum past float64

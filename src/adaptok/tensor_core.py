@@ -3,7 +3,9 @@
 Token matrices are plain ``numpy`` arrays of shape (n_tokens, dim); the
 input checks for token matrices and saliency scores live here, and all
 internal computation stays in float64.  ``_as_float64`` is the one array
-conversion: complex, ragged or non-numeric input is rejected, never cast.
+conversion: complex, ragged or non-numeric input is rejected, never cast;
+``_matrix`` adds the one shape check of a matrix (tokens, head scores, file
+payloads), 2-D with a row and a column, each caller keeping its error.
 ``_count`` is the package's one count check: every budget, pick count, size
 and seed counter goes through it, so a bool or a fractional value is
 rejected everywhere, never taken as 1 or truncated; ``_real`` is its
@@ -35,18 +37,22 @@ def _as_float64(values, name: str, error=InvalidInputError) -> np.ndarray:
         raise error(f"{name} must be an array of real numbers: {err}") from None
 
 
+def _matrix(values, name: str, error=InvalidInputError) -> np.ndarray:
+    """``values`` as a float64 2-D array with at least one row and one column,
+    else ``error``."""
+    arr = _as_float64(values, name, error)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise error(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
+    return arr
+
+
 def as_token_matrix(tokens) -> np.ndarray:
     """Validate and return a token matrix as a C-contiguous float64 array.
 
     Requires a real 2-D array with at least one row and one column and no
     NaN/Inf entries.
     """
-    arr = _as_float64(tokens, "token matrix")
-    if arr.ndim != 2:
-        raise InvalidInputError(f"token matrix must be 2-D, got shape {arr.shape}")
-    n, d = arr.shape
-    if n < 1 or d < 1:
-        raise InvalidInputError(f"token matrix needs n_tokens >= 1 and dim >= 1, got {n}x{d}")
+    arr = _matrix(tokens, "token matrix")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("token matrix contains non-finite entries")
     return np.ascontiguousarray(arr)

@@ -22,7 +22,6 @@ from oracles import (
 )
 
 from adaptok import (
-    LLAVA_NEXT_7B,
     CompressConfig,
     allocate_budget,
     compress,
@@ -255,11 +254,11 @@ def test_criterion_6_pipeline_contracts():
 
 def test_criterion_7_cost_model():
     with criterion(7, "cost model against published prefill costs", 1.0):
-        full = estimate_prefill_flops(2880, LLAVA_NEXT_7B) / 1e12
-        pruned = estimate_prefill_flops(320, LLAVA_NEXT_7B) / 1e12
+        full = estimate_prefill_flops(2880) / 1e12
+        pruned = estimate_prefill_flops(320) / 1e12
         assert abs(full - 42.6) / 42.6 < 0.20
         assert abs(pruned - 5.02) / 5.02 < 0.25
-        reduction = flops_reduction(2880, 320, LLAVA_NEXT_7B)
+        reduction = flops_reduction(2880, 320)
         print(
             f"\n  prefill estimates: {full:.2f}T (published 42.6T), "
             f"{pruned:.2f}T (published 5.02T); reduction {reduction:.1%} "

@@ -14,12 +14,14 @@ from adaptok import (
     ValueRangeError,
     compress,
     read_saliency,
+    read_selection_result,
     read_tokens,
     selection_result_from_json,
     selection_result_to_json,
     selection_results_equal,
     synth_tokens,
     write_saliency,
+    write_selection_result,
     write_tokens,
 )
 
@@ -123,10 +125,12 @@ def test_writers_reject_values_not_finite_in_float32(tmp_path, write, value):
 @pytest.mark.parametrize("write", [write_tokens, write_saliency])
 @pytest.mark.parametrize(
     "values",
-    [[[1.0, 2.0], [3.0]], [["a", "b"]], np.eye(2) + 1j, [[1j, 2.0]]],
-    ids=["ragged", "string", "complex-array", "complex-list"],
+    [[[1.0, 2.0], [3.0]], [["a", "b"]], np.eye(2) + 1j, [[1j, 2.0]],
+     np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 2, 2)), 7.0],
+    ids=["ragged", "string", "complex-array", "complex-list",
+         "no-rows", "no-columns", "3-d", "scalar"],
 )
-def test_writers_reject_non_real_arrays(tmp_path, write, values):
+def test_writers_reject_what_is_not_a_real_matrix(tmp_path, write, values):
     path = tmp_path / "bad.bin"
     with pytest.raises(FormatError) as info:
         write(values, path)
@@ -334,7 +338,7 @@ _BROKEN = [
     (_pick_order_short, "permutation"),
     (_saliency_in_pick_order, "write back"),
     (_negative_t_sal, "write back"),
-    (_diagnostics_list, "malformed"),
+    (_diagnostics_list, "malformed: diagnostics must be a dict"),
     (_unknown_key, "write back"),
     (_unknown_entropy_key, "write back"),
     (_split_entropy_differs, "write back"),
@@ -404,6 +408,17 @@ class TestSelectionResultJson:
             assert res.diagnostics["min_pairwise_cosine_distance"] == distance
             assert selection_results_equal(res, selection_result_from_json(
                 selection_result_to_json(res)))
+
+    def test_file_round_trip(self, tmp_path):
+        res, path = self._result(), tmp_path / "r.json"
+        write_selection_result(res, path)
+        assert path.read_text(encoding="utf-8") == selection_result_to_json(res)
+        assert selection_results_equal(read_selection_result(path), res)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        _unsorted(doc)
+        path.write_text(_text(doc), encoding="utf-8")
+        with pytest.raises(FormatError, match="strictly increasing"):
+            read_selection_result(path)
 
     def test_serialization_is_byte_stable(self):
         a = selection_result_to_json(self._result())

@@ -297,10 +297,14 @@ class TestSelectionResult:
          (lambda r: {"selected": np.ones(12, dtype=bool)}, "selected: expected an integer"),
          (lambda r: {"coverage_pick_order": [True] * 7}, "coverage_pick_order: expected an"),
          (lambda r: {"selected": 12}, "selected must be a sequence of int64 indices"),
-         (lambda r: {"selected": [*r.selected[:-1].tolist(), 2**63]}, "sequence of int64")],
+         (lambda r: {"selected": [*r.selected[:-1].tolist(), 2**63]}, "sequence of int64"),
+         (lambda r: {"diagnostics": []}, "diagnostics must be a dict"),
+         (lambda r: {"config": {"total_budget": 12}}, "config must be a CompressConfig"),
+         (lambda r: {"entropy": None}, "entropy an EntropyReport")],
         ids=["reversed", "one-pick-short", "fractional-forced-t_sal", "empty-diagnostics",
              "pick-order-outside-selected", "float-selected", "bool-selected",
-             "bool-pick-order", "scalar-selected", "beyond-int64"],
+             "bool-pick-order", "scalar-selected", "beyond-int64", "diagnostics-list",
+             "config-dict", "no-entropy"],
     )
     def test_refuses_a_result_no_compress_returns(self, edit, message):
         res = _forced_result()
@@ -372,9 +376,13 @@ class TestTimings:
     def test_leaves_cover_the_call_at_clip_shape(self, method):
         # 16 directions put this input near the clip midpoint: t_sal = 19
         tokens, sal = synth_tokens(576, 1024, 16, 1e-3, 0)
-        res = compress(tokens, sal, CompressConfig(total_budget=64, diversity_method=method))
+        config = CompressConfig(total_budget=64, diversity_method=method)
+        res = compress(tokens, sal, config)  # warm-up
         assert 0 < res.split.t_cov < 64
-        assert leaf_share(res.timings_us) >= 0.95
+        # a wall-clock share: the best of three calls, so one scheduling stall
+        # inside a gap between spans does not decide it
+        shares = [leaf_share(compress(tokens, sal, config).timings_us) for _ in range(3)]
+        assert max(shares) >= 0.95, shares
 
     def test_calls_outside_compress_record_nothing(self):
         tokens, sal = _instance()

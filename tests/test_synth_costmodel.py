@@ -8,9 +8,7 @@ from oracles import feature_norm_entropy
 
 import adaptok
 from adaptok import (
-    LLAVA_NEXT_7B,
     InvalidInputError,
-    ModelCostSpec,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
     flops_reduction,
@@ -96,42 +94,39 @@ class TestSynthTokens:
 
 class TestCostModel:
     def test_flops_near_published_full_sequence(self):
-        tflops = estimate_prefill_flops(2880, LLAVA_NEXT_7B) / 1e12
+        tflops = estimate_prefill_flops(2880) / 1e12
         assert abs(tflops - 42.6) / 42.6 < 0.20
 
     def test_flops_near_published_pruned_sequence(self):
-        tflops = estimate_prefill_flops(320, LLAVA_NEXT_7B) / 1e12
+        tflops = estimate_prefill_flops(320) / 1e12
         assert abs(tflops - 5.02) / 5.02 < 0.25
 
     def test_reduction_matches_headline(self):
-        red = flops_reduction(2880, 320, LLAVA_NEXT_7B)
+        red = flops_reduction(2880, 320)
         assert abs(red - 0.88) < 0.02
 
     def test_text_only_baseline_positive_and_monotone(self):
-        base = estimate_prefill_flops(0, LLAVA_NEXT_7B)
+        base = estimate_prefill_flops(0)
         assert base > 0
-        values = [estimate_prefill_flops(s, LLAVA_NEXT_7B) for s in (0, 64, 320, 2880)]
+        values = [estimate_prefill_flops(s) for s in (0, 64, 320, 2880)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_kv_cache_matches_published_table(self):
-        assert estimate_kv_cache_bytes(2880, LLAVA_NEXT_7B) / 2**20 == 1440.0
-        assert estimate_kv_cache_bytes(320, LLAVA_NEXT_7B) / 2**20 == 160.0
+        assert estimate_kv_cache_bytes(2880) / 2**20 == 1440.0
+        assert estimate_kv_cache_bytes(320) / 2**20 == 160.0
 
-    def test_spec_validation(self):
+    def test_counts_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="text_tokens must be >= 1"):
+            estimate_prefill_flops(64, text_tokens=0)
         with pytest.raises(InvalidInputError):
-            ModelCostSpec(hidden_dim=0, n_layers=32, n_params=1)
-        with pytest.raises(InvalidInputError):
-            estimate_prefill_flops(-1, LLAVA_NEXT_7B)
+            estimate_prefill_flops(-1)
 
     def test_counts_must_be_integers(self):
         with pytest.raises(InvalidInputError):
-            estimate_kv_cache_bytes(1.5, LLAVA_NEXT_7B)
+            estimate_kv_cache_bytes(1.5)
         with pytest.raises(InvalidInputError):
-            estimate_prefill_flops(1.5, LLAVA_NEXT_7B)
+            estimate_prefill_flops(1.5)
         with pytest.raises(InvalidInputError):
-            ModelCostSpec(hidden_dim=4096.7, n_layers=32, n_params=1)
-        spec = ModelCostSpec(
-            hidden_dim=np.int64(4096), n_layers=32, n_params=1
-        )
-        assert type(spec.hidden_dim) is int
-        assert estimate_kv_cache_bytes(np.int64(2), spec) == 2 * 32 * 4096 * 2 * 2
+            flops_reduction(2880, 320, text_tokens=60.5)
+        assert flops_reduction(2880, 320, np.int64(60)) == flops_reduction(2880, 320)
+        assert estimate_kv_cache_bytes(np.int64(2)) == 2 * 32 * 4096 * 2 * 2

@@ -10,19 +10,18 @@ import pytest
 from oracles import triple_loop_gram
 
 from adaptok import (
-    LLAVA_NEXT_7B,
     AdaptokError,
     CompressConfig,
     EntropyReport,
     InvalidBudgetError,
     InvalidInputError,
-    ModelCostSpec,
     allocate_budget,
     as_token_matrix,
     bench,
     compress,
     estimate_kv_cache_bytes,
     estimate_prefill_flops,
+    flops_reduction,
     reduce_head_attention,
     saliency_topk,
     selection,
@@ -174,12 +173,14 @@ class TestSpectrumInvariants:
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
 _METHODS = ("dpp", "fps", "facility_location")
-_SPEC = {"hidden_dim": 8, "n_layers": 2, "n_params": 100, "text_tokens": 3}
 
 # every public entry that takes a count: (name, call taking the count, a
 # value outside its range, the category all four bad values raise)
 _COUNT_ENTRIES = [
     ("CompressConfig.total_budget", lambda v: CompressConfig(total_budget=v), 0, "invalid-budget"),
+    # the split multiplies T by a float64 ratio, which holds integers up to 2**53
+    ("allocate_budget.total_budget", lambda v: allocate_budget(0.5, CompressConfig(v)),
+     2**53 + 1, "invalid-budget"),
     ("compress.total_budget", lambda v: compress(_E, _S, CompressConfig(total_budget=v)), 11,
      "invalid-budget"),
     ("compress.t_sal", lambda v: compress(_E, _S, CompressConfig(total_budget=4), t_sal=v), 5,
@@ -194,15 +195,14 @@ _COUNT_ENTRIES = [
     ("synth_tokens.n", lambda v: synth_tokens(v, 4, 1, 0.0, 0), 0, "invalid-input"),
     ("synth_tokens.d", lambda v: synth_tokens(4, v, 1, 0.0, 0), 0, "invalid-input"),
     ("synth_tokens.k_directions", lambda v: synth_tokens(4, 3, v, 0.0, 0), 4, "invalid-input"),
-    ("estimate_prefill_flops", lambda v: estimate_prefill_flops(v, LLAVA_NEXT_7B), -1,
+    ("estimate_prefill_flops", estimate_prefill_flops, -1, "invalid-input"),
+    ("estimate_kv_cache_bytes", estimate_kv_cache_bytes, -1, "invalid-input"),
+    ("estimate_prefill_flops.text_tokens", lambda v: estimate_prefill_flops(64, v), 0,
      "invalid-input"),
-    ("estimate_kv_cache_bytes", lambda v: estimate_kv_cache_bytes(v, LLAVA_NEXT_7B), -1,
+    ("flops_reduction.text_tokens", lambda v: flops_reduction(2880, 320, v), 0,
      "invalid-input"),
-    *[
-        (f"ModelCostSpec.{field}", lambda v, field=field: ModelCostSpec(**{**_SPEC, field: v}),
-         0, "invalid-input")
-        for field in _SPEC
-    ],
+    ("flops_reduction.seq_before", lambda v: flops_reduction(v, 320), -1, "invalid-input"),
+    ("flops_reduction.seq_after", lambda v: flops_reduction(2880, v), -1, "invalid-input"),
     ("run_bench.repeats", lambda v: run_bench([(8, 4, 2)], repeats=v), 0, "invalid-input"),
     ("run_bench.seed", lambda v: run_bench([(8, 4, 2)], repeats=1, seed=v), -1, "invalid-input"),
     ("run_bench.grid.n", lambda v: run_bench([(v, 4, 1)], repeats=1), 0, "invalid-input"),
@@ -285,12 +285,13 @@ _MAGNITUDE_ENTRIES = [
     ("reduce_head_attention-1e308", lambda: reduce_head_attention(np.full((3, 4), 1e308)),
      "invalid-input"),
     *[(f"estimate_prefill_flops-10**{exp}",
-       lambda exp=exp: estimate_prefill_flops(10**exp, LLAVA_NEXT_7B), "invalid-input")
+       lambda exp=exp: estimate_prefill_flops(10**exp), "invalid-input")
       for exp in (200, 400)],
-    ("ModelCostSpec.n_params-10**400",
-     lambda: estimate_prefill_flops(1, ModelCostSpec(**{**_SPEC, "n_params": 10**400})),
-     "invalid-input"),
+    ("estimate_prefill_flops.text_tokens-10**400",
+     lambda: estimate_prefill_flops(1, text_tokens=10**400), "invalid-input"),
     ("synth_tokens-noise1e308", lambda: synth_tokens(4, 3, 1, 1e308, 0), "invalid-input"),
+    ("allocate_budget-total_budget-10**400",
+     lambda: allocate_budget(0.5, CompressConfig(10**400)), "invalid-budget"),
 ]
 
 # the same entries just inside the range, which must still give a result
@@ -302,7 +303,7 @@ _IN_RANGE_ENTRIES = [
        lambda method=method, shape=shape, scale=scale: _compress_scaled(method, shape, scale))
       for method in _METHODS for shape in _SHAPES for scale in (1e150, 1e-150)],
     ("reduce_head_attention-1e307", lambda: reduce_head_attention(np.full((3, 4), 1e307))),
-    ("estimate_prefill_flops-10**100", lambda: estimate_prefill_flops(10**100, LLAVA_NEXT_7B)),
+    ("estimate_prefill_flops-10**100", lambda: estimate_prefill_flops(10**100)),
     ("synth_tokens-noise1e300", lambda: dict(zip("Es", synth_tokens(4, 3, 1, 1e300, 0)))),
 ]
 
@@ -340,7 +341,7 @@ class TestMagnitudeBoundary:
         assert _floats_finite(call())
 
     def test_mass_sum_overflow_is_the_total_mass_check(self):
-        # the eigensolve succeeds, so prominence._report's sum is what refuses
+        # the eigensolve succeeds, so the entropy's eigenvalue sum is what refuses
         E = np.diag([1e154, 1e154])
         assert np.all(np.isfinite(_gram(E)))
         with pytest.raises(AdaptokError, match="positive, finite total mass, got inf") as info:
@@ -458,12 +459,15 @@ def _ragged(good: np.ndarray) -> list:
 
 
 # inputs numpy cannot convert to float64, or can only by dropping the
-# imaginary part; each is made from a valid input of the same shape
-_NON_REAL = {
+# imaginary part, and shapes no entry takes (a matrix given as a vector or a
+# stack, a vector as a scalar or a matrix); each is made from a valid input
+_BAD_ARRAYS = {
     "ragged": _ragged,
     "string": lambda good: np.full(good.shape, "x").tolist(),
     "complex-array": lambda good: good + 1j * good,
     "complex-list": lambda good: (good + 1j * good).tolist(),
+    "axis-fewer": lambda good: good[0],
+    "axis-more": lambda good: good[None],
 }
 
 # every public entry that converts an array: (name, call, a valid input)
@@ -473,22 +477,23 @@ _ARRAY_ENTRIES = [
     ("reduce_head_attention", reduce_head_attention, np.stack([_S, _S[::-1]])),
     ("compress.tokens", lambda v: compress(v, _S, CompressConfig(total_budget=4)), _E),
     ("compress.saliency", lambda v: compress(_E, v, CompressConfig(total_budget=4)), _S),
+    ("saliency_topk", lambda v: saliency_topk(v, 2), _S),
 ]
 
 
 class TestArrayConversion:
-    @pytest.mark.parametrize("bad", sorted(_NON_REAL))
+    @pytest.mark.parametrize("bad", sorted(_BAD_ARRAYS))
     @pytest.mark.parametrize(
         "call, good",
         [entry[1:] for entry in _ARRAY_ENTRIES],
         ids=[entry[0] for entry in _ARRAY_ENTRIES],
     )
-    def test_non_real_array_is_invalid_input(self, call, good, bad):
+    def test_bad_array_is_invalid_input(self, call, good, bad):
         call(good)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a ComplexWarning is a silent cast
             with pytest.raises(InvalidInputError) as info:
-                call(_NON_REAL[bad](good))
+                call(_BAD_ARRAYS[bad](good))
         assert info.value.category == "invalid-input"
 
     @pytest.mark.parametrize(
