@@ -108,7 +108,11 @@ def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0)
         "k_directions": list(K_DIRECTIONS),
         "configs": [],
     }
-    grid = [_grid_entry(entry) for entry in grid]  # all checked before any is timed
+    try:
+        entries = iter(grid)
+    except TypeError:
+        raise InvalidInputError(f"grid must be a sequence of (n, d, T), got {grid!r}") from None
+    grid = [_grid_entry(entry) for entry in entries]  # all checked before any is timed
     report["host"] = host_fingerprint()
     for cfg_idx, (n, d, t) in enumerate(grid):
         samples: dict[str, dict[str, list[float]]] = {m: {} for m in DIVERSITY_METHODS}

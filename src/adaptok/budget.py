@@ -94,6 +94,8 @@ def allocate_budget(normalized_entropy: float, config: CompressConfig) -> Budget
     sigmoid output is kept in the open interval (0, 1) so t_sal >= 1 even
     when float64 saturates the logistic for extreme (h - mu) / tau.
     """
+    if not isinstance(config, CompressConfig):
+        raise InvalidInputError(f"config must be a CompressConfig, got {config!r}")
     h = _real(normalized_entropy, "normalized entropy")
     if h < -ENTROPY_TOL or h > 1.0 + ENTROPY_TOL:
         raise InvalidInputError(f"normalized entropy must lie in [0, 1], got {h}")

@@ -32,7 +32,7 @@ class SelectionResult:
     aligned with ``selected``, and the per-stage indices derive from both;
     ``split`` derives from ``config``, ``forced_t_sal`` (None when the
     sigmoid allocated the split) and the entropy, as ``compress`` makes it.
-    ``diagnostics`` holds deterministic scalars only; wall-clock timings in
+    ``diagnostics`` holds deterministic scalars only, read-only; wall-clock timings in
     ``timings_us`` are left out of serialization and equality, so both are bit-stable.
     ``==`` is identity; ``io_formats.selection_results_equal`` is equality.
     Built, it checks that ``compress`` could return it: ``forced_t_sal`` is None
@@ -128,6 +128,8 @@ def compress(
     timings: dict[str, float] = {}
     with _span("total", timings):
         with _span("validate"):
+            if not isinstance(config, CompressConfig):
+                raise InvalidInputError(f"config must be a CompressConfig, got {config!r}")
             E = as_token_matrix(tokens)
             s = as_saliency_vector(saliency, n_tokens=E.shape[0])
             T = _count(config.total_budget, "total_budget", most=E.shape[0])
@@ -182,11 +184,23 @@ def _diagnostics(E: np.ndarray, G, selected: np.ndarray, cov_idx: np.ndarray) ->
     return diag
 
 
+class _CheckedDiagnostics(dict):
+    # a checked result's diagnostics: a dict that refuses every mutator, and
+    # pickles and deep-copies through its constructor rather than item by item
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a SelectionResult's diagnostics are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _check_diagnostics(diagnostics, n_selected: int, t_cov: int) -> dict[str, float]:
     # as floats, if they are the keys compress records, in their ranges
     if not isinstance(diagnostics, dict):
         raise InvalidInputError(f"diagnostics must be a dict, got {diagnostics!r}")
-    diag = {k: _real(v, k) for k, v in diagnostics.items()}
+    diag = _CheckedDiagnostics({k: _real(v, k) for k, v in diagnostics.items()})
     keys = {"coverage_logdet", "stage2_fallback_count"}
     if n_selected >= 2:
         keys.add("min_pairwise_cosine_distance")

@@ -19,11 +19,11 @@ over rows of one's own, pass them to ``compress`` with ``t_sal=0``; at
 n < d their kernel then comes from their own Gram, not from a block of a
 larger one, so a near-tie may break otherwise.
 
-All three read the cosine kernel of the pool rows E[idx] by one rule,
-``_pool_unit_kernel``.  At n < d it is a block of the token Gram G = E E^T
-that ``compress`` takes from the entropy (``_spectral_entropy``), scaled by
-w_a w_b with w = 1 / (sqrt(diag G) + eps); at n >= d, where G is None, it
-is ``unit @ unit.T`` over the normalized rows.
+DPP and facility location read the cosine kernel of the pool rows E[idx] by
+one rule, ``_pool_unit_kernel``: at n < d a block of the entropy's token Gram
+G = E E^T scaled by w_a w_b, w = 1 / (sqrt(diag G) + eps); at n >= d, where G
+is None, ``unit @ unit.T``.  FPS computes one row per pick instead: bitwise
+that rule's row at n < d, but at n >= d a product that need not round as it.
 
 Ties are always broken toward the lowest token index, so every selector is
 deterministic.  For facility location, ties are judged on the gains as the

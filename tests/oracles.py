@@ -5,9 +5,13 @@ full SVD, full determinants).  The greedy oracles that a test compares
 with a selector bit for bit (``verify_fps_order``, the two facility-location
 greedies and ``dpp_greedy_naive``) read their kernel from the package's one
 kernel rule, ``selection._pool_unit_kernel``, so such a test compares two
-greedies, not two kernels.  Everything else, ``pairwise_cosine_naive`` and
-the objectives and optima built on it included, shares no code path with
-the package; the brute-force DPP optimum takes only the jitter from it.
+greedies, not two kernels, with one exception: FPS at n >= d computes its
+kernel rows one product at a time, which need not round as that kernel's
+rows do, so ``verify_fps_order`` holds exactly there only away from
+near-ties (ROADMAP item 9 puts FPS on the kernel's rows).  Everything
+else, ``pairwise_cosine_naive`` and the objectives and optima built on it
+included, shares no code path with the package; the brute-force DPP
+optimum takes only the jitter from it.
 """
 
 import heapq

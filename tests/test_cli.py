@@ -337,13 +337,21 @@ class TestFlopsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["tflops"] - 5.02) / 5.02 < 0.25
         assert doc["kv_cache_mb"] == 160.0
-        assert abs(doc["flops_reduction"] - 0.88) < 0.02
+        # the paper's cost claim: 2880 -> 320 visual tokens saves 88% of the prefill FLOPs
+        assert round(doc["flops_reduction"], 4) == 0.8823
 
     def test_text_tokens_override(self, capsys):
         rc = main(["flops", "--seq-visual", "0", "--text-tokens", "100"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["text_tokens"] == 100 and doc["flops"] > 0
+
+    def test_zero_text_tokens_is_one_json_error_line(self, capsys):
+        # a prompt needs at least one text token
+        assert main(["flops", "--seq-visual", "320", "--text-tokens", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["category"] == "invalid-input"
 
 
 class TestRoundTripThroughCli:

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import pickle
 import sys
 import threading
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -349,6 +351,36 @@ class TestSelectionResult:
         res = _forced_result()
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.selected = res.selected[::-1]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda d: d.__setitem__("coverage_rank", 7.0),
+         lambda d: d.__setitem__("coverage_logdet", 0.0),
+         lambda d: d.__delitem__("coverage_logdet"),
+         lambda d: d.__ior__({"coverage_rank": 7.0}),
+         lambda d: d.update(coverage_rank=7.0), lambda d: d.setdefault("coverage_rank", 7.0),
+         lambda d: d.pop("coverage_logdet"), lambda d: d.popitem(), lambda d: d.clear()],
+        ids=["add", "set", "del", "ior", "update", "setdefault", "pop", "popitem", "clear"],
+    )
+    def test_diagnostics_cannot_be_changed(self, mutate):
+        # the checked diagnostics stay the checked ones
+        res = _forced_result()
+        before = dict(res.diagnostics)
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(res.diagnostics)
+        assert res.diagnostics == before
+
+    @pytest.mark.parametrize(
+        "clone", [lambda r: pickle.loads(pickle.dumps(r)), deepcopy, dataclasses.replace],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_a_clone_writes_the_same_bytes_and_stays_read_only(self, clone):
+        res = _forced_result()
+        twin = clone(res)
+        assert selection_result_to_json(twin) == selection_result_to_json(res)
+        with pytest.raises(TypeError, match="read-only"):
+            twin.diagnostics["coverage_rank"] = 7.0
+
 
 def _assert_nested(timings: dict[str, float]) -> None:
     # the spans under one parent run one after another inside it

@@ -452,6 +452,27 @@ class TestCountBoundary:
         assert json.loads(err)["error"]["category"] == "invalid-input"
 
 
+# an argument of the wrong type, which Python would refuse with an
+# AttributeError or TypeError: (name, call)
+_WRONG_TYPE_ENTRIES = [
+    ("compress.config-int", lambda: compress(_E, _S, 4)),
+    ("compress.config-dict", lambda: compress(_E, _S, {"total_budget": 4})),
+    ("allocate_budget.config-none", lambda: allocate_budget(0.5, None)),
+    ("run_bench.grid-none", lambda: run_bench(None)),
+    ("run_bench.grid-int", lambda: run_bench(5)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [entry[1] for entry in _WRONG_TYPE_ENTRIES],
+    ids=[entry[0] for entry in _WRONG_TYPE_ENTRIES],
+)
+def test_wrong_type_argument_is_invalid_input(call):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert info.value.category == "invalid-input"
+
+
 def _ragged(good: np.ndarray) -> list:
     rows = good.tolist()
     rows[-1] = rows[-1][:-1] if good.ndim == 2 else [rows[-1]] * 2
