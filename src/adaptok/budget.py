@@ -96,9 +96,9 @@ def allocate_budget(normalized_entropy: float, config: CompressConfig) -> Budget
     """
     if not isinstance(config, CompressConfig):
         raise InvalidInputError(f"config must be a CompressConfig, got {config!r}")
-    h = _real(normalized_entropy, "normalized entropy")
+    h = _real(normalized_entropy, "normalized_entropy")
     if h < -ENTROPY_TOL or h > 1.0 + ENTROPY_TOL:
-        raise InvalidInputError(f"normalized entropy must lie in [0, 1], got {h}")
+        raise InvalidInputError(f"normalized_entropy must lie in [0, 1], got {h}")
     h = min(max(h, 0.0), 1.0)
 
     ratio = _logistic((h - config.mu) / config.tau)

@@ -44,6 +44,7 @@ from .synth import synth_tokens
 from .tensor_core import _count
 
 _DIVERSITY_FLAGS = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}
+_DEFAULT_GRID = ["576x1024x64", "576x1024x128"]  # the paper's CLIP shape at T = 64 and 128
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -110,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency percentiles of every selector over (N,d,T) grids")
     p.add_argument("--grid", action="append", default=None, metavar="NxDxT",
-                   help="configuration like 576x1024x64 (repeatable)")
+                   help="configuration like 576x1024x64 (repeatable; default: "
+                        f"{' and '.join(_DEFAULT_GRID)})")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -178,7 +180,7 @@ def _cmd_synth(args) -> int:
 
 def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
     grid = []
-    for spec in specs or ["576x1024x64", "576x1024x128"]:
+    for spec in specs or _DEFAULT_GRID:
         try:
             n, d, t = (int(p) for p in spec.lower().split("x"))
         except ValueError:

@@ -22,16 +22,21 @@ N_PARAMS = 6_738_415_616
 TEXT_TOKENS = 60
 
 
-def estimate_prefill_flops(seq_visual: int, text_tokens: int = TEXT_TOKENS) -> float:
-    """Estimated dense-prefill FLOPs for a given visual token count."""
+def _prefill_flops(seq_visual, text_tokens, name: str) -> float:
+    # name: the caller's argument that holds seq_visual, for its refusal
     text = _count(text_tokens, "text_tokens", 1, error=InvalidInputError)
-    length = _count(seq_visual, "seq_visual", 0, error=InvalidInputError) + text
+    length = _count(seq_visual, name, 0, error=InvalidInputError) + text
     flops = math.inf
     with suppress(OverflowError):  # a count beyond the float range stays inf
         flops = 2.0 * N_PARAMS * length + 4.0 * N_LAYERS * length * length * HIDDEN_DIM
     if not math.isfinite(flops):
         raise InvalidInputError("the prefill FLOPs estimate overflows float64")
     return flops
+
+
+def estimate_prefill_flops(seq_visual: int, text_tokens: int = TEXT_TOKENS) -> float:
+    """Estimated dense-prefill FLOPs for a given visual token count."""
+    return _prefill_flops(seq_visual, text_tokens, "seq_visual")
 
 
 def estimate_kv_cache_bytes(seq_visual: int) -> int:
@@ -43,6 +48,6 @@ def estimate_kv_cache_bytes(seq_visual: int) -> int:
 
 def flops_reduction(seq_before: int, seq_after: int, text_tokens: int = TEXT_TOKENS) -> float:
     """Fractional FLOPs reduction when shrinking the visual sequence."""
-    before = estimate_prefill_flops(seq_before, text_tokens)
-    after = estimate_prefill_flops(seq_after, text_tokens)
+    before = _prefill_flops(seq_before, text_tokens, "seq_before")
+    after = _prefill_flops(seq_after, text_tokens, "seq_after")
     return 1.0 - after / before

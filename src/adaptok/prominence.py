@@ -41,10 +41,9 @@ class EntropyReport:
     def __post_init__(self):
         raw = _real(self.raw_entropy, "raw_entropy")
         normalizer = _real(self.normalizer, "normalizer")
-        if raw < 0 or normalizer < 0:
-            raise InvalidInputError(
-                f"raw_entropy and normalizer must be nonnegative, got {raw} and {normalizer}"
-            )
+        for name, value in (("raw_entropy", raw), ("normalizer", normalizer)):
+            if value < 0:
+                raise InvalidInputError(f"{name} must be nonnegative, got {value}")
         # raw <= log(support size), up to the rounding of a sum of logs (one ulp measured)
         if raw > normalizer * (1 + 1e-9):
             raise InvalidInputError(f"raw_entropy {raw} exceeds its normalizer {normalizer}")

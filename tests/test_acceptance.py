@@ -22,6 +22,7 @@ from oracles import (
 )
 
 from adaptok import (
+    DIVERSITY_METHODS,
     CompressConfig,
     allocate_budget,
     compress,
@@ -209,7 +210,6 @@ def test_criterion_5_alternate_selectors():
 
 def test_criterion_6_pipeline_contracts():
     with criterion(6, "pipeline contracts over 500 randomized instances", 60.0):
-        methods = ("dpp", "fps", "facility_location")
         for trial in range(500):
             rng = subseed_rng(31, trial)
             n = int(rng.integers(4, 40))
@@ -233,7 +233,7 @@ def test_criterion_6_pipeline_contracts():
             saliency = np.abs(rng.standard_normal(n))
             T = int(rng.integers(1, n + 1))
             cfg = CompressConfig(
-                total_budget=T, mu=0.42, tau=0.02, diversity_method=methods[trial % 3]
+                total_budget=T, mu=0.42, tau=0.02, diversity_method=DIVERSITY_METHODS[trial % 3]
             )
 
             first = compress(tokens, saliency, cfg)

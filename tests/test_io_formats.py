@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adaptok import (
+    DIVERSITY_METHODS,
     BadMagicError,
     CompressConfig,
     FormatError,
@@ -343,7 +344,7 @@ _BROKEN = [
     (_unknown_entropy_key, "write back"),
     (_split_entropy_differs, "write back"),
     (_attention_metric, "write back"),
-    (_negative_raw_entropy, "normalizer must be nonnegative"),
+    (_negative_raw_entropy, "raw_entropy must be nonnegative"),
     (_negative_normalizer, "normalizer must be nonnegative"),
     (_entropy_not_normalized, "write back"),
     (_raw_entropy_beyond_normalizer, "malformed: raw_entropy .* exceeds its normalizer"),
@@ -388,7 +389,7 @@ class TestSelectionResultJson:
         # the Gram taken as E^T E (n >= d) and as E E^T (n < d)
         for n, d, k, seed in ((48, 12, 3, 6), (24, 40, 6, 3)):
             tokens, sal = synth_tokens(n, d, k, 1e-3, seed)
-            for method in ("dpp", "fps", "facility_location"):
+            for method in DIVERSITY_METHODS:
                 cfg = CompressConfig(total_budget=12, diversity_method=method)
                 for t_sal in (None, 0, 5, 12):
                     res = compress(tokens, sal, cfg, t_sal=t_sal)

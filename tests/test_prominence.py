@@ -126,7 +126,8 @@ class TestEntropyReport:
         with pytest.raises(InvalidInputError, match="exceeds its normalizer"):
             EntropyReport(raw, normalizer)
 
-    @pytest.mark.parametrize("bad", [-1e-300, float("nan"), float("inf"), True, "0.5", None])
+    # the values that are not reals are rows of the real boundary table
+    @pytest.mark.parametrize("bad", [-1e-300])
     @pytest.mark.parametrize("field", ["raw_entropy", "normalizer"])
     def test_refuses_a_field_that_is_not_a_nonnegative_real(self, field, bad):
         with pytest.raises(InvalidInputError, match=field):

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 from oracles import (
     brute_force_max_logdet,
-    dpp_greedy_naive,
     facility_location_dense,
     facility_location_lazy_rowwise,
-    facility_optimum,
     facility_value,
     package_kernel,
     pairwise_cosine_naive,
     run_core,
     topk_by_sort,
-    verify_fps_order,
 )
 
 from adaptok import (
     CompressConfig,
-    InvalidBudgetError,
     InvalidInputError,
     compress,
     reduce_head_attention,
@@ -70,14 +66,6 @@ class TestSaliencyTopk:
             scores = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=n)  # force ties
             k = int(rng.integers(0, n + 1))
             np.testing.assert_array_equal(saliency_topk(scores, k), topk_by_sort(scores, k))
-
-    def test_budget_errors(self):
-        with pytest.raises(InvalidBudgetError):
-            saliency_topk([0.1, 0.2], 3)
-        with pytest.raises(InvalidBudgetError):
-            saliency_topk([0.1, 0.2], -1)
-        with pytest.raises(InvalidBudgetError):
-            saliency_topk([0.1, 0.2, 0.3], 2.7)
 
 
 # tall, square and wide: the kernel rule slices E E^T only at n < d
@@ -165,17 +153,6 @@ class TestDppGreedyMap:
         np.testing.assert_array_equal(pick.indices, [0, 2])
         np.testing.assert_array_equal(pick.pick_order, [0, 2])
 
-    def test_matches_naive_greedy(self, rng):
-        for _ in range(60):
-            n = int(rng.integers(4, 17))
-            k = int(rng.integers(1, min(6, n) + 1))
-            d = int(rng.integers(max(k, 4), 13))
-            E = rng.standard_normal((n, d))
-            fast = run_core("dpp", E, np.arange(n), k)
-            naive_order, _ = dpp_greedy_naive(E, np.arange(n), k)
-            np.testing.assert_array_equal(fast.pick_order, naive_order)
-            np.testing.assert_array_equal(fast.indices, np.sort(naive_order))
-
     def test_gains_non_increasing(self, rng):
         for _ in range(20):
             E = rng.standard_normal((12, 8))
@@ -211,14 +188,12 @@ class TestDppGreedyMap:
         assert pick.fallback_count == 2
 
     def test_k_zero_and_errors(self, rng):
-        # through compress, the one entry: a stage 2 of k = 0 runs no core,
-        # and a budget beyond the rows is refused before any core runs
+        # through compress, the one entry: a stage 2 of k = 0 runs no core
+        # (a budget beyond the rows is a row of the count boundary table)
         E, s = rng.standard_normal((5, 3)), rng.random(5)
         res = compress(E, s, CompressConfig(total_budget=5, diversity_method="dpp"), t_sal=5)
         assert res.coverage_pick_order.size == 0
         assert res.coverage_pick_order.dtype == np.int64
-        with pytest.raises(InvalidBudgetError):
-            compress(E, s, CompressConfig(total_budget=6, diversity_method="dpp"), t_sal=0)
 
     def test_deterministic(self, rng):
         E = rng.standard_normal((14, 7))
@@ -273,20 +248,6 @@ class TestFpsSelect:
     def test_duplicate_of_start_picked_last(self):
         pick = run_core("fps", E1_E1_E2, np.arange(3), 2)
         np.testing.assert_array_equal(pick.indices, [0, 2])
-
-    def test_naive_maxmin_verification(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(3, 12))
-            d = int(rng.integers(2, 6))
-            E = rng.standard_normal((n, d))
-            k = int(rng.integers(1, n + 1))
-            pick = run_core("fps", E, np.arange(n), k)
-            assert verify_fps_order(E, np.arange(n), pick.pick_order)
-
-    def test_errors(self, rng):
-        E, s = rng.standard_normal((4, 2)), rng.random(4)
-        with pytest.raises(InvalidBudgetError):
-            compress(E, s, CompressConfig(total_budget=5, diversity_method="fps"), t_sal=0)
 
 
 FL_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")
@@ -345,24 +306,6 @@ class TestFacilityLocationSelect:
                 facility_value(E, np.arange(n), pick.indices),
                 atol=1e-8,
             )
-
-    def test_submodular_guarantee(self, rng):
-        bound = 1.0 - 1.0 / np.e
-        for _ in range(20):
-            n = int(rng.integers(3, 9))
-            k = int(rng.integers(1, 4))
-            if k > n:
-                continue
-            E = rng.standard_normal((n, 4))
-            pick = run_core("facility_location", E, np.arange(n), k)
-            opt = facility_optimum(E, np.arange(n), k)
-            assert pick.gains.sum() >= bound * opt - 1e-9
-
-    def test_errors(self, rng):
-        E, s = rng.standard_normal((3, 2)), rng.random(3)
-        cfg = CompressConfig(total_budget=4, diversity_method="facility_location")
-        with pytest.raises(InvalidBudgetError):
-            compress(E, s, cfg, t_sal=0)
 
     @pytest.mark.parametrize("kind", [k for k in FL_KINDS if k != "duplicates"])
     def test_pick_order_matches_dense_greedy(self, kind):

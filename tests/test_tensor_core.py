@@ -10,7 +10,9 @@ import pytest
 from oracles import triple_loop_gram
 
 from adaptok import (
+    DIVERSITY_METHODS,
     AdaptokError,
+    BudgetSplit,
     CompressConfig,
     EntropyReport,
     InvalidBudgetError,
@@ -30,6 +32,7 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok.bench import run_bench
+from adaptok.budget import ENTROPY_TOL
 from adaptok.cli import main
 from adaptok.tensor_core import (
     DEFAULT_EPSILON,
@@ -172,56 +175,103 @@ class TestSpectrumInvariants:
 
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
-_METHODS = ("dpp", "fps", "facility_location")
 
-# every public entry that takes a count: (name, call taking the count, a
-# value outside its range, the category all four bad values raise)
+# every public entry that takes a count: (name, call taking the count, the
+# argument's name, which starts each refusal, the least and the greatest count
+# the call takes (None: no greatest), the category of every refusal)
 _COUNT_ENTRIES = [
-    ("CompressConfig.total_budget", lambda v: CompressConfig(total_budget=v), 0, "invalid-budget"),
+    ("CompressConfig.total_budget", lambda v: CompressConfig(total_budget=v), "total_budget",
+     1, 2**53, "invalid-budget"),
     # the split multiplies T by a float64 ratio, which holds integers up to 2**53
     ("allocate_budget.total_budget", lambda v: allocate_budget(0.5, CompressConfig(v)),
-     2**53 + 1, "invalid-budget"),
-    ("compress.total_budget", lambda v: compress(_E, _S, CompressConfig(total_budget=v)), 11,
-     "invalid-budget"),
-    ("compress.t_sal", lambda v: compress(_E, _S, CompressConfig(total_budget=4), t_sal=v), 5,
-     "invalid-budget"),
+     "total_budget", 1, 2**53, "invalid-budget"),
+    ("compress.total_budget", lambda v: compress(_E, _S, CompressConfig(total_budget=v)),
+     "total_budget", 1, 10, "invalid-budget"),
+    ("compress.t_sal", lambda v: compress(_E, _S, CompressConfig(total_budget=4), t_sal=v),
+     "t_sal", 0, 4, "invalid-budget"),
     # the route to each stage-2 core: at t_sal=0 the budget is the core's k
     *[(f"compress-{method}-t_sal=0.total_budget",
        lambda v, method=method: compress(
            _E, _S, CompressConfig(total_budget=v, diversity_method=method), t_sal=0),
-       11, "invalid-budget")
-      for method in _METHODS],
-    ("saliency_topk.k", lambda v: saliency_topk(_S, v), 11, "invalid-budget"),
-    ("synth_tokens.n", lambda v: synth_tokens(v, 4, 1, 0.0, 0), 0, "invalid-input"),
-    ("synth_tokens.d", lambda v: synth_tokens(4, v, 1, 0.0, 0), 0, "invalid-input"),
-    ("synth_tokens.k_directions", lambda v: synth_tokens(4, 3, v, 0.0, 0), 4, "invalid-input"),
-    ("estimate_prefill_flops", estimate_prefill_flops, -1, "invalid-input"),
-    ("estimate_kv_cache_bytes", estimate_kv_cache_bytes, -1, "invalid-input"),
-    ("estimate_prefill_flops.text_tokens", lambda v: estimate_prefill_flops(64, v), 0,
+       "total_budget", 1, 10, "invalid-budget")
+      for method in DIVERSITY_METHODS],
+    ("BudgetSplit.t_sal", lambda v: BudgetSplit(v, 9, 0.5, 0.75), "t_sal", 0, None,
+     "invalid-budget"),
+    ("BudgetSplit.t_cov", lambda v: BudgetSplit(3, v, 0.5, 0.75), "t_cov", 0, None,
+     "invalid-budget"),
+    ("saliency_topk.k", lambda v: saliency_topk(_S, v), "k", 0, 10, "invalid-budget"),
+    ("synth_tokens.n", lambda v: synth_tokens(v, 4, 1, 0.0, 0), "n", 1, None, "invalid-input"),
+    ("synth_tokens.d", lambda v: synth_tokens(4, v, 1, 0.0, 0), "d", 1, None, "invalid-input"),
+    ("synth_tokens.k_directions", lambda v: synth_tokens(4, 3, v, 0.0, 0), "k_directions",
+     1, 3, "invalid-input"),
+    ("estimate_prefill_flops", estimate_prefill_flops, "seq_visual", 0, None, "invalid-input"),
+    ("estimate_kv_cache_bytes", estimate_kv_cache_bytes, "seq_visual", 0, None,
      "invalid-input"),
-    ("flops_reduction.text_tokens", lambda v: flops_reduction(2880, 320, v), 0,
+    ("estimate_prefill_flops.text_tokens", lambda v: estimate_prefill_flops(64, v),
+     "text_tokens", 1, None, "invalid-input"),
+    ("flops_reduction.text_tokens", lambda v: flops_reduction(2880, 320, v), "text_tokens",
+     1, None, "invalid-input"),
+    ("flops_reduction.seq_before", lambda v: flops_reduction(v, 320), "seq_before", 0, None,
      "invalid-input"),
-    ("flops_reduction.seq_before", lambda v: flops_reduction(v, 320), -1, "invalid-input"),
-    ("flops_reduction.seq_after", lambda v: flops_reduction(2880, v), -1, "invalid-input"),
-    ("run_bench.repeats", lambda v: run_bench([(8, 4, 2)], repeats=v), 0, "invalid-input"),
-    ("run_bench.seed", lambda v: run_bench([(8, 4, 2)], repeats=1, seed=v), -1, "invalid-input"),
-    ("run_bench.grid.n", lambda v: run_bench([(v, 4, 1)], repeats=1), 0, "invalid-input"),
-    ("run_bench.grid.d", lambda v: run_bench([(8, v, 2)], repeats=1), 0, "invalid-input"),
-    ("run_bench.grid.T", lambda v: run_bench([(8, 4, v)], repeats=1), 0, "invalid-input"),
-    ("subseed_rng.seed", lambda v: subseed_rng(v, 0), -1, "invalid-input"),
-    ("subseed_rng.counter", lambda v: subseed_rng(0, v), -1, "invalid-input"),
+    ("flops_reduction.seq_after", lambda v: flops_reduction(2880, v), "seq_after", 0, None,
+     "invalid-input"),
+    ("run_bench.repeats", lambda v: run_bench([(8, 4, 2)], repeats=v), "repeats", 1, None,
+     "invalid-input"),
+    ("run_bench.seed", lambda v: run_bench([(8, 4, 2)], repeats=1, seed=v), "seed", 0, None,
+     "invalid-input"),
+    ("run_bench.grid.n", lambda v: run_bench([(v, 4, 1)], repeats=1), "n", 1, None,
+     "invalid-input"),
+    ("run_bench.grid.d", lambda v: run_bench([(8, v, 2)], repeats=1), "d", 1, None,
+     "invalid-input"),
+    # a T above n is refused as compress refuses it, as a budget (the next class's
+    # test_run_bench_checks_every_budget_before_timing_any)
+    ("run_bench.grid.T", lambda v: run_bench([(8, 4, v)], repeats=1), "T", 1, None,
+     "invalid-input"),
+    ("subseed_rng.seed", lambda v: subseed_rng(v, 0), "seed", 0, None, "invalid-input"),
+    ("subseed_rng.counter", lambda v: subseed_rng(0, v), "counter", 0, None, "invalid-input"),
 ]
 
+# values that are not counts; None is one except where it asks for a default
+_NOT_COUNTS = {"fraction": 1.5, "bool": True, "numpy-bool": np.True_, "float": 2.0,
+               "numpy-float": np.float64(2.0), "numeric-str": "2", "none": None}
+_NONE_IS_VALID = {"compress.t_sal"}  # None derives the split from the entropy
 
-# every public entry that takes a real setting: (name, call taking the value)
+
+def _bad_counts():
+    """(call, bad value, the refusal's prefix, category) for every count entry: each
+    value of _NOT_COUNTS; out-of-range, the count past the greatest (with no
+    greatest, past the least); and below-range, the count past the least."""
+    for name, call, arg, least, most, category in _COUNT_ENTRIES:
+        bad = {label: (value, f"{arg}: ") for label, value in _NOT_COUNTS.items()}
+        if name in _NONE_IS_VALID:
+            del bad["none"]
+        below = (least - 1, f"{arg} must be >= {least}, ")
+        if most is None:
+            bad["out-of-range"] = below
+        else:
+            bad["out-of-range"] = (most + 1, f"{arg} must be <= {most}, ")
+            bad["below-range"] = below
+        for label, (value, prefix) in bad.items():
+            yield pytest.param(call, value, prefix, category, id=f"{name}-{label}")
+
+
+# every public entry that takes a real setting: (name, call taking the value,
+# the argument's name, the least and the greatest value the call takes (None:
+# no greatest; the magnitude table refuses a noise that overflows the tokens))
 _REAL_ENTRIES = [
-    ("CompressConfig.mu", lambda v: CompressConfig(4, mu=v)),
-    ("CompressConfig.tau", lambda v: CompressConfig(4, tau=v)),
-    ("allocate_budget.normalized_entropy", lambda v: allocate_budget(v, CompressConfig(4))),
-    ("synth_tokens.noise", lambda v: synth_tokens(4, 3, 1, v, 0)),
-    ("EntropyReport.raw_entropy", lambda v: EntropyReport(v, 1.0)),
-    ("EntropyReport.normalizer", lambda v: EntropyReport(0.25, v)),
+    ("CompressConfig.mu", lambda v: CompressConfig(4, mu=v), "mu",
+     np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)),
+    ("CompressConfig.tau", lambda v: CompressConfig(4, tau=v), "tau", np.nextafter(0.0, 1.0),
+     None),
+    ("allocate_budget.normalized_entropy", lambda v: allocate_budget(v, CompressConfig(4)),
+     "normalized_entropy", -ENTROPY_TOL, 1.0 + ENTROPY_TOL),
+    ("synth_tokens.noise", lambda v: synth_tokens(4, 3, 1, v, 0), "noise", 0.0, None),
+    # a raw entropy may pass its normalizer by a rounding slack of 1e-9
+    ("EntropyReport.raw_entropy", lambda v: EntropyReport(v, 1.0), "raw_entropy", 0.0,
+     1.0 + 1e-9),
+    ("EntropyReport.normalizer", lambda v: EntropyReport(0.0, v), "normalizer", 0.0, None),
 ]
+_REAL_IDS = [entry[0] for entry in _REAL_ENTRIES]
 
 
 class TestRealBoundary:
@@ -234,20 +284,27 @@ class TestRealBoundary:
              "1d"],
     )
     @pytest.mark.parametrize(
-        "call", [entry[1] for entry in _REAL_ENTRIES], ids=[entry[0] for entry in _REAL_ENTRIES]
+        "call, arg", [entry[1:3] for entry in _REAL_ENTRIES], ids=_REAL_IDS
     )
-    def test_non_real_value_is_invalid_input(self, call, bad):
-        with pytest.raises(InvalidInputError):
+    def test_non_real_value_is_invalid_input(self, call, arg, bad):
+        with pytest.raises(InvalidInputError, match=rf"^{arg}: "):
             call(bad)
+
+    @pytest.mark.parametrize("call, arg, least, most", [entry[1:] for entry in _REAL_ENTRIES],
+                             ids=_REAL_IDS)
+    def test_range_ends_are_taken_and_the_next_floats_refused(self, call, arg, least, most):
+        for end, outward in ((least, -np.inf), (most, np.inf)):
+            if end is not None:
+                call(end)
+                with pytest.raises(InvalidInputError, match=rf"^{arg}\b"):
+                    call(np.nextafter(end, outward))
 
     # a 0-d real array counts, as a 0-d integer array counts for _count
     @pytest.mark.parametrize(
         "good", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.array(0.5),
                  np.array(0.5, dtype=np.float32)]
     )
-    @pytest.mark.parametrize(
-        "call", [entry[1] for entry in _REAL_ENTRIES], ids=[entry[0] for entry in _REAL_ENTRIES]
-    )
+    @pytest.mark.parametrize("call", [entry[1] for entry in _REAL_ENTRIES], ids=_REAL_IDS)
     def test_real_numbers_are_accepted(self, call, good):
         call(good)
 
@@ -281,7 +338,7 @@ _MAGNITUDE_ENTRIES = [
     *[(f"compress-{method}-{shape}-x{scale:g}",
        lambda method=method, shape=shape, scale=scale: _compress_scaled(method, shape, scale),
        "degenerate-input")
-      for method in _METHODS for shape in _SHAPES for scale in (1e160, 1e-170, 0.0)],
+      for method in DIVERSITY_METHODS for shape in _SHAPES for scale in (1e160, 1e-170, 0.0)],
     ("reduce_head_attention-1e308", lambda: reduce_head_attention(np.full((3, 4), 1e308)),
      "invalid-input"),
     *[(f"estimate_prefill_flops-10**{exp}",
@@ -301,7 +358,7 @@ _IN_RANGE_ENTRIES = [
     ("spectral_entropy-diag-1e153", lambda: spectral_entropy(np.diag([1e153, 1e153]))),
     *[(f"compress-{method}-{shape}-x{scale:g}",
        lambda method=method, shape=shape, scale=scale: _compress_scaled(method, shape, scale))
-      for method in _METHODS for shape in _SHAPES for scale in (1e150, 1e-150)],
+      for method in DIVERSITY_METHODS for shape in _SHAPES for scale in (1e150, 1e-150)],
     ("reduce_head_attention-1e307", lambda: reduce_head_attention(np.full((3, 4), 1e307))),
     ("estimate_prefill_flops-10**100", lambda: estimate_prefill_flops(10**100)),
     ("synth_tokens-noise1e300", lambda: dict(zip("Es", synth_tokens(4, 3, 1, 1e300, 0)))),
@@ -357,23 +414,27 @@ class TestMagnitudeBoundary:
 
 
 class TestCountBoundary:
-    @pytest.mark.parametrize("bad", ["fraction", "bool", "numpy-bool", "out-of-range"])
-    @pytest.mark.parametrize(
-        "call, out_of_range, category",
-        [entry[1:] for entry in _COUNT_ENTRIES],
-        ids=[entry[0] for entry in _COUNT_ENTRIES],
-    )
-    def test_bad_count_raises_its_category(self, call, out_of_range, category, bad):
-        value = {"fraction": 1.5, "bool": True, "numpy-bool": np.True_}.get(bad, out_of_range)
+    @pytest.mark.parametrize("call, value, prefix, category", _bad_counts())
+    def test_bad_count_raises_its_category(self, call, value, prefix, category):
         with pytest.raises(AdaptokError) as info:
             call(value)
         assert info.value.category == category
+        assert str(info.value).startswith(prefix)
 
     @pytest.mark.parametrize(
         "call", [entry[1] for entry in _COUNT_ENTRIES], ids=[entry[0] for entry in _COUNT_ENTRIES]
     )
     def test_numpy_integer_count_is_accepted(self, call):
         call(np.int64(1))
+
+    @pytest.mark.parametrize(
+        "call, least, most", [(entry[1], *entry[3:5]) for entry in _COUNT_ENTRIES],
+        ids=[entry[0] for entry in _COUNT_ENTRIES],
+    )
+    def test_range_ends_are_accepted(self, call, least, most):
+        call(least)
+        if most is not None:
+            call(most)
 
     @pytest.mark.parametrize("entry", [(8, 4), (8, 4, 2, 1), 8], ids=["short", "long", "scalar"])
     def test_run_bench_grid_entry_needs_three_parts(self, entry):
@@ -401,7 +462,7 @@ class TestCountBoundary:
         spec.loader.exec_module(corpus)
         assert corpus._blas().startswith("blas unknown unknown ")
 
-    @pytest.mark.parametrize("method", _METHODS)
+    @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_empty_stage2_and_unsigned_counts_still_select(self, method):
         cfg = CompressConfig(total_budget=3, diversity_method=method)
         assert compress(_E, _S, cfg, t_sal=3).coverage_pick_order.dtype == np.int64
@@ -433,7 +494,7 @@ class TestCountBoundary:
     @pytest.mark.parametrize(
         "saliency", [[1.0, 2.0], [np.nan] * 10, [-1.0] * 10], ids=["short", "nan", "negative"]
     )
-    @pytest.mark.parametrize("method", ["fps", "facility_location"])
+    @pytest.mark.parametrize("method", [m for m in DIVERSITY_METHODS if m != "dpp"])
     def test_saliency_the_core_never_reads_is_still_checked(self, method, saliency):
         with pytest.raises(InvalidInputError):
             compress(_E, saliency, CompressConfig(total_budget=4, diversity_method=method), 0)

@@ -67,7 +67,7 @@ from adaptok import (  # noqa: E402
 from adaptok import selection  # noqa: E402
 from adaptok.bench import host_fingerprint  # noqa: E402
 from adaptok.prominence import _spectral_entropy  # noqa: E402
-from adaptok.cli import main as cli_main  # noqa: E402
+from adaptok.cli import _DIVERSITY_FLAGS, main as cli_main  # noqa: E402
 
 TAUS = (0.02, 0.5)
 BUDGET = 12
@@ -230,7 +230,7 @@ def _cli_docs(workdir: Path):
         # that --mu NAME replaced, so the digest stays comparable across it
         runs = [(["--preset", preset], ["--mu", preset]) for preset in sorted(MU_PRESETS)]
         runs += [(["--t-sal", str(t)],) * 2 for t in (0, BUDGET // 3, BUDGET)]
-        for diversity in ("dpp", "fps", "fl"):
+        for diversity in _DIVERSITY_FLAGS:
             for label, flags in runs:
                 shown = ["compress", "--diversity", diversity]
                 yield {"kind": "cli", "argv": [*shown, *label], "input": name,
