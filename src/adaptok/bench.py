@@ -42,8 +42,8 @@ def _grid_entry(entry) -> tuple[int, int, int]:
         n, d, t = entry
     except (TypeError, ValueError):
         raise InvalidInputError(f"grid entries are (n, d, T), got {entry!r}") from None
-    n, d, t = (_count(v, name, 1, error=InvalidInputError) for v, name in zip((n, d, t), "ndT"))
-    return n, d, _count(t, "T", most=n)  # InvalidBudgetError, as compress raises for T > n
+    n, d = (_count(v, name, 1, error=InvalidInputError) for v, name in zip((n, d), "nd"))
+    return n, d, _count(t, "T", 1, n)  # InvalidBudgetError, as compress refuses a budget
 
 
 def _openblas():

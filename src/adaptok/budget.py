@@ -57,7 +57,10 @@ class CompressConfig:
             raise InvalidInputError(f"mu must lie in (0, 1), got {self.mu}")
         if not self.tau > 0.0:
             raise InvalidInputError(f"tau must be positive, got {self.tau}")
-        if self.diversity_method not in DIVERSITY_METHODS:
+        # a str first: an array would compare elementwise, and is unhashable
+        if not isinstance(self.diversity_method, str) or (
+            self.diversity_method not in DIVERSITY_METHODS
+        ):
             raise InvalidInputError(
                 f"unknown diversity method {self.diversity_method!r}, "
                 f"expected one of {DIVERSITY_METHODS}"

@@ -162,7 +162,9 @@ def selection_result_from_json(text: str) -> SelectionResult:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    # ValueError covers JSONDecodeError and an integer past Python's digit
+    # limit; RecursionError, nesting too deep to parse; TypeError, not text
+    except (ValueError, RecursionError, TypeError) as err:
         raise FormatError(f"selection result is not valid JSON: {err}") from err
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != RESULT_SCHEMA:
@@ -190,4 +192,8 @@ def write_selection_result(result: SelectionResult, path) -> None:
 
 
 def read_selection_result(path) -> SelectionResult:
-    return selection_result_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: selection result is not UTF-8 text: {err}") from None
+    return selection_result_from_json(text)

@@ -27,13 +27,14 @@ DEFAULT_EPSILON = 1e-12
 
 def _as_float64(values, name: str, error=InvalidInputError) -> np.ndarray:
     """``values`` as a float64 array, else ``error``: complex values are not
-    stripped of their imaginary part, and no raw numpy error escapes."""
+    stripped of their imaginary part, a Python int beyond the float64 range
+    is not a real number here, and no raw numpy error escapes."""
     try:
         arr = np.asarray(values)
         if arr.dtype.kind == "c":
             raise TypeError(f"complex dtype {arr.dtype}")
         return np.asarray(arr, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise error(f"{name} must be an array of real numbers: {err}") from None
 
 
@@ -101,7 +102,9 @@ def _real(value, name: str) -> float:
     if isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf":
         value = value.item()
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with suppress(OverflowError):  # an int beyond the float range stays nan
+        # an int beyond the float range stays nan, and so does a timedelta64,
+        # which numpy registers as an integer and float() refuses
+        with suppress(OverflowError, TypeError):
             real = float(value)
     if not np.isfinite(real):
         raise InvalidInputError(f"{name}: expected a finite real number, got {value!r}")

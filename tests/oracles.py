@@ -1,4 +1,6 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+token kinds (``kind_tokens``) that criterion 6 and facility location's
+tests draw.
 
 Everything here is deliberately naive (plain loops, direct formulas,
 full SVD, full determinants).  The greedy oracles that a test compares
@@ -20,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from adaptok import as_token_matrix
+from adaptok import as_token_matrix, synth_tokens
 from adaptok.prominence import _spectral_entropy
 from adaptok.selection import _SELECTORS, DEFAULT_JITTER, RANK_FLOOR, _dpp_kernel, _pool_unit_kernel
 
@@ -89,6 +91,30 @@ def topk_by_sort(scores, k: int) -> list[int]:
     """Full sort on (-score, index), then prefix."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return sorted(order[:k])
+
+
+# the input kinds criterion 6 cycles through, which facility location's tests reuse
+TOKEN_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")
+
+
+def kind_tokens(rng: np.random.Generator, kind: str, n: int, d: int, seed) -> np.ndarray:
+    """An n x d token matrix of one of ``TOKEN_KINDS``, drawn from ``rng`` (and
+    ``synth_tokens`` at ``seed``); a zero-rows draw that zeroed every row gets
+    one nonzero entry, as the entropy refuses an all-zero matrix."""
+    if kind == "generic":
+        return rng.standard_normal((n, d))
+    if kind == "duplicates":
+        base = rng.standard_normal((max(2, n // 4), d))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    if kind == "zero_rows":
+        tokens = rng.standard_normal((n, d))
+        tokens[rng.random(n) < 0.3] = 0.0
+        if not np.any(tokens):
+            tokens[0, 0] = 1.0
+        return tokens
+    if kind == "concentrated":  # forces t_cov = 0 under the clip preset
+        return synth_tokens(n, d, 1, 1e-4, seed)[0]
+    return synth_tokens(n, d, min(n, d), 1e-3, seed)[0]  # spread
 
 
 def pairwise_cosine_naive(E: np.ndarray, pool, epsilon: float = 1e-12) -> np.ndarray:

@@ -2,7 +2,6 @@
 [PASS]/[FAIL] line with its runtime (run with `pytest -s` to see them).
 """
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -10,14 +9,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from oracles import (
+    TOKEN_KINDS,
     brute_force_max_logdet,
     dpp_greedy_naive,
     feature_norm_entropy,
+    kind_tokens,
     leaf_share,
     random_orthogonal,
     run_core,
     sigmoid_scalar,
-    span_paths,
     verify_fps_order,
 )
 
@@ -33,7 +33,6 @@ from adaptok import (
     subseed_rng,
     synth_tokens,
 )
-from adaptok.cli import main as cli_main
 from adaptok.prominence import _spectral_entropy
 from adaptok.selection import _dpp_kernel
 
@@ -96,7 +95,7 @@ def test_criterion_1_entropy_analytics():
             base = spectral_entropy(E).normalized_entropy
 
             c = float(trng.uniform(0.01, 100.0)) * float(trng.choice([-1.0, 1.0]))
-            assert abs(spectral_entropy(c * E).normalized_entropy - base) < 1e-8
+            assert abs(spectral_entropy(c * E).normalized_entropy - base) < 1e-9
 
             Q = random_orthogonal(d, trng)
             assert abs(spectral_entropy(E @ Q).normalized_entropy - base) < 1e-8
@@ -129,7 +128,7 @@ def test_criterion_2_monotone_concentration():
 
 def test_criterion_3_budget_allocation():
     with criterion(3, "budget allocation identities and monotonicity", 5.0):
-        budgets = (32, 64, 128, 320)
+        budgets = (1, 2, 32, 64, 127, 128, 320)
         for T in budgets:
             cfg = CompressConfig(total_budget=T, mu=0.42, tau=0.02)
 
@@ -140,6 +139,9 @@ def test_criterion_3_budget_allocation():
             lo = allocate_budget(0.42 - 10 * 0.02, cfg)
             assert hi.t_cov == math.floor(T * sigmoid_scalar(10.0))
             assert lo.t_cov == math.floor(T * sigmoid_scalar(-10.0))
+            # T * sigmoid(-10) < 1 for every T up to 22,026, so t_sal stays >= 1
+            assert (hi.t_sal, hi.t_cov) == (1, T - 1)
+            assert (lo.t_sal, lo.t_cov) == (T, 0)
 
             prev = -1
             for h in np.linspace(0.0, 1.0, 1001):
@@ -164,7 +166,7 @@ def test_criterion_4_dpp_correctness():
             naive_order, _ = dpp_greedy_naive(E, pool, k)
             np.testing.assert_array_equal(fast.pick_order, naive_order)
 
-            assert np.all(np.diff(fast.gains) <= 1e-9)  # monotone marginal gains
+            assert np.all(np.diff(fast.gains) <= 1e-12)  # monotone marginal gains
 
             _, opt_logdet = brute_force_max_logdet(E, pool, k)
             L = _dpp_kernel(E, fast.indices, _spectral_entropy(E)[1])
@@ -214,22 +216,8 @@ def test_criterion_6_pipeline_contracts():
             rng = subseed_rng(31, trial)
             n = int(rng.integers(4, 40))
             d = int(rng.integers(2, 16))
-            kind = trial % 5
-            if kind == 0:  # generic
-                tokens = rng.standard_normal((n, d))
-            elif kind == 1:  # heavy duplicates
-                base = rng.standard_normal((max(2, n // 4), d))
-                tokens = base[rng.integers(0, base.shape[0], size=n)]
-            elif kind == 2:  # zero rows mixed in
-                tokens = rng.standard_normal((n, d))
-                tokens[rng.random(n) < 0.3] = 0.0
-                if not np.any(tokens):
-                    tokens[0, 0] = 1.0
-            elif kind == 3:  # concentrated: forces t_cov = 0 under clip preset
-                tokens, _ = synth_tokens(n, d, 1, 1e-4, [31, trial])
-            else:  # spread
-                tokens, _ = synth_tokens(n, d, min(n, d), 1e-3, [31, trial])
-
+            kind = TOKEN_KINDS[trial % 5]
+            tokens = kind_tokens(rng, kind, n, d, [31, trial])
             saliency = np.abs(rng.standard_normal(n))
             T = int(rng.integers(1, n + 1))
             cfg = CompressConfig(
@@ -245,7 +233,7 @@ def test_criterion_6_pipeline_contracts():
             assert not sal_set & cov_set
             assert len(sal_set) == first.split.t_sal
             assert len(cov_set) == first.split.t_cov
-            if kind == 3:
+            if kind == "concentrated":
                 assert first.split.t_cov == 0
 
             again = compress(tokens, saliency, cfg)
@@ -266,7 +254,7 @@ def test_criterion_7_cost_model():
         )
 
 
-def test_criterion_8_performance_budget(capsys):
+def test_criterion_8_performance_budget():
     with criterion(8, "N=2880 d=1024 T=320 DPP compress under 500 ms", 120.0):
         # 18 energy directions put the normalized entropy near the sigmoid
         # midpoint, so both stages run with substantial budgets
@@ -282,13 +270,6 @@ def test_criterion_8_performance_budget(capsys):
             f"compress took {elapsed_ms:.1f} ms; {timings_note(warmup_ms, times_ms)}"
         )
         assert leaf_share(result.timings_us) >= 0.95, result.timings_us
-
-        rc = cli_main(["bench", "--grid", "256x64x32", "--repeats", "2", "--seed", "1"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        cfg = doc["configs"][0]
-        assert span_paths(0) <= {"total", *cfg["phases"]} <= span_paths(1)
-        assert all(p["max_us"] <= cfg["total"]["max_us"] for p in cfg["phases"].values())
         print(f"\n  full-scale compress: best of 3 = {elapsed_ms:.1f} ms (budget 500 ms)")
 
 

@@ -260,9 +260,14 @@ class TestBenchCommand:
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
         _invalid_input(["bench", "--grid", "axbxc"], capsys)
 
-    @pytest.mark.parametrize("grid", ["0x4x4", "4x0x4", "4x4x0", "-2x4x1"])
+    @pytest.mark.parametrize("grid", ["0x4x4", "4x0x4", "-2x4x1"])
     def test_empty_grid_dimension_is_invalid_input(self, grid, capsys):
         _invalid_input(["bench", f"--grid={grid}"], capsys)
+
+    def test_zero_budget_is_invalid_budget(self, capsys):
+        # T is a budget at both ends of [1, n], as compress takes it
+        assert main(["bench", "--grid=4x4x0"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-budget"
 
     def test_budget_above_n_fails_before_any_output(self, capsys):
         # the first entry is valid, but no entry is timed before all are checked

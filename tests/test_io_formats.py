@@ -126,9 +126,9 @@ def test_writers_reject_values_not_finite_in_float32(tmp_path, write, value):
 @pytest.mark.parametrize("write", [write_tokens, write_saliency])
 @pytest.mark.parametrize(
     "values",
-    [[[1.0, 2.0], [3.0]], [["a", "b"]], np.eye(2) + 1j, [[1j, 2.0]],
+    [[[1.0, 2.0], [3.0]], [["a", "b"]], np.eye(2) + 1j, [[1j, 2.0]], [[10**400, 1.0]],
      np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 2, 2)), 7.0],
-    ids=["ragged", "string", "complex-array", "complex-list",
+    ids=["ragged", "string", "complex-array", "complex-list", "huge-int",
          "no-rows", "no-columns", "3-d", "scalar"],
 )
 def test_writers_reject_what_is_not_a_real_matrix(tmp_path, write, values):
@@ -443,6 +443,27 @@ class TestSelectionResultJson:
     def test_rejects_invalid_json(self):
         with pytest.raises(FormatError):
             selection_result_from_json("not json {")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda text: "[" * 200_000 + "]" * 200_000,
+         # past Python's int-string limit; where it has none, beyond int64
+         lambda text: text.replace('"selected": [\n    ', '"selected": [\n    ' + "9" * 5000),
+         lambda text: 5],
+        ids=["deep-nesting", "long-index", "not-text"],
+    )
+    def test_rejects_what_the_parser_cannot_load(self, edit):
+        text = selection_result_to_json(self._result())
+        with pytest.raises(FormatError) as info:
+            selection_result_from_json(edit(text))
+        assert info.value.category == "format-error"
+
+    def test_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(selection_result_to_json(self._result()).encode("utf-16"))
+        with pytest.raises(FormatError) as info:
+            read_selection_result(path)
+        assert info.value.category == "format-error"
 
     @pytest.mark.parametrize(
         "field, value",

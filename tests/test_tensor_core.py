@@ -15,6 +15,7 @@ from adaptok import (
     BudgetSplit,
     CompressConfig,
     EntropyReport,
+    FormatError,
     InvalidBudgetError,
     InvalidInputError,
     allocate_budget,
@@ -158,20 +159,21 @@ class TestL2NormalizeRows:
 
 
 class TestSpectrumInvariants:
-    def test_both_gram_sides_share_top_spectrum(self, rng):
-        for n, d in [(6, 3), (3, 6), (5, 5), (12, 4)]:
-            E = rng.standard_normal((n, d))
-            small = np.sort(np.linalg.eigvalsh(E.T @ E))[::-1]
-            big = np.sort(np.linalg.eigvalsh(E @ E.T))[::-1]
-            r = min(n, d)
-            np.testing.assert_allclose(small[:r], big[:r], rtol=1e-8, atol=1e-10)
-
     def test_row_permutation_invariance(self, rng):
         E = rng.standard_normal((8, 5))
         perm = rng.permutation(8)
         a = _clamped_descending_eigvalsh(_gram(E))
         b = _clamped_descending_eigvalsh(_gram(E[perm]))
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
+
+
+def _corpus_tool():
+    """tools/canonical_corpus.py, loaded by path as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "canonical_corpus.py"
+    spec = importlib.util.spec_from_file_location("canonical_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
 
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
@@ -223,10 +225,10 @@ _COUNT_ENTRIES = [
      "invalid-input"),
     ("run_bench.grid.d", lambda v: run_bench([(8, v, 2)], repeats=1), "d", 1, None,
      "invalid-input"),
-    # a T above n is refused as compress refuses it, as a budget (the next class's
+    # T is refused as compress refuses a budget (the next class's
     # test_run_bench_checks_every_budget_before_timing_any)
-    ("run_bench.grid.T", lambda v: run_bench([(8, 4, v)], repeats=1), "T", 1, None,
-     "invalid-input"),
+    ("run_bench.grid.T", lambda v: run_bench([(8, 4, v)], repeats=1), "T", 1, 8,
+     "invalid-budget"),
     ("subseed_rng.seed", lambda v: subseed_rng(v, 0), "seed", 0, None, "invalid-input"),
     ("subseed_rng.counter", lambda v: subseed_rng(0, v), "counter", 0, None, "invalid-input"),
 ]
@@ -277,11 +279,12 @@ _REAL_IDS = [entry[0] for entry in _REAL_ENTRIES]
 class TestRealBoundary:
     @pytest.mark.parametrize(
         "bad", ["0.5", "x", None, True, np.False_, 0.5 + 0j, np.nan, np.inf, 10**400,
-                np.array(True), np.array(0.5 + 0j), np.array(0.5, dtype=object),
-                np.array("0.5"), np.array(np.nan), np.array(np.inf), np.array([0.5])],
+                np.timedelta64(1, "s"), np.array(True), np.array(0.5 + 0j),
+                np.array(0.5, dtype=object), np.array("0.5"), np.array(np.nan),
+                np.array(np.inf), np.array([0.5])],
         ids=["numeric-str", "str", "none", "bool", "numpy-bool", "complex", "nan", "inf",
-             "huge-int", "0d-bool", "0d-complex", "0d-object", "0d-str", "0d-nan", "0d-inf",
-             "1d"],
+             "huge-int", "timedelta", "0d-bool", "0d-complex", "0d-object", "0d-str", "0d-nan",
+             "0d-inf", "1d"],
     )
     @pytest.mark.parametrize(
         "call, arg", [entry[1:3] for entry in _REAL_ENTRIES], ids=_REAL_IDS
@@ -456,11 +459,20 @@ class TestCountBoundary:
         monkeypatch.setattr(np, "show_config", show_config)
         host = bench.host_fingerprint()
         assert host["blas_name"] is None and host["blas_version"] is None
-        path = Path(__file__).resolve().parents[1] / "tools" / "canonical_corpus.py"
-        spec = importlib.util.spec_from_file_location("canonical_corpus", path)
-        corpus = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(corpus)
-        assert corpus._blas().startswith("blas unknown unknown ")
+        assert _corpus_tool()._blas().startswith("blas unknown unknown ")
+
+    def test_corpus_tool_fails_on_a_result_that_does_not_read_back(self, monkeypatch, capsys):
+        # the first document is a compress result, so the tool stops there
+        corpus = _corpus_tool()
+
+        def refuse(text):
+            raise FormatError("refused")
+
+        monkeypatch.setattr(corpus, "selection_result_from_json", refuse)
+        assert corpus.main([]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("document 0: ")
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_empty_stage2_and_unsigned_counts_still_select(self, method):
@@ -521,6 +533,11 @@ _WRONG_TYPE_ENTRIES = [
     ("allocate_budget.config-none", lambda: allocate_budget(0.5, None)),
     ("run_bench.grid-none", lambda: run_bench(None)),
     ("run_bench.grid-int", lambda: run_bench(5)),
+    # an array would be compared elementwise with each name
+    ("CompressConfig.diversity_method-array",
+     lambda: CompressConfig(4, diversity_method=np.array(["fps"]))),
+    ("CompressConfig.diversity_method-array-of-two",
+     lambda: CompressConfig(4, diversity_method=np.array(["fps", "dpp"]))),
 ]
 
 
@@ -540,14 +557,22 @@ def _ragged(good: np.ndarray) -> list:
     return rows
 
 
+def _huge_int(good: np.ndarray) -> list:
+    values = good.astype(object)
+    values.flat[0] = 10**400  # a Python int beyond the float64 range
+    return values.tolist()
+
+
 # inputs numpy cannot convert to float64, or can only by dropping the
-# imaginary part, and shapes no entry takes (a matrix given as a vector or a
-# stack, a vector as a scalar or a matrix); each is made from a valid input
+# imaginary part or by overflowing, and shapes no entry takes (a matrix given
+# as a vector or a stack, a vector as a scalar or a matrix); each is made from
+# a valid input
 _BAD_ARRAYS = {
     "ragged": _ragged,
     "string": lambda good: np.full(good.shape, "x").tolist(),
     "complex-array": lambda good: good + 1j * good,
     "complex-list": lambda good: (good + 1j * good).tolist(),
+    "huge-int": _huge_int,
     "axis-fewer": lambda good: good[0],
     "axis-more": lambda good: good[None],
 }
