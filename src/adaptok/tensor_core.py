@@ -24,6 +24,10 @@ from .errors import DegenerateInputError, InvalidBudgetError, InvalidInputError
 
 DEFAULT_EPSILON = 1e-12
 
+# Rows squared and summed per block in _sq_row_norms; at 2865x1024, 64
+# measured fastest of 32-256 (8 ms, against 13 ms for one whole-matrix pass).
+_NORM_BLOCK = 64
+
 
 def _as_float64(values, name: str, error=InvalidInputError) -> np.ndarray:
     """``values`` as a float64 array, else ``error``: complex values are not
@@ -153,10 +157,20 @@ def _clamped_descending_eigvalsh(G: np.ndarray) -> np.ndarray:
     return np.clip(lam[::-1], 0.0, None)
 
 
+def _sq_row_norms(X: np.ndarray) -> np.ndarray:
+    # bitwise the squares np.linalg.norm(X, axis=1) sums, each row reduced
+    # alone, but over _NORM_BLOCK rows at a time: no second X-sized temporary
+    sq = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _NORM_BLOCK):
+        block = X[start:start + _NORM_BLOCK]
+        np.add.reduce(block * block, axis=1, out=sq[start:start + _NORM_BLOCK])
+    return sq
+
+
 def _normalize_rows_raw(E: np.ndarray, idx: np.ndarray) -> np.ndarray:
     # idx is an integer index array, so E[idx] is a copy: dividing it in
     # place never writes E.  Zero rows stay zero; rows with norm >>
     # DEFAULT_EPSILON come out ~unit
     rows = E[idx]
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True) + DEFAULT_EPSILON
+    rows /= (np.sqrt(_sq_row_norms(rows)) + DEFAULT_EPSILON)[:, None]
     return rows

@@ -157,6 +157,13 @@ class TestL2NormalizeRows:
         np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
         np.testing.assert_array_equal(E.view(np.int64), E_before.view(np.int64))
 
+    @pytest.mark.parametrize("m", [63, 64, 65, 200])
+    def test_blocked_norms_are_bitwise_the_whole_matrix_norms(self, rng, m):
+        # the row norms are summed a block of rows at a time, each row alone
+        E = rng.standard_normal((m, 70)) * rng.uniform(1e-3, 10.0, size=(m, 1))
+        expected = E / (np.linalg.norm(E, axis=1, keepdims=True) + DEFAULT_EPSILON)
+        assert _normalize_rows_raw(E, np.arange(m)).tobytes() == expected.tobytes()
+
 
 class TestSpectrumInvariants:
     def test_row_permutation_invariance(self, rng):
