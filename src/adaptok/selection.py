@@ -19,11 +19,16 @@ over rows of one's own, pass them to ``compress`` with ``t_sal=0``; at
 n < d their kernel then comes from their own Gram, not from a block of a
 larger one, so a near-tie may break otherwise.
 
-DPP and facility location read the cosine kernel of the pool rows E[idx] by
-one rule, ``_pool_unit_kernel``: at n < d a block of the entropy's token Gram
-G = E E^T scaled by w_a w_b, w = 1 / (sqrt(diag G) + eps); at n >= d, where G
-is None, ``unit @ unit.T``.  FPS computes one row per pick instead: bitwise
-that rule's row at n < d, but at n >= d a product that need not round as it.
+Every core reads the cosine kernel of the pool rows E[idx]: at n < d from
+the entropy's token Gram G = E E^T scaled by w_a w_b, w = 1 / (sqrt(diag G)
++ eps), and at n >= d, where G is None, from the normalized rows ``unit``.
+DPP and FPS read only its diagonal and the rows of their k picks, by one
+row-source rule (``_kernel_rows``): rows of G at n < d; at n >= d one
+product ``unit @ unit[j]`` per pick while k * _ROW_PICK_COST < m, the pool
+size, and otherwise the rows of the whole ``unit @ unit.T``.  Facility
+location evaluates thousands of rows even at small k, so it builds the
+whole kernel (``_pool_unit_kernel``).  The two products at n >= d need not
+round alike, so the source a call takes can break a near-tie.
 
 Ties are always broken toward the lowest token index, so every selector is
 deterministic.  For facility location, ties are judged on the gains as the
@@ -53,6 +58,11 @@ from .tensor_core import (
 # jitter equals the floor, so a gain falls below it only by rounding.
 DEFAULT_JITTER = 1e-10
 RANK_FLOOR = 1e-10
+
+# The pool size m per pick at which k row products cost as much as the whole
+# kernel (see _kernel_rows).  Both costs scale with d; at 2880x1024 the DPP
+# and FPS stage 2 broke even at t_cov 180-200 on pools of about 2750 rows.
+_ROW_PICK_COST = 14
 
 # Stale facility-location bounds re-evaluated per row op; 8 measured fastest
 # at a 576-token pool (see _facility_location).
@@ -148,15 +158,36 @@ def _dpp_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> np.ndar
     return L
 
 
+def _kernel_rows(E: np.ndarray, idx: np.ndarray, k: int, G: np.ndarray | None):
+    """(diag, row) of the cosine kernel of the rows E[idx], as a greedy of k
+    picks reads it, by the module's row-source rule: ``diag`` is a fresh
+    array, and ``row(j)`` is row j, whose own entry may differ from
+    ``diag[j]`` (a greedy masks j once picked and never reads it).  At n < d
+    both are bitwise those of ``_pool_unit_kernel``.  At n >= d, k products
+    ``unit @ unit[j]`` stream ``unit`` k times (k*m*d, bound by memory
+    bandwidth), against m*m*d/2 at full speed for ``unit @ unit.T``.
+    """
+    if G is not None:
+        w = _inv_norms(G, idx)
+        return np.diag(G)[idx] * (w * w), lambda j: G[idx[j], idx] * (w * w[j])
+    unit = _normalize_rows_raw(E, idx)
+    if k * _ROW_PICK_COST < idx.size:
+        return np.einsum("ij,ij->i", unit, unit), lambda j: unit @ unit[j]
+    L = unit @ unit.T
+    return np.diag(L).copy(), L.__getitem__
+
+
 def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
     """Greedy MAP selection of k tokens maximizing log det of the cosine kernel.
 
     Implements the fast greedy algorithm with incremental Cholesky-style
-    updates: after each pick the residual squared diagonal d_i^2 equals the
-    marginal determinant gain of candidate i, so each step over a pool of m
-    costs O(k * m) instead of a fresh determinant per candidate.  Selection
-    order matches a naive greedy that recomputes full determinants (ties to
-    lowest index).
+    updates (Chen et al., NeurIPS 2018): after each pick the residual
+    squared diagonal d_i^2 equals the marginal determinant gain of candidate
+    i, so each step over a pool of m costs O(k * m) instead of a fresh
+    determinant per candidate.  It reads only the kernel's diagonal, plus
+    DEFAULT_JITTER, and the row of each pick, from ``_kernel_rows``'s one
+    row-source rule.  Selection order matches a naive greedy that recomputes
+    full determinants of the kernel those rows make (ties to lowest index).
 
     When every remaining gain falls below RANK_FLOOR the pool is rank
     deficient; remaining slots are filled by descending ``saliency`` (ties
@@ -169,10 +200,10 @@ def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
     picked in index order at log(1e-10).
     """
     with _span("kernel"):
-        L = _dpp_kernel(E, idx, G)
+        di2, row = _kernel_rows(E, idx, k, G)
+        di2 += DEFAULT_JITTER
     with _span("greedy"):
         cis = np.zeros((k, idx.size))
-        di2 = np.diag(L).copy()
         picked: list[int] = []
         gains: list[float] = []
 
@@ -188,7 +219,7 @@ def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
             di2[j] = -np.inf
             if step < k - 1:
                 ci = cis[:step, j]
-                eis = (L[j] - ci @ cis[:step]) / math.sqrt(best)
+                eis = (row(j) - ci @ cis[:step]) / math.sqrt(best)
                 cis[step] = eis
                 di2 -= np.square(eis)
 
@@ -208,29 +239,24 @@ def _fps(E, idx, k, G, saliency) -> DiversityPick:
 
     Starts from the pool's lowest index, then repeatedly picks the candidate
     whose minimum distance to the selected set is largest; ties to lowest
-    index.  ``gains`` records that max-min distance per pick (inf for the
-    seed).
+    index.  It reads the kernel row of each pick from ``_kernel_rows``'s
+    one row-source rule, as DPP does.  ``gains`` records that max-min
+    distance per pick (inf for the seed).
     """
     with _span("kernel"):
-        if G is None:
-            unit = _normalize_rows_raw(E, idx)
-        else:
-            w = _inv_norms(G, idx)
-
-    def cosines(j):  # at n < d bitwise row j of _pool_unit_kernel, as G is symmetric
-        return unit @ unit[j] if G is None else G[idx[j], idx] * (w * w[j])
+        _, row = _kernel_rows(E, idx, k, G)
 
     with _span("greedy"):
         picked = [0]
         gains = [np.inf]
-        min_dist = 1.0 - cosines(0)
+        min_dist = 1.0 - row(0)
         min_dist[0] = -np.inf
 
         while len(picked) < k:
             j = int(np.argmax(min_dist))
             picked.append(j)
             gains.append(float(min_dist[j]))
-            min_dist = np.minimum(min_dist, 1.0 - cosines(j))
+            min_dist = np.minimum(min_dist, 1.0 - row(j))
             min_dist[j] = -np.inf
 
         return _pick(idx, picked, gains)

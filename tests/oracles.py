@@ -4,14 +4,12 @@ tests draw.
 
 Everything here is deliberately naive (plain loops, direct formulas,
 full SVD, full determinants).  The greedy oracles that a test compares
-with a selector bit for bit (``verify_fps_order``, the two facility-location
-greedies and ``dpp_greedy_naive``) read their kernel from the package's one
-kernel rule, ``selection._pool_unit_kernel``, so such a test compares two
-greedies, not two kernels, with one exception: FPS at n >= d computes its
-kernel rows one product at a time, which need not round as that kernel's
-rows do, so ``verify_fps_order`` holds exactly there only away from
-near-ties (ROADMAP item 9 puts FPS on the kernel's rows).  Everything
-else, ``pairwise_cosine_naive`` and the objectives and optima built on it
+with a selector bit for bit read their kernel from the package, as the
+selector reads it: ``verify_fps_order`` and ``dpp_greedy_naive`` through
+``selector_kernel``, the rows of ``selection._kernel_rows``, and the two
+facility-location greedies through ``selection._pool_unit_kernel``.  So
+such a test compares two greedies, not two kernels.  Everything else,
+``pairwise_cosine_naive`` and the objectives and optima built on it
 included, shares no code path with the package; the brute-force DPP
 optimum takes only the jitter from it.
 """
@@ -24,7 +22,9 @@ import numpy as np
 
 from adaptok import as_token_matrix, synth_tokens
 from adaptok.prominence import _spectral_entropy
-from adaptok.selection import _SELECTORS, DEFAULT_JITTER, RANK_FLOOR, _dpp_kernel, _pool_unit_kernel
+from adaptok.selection import (
+    _SELECTORS, DEFAULT_JITTER, RANK_FLOOR, _kernel_rows, _pool_unit_kernel
+)
 
 
 def triple_loop_gram(E: np.ndarray, side: str) -> np.ndarray:
@@ -136,6 +136,18 @@ def package_kernel(E: np.ndarray, pool) -> np.ndarray:
     return _pool_unit_kernel(E, np.asarray(pool, dtype=np.int64), _spectral_entropy(E)[1])
 
 
+def selector_kernel(E: np.ndarray, pool, k: int) -> np.ndarray:
+    """The pool's cosine kernel as a DPP or FPS core of k picks reads it: the
+    rows of ``selection._kernel_rows`` stacked, with its diagonal on the
+    diagonal."""
+    E = as_token_matrix(E)
+    pool = np.asarray(pool, dtype=np.int64)
+    diag, row = _kernel_rows(E, pool, k, _spectral_entropy(E)[1])
+    L = np.array([row(j) for j in range(pool.size)])
+    L[np.diag_indices(pool.size)] = diag
+    return L
+
+
 def run_core(method: str, tokens, pool, k: int, saliency=None):
     """The stage-2 core ``method`` over a valid pool (strictly increasing
     row indices) with 1 <= k <= its size, given the entropy's token Gram
@@ -149,7 +161,7 @@ def run_core(method: str, tokens, pool, k: int, saliency=None):
 def verify_fps_order(E: np.ndarray, pool: np.ndarray, pick_order: np.ndarray) -> bool:
     """Re-check each FPS pick against the max-min definition with a naive pass."""
     pos_of = {int(t): p for p, t in enumerate(pool)}
-    dist = 1.0 - package_kernel(E, pool)
+    dist = 1.0 - selector_kernel(E, pool, len(pick_order))
     chosen: list[int] = []
     for step, token in enumerate(pick_order):
         pos = pos_of[int(token)]
@@ -256,7 +268,8 @@ def dpp_greedy_naive(E: np.ndarray, pool, k: int):
     pass full-rank pools (d >= k).
     """
     pool = np.asarray(pool, dtype=np.int64)
-    L = _dpp_kernel(E, pool, _spectral_entropy(E)[1])
+    L = selector_kernel(E, pool, k)
+    L[np.diag_indices(pool.size)] += DEFAULT_JITTER
     avail = np.ones(pool.size, dtype=bool)
     picked: list[int] = []
     gains: list[float] = []

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import (
     TOKEN_KINDS,
     brute_force_max_logdet,
+    dpp_greedy_naive,
     facility_location_dense,
     facility_location_lazy_rowwise,
     facility_value,
@@ -13,6 +15,7 @@ from oracles import (
     pairwise_cosine_naive,
     run_core,
     topk_by_sort,
+    verify_fps_order,
 )
 
 from adaptok import (
@@ -25,7 +28,8 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok import selection
-from adaptok.tensor_core import DEFAULT_EPSILON
+from adaptok.prominence import _spectral_entropy
+from adaptok.tensor_core import DEFAULT_EPSILON, _normalize_rows_raw
 
 E1_E1_E2 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -138,6 +142,68 @@ class TestCosineKernel:
         L = package_kernel(E, np.arange(shape[0]))
         assert not L[[1, 3]].any() and not L[:, [1, 3]].any()
         np.testing.assert_allclose(np.delete(np.diag(L), [1, 3]), 1.0, atol=1e-9)
+
+
+def _rows_of(E, pool, k):
+    """(diag, rows) of ``selection._kernel_rows`` over the whole pool."""
+    diag, row = selection._kernel_rows(E, pool, k, _spectral_entropy(E)[1])
+    return diag, np.array([row(j) for j in range(pool.size)])
+
+
+class TestKernelRowSource:
+    # a 64x8 pool is read per pick while k * _ROW_PICK_COST < 64 (k <= 4),
+    # and from the whole kernel from k = 5 on
+    PER_PICK, WHOLE = 2, 6
+
+    @pytest.mark.parametrize("k", [PER_PICK, WHOLE])
+    def test_each_row_source_is_its_product(self, rng, k):
+        per_pick = k * selection._ROW_PICK_COST < 64
+        assert per_pick == (k == self.PER_PICK)
+        E = rng.standard_normal((64, 8))
+        pool = np.arange(64)
+        diag, rows = _rows_of(E, pool, k)
+        unit = _normalize_rows_raw(E, pool)
+        if per_pick:
+            expected = np.array([unit @ unit[j] for j in range(64)])
+            assert diag.tobytes() == np.einsum("ij,ij->i", unit, unit).tobytes()
+        else:
+            expected = package_kernel(E, pool)
+            assert diag.tobytes() == np.diag(expected).tobytes()
+        assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    @pytest.mark.parametrize("shape", [(6, 9), (20, 30)], ids=_shape_id)
+    def test_rows_at_n_lt_d_are_the_gram_block_kernel_bitwise(self, rng, shape, k):
+        E = rng.standard_normal(shape)
+        pool = _pool_of(rng, shape[0])
+        diag, rows = _rows_of(E, pool, min(k, pool.size))
+        L = package_kernel(E, pool)
+        assert rows.tobytes() == L.tobytes() and diag.tobytes() == np.diag(L).tobytes()
+
+    @pytest.mark.parametrize("k", [PER_PICK, WHOLE])
+    def test_cores_match_their_oracles_on_each_side(self, k):
+        for trial in range(20):
+            E = subseed_rng(73, trial).standard_normal((64, 8))
+            pool = np.arange(64)
+            dpp = run_core("dpp", E, pool, k)
+            naive_order, naive_gains = dpp_greedy_naive(E, pool, k)
+            np.testing.assert_array_equal(dpp.pick_order, naive_order)
+            np.testing.assert_allclose(dpp.gains, naive_gains, rtol=0, atol=1e-12)
+            for fps_k in (k, 40):
+                assert verify_fps_order(E, pool, run_core("fps", E, pool, fps_k).pick_order)
+
+    def test_saliency_heavy_dpp_builds_no_pool_kernel(self):
+        # t_cov = 4 of a 1140-row pool reads 4 rows, not the 1140^2 kernel
+        E, s = synth_tokens(1200, 64, 8, 1e-3, 0)
+        cfg = CompressConfig(total_budget=64, diversity_method="dpp")
+        compress(E, s, cfg, t_sal=60)
+        tracemalloc.start()
+        try:
+            compress(E, s, cfg, t_sal=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1140**2 * 8
 
 
 class TestDppGreedyMap:
