@@ -69,7 +69,9 @@ class CompressConfig:
 
 @dataclass(frozen=True)
 class BudgetSplit:
-    """A (t_sal, t_cov) partition into counts, plus the entropy and ratio that produced it."""
+    """A (t_sal, t_cov) partition into counts, plus the entropy and ratio that
+    produced it, each a real in [0, 1]: ``allocate_budget`` clamps the entropy
+    and keeps the ratio inside (0, 1), and a forced split's ratio is t_cov / T."""
 
     t_sal: int
     t_cov: int
@@ -79,6 +81,11 @@ class BudgetSplit:
     def __post_init__(self):
         object.__setattr__(self, "t_sal", _count(self.t_sal, "t_sal", 0))
         object.__setattr__(self, "t_cov", _count(self.t_cov, "t_cov", 0))
+        for name in ("normalized_entropy", "coverage_ratio"):
+            value = _real(getattr(self, name), name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
 
 
 def _logistic(x: float) -> float:

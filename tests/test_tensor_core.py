@@ -279,6 +279,11 @@ _REAL_ENTRIES = [
     ("EntropyReport.raw_entropy", lambda v: EntropyReport(v, 1.0), "raw_entropy", 0.0,
      1.0 + 1e-9),
     ("EntropyReport.normalizer", lambda v: EntropyReport(0.0, v), "normalizer", 0.0, None),
+    # a split's reals: allocate_budget's clamped entropy and ratio, or a forced t_cov / T
+    ("BudgetSplit.normalized_entropy", lambda v: BudgetSplit(3, 9, v, 0.75),
+     "normalized_entropy", 0.0, 1.0),
+    ("BudgetSplit.coverage_ratio", lambda v: BudgetSplit(3, 9, 0.5, v), "coverage_ratio",
+     0.0, 1.0),
 ]
 _REAL_IDS = [entry[0] for entry in _REAL_ENTRIES]
 
