@@ -1,0 +1,91 @@
+"""Compare two ``adaptok bench`` reports phase by phase, controlled for host drift.
+
+    python3 tools/bench_compare.py OLD.json NEW.json
+
+For each (grid entry, selector, phase) in both reports, ``total`` first,
+prints the two p50s in ms, the ratio NEW / OLD, and that ratio divided by
+the same pair's ``entropy/eigvalsh`` ratio.  The eigensolve is LAPACK's and
+no stage-2 change touches it, so its ratio stands for how the host moved
+between the two runs.  The control is imperfect: memory-bound phases and
+the eigensolve drift by different amounts, so a controlled ratio within
+``UNRESOLVED`` of 1 prints ``unresolved`` instead of a gain or a loss.
+
+Two reports whose hosts differ in any of ``SAME_HOST`` are refused (exit
+1): their timings do not compare.
+"""
+
+import argparse
+import json
+import sys
+
+SAME_HOST = ("blas_corename", "blas_threads", "nproc")
+CONTROL = "entropy/eigvalsh"
+UNRESOLVED = 0.10
+
+
+def _configs(report: dict) -> dict:
+    return {
+        (c["n_tokens"], c["dim"], c["budget"], c["diversity_method"]): c
+        for c in report["configs"]
+    }
+
+
+def _p50s(config: dict) -> dict:
+    return {"total": config["total"]["p50_us"],
+            **{path: p["p50_us"] for path, p in sorted(config["phases"].items())}}
+
+
+def compare(old: dict, new: dict) -> list[dict]:
+    """One row per (grid entry, selector, phase) in both reports: the p50s,
+    ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio) and
+    ``verdict``.  Raises ValueError on reports from different hosts."""
+    differ = [key for key in SAME_HOST if old["host"].get(key) != new["host"].get(key)]
+    if differ:
+        raise ValueError("the reports' hosts differ in " + ", ".join(
+            f"{key} ({old['host'].get(key)} vs {new['host'].get(key)})" for key in differ))
+    rows = []
+    new_configs = _configs(new)
+    for key, old_config in _configs(old).items():
+        if key not in new_configs:
+            continue
+        before, after = _p50s(old_config), _p50s(new_configs[key])
+        control = after[CONTROL] / before[CONTROL]
+        for phase in (p for p in before if p in after):
+            ratio = after[phase] / before[phase]
+            controlled = ratio / control
+            if abs(controlled - 1.0) <= UNRESOLVED:
+                verdict = "unresolved"
+            else:
+                verdict = "faster" if controlled < 1.0 else "slower"
+            rows.append({"config": key, "phase": phase, "old_ms": before[phase] / 1e3,
+                         "new_ms": after[phase] / 1e3, "ratio": ratio,
+                         "controlled": controlled, "verdict": verdict})
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", help="the earlier adaptok bench report")
+    parser.add_argument("new", help="the later adaptok bench report")
+    args = parser.parse_args(argv)
+    reports = []
+    for path in (args.old, args.new):
+        with open(path, encoding="utf-8") as f:
+            reports.append(json.load(f))
+    try:
+        rows = compare(*reports)
+    except ValueError as err:
+        print(f"bench_compare: {err}", file=sys.stderr)
+        return 1
+    print(f"{'n x d, T':<16} {'selector':<18} {'phase':<18} {'old p50':>9} {'new p50':>9} "
+          f"{'ratio':>7} {'ctrl':>7}  verdict")
+    for row in rows:
+        n, d, t, method = row["config"]
+        print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['phase']:<18} "
+              f"{row['old_ms']:>9.2f} {row['new_ms']:>9.2f} {row['ratio']:>7.3f} "
+              f"{row['controlled']:>7.3f}  {row['verdict']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
