@@ -15,9 +15,9 @@ from .pipeline import compress
 from .synth import subseed_rng, synth_tokens
 from .tensor_core import _count
 
-# k_directions of each repeat, in turn (capped at min(n, d)).  With
-# synth_tokens seed 1 they give t_cov 3, 29, 55 and 62 of T=64 at 576x1024,
-# and 4, 42, 155 and 282 of T=320 at 2880x1024: every split kind.
+# k_directions of each repeat, in turn (capped at min(n, d)).  They give
+# t_cov 3, 29, 55 and 62 of T=64 at 576x1024, and 4, 42, 155 and 282 of
+# T=320 at 2880x1024, under every seed measured (0-5): every split kind.
 K_DIRECTIONS = (10, 14, 18, 24)
 
 
@@ -93,14 +93,16 @@ def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0)
     Every selector runs at ``CompressConfig``'s default mu and tau.  Each
     grid entry gets one untimed warmup, then ``repeats`` timed runs on
     per-repeat sub-seeded data, whose k_directions cycles through
-    ``K_DIRECTIONS`` so the timings cover saliency-heavy, midpoint and
-    coverage-heavy splits.  Within a repeat the selectors run in turn, in
-    ``DIVERSITY_METHODS`` order, on the same input, so host drift falls on
-    all of them alike.  ``configs`` holds one entry per (grid entry,
-    selector), in that order; ``splits`` counts the timed repeats of each
-    kind, which the selector does not change.  Each span path gets
-    percentiles over the ``n`` repeats that ran it (t_cov > 0 for a
-    selector's).  ``host`` is the ``host_fingerprint``.
+    ``K_DIRECTIONS``.  The split depends on that k and the shape, not on
+    the seed, and the cycle covers saliency-heavy, midpoint and
+    coverage-heavy splits at the paper's d = 1024 shapes only: at 128x32
+    and 256x64 every repeat is coverage-heavy.  Within a repeat the
+    selectors run in turn, in ``DIVERSITY_METHODS`` order, on the same
+    input, so host drift falls on all of them alike.  ``configs`` holds one
+    entry per (grid entry, selector), in that order; ``splits`` counts the
+    timed repeats of each kind, which the selector does not change.  Each
+    span path gets percentiles over the ``n`` repeats that ran it (t_cov > 0
+    for a selector's).  ``host`` is the ``host_fingerprint``.
     """
     report = {
         "seed": _count(seed, "seed", 0, error=InvalidInputError),

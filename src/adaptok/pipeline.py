@@ -14,9 +14,7 @@ import numpy as np
 from .budget import BudgetSplit, CompressConfig, allocate_budget
 from .errors import InvalidInputError
 from .prominence import EntropyReport, _spectral_entropy
-from .selection import (
-    _SELECTORS, DEFAULT_JITTER, _dpp_kernel, _pick, _pool_unit_kernel, saliency_topk
-)
+from .selection import _SELECTORS, DEFAULT_JITTER, _pool_unit_kernel, saliency_topk
 from .tensor_core import _count, _real, _span, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
@@ -124,6 +122,19 @@ def compress(
 
     E is validated once, here; at n < d, stage 2 and the diagnostics read
     their cosine kernels from the entropy's Gram E E^T (see ``selection``).
+
+    A core may return fewer than t_cov picks: DPP stops once every remaining
+    gain is below ``selection.RANK_FLOOR``, where the pool is rank deficient.
+    The slots it leaves go to the unpicked pool tokens by descending
+    saliency (ties to the lower index), appended to ``coverage_pick_order``
+    after the greedy picks, so the budget contract still holds; their count
+    is the ``stage2_fallback_count`` diagnostic.  A residual jittered by
+    ``selection.DEFAULT_JITTER`` (equal to RANK_FLOOR) is at least the
+    jitter in exact arithmetic, so DPP stops short only when rounding pushes
+    a residual below the floor.  Otherwise a rank-deficient pool goes on
+    picking greedily at gains near log(DEFAULT_JITTER): an 8x2 pool with
+    k=6 fills no slot and its last gains are about -22, and zero rows are
+    picked in index order at log(1e-10).
     """
     timings: dict[str, float] = {}
     with _span("total", timings):
@@ -147,22 +158,28 @@ def compress(
             with _span("pool"):
                 pool = np.setdiff1d(np.arange(len(E), dtype=np.int64), sal_idx, assume_unique=True)
             if split.t_cov == 0:
-                pick = _pick(pool, [], [])
+                order = np.empty(0, dtype=np.int64)
             else:
-                pick = _SELECTORS[config.diversity_method](E, pool, split.t_cov, G, s)
+                order = _SELECTORS[config.diversity_method](E, pool, split.t_cov, G).pick_order
+            fallback_count = split.t_cov - order.size
+            if fallback_count:
+                # the stable sort breaks saliency ties toward the lower index
+                rest = np.setdiff1d(pool, order, assume_unique=True)
+                rest = rest[np.argsort(-s[rest], kind="stable")]
+                order = np.concatenate([order, rest[:fallback_count]])
 
         with _span("assemble"):
-            selected = np.sort(np.concatenate([sal_idx, pick.pick_order]))
+            selected = np.sort(np.concatenate([sal_idx, order]))
         with _span("diagnostics"):
-            diagnostics = _diagnostics(E, G, selected, pick.indices)
-            diagnostics["stage2_fallback_count"] = pick.fallback_count
+            diagnostics = _diagnostics(E, G, selected, np.sort(order))
+            diagnostics["stage2_fallback_count"] = fallback_count
 
     return SelectionResult(
         selected=selected,
         config=config,
         forced_t_sal=t_sal,
         entropy=entropy,
-        coverage_pick_order=pick.pick_order,
+        coverage_pick_order=order,
         diagnostics=diagnostics,
         timings_us=timings,
     )
@@ -172,7 +189,9 @@ def _diagnostics(E: np.ndarray, G, selected: np.ndarray, cov_idx: np.ndarray) ->
     # an empty stage 2's 0x0 kernel has slogdet (1.0, 0.0).  A jittered PSD
     # kernel has det >= jitter^k; a nonpositive sign is LU pathology, so
     # clamp to that floor to keep the value finite
-    sign, logdet = np.linalg.slogdet(_dpp_kernel(E, cov_idx, G))
+    L = _pool_unit_kernel(E, cov_idx, G)
+    L[np.diag_indices(cov_idx.size)] += DEFAULT_JITTER
+    sign, logdet = np.linalg.slogdet(L)
     floor = cov_idx.size * np.log(DEFAULT_JITTER)
     diag = {"coverage_logdet": logdet if sign > 0 else floor}
 

@@ -14,18 +14,21 @@ from the residual pool with one of three interchangeable cores, chosen by
   stale gain bounds, a few rows per matrix op.
 
 ``compress`` is the one entry to stage 2: it validates E, the saliency and
-the budget, and runs a core on the pool stage 1 leaves.  To run stage 2
-over rows of one's own, pass them to ``compress`` with ``t_sal=0``; at
-n < d their kernel then comes from their own Gram, not from a block of a
-larger one, so a near-tie may break otherwise.
+the budget, runs a core for k picks on the pool stage 1 leaves, and fills
+any slots the core leaves by saliency.  A core ``(E, pool, k, G)`` returns
+at most k picks, each with its gain, and only DPP stops short, once the
+kernel's numerical rank is exhausted.  To run stage 2 over rows of one's
+own, pass them to ``compress`` with ``t_sal=0``; at n < d their kernel
+then comes from their own Gram, not from a block of a larger one, so a
+near-tie may break otherwise.
 
 Every core reads the cosine kernel of the pool rows E[idx]: at n < d from
 the entropy's token Gram G = E E^T scaled by w_a w_b, w = 1 / (sqrt(diag G)
 + eps), and at n >= d, where G is None, from the normalized rows ``unit``.
-DPP and FPS read only its diagonal and the rows of their k picks, by one
-row-source rule (``_kernel_rows``): rows of G at n < d; at n >= d one
-product ``unit @ unit[j]`` per pick while k * _ROW_PICK_COST < m, the pool
-size, and otherwise the rows of the whole ``unit @ unit.T``.  Facility
+DPP and FPS read only the rows of their k picks, and DPP its diagonal too,
+by one row-source rule (``_kernel_rows``): rows of G at n < d; at n >= d
+one product ``unit @ unit[j]`` per pick while k * _ROW_PICK_COST < m, the
+pool size, and otherwise the rows of the whole ``unit @ unit.T``.  Facility
 location evaluates thousands of rows even at small k, so it builds the
 whole kernel (``_pool_unit_kernel``).  The two products at n >= d need not
 round alike, so the source a call takes can break a near-tie.
@@ -76,30 +79,22 @@ class DiversityPick:
     ``indices`` is the selected set in ascending token order; ``pick_order``
     records the greedy selection sequence; ``gains`` holds the per-step
     objective gain (log-determinant gain for DPP, max-min distance for FPS,
-    marginal coverage for facility location).  ``fallback_count`` is the
-    number of slots filled past the kernel's numerical rank (DPP only).
-    ``==`` and ``hash`` are by identity, as arrays have no single truth value.
+    marginal coverage for facility location), one per pick.  ``==`` and
+    ``hash`` are by identity, as arrays have no single truth value.
     """
 
     pick_order: np.ndarray
     gains: np.ndarray
-    fallback_count: int
 
     @property
     def indices(self) -> np.ndarray:
         return np.sort(self.pick_order)
 
 
-def _pick(
-    idx: np.ndarray, picked: list[int], gains: list[float], fallback_count: int = 0
-) -> DiversityPick:
+def _pick(idx: np.ndarray, picked: list[int], gains: list[float]) -> DiversityPick:
     """DiversityPick from pool positions ``picked`` in greedy order."""
     order = idx[np.asarray(picked, dtype=np.int64)]
-    return DiversityPick(
-        pick_order=order,
-        gains=np.asarray(gains, dtype=np.float64),
-        fallback_count=fallback_count,
-    )
+    return DiversityPick(pick_order=order, gains=np.asarray(gains, dtype=np.float64))
 
 
 def reduce_head_attention(head_scores) -> np.ndarray:
@@ -151,34 +146,28 @@ def _pool_unit_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> n
     return G[idx].take(idx, axis=1) * np.multiply.outer(w, w)  # G[idx][:, idx] is F order
 
 
-def _dpp_kernel(E: np.ndarray, idx: np.ndarray, G: np.ndarray | None) -> np.ndarray:
-    """Pool cosine kernel plus DEFAULT_JITTER, read at call time, on the diagonal."""
-    L = _pool_unit_kernel(E, idx, G)
-    L[np.diag_indices(idx.size)] += DEFAULT_JITTER
-    return L
-
-
 def _kernel_rows(E: np.ndarray, idx: np.ndarray, k: int, G: np.ndarray | None):
     """(diag, row) of the cosine kernel of the rows E[idx], as a greedy of k
-    picks reads it, by the module's row-source rule: ``diag`` is a fresh
-    array, and ``row(j)`` is row j, whose own entry may differ from
-    ``diag[j]`` (a greedy masks j once picked and never reads it).  At n < d
-    both are bitwise those of ``_pool_unit_kernel``.  At n >= d, k products
-    ``unit @ unit[j]`` stream ``unit`` k times (k*m*d, bound by memory
-    bandwidth), against m*m*d/2 at full speed for ``unit @ unit.T``.
+    picks reads it, by the module's row-source rule: ``diag()`` computes the
+    diagonal as a fresh array, which only DPP reads, and ``row(j)`` is row j,
+    whose own entry may differ from ``diag()[j]`` (a greedy masks j once
+    picked and never reads it).  At n < d both are bitwise those of
+    ``_pool_unit_kernel``.  At n >= d, k products ``unit @ unit[j]`` stream
+    ``unit`` k times (k*m*d, bound by memory bandwidth), against m*m*d/2 at
+    full speed for ``unit @ unit.T``.
     """
     if G is not None:
         w = _inv_norms(G, idx)
-        return np.diag(G)[idx] * (w * w), lambda j: G[idx[j], idx] * (w * w[j])
-    unit = _normalize_rows_raw(E, idx)
+        return lambda: np.diag(G)[idx] * (w * w), lambda j: G[idx[j], idx] * (w * w[j])
     if k * _ROW_PICK_COST < idx.size:
-        return np.einsum("ij,ij->i", unit, unit), lambda j: unit @ unit[j]
-    L = unit @ unit.T
-    return np.diag(L).copy(), L.__getitem__
+        unit = _normalize_rows_raw(E, idx)
+        return lambda: np.einsum("ij,ij->i", unit, unit), lambda j: unit @ unit[j]
+    L = _pool_unit_kernel(E, idx, None)
+    return lambda: np.diag(L).copy(), L.__getitem__
 
 
-def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
-    """Greedy MAP selection of k tokens maximizing log det of the cosine kernel.
+def _dpp_greedy(E, idx, k, G) -> DiversityPick:
+    """Greedy MAP selection of up to k tokens maximizing log det of the cosine kernel.
 
     Implements the fast greedy algorithm with incremental Cholesky-style
     updates (Chen et al., NeurIPS 2018): after each pick the residual
@@ -189,18 +178,14 @@ def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
     row-source rule.  Selection order matches a naive greedy that recomputes
     full determinants of the kernel those rows make (ties to lowest index).
 
-    When every remaining gain falls below RANK_FLOOR the pool is rank
-    deficient; remaining slots are filled by descending ``saliency`` (ties
-    to the lower index) so the budget contract still holds.  A residual
-    jittered by DEFAULT_JITTER (equal to RANK_FLOOR) is at least the jitter
-    in exact arithmetic, so this fill runs only when rounding pushes a
-    residual below the floor.  Otherwise a rank-deficient pool goes on
-    picking greedily at gains near log(DEFAULT_JITTER): an 8x2 pool with
-    k=6 fills no slot and its last gains are about -22, and zero rows are
-    picked in index order at log(1e-10).
+    Once the best remaining gain falls below RANK_FLOOR the pool is rank
+    deficient, and it returns the picks made so far, as Chen et al.'s
+    greedy stops when the residual falls below its epsilon; ``compress``
+    fills the slots it leaves.
     """
     with _span("kernel"):
-        di2, row = _kernel_rows(E, idx, k, G)
+        diag, row = _kernel_rows(E, idx, k, G)
+        di2 = diag()
         di2 += DEFAULT_JITTER
     with _span("greedy"):
         cis = np.zeros((k, idx.size))
@@ -223,25 +208,17 @@ def _dpp_greedy(E, idx, k, G, saliency) -> DiversityPick:
                 cis[step] = eis
                 di2 -= np.square(eis)
 
-        # the unpicked positions (those not masked with -inf) fill the slots
-        # left past the rank; the stable sort breaks saliency ties toward the
-        # lower index
-        fallback_count = k - len(picked)
-        if fallback_count:
-            fill = np.flatnonzero(di2 != -np.inf)
-            fill = fill[np.argsort(-saliency[idx[fill]], kind="stable")]
-            picked += fill[:fallback_count].tolist()
-        return _pick(idx, picked, gains, fallback_count)
+        return _pick(idx, picked, gains)
 
 
-def _fps(E, idx, k, G, saliency) -> DiversityPick:
+def _fps(E, idx, k, G) -> DiversityPick:
     """Farthest point sampling over the pool under d(i,j) = 1 - e_i . e_j.
 
     Starts from the pool's lowest index, then repeatedly picks the candidate
     whose minimum distance to the selected set is largest; ties to lowest
     index.  It reads the kernel row of each pick from ``_kernel_rows``'s
-    one row-source rule, as DPP does.  ``gains`` records that max-min
-    distance per pick (inf for the seed).
+    one row-source rule, as DPP does, but not the diagonal.  ``gains``
+    records that max-min distance per pick (inf for the seed).
     """
     with _span("kernel"):
         _, row = _kernel_rows(E, idx, k, G)
@@ -262,7 +239,7 @@ def _fps(E, idx, k, G, saliency) -> DiversityPick:
         return _pick(idx, picked, gains)
 
 
-def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
+def _facility_location(E, idx, k, G) -> DiversityPick:
     """Lazy-greedy facility location over s(i,j) = clip((e_i . e_j + 1) / 2, 0, 1).
 
     Maximizes F(S) = sum_{i in pool} max_{j in S} s(i,j) with unit weights:
@@ -322,6 +299,6 @@ def _facility_location(E, idx, k, G, saliency) -> DiversityPick:
 
 
 # compress's stage 2 by diversity method, whose keys are budget.DIVERSITY_METHODS:
-# each core takes validated (E, pool, k >= 1), _spectral_entropy(E)[1] and the
-# saliency, which only DPP's rank fill reads
+# each core takes validated (E, pool, k >= 1) and _spectral_entropy(E)[1], and
+# returns at most k picks, one gain each; compress fills the rest by saliency
 _SELECTORS = {"dpp": _dpp_greedy, "fps": _fps, "facility_location": _facility_location}

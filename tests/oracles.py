@@ -1,6 +1,6 @@
-"""Independent reference implementations used as test oracles, and the
+"""Independent reference implementations used as test oracles, the
 token kinds (``kind_tokens``) that criterion 6 and facility location's
-tests draw.
+tests draw, and ``load_tool``, which loads a script of ``tools/``.
 
 Everything here is deliberately naive (plain loops, direct formulas,
 full SVD, full determinants).  The greedy oracles that a test compares
@@ -15,8 +15,10 @@ optimum takes only the jitter from it.
 """
 
 import heapq
+import importlib.util
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -144,18 +146,18 @@ def selector_kernel(E: np.ndarray, pool, k: int) -> np.ndarray:
     pool = np.asarray(pool, dtype=np.int64)
     diag, row = _kernel_rows(E, pool, k, _spectral_entropy(E)[1])
     L = np.array([row(j) for j in range(pool.size)])
-    L[np.diag_indices(pool.size)] = diag
+    L[np.diag_indices(pool.size)] = diag()
     return L
 
 
-def run_core(method: str, tokens, pool, k: int, saliency=None):
+def run_core(method: str, tokens, pool, k: int):
     """The stage-2 core ``method`` over a valid pool (strictly increasing
     row indices) with 1 <= k <= its size, given the entropy's token Gram
-    (None at n >= d) as ``compress`` gives it; only DPP's rank fill reads
-    ``saliency``."""
+    (None at n >= d) as ``compress`` gives it: its greedy picks only, at
+    most k, without ``compress``'s saliency fill."""
     E = as_token_matrix(tokens)
     G = _spectral_entropy(E)[1]
-    return _SELECTORS[method](E, np.asarray(pool, dtype=np.int64), k, G, saliency)
+    return _SELECTORS[method](E, np.asarray(pool, dtype=np.int64), k, G)
 
 
 def verify_fps_order(E: np.ndarray, pool: np.ndarray, pick_order: np.ndarray) -> bool:
@@ -264,8 +266,7 @@ def dpp_greedy_naive(E: np.ndarray, pool, k: int):
     Returns (pick_order as token indices, per-step log-determinant gains).
     Each step takes det(L_{S + {j}}) for every remaining candidate j; ties
     go to the lowest pool position.  It stops once the best gain falls
-    below RANK_FLOOR and fills no slot past the kernel's rank, so callers
-    pass full-rank pools (d >= k).
+    below RANK_FLOOR, as the package's core does.
     """
     pool = np.asarray(pool, dtype=np.int64)
     L = selector_kernel(E, pool, k)
@@ -331,3 +332,12 @@ def leaf_share(timings: dict[str, float]) -> float:
         if path != "total" and not any(other.startswith(path + "/") for other in timings)
     ]
     return sum(leaves) / timings["total"]
+
+
+def load_tool(name: str):
+    """``tools/<name>.py``, loaded by path as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool

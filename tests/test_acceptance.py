@@ -15,6 +15,7 @@ from oracles import (
     feature_norm_entropy,
     kind_tokens,
     leaf_share,
+    package_kernel,
     random_orthogonal,
     run_core,
     sigmoid_scalar,
@@ -33,8 +34,7 @@ from adaptok import (
     subseed_rng,
     synth_tokens,
 )
-from adaptok.prominence import _spectral_entropy
-from adaptok.selection import _dpp_kernel
+from adaptok.selection import DEFAULT_JITTER
 
 
 @contextmanager
@@ -169,7 +169,9 @@ def test_criterion_4_dpp_correctness():
             assert np.all(np.diff(fast.gains) <= 1e-12)  # monotone marginal gains
 
             _, opt_logdet = brute_force_max_logdet(E, pool, k)
-            L = _dpp_kernel(E, fast.indices, _spectral_entropy(E)[1])
+            # the jittered kernel that compress's coverage_logdet reads
+            L = package_kernel(E, fast.indices)
+            L[np.diag_indices(k)] += DEFAULT_JITTER
             sign, greedy_logdet = np.linalg.slogdet(L)
             assert sign > 0
             assert greedy_logdet <= opt_logdet + 1e-9

@@ -162,10 +162,10 @@ class TestCompressCommand:
                 "--t-sal", "0", "--diversity", flag]
         assert main(argv) == 0
         res = selection_result_from_json(capsys.readouterr().out)
-        E, s = read_tokens(tok), reduce_head_attention(read_saliency(sal))
+        E = read_tokens(tok)
         method = _DIVERSITY_FLAGS[flag]
         assert res.config.diversity_method == method
-        pick = run_core(method, E, np.arange(len(E)), 16, s)
+        pick = run_core(method, E, np.arange(len(E)), 16)
         assert res.coverage_pick_order.tobytes() == pick.pick_order.tobytes()
 
     def test_budget_error_category(self, tmp_path, capsys):

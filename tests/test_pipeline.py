@@ -209,7 +209,7 @@ class TestCompressFixed:
         assert a == a and a != b
         assert a in [b, a] and b not in [a]
         assert len({a, b, a}) == 2
-        pick, again = (run_core("dpp", tokens, np.arange(len(tokens)), 4, sal) for _ in range(2))
+        pick, again = (run_core("dpp", tokens, np.arange(len(tokens)), 4) for _ in range(2))
         assert pick == pick and pick != again
         assert pick in {pick} and again not in {pick}
 
@@ -247,7 +247,7 @@ class TestCompressFixed:
         t_sal = int(share * T)
         res = compress(tokens, sal, CompressConfig(total_budget=T, diversity_method=method), t_sal)
         pool = np.setdiff1d(np.arange(n), res.saliency_indices)
-        pick = run_core(method, tokens, pool, T - t_sal, sal)
+        pick = run_core(method, tokens, pool, T - t_sal)
         assert pick.pick_order.tobytes() == res.coverage_pick_order.tobytes()
 
 
@@ -401,7 +401,7 @@ class TestTimings:
         before = dict(res.timings_us)
         spectral_entropy(tokens)
         for method in DIVERSITY_METHODS:
-            run_core(method, tokens, np.arange(48), 5, sal)
+            run_core(method, tokens, np.arange(48), 5)
         assert res.timings_us == before
         assert _SPANS.get() is None
 

@@ -19,6 +19,7 @@ from oracles import (
 )
 
 from adaptok import (
+    DIVERSITY_METHODS,
     CompressConfig,
     InvalidInputError,
     compress,
@@ -147,7 +148,7 @@ class TestCosineKernel:
 def _rows_of(E, pool, k):
     """(diag, rows) of ``selection._kernel_rows`` over the whole pool."""
     diag, row = selection._kernel_rows(E, pool, k, _spectral_entropy(E)[1])
-    return diag, np.array([row(j) for j in range(pool.size)])
+    return diag(), np.array([row(j) for j in range(pool.size)])
 
 
 class TestKernelRowSource:
@@ -230,23 +231,30 @@ class TestDppGreedyMap:
         assert "indices" not in {f.name for f in dataclasses.fields(pick)}  # derived
 
     def test_rank_deficient_pool_still_fills_budget(self, rng):
-        # with the default jitter the kernel stays PD, so degenerate pools
-        # fill through near-zero gains rather than the fallback; either way
-        # the exact-budget contract must hold
+        # with the default jitter the kernel stays PD, so a degenerate pool
+        # goes on picking through near-zero gains instead of stopping short
         E = rng.standard_normal((6, 2))  # kernel rank <= 2
         pick = run_core("dpp", E, np.arange(6), 5)
         assert pick.indices.size == 5
         assert len(set(pick.indices.tolist())) == 5
 
-    def test_collapsed_gains_fall_back_by_saliency(self, monkeypatch):
+    def test_collapsed_gains_stop_the_core(self, monkeypatch):
         monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
         E = np.array([[1.0, 0.0]] * 5)  # all duplicates: rank 1
+        # the first pick is index 0 (all gains tie); then every gain is 0
+        pick = run_core("dpp", E, np.arange(5), 3)
+        np.testing.assert_array_equal(pick.pick_order, [0])
+        assert pick.gains.size == 1
+
+    def test_compress_fills_collapsed_gains_by_saliency(self, monkeypatch):
+        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
+        E = np.array([[1.0, 0.0]] * 5)
         sal = np.array([0.1, 0.9, 0.3, 0.9, 0.5])
-        pick = run_core("dpp", E, np.arange(5), 3, saliency=sal)
-        # first pick is index 0 (all gains tie), the rest fill by
-        # descending saliency (ties to the lower index): 1 then 3
-        np.testing.assert_array_equal(pick.pick_order, [0, 1, 3])
-        assert pick.fallback_count == 2
+        res = compress(E, sal, CompressConfig(3, diversity_method="dpp"), t_sal=0)
+        # after the core's one pick the rest fill by descending saliency
+        # (ties to the lower index): 1 then 3
+        np.testing.assert_array_equal(res.coverage_pick_order, [0, 1, 3])
+        assert res.diagnostics["stage2_fallback_count"] == 2
 
     def test_k_zero_and_errors(self, rng):
         # through compress, the one entry: a stage 2 of k = 0 runs no core
@@ -262,6 +270,21 @@ class TestDppGreedyMap:
         b = run_core("dpp", E, np.arange(14), 5)
         np.testing.assert_array_equal(a.pick_order, b.pick_order)
         np.testing.assert_array_equal(a.gains, b.gains)
+
+
+@pytest.mark.parametrize("method", DIVERSITY_METHODS)
+@pytest.mark.parametrize(
+    "E, k",
+    [(np.array([[1.0, 0.0]] * 5), 3),
+     (np.random.default_rng(0).standard_normal((6, 2)), 5)],
+    ids=["five-copies-k3", "rank2-6x2-k5"],
+)
+def test_cores_give_one_gain_per_pick_past_the_rank(monkeypatch, method, E, k):
+    # without jitter the rank runs out before k picks; a core stops or goes
+    # on picking, but never returns a pick without its gain
+    monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
+    pick = run_core(method, E, np.arange(len(E)), k)
+    assert pick.gains.size == pick.pick_order.size <= k
 
 
 class TestBruteForceMaxLogdet:

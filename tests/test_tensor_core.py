@@ -1,13 +1,11 @@
 import dataclasses
-import importlib.util
 import json
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import triple_loop_gram
+from oracles import load_tool, triple_loop_gram
 
 from adaptok import (
     DIVERSITY_METHODS,
@@ -172,15 +170,6 @@ class TestSpectrumInvariants:
         a = _clamped_descending_eigvalsh(_gram(E))
         b = _clamped_descending_eigvalsh(_gram(E[perm]))
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
-
-
-def _corpus_tool():
-    """tools/canonical_corpus.py, loaded by path as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "canonical_corpus.py"
-    spec = importlib.util.spec_from_file_location("canonical_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return corpus
 
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
@@ -471,11 +460,18 @@ class TestCountBoundary:
         monkeypatch.setattr(np, "show_config", show_config)
         host = bench.host_fingerprint()
         assert host["blas_name"] is None and host["blas_version"] is None
-        assert _corpus_tool()._blas().startswith("blas unknown unknown ")
+        assert load_tool("canonical_corpus")._blas().startswith("blas unknown unknown ")
+
+    def test_corpus_tool_runs_its_whole_corpus(self, capsys):
+        # under pyproject.toml's error::RuntimeWarning, as every pytest run:
+        # the corpus drives the CLI commands and DPP with no jitter, which
+        # the other tests reach only in part
+        assert load_tool("canonical_corpus").main([]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("blas ")
 
     def test_corpus_tool_fails_on_a_result_that_does_not_read_back(self, monkeypatch, capsys):
         # the first document is a compress result, so the tool stops there
-        corpus = _corpus_tool()
+        corpus = load_tool("canonical_corpus")
 
         def refuse(text):
             raise FormatError("refused")

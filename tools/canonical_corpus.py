@@ -1,12 +1,14 @@
 """Canonical output corpus: two sha256 digests over adaptok's deterministic outputs.
 
 Runs a fixed set of inputs through ``compress``, the three stage-2 cores
-(``selection._SELECTORS``) on pools of their own, ``allocate_budget``, the
-PTM1/PSV1 writers and the CLI's ``entropy`` (the spectral entropy of each
-token file), ``allocate``, ``compress`` (with and without ``--t-sal``),
-``synth`` and ``flops`` commands (stdout, and the ``--out`` files of
-``compress`` and ``flops``), and prints two digests of the documents in
-order, each followed by their count:
+(``selection._SELECTORS``) on pools of their own, DPP with no jitter (as a
+core, and through ``compress``, which fills the slots the core leaves past
+the rank by saliency), ``allocate_budget``, the PTM1/PSV1 writers and the
+CLI's ``entropy`` (the spectral entropy of each token file), ``allocate``,
+``compress`` (with and without ``--t-sal``), ``synth`` and ``flops``
+commands (stdout, and the ``--out`` files of ``compress`` and ``flops``),
+and prints two digests of the documents in order, each followed by their
+count:
 
 * ``bytes`` hashes every canonical JSON document whole.  A change that
   claims to keep every output byte prints the same digest before and after
@@ -74,8 +76,7 @@ BUDGET = 12
 
 # the decisions a document records: which tokens, in which order, from which stage
 PICK_FIELDS = frozenset({
-    "selected", "stage_of", "coverage_pick_order", "t_sal", "t_cov", "fallback_count",
-    "indices", "pick_order",
+    "selected", "stage_of", "coverage_pick_order", "t_sal", "t_cov", "indices", "pick_order",
 })
 # the fields that name a document rather than record an output
 LABEL_FIELDS = ("kind", "input", "method", "preset", "tau", "t_sal", "pool", "k", "selector",
@@ -111,7 +112,6 @@ def _pick_doc(pick) -> dict:
         "indices": pick.indices.tolist(),
         "pick_order": pick.pick_order.tolist(),
         "gains": pick.gains.tolist(),
-        "fallback_count": int(pick.fallback_count),
     }
 
 
@@ -132,33 +132,37 @@ def _compress_docs():
                         }
 
 
-def _run(method, tokens, pool, k, saliency):
+def _run(method, tokens, pool, k):
     """The stage-2 core ``method`` over ``pool``, as ``compress`` calls it:
     with the token Gram that the entropy decomposed (None at n >= d)."""
     E = as_token_matrix(tokens)
     return selection._SELECTORS[method](
-        E, np.asarray(pool, dtype=np.int64), k, _spectral_entropy(E)[1], saliency
+        E, np.asarray(pool, dtype=np.int64), k, _spectral_entropy(E)[1]
     )
 
 
 def _core_docs():
     for name, tokens, saliency in _inputs():
+        # without jitter the rank runs out: the DPP core stops there, and
+        # compress fills the rest of its budget by saliency
+        config = CompressConfig(total_budget=BUDGET, diversity_method="dpp")
+        with mock.patch.object(selection, "DEFAULT_JITTER", 0.0):
+            result = compress(tokens, saliency, config, t_sal=0)
+        yield {
+            "kind": "compress", "input": name, "selector": "dpp-no-jitter", "t_sal": 0,
+            "json": selection_result_to_json(result),
+        }
         n = tokens.shape[0]
         pools = {"all": np.arange(n), "odd": np.arange(1, n, 2)}
         for pool_name, pool in pools.items():
             for k in (1, pool.size // 2, pool.size):
-                # without jitter the rank runs out and the fill runs
                 with mock.patch.object(selection, "DEFAULT_JITTER", 0.0):
-                    no_jitter = _run("dpp", tokens, pool, k, saliency)
-                # the fill always reads the saliency, so the two dpp labels
-                # hold one run; both stay, so the digests stay comparable
-                dpp = _run("dpp", tokens, pool, k, saliency)
+                    no_jitter = _run("dpp", tokens, pool, k)
                 picks = {
-                    "dpp": dpp,
-                    "dpp-saliency": dpp,
+                    "dpp": _run("dpp", tokens, pool, k),
                     "dpp-no-jitter": no_jitter,
-                    "fps": _run("fps", tokens, pool, k, saliency),
-                    "facility_location": _run("facility_location", tokens, pool, k, saliency),
+                    "fps": _run("fps", tokens, pool, k),
+                    "facility_location": _run("facility_location", tokens, pool, k),
                 }
                 for selector, pick in picks.items():
                     yield {
@@ -168,7 +172,7 @@ def _core_docs():
     # a CLIP-sized pool, where facility location re-evaluates many stale
     # bounds per step
     tokens, saliency = synth_tokens(576, 64, 24, 1e-3, 10)
-    pick = _run("facility_location", tokens, np.arange(576), 128, saliency)
+    pick = _run("facility_location", tokens, np.arange(576), 128)
     yield {
         "kind": "select", "input": "synth-576x64-k24", "pool": "all", "k": 128,
         "selector": "facility_location", **_pick_doc(pick),
@@ -211,9 +215,7 @@ def _cli_docs(workdir: Path):
         write_saliency(np.stack([saliency, saliency[::-1], np.sqrt(saliency)]), heads)
         yield {"kind": "file", "input": name, "tokens": _sha256(tok),
                "saliency": _sha256(sal), "heads": _sha256(heads)}
-        # labelled as when the command took --metric spectral, so the
-        # digests stay comparable across the flag's removal
-        yield {"kind": "cli", "argv": ["entropy", "spectral"], "input": name,
+        yield {"kind": "cli", "argv": ["entropy"], "input": name,
                "stdout": _cli_stdout(["entropy", "--tokens", str(tok)])}
         for preset in sorted(MU_PRESETS):
             argv = ["allocate", "--tokens", str(tok), "--budget", str(BUDGET),
@@ -226,15 +228,13 @@ def _cli_docs(workdir: Path):
         yield {"kind": "cli-out", "argv": ["compress", "heads"], "input": name,
                "out": out.read_text(encoding="utf-8")}
         files = ["--tokens", str(tok), "--saliency", str(sal), "--budget", str(BUDGET)]
-        # (label, flags): a preset run keeps the label of the --preset flag
-        # that --mu NAME replaced, so the digest stays comparable across it
-        runs = [(["--preset", preset], ["--mu", preset]) for preset in sorted(MU_PRESETS)]
-        runs += [(["--t-sal", str(t)],) * 2 for t in (0, BUDGET // 3, BUDGET)]
+        runs = [["--mu", preset] for preset in sorted(MU_PRESETS)]
+        runs += [["--t-sal", str(t)] for t in (0, BUDGET // 3, BUDGET)]
         for diversity in _DIVERSITY_FLAGS:
-            for label, flags in runs:
-                shown = ["compress", "--diversity", diversity]
-                yield {"kind": "cli", "argv": [*shown, *label], "input": name,
-                       "stdout": _cli_stdout([*shown, *flags, *files])}
+            for flags in runs:
+                shown = ["compress", "--diversity", diversity, *flags]
+                yield {"kind": "cli", "argv": shown, "input": name,
+                       "stdout": _cli_stdout([*shown, *files])}
     for seq in (0, 64, 320, 2880):
         for extra in ([], ["--baseline-seq", "2880"], ["--text-tokens", "100"]):
             argv = ["flops", "--seq-visual", str(seq), *extra]
