@@ -76,19 +76,15 @@ _FL_STALE_BATCH = 8
 class DiversityPick:
     """Output of a diversity selector.
 
-    ``indices`` is the selected set in ascending token order; ``pick_order``
-    records the greedy selection sequence; ``gains`` holds the per-step
-    objective gain (log-determinant gain for DPP, max-min distance for FPS,
-    marginal coverage for facility location), one per pick.  ``==`` and
-    ``hash`` are by identity, as arrays have no single truth value.
+    ``pick_order`` records the selected tokens in greedy selection sequence;
+    ``gains`` holds the per-step objective gain (log-determinant gain for
+    DPP, max-min distance for FPS, marginal coverage for facility location),
+    one per pick.  ``==`` and ``hash`` are by identity, as arrays have no
+    single truth value.
     """
 
     pick_order: np.ndarray
     gains: np.ndarray
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.sort(self.pick_order)
 
 
 def _pick(idx: np.ndarray, picked: list[int], gains: list[float]) -> DiversityPick:

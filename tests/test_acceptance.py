@@ -170,7 +170,7 @@ def test_criterion_4_dpp_correctness():
 
             _, opt_logdet = brute_force_max_logdet(E, pool, k)
             # the jittered kernel that compress's coverage_logdet reads
-            L = package_kernel(E, fast.indices)
+            L = package_kernel(E, np.sort(fast.pick_order))
             L[np.diag_indices(k)] += DEFAULT_JITTER
             sign, greedy_logdet = np.linalg.slogdet(L)
             assert sign > 0

@@ -201,7 +201,7 @@ class TestCompressCommand:
         assert json.loads(capsys.readouterr().err)["error"]["category"] == "bad-magic"
 
 
-class TestCompressFixedCommand:
+class TestTSalFlag:
     @pytest.mark.parametrize("t_sal", [0, 12, 64])
     def test_boundaries(self, tmp_path, t_sal, capsys):
         tok, sal = _synth_files(tmp_path, capsys=capsys)

@@ -14,7 +14,6 @@ from adaptok import (
     AdaptokError,
     CompressConfig,
     DegenerateInputError,
-    InvalidInputError,
     compress,
     saliency_topk,
     selection_result_to_json,
@@ -97,13 +96,6 @@ class TestCompress:
             )
             assert res.selected.size == T
 
-    @pytest.mark.parametrize(
-        "n_tokens,budget,reduction",
-        [(576, 32, 0.944), (576, 64, 0.889), (2880, 320, 0.889), (1296, 256, 0.802)],
-    )
-    def test_reduction_arithmetic(self, n_tokens, budget, reduction):
-        assert 1 - budget / n_tokens == pytest.approx(reduction, abs=5e-4)
-
     def test_sample_adaptivity(self):
         # entropies on opposite sides of mu +/- 5*tau must move t_sal by >= T/2
         T = 64
@@ -123,29 +115,19 @@ class TestCompress:
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize("n, d", [(24, 40), (48, 12)], ids=["n<d", "n>=d"])
     def test_empty_stage2_has_coverage_logdet_zero(self, method, n, d):
-        # t_sal = T leaves stage 2 empty: the log-determinant of its 0x0
-        # kernel is +0.0, written as 0.0
+        # t_sal = T leaves stage 2 empty: no core runs, and the
+        # log-determinant of its 0x0 kernel is +0.0, written as 0.0
         tokens, sal = synth_tokens(n, d, 3, 1e-3, 0)
         res = compress(tokens, sal, CompressConfig(12, diversity_method=method), t_sal=12)
+        assert res.coverage_pick_order.size == 0
+        assert res.coverage_pick_order.dtype == np.int64
         logdet = res.diagnostics["coverage_logdet"]
         assert logdet == 0.0 and math.copysign(1.0, logdet) == 1.0
         assert '"coverage_logdet": 0.0,' in selection_result_to_json(res)
 
-    def test_diagnostics_present(self):
-        tokens, sal = _instance()
-        res = compress(tokens, sal, CompressConfig(total_budget=12, **CLIP))
-        assert "coverage_logdet" in res.diagnostics
-        assert "min_pairwise_cosine_distance" in res.diagnostics
-        assert set(res.timings_us) == span_paths(res.split.t_cov)
-
     def test_all_zero_tokens_rejected(self):
         with pytest.raises(DegenerateInputError):
             compress(np.zeros((8, 4)), np.ones(8), CompressConfig(total_budget=4, **CLIP))
-
-    def test_saliency_length_mismatch_rejected(self):
-        tokens, _ = _instance(n=10)
-        with pytest.raises(InvalidInputError):
-            compress(tokens, np.ones(9), CompressConfig(total_budget=4, **CLIP))
 
     def test_zero_rows_survive(self):
         tokens, sal = _instance(n=24, d=8, k=3)
@@ -155,7 +137,7 @@ class TestCompress:
         assert res.selected.size == 20
 
 
-class TestCompressFixed:
+class TestForcedSplit:
     def test_pure_saliency_boundary(self):
         tokens, sal = _instance()
         res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=16)

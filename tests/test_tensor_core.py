@@ -25,7 +25,6 @@ from adaptok import (
     flops_reduction,
     reduce_head_attention,
     saliency_topk,
-    selection,
     spectral_entropy,
     subseed_rng,
     synth_tokens,
@@ -462,12 +461,25 @@ class TestCountBoundary:
         assert host["blas_name"] is None and host["blas_version"] is None
         assert load_tool("canonical_corpus")._blas().startswith("blas unknown unknown ")
 
-    def test_corpus_tool_runs_its_whole_corpus(self, capsys):
+    def test_corpus_tool_runs_its_whole_corpus(self, monkeypatch, capsys):
         # under pyproject.toml's error::RuntimeWarning, as every pytest run:
         # the corpus drives the CLI commands and DPP with no jitter, which
-        # the other tests reach only in part
-        assert load_tool("canonical_corpus").main([]) == 0
-        assert capsys.readouterr().out.splitlines()[-1].startswith("blas ")
+        # the other tests reach only in part.  A change that drops documents,
+        # labels two alike or reads back fewer results fails here.
+        corpus = load_tool("canonical_corpus")
+        reader, read_back = corpus.selection_result_from_json, []
+        monkeypatch.setattr(
+            corpus, "selection_result_from_json", lambda text: read_back.append(reader(text))
+        )
+        assert corpus.main(["--per-doc"]) == 0
+        *docs, picks, whole, blas = capsys.readouterr().out.splitlines()
+        assert picks.startswith("picks ") and picks.endswith("  683 documents")
+        assert whole.startswith("bytes ") and whole.endswith("  683 documents")
+        assert blas.startswith("blas ")
+        # "<index> <labels> picks <hex> bytes <hex>"
+        labels = {line.split(" ", 1)[1].rsplit(" ", 4)[0] for line in docs}
+        assert len(labels) == len(docs) == 683
+        assert len(read_back) == 380
 
     def test_corpus_tool_fails_on_a_result_that_does_not_read_back(self, monkeypatch, capsys):
         # the first document is a compress result, so the tool stops there
@@ -483,41 +495,22 @@ class TestCountBoundary:
         assert err.startswith("document 0: ")
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
-    def test_empty_stage2_and_unsigned_counts_still_select(self, method):
-        cfg = CompressConfig(total_budget=3, diversity_method=method)
-        assert compress(_E, _S, cfg, t_sal=3).coverage_pick_order.dtype == np.int64
+    def test_unsigned_counts_still_select(self, method):
         # numpy unsigned counts are taken as ints, so T - t_sal cannot wrap
+        cfg = CompressConfig(total_budget=3, diversity_method=method)
         unsigned = CompressConfig(total_budget=np.uint8(3), diversity_method=method)
         res = compress(_E, _S, unsigned, t_sal=np.uint8(0))
         expected = compress(_E, _S, cfg, t_sal=0).coverage_pick_order
         assert res.coverage_pick_order.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
-        "saliency", [[1.0, 2.0], [np.nan] * 6, [-1.0] * 6], ids=["short", "nan", "negative"]
-    )
-    @pytest.mark.parametrize(
-        "E, k",
-        [(np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0]), 4),
-         (np.random.default_rng(0).standard_normal((6, 3)), 3),
-         (np.random.default_rng(0).standard_normal((6, 3)), 0)],
-        ids=["rank-one-fill", "full-rank", "k-zero"],
-    )
-    def test_dpp_saliency_is_checked_on_entry(self, monkeypatch, saliency, E, k):
-        # compress hands DPP all six rows and k picks; without jitter the
-        # rank-1 pool fills 3 of its 4 slots by saliency, and the full-rank
-        # pool and k=0 (no core runs) never reach that fill
-        monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
-        T = max(k, 1)
-        with pytest.raises(InvalidInputError):
-            compress(E, saliency, CompressConfig(total_budget=T, diversity_method="dpp"), T - k)
-
-    @pytest.mark.parametrize(
         "saliency", [[1.0, 2.0], [np.nan] * 10, [-1.0] * 10], ids=["short", "nan", "negative"]
     )
-    @pytest.mark.parametrize("method", [m for m in DIVERSITY_METHODS if m != "dpp"])
-    def test_saliency_the_core_never_reads_is_still_checked(self, method, saliency):
+    @pytest.mark.parametrize("t_sal", [0, 4], ids=["t_sal=0", "t_sal=T"])
+    @pytest.mark.parametrize("method", DIVERSITY_METHODS)
+    def test_saliency_is_checked_for_every_split(self, method, t_sal, saliency):
         with pytest.raises(InvalidInputError):
-            compress(_E, saliency, CompressConfig(total_budget=4, diversity_method=method), 0)
+            compress(_E, saliency, CompressConfig(total_budget=4, diversity_method=method), t_sal)
 
     @pytest.mark.parametrize(
         "argv",
