@@ -196,6 +196,19 @@ class TestForcedSplit:
         assert pick in {pick} and again not in {pick}
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
+    def test_forced_split_reads_neither_mu_nor_tau(self, method):
+        # the canonical corpus runs each forced split under one (mu, tau)
+        tokens, sal = _instance()
+        base = CompressConfig(total_budget=16, diversity_method=method)
+        for t_sal in (0, 5, 16):
+            expected = compress(tokens, sal, base, t_sal=t_sal)
+            for mu, tau in ((0.05, 1e-6), (0.42, 0.02), (0.95, 0.5)):
+                config = dataclasses.replace(base, mu=mu, tau=tau)
+                res = compress(tokens, sal, config, t_sal=t_sal)
+                assert res.config == config
+                assert selection_results_equal(dataclasses.replace(res, config=base), expected)
+
+    @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_forcing_the_chosen_split_changes_nothing(self, method):
         # the forced path must select exactly what the adaptive path did
         # when handed its own split; only coverage_ratio may differ

@@ -25,6 +25,8 @@ from adaptok import (
     flops_reduction,
     reduce_head_attention,
     saliency_topk,
+    selection_result_from_json,
+    selection_result_to_json,
     spectral_entropy,
     subseed_rng,
     synth_tokens,
@@ -493,6 +495,58 @@ class TestCountBoundary:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("document 0: ")
+
+    @staticmethod
+    def _corpus_of(monkeypatch, docs):
+        # the tool with its generators replaced by the documents ``docs``
+        corpus = load_tool("canonical_corpus")
+        monkeypatch.setattr(corpus, "_compress_docs", lambda: iter(docs))
+        monkeypatch.setattr(corpus, "_core_docs", lambda: iter(()))
+        monkeypatch.setattr(corpus, "_allocate_docs", lambda: iter(()))
+        monkeypatch.setattr(corpus, "_cli_docs", lambda workdir: iter(()))
+        return corpus
+
+    def test_corpus_picks_digest_reads_only_top_level_pick_fields(self, monkeypatch, capsys):
+        pick = {"pick_order": [2, 0], "gains": [1.0, 0.5]}
+        corpus = self._corpus_of(monkeypatch, [
+            ({"kind": "a"}, {"pick": json.dumps(pick)}),
+            # other labels, another float and a nested pick field keep the picks
+            ({"kind": "b"}, {"pick": json.dumps({**pick, "gains": [1.0, 0.25],
+                                                 "inner": {"t_sal": 3}})}),
+            ({"kind": "a", "k": 2}, {"pick": json.dumps({**pick, "pick_order": [0, 2]})}),
+        ])
+        assert corpus.main(["--per-doc"]) == 0
+        *docs, picks, whole, _ = capsys.readouterr().out.splitlines()
+        # "<index> <labels> picks <hex> bytes <hex>", the labels printed whole
+        rows = [line.rsplit(" ", 4) for line in docs]
+        assert [row[0] for row in rows] == [
+            '0 {"kind": "a"}', '1 {"kind": "b"}', '2 {"k": 2, "kind": "a"}'
+        ]
+        assert rows[0][2] == rows[1][2] != rows[2][2]
+        assert len({row[4] for row in rows}) == 3
+        assert picks.endswith("  3 documents") and whole.endswith("  3 documents")
+
+    def test_corpus_reads_back_each_schema_output_and_names_its_document(
+        self, monkeypatch, capsys
+    ):
+        text = selection_result_to_json(compress(_E, _S, CompressConfig(total_budget=3)))
+        unread = json.dumps(json.loads(text))  # the same fields, other spacing
+        with pytest.raises(FormatError):
+            selection_result_from_json(unread)
+        corpus = self._corpus_of(monkeypatch, [
+            # a file's sha256 and a JSON output with no schema are not read back
+            ({"kind": "file"}, {"tokens": "ab" * 32}),
+            ({"kind": "compress"}, {"json": text, "stdout": json.dumps({"t_sal": 1})}),
+            ({"kind": "compress", "n": 2}, {"out": unread}),
+        ])
+        reader, read = corpus.selection_result_from_json, []
+        monkeypatch.setattr(
+            corpus, "selection_result_from_json", lambda t: reader(read.append(t) or t)
+        )
+        assert corpus.main([]) == 1
+        out, err = capsys.readouterr()
+        assert read == [text, unread]
+        assert out == "" and err.startswith("document 2: ")
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_unsigned_counts_still_select(self, method):
