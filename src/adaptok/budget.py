@@ -30,10 +30,6 @@ DEFAULT_TAU = 0.02
 # the stage-2 selectors, named once, by their cores
 DIVERSITY_METHODS = tuple(_SELECTORS)
 
-# Entropy values this far outside [0, 1] are floating-point noise and get
-# clamped; anything further out is rejected.
-ENTROPY_TOL = 1e-9
-
 _RATIO_MIN = np.finfo(np.float64).tiny
 _RATIO_MAX = float(np.nextafter(1.0, 0.0))
 
@@ -70,8 +66,9 @@ class CompressConfig:
 @dataclass(frozen=True)
 class BudgetSplit:
     """A (t_sal, t_cov) partition into counts, plus the entropy and ratio that
-    produced it, each a real in [0, 1]: ``allocate_budget`` clamps the entropy
-    and keeps the ratio inside (0, 1), and a forced split's ratio is t_cov / T."""
+    produced it, each a real in [0, 1], checked here and nowhere else:
+    ``allocate_budget`` keeps the ratio inside (0, 1), and a forced split's
+    ratio is t_cov / T."""
 
     t_sal: int
     t_cov: int
@@ -102,15 +99,12 @@ def allocate_budget(normalized_entropy: float, config: CompressConfig) -> Budget
 
     Monotone in the entropy, and t_sal + t_cov == total_budget always.  The
     sigmoid output is kept in the open interval (0, 1) so t_sal >= 1 even
-    when float64 saturates the logistic for extreme (h - mu) / tau.
+    when float64 saturates the logistic for extreme (h - mu) / tau.  An
+    entropy outside [0, 1] is refused by ``BudgetSplit``, not clamped.
     """
     if not isinstance(config, CompressConfig):
         raise InvalidInputError(f"config must be a CompressConfig, got {config!r}")
     h = _real(normalized_entropy, "normalized_entropy")
-    if h < -ENTROPY_TOL or h > 1.0 + ENTROPY_TOL:
-        raise InvalidInputError(f"normalized_entropy must lie in [0, 1], got {h}")
-    h = min(max(h, 0.0), 1.0)
-
     ratio = _logistic((h - config.mu) / config.tau)
     ratio = min(max(ratio, _RATIO_MIN), _RATIO_MAX)
     t_cov = int(np.floor(config.total_budget * ratio))

@@ -14,7 +14,7 @@ import numpy as np
 from .budget import BudgetSplit, CompressConfig, allocate_budget
 from .errors import InvalidInputError
 from .prominence import EntropyReport, _spectral_entropy
-from .selection import _SELECTORS, DEFAULT_JITTER, _pool_unit_kernel, saliency_topk
+from .selection import _SELECTORS, DEFAULT_JITTER, _by_saliency, _pool_unit_kernel, saliency_topk
 from .tensor_core import _count, _real, _span, as_saliency_vector, as_token_matrix
 
 STAGE_SALIENCY = "saliency"
@@ -163,10 +163,8 @@ def compress(
                 order = _SELECTORS[config.diversity_method](E, pool, split.t_cov, G).pick_order
             fallback_count = split.t_cov - order.size
             if fallback_count:
-                # the stable sort breaks saliency ties toward the lower index
                 rest = np.setdiff1d(pool, order, assume_unique=True)
-                rest = rest[np.argsort(-s[rest], kind="stable")]
-                order = np.concatenate([order, rest[:fallback_count]])
+                order = np.concatenate([order, _by_saliency(s, rest)[:fallback_count]])
 
         with _span("assemble"):
             selected = np.sort(np.concatenate([sal_idx, order]))

@@ -18,10 +18,6 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_token_matrix
 
-# Eigenvalues below this fraction of the largest are numerical noise and
-# are zeroed before forming the spectral distribution.
-EIGENVALUE_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -70,7 +66,6 @@ def _spectral_entropy(E: np.ndarray) -> tuple[EntropyReport, np.ndarray | None]:
         G = _gram(E)
     with _span("eigvalsh"):
         lam = _clamped_descending_eigvalsh(G)
-    lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
         total = lam.sum()
     if not 0.0 < total < np.inf:

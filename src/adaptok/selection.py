@@ -113,11 +113,13 @@ def saliency_topk(saliency, k: int) -> np.ndarray:
     """Indices of the k largest saliency scores, ascending, ties to lower index."""
     s = as_saliency_vector(saliency)
     k = _count(k, "k", 0, s.shape[0])
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    # stable sort on negated scores keeps the lower index first among ties
-    order = np.argsort(-s, kind="stable")
-    return np.sort(order[:k]).astype(np.int64)
+    return np.sort(_by_saliency(s, np.arange(s.shape[0], dtype=np.int64))[:k])
+
+
+def _by_saliency(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The ascending indices ``idx`` by descending saliency, ties to the lower
+    index: a stable sort on the negated scores keeps the index order among ties."""
+    return idx[np.argsort(-s[idx], kind="stable")]
 
 
 def _inv_norms(G: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -24,6 +24,10 @@ from .errors import DegenerateInputError, InvalidBudgetError, InvalidInputError
 
 DEFAULT_EPSILON = 1e-12
 
+# Eigenvalues below this fraction of the largest are numerical noise: the
+# Gram spectrum zeroes them, negatives included.
+EIGENVALUE_FLOOR = 1e-12
+
 # Rows squared and summed per block in _sq_row_norms; at 2865x1024, 64
 # measured fastest of 32-256 (8 ms, against 13 ms for one whole-matrix pass).
 _NORM_BLOCK = 64
@@ -150,11 +154,14 @@ def _gram(E: np.ndarray) -> np.ndarray:
 
 
 def _clamped_descending_eigvalsh(G: np.ndarray) -> np.ndarray:
+    # descending, with every eigenvalue below EIGENVALUE_FLOOR of the largest
+    # zeroed; a largest eigenvalue <= 0 leaves no positive mass either way
     try:
-        lam = np.linalg.eigvalsh(G)
+        lam = np.linalg.eigvalsh(G)[::-1]
     except np.linalg.LinAlgError:  # LAPACK does not converge on a G that overflowed to inf
         raise DegenerateInputError("the eigensolve did not converge: the Gram overflows") from None
-    return np.clip(lam[::-1], 0.0, None)
+    lam[lam < EIGENVALUE_FLOOR * lam[0]] = 0.0
+    return lam
 
 
 def _sq_row_norms(X: np.ndarray) -> np.ndarray:

@@ -26,3 +26,14 @@ def test_reports_from_another_host_are_refused(tmp_path, capsys):
     assert load_tool("bench_compare").main([str(COMMITTED), str(other)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "nproc" in captured.err
+
+
+def test_reports_with_no_config_in_common_are_refused(tmp_path, capsys):
+    report = json.loads(COMMITTED.read_text())
+    for config in report["configs"]:
+        config["budget"] += 1
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(report))
+    assert load_tool("bench_compare").main([str(COMMITTED), str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "share no" in captured.err

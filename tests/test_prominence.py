@@ -85,6 +85,23 @@ class TestSpectralEntropy:
         rep = spectral_entropy(np.diag([1.0, sigma]))
         assert rep.raw_entropy == pytest.approx(expected, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "E",
+        [synth_tokens(48, 16, 3, 1e-3, 1)[0], synth_tokens(576, 1024, 24, 1e-3, 1)[0],
+         np.random.default_rng(8).standard_normal((36, 20)),
+         synth_tokens(300, 64, 8, 1e-3, 2)[0] * 37],
+        ids=["synth-48x16", "synth-576x1024", "normal-36x20", "synth-300x64-x37"],
+    )
+    def test_power_of_two_scale_is_bitwise_invariant(self, E):
+        # 2**k scales every eigenvalue by 4**k exactly while the Gram stays
+        # normal; toward 2**-500 it does not (ROADMAP item 6)
+        def fields(rep):
+            return rep.raw_entropy, rep.normalizer, rep.normalized_entropy
+
+        base = fields(spectral_entropy(E))
+        for k in (-200, -3, 5, 200):
+            assert fields(spectral_entropy(np.ldexp(E, k))) == base, k
+
     @pytest.mark.parametrize("shape", [(5, 2), (2, 5)], ids=["tall", "wide"])
     def test_normalizer_is_log_of_smaller_side(self, rng, shape):
         rep = spectral_entropy(rng.standard_normal(shape))

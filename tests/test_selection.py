@@ -243,15 +243,18 @@ class TestDppCore:
         np.testing.assert_array_equal(pick.pick_order, [0])
         assert pick.gains.size == 1
 
-    def test_compress_fills_collapsed_gains_by_saliency(self, monkeypatch):
+    @pytest.mark.parametrize("t_sal, order", [(0, [0, 1, 3]), (1, [0, 3])],
+                             ids=["t_sal0", "t_sal1"])
+    def test_compress_fills_collapsed_gains_by_saliency(self, monkeypatch, t_sal, order):
         monkeypatch.setattr(selection, "DEFAULT_JITTER", 0.0)
         E = np.array([[1.0, 0.0]] * 5)
         sal = np.array([0.1, 0.9, 0.3, 0.9, 0.5])
-        res = compress(E, sal, CompressConfig(3, diversity_method="dpp"), t_sal=0)
+        res = compress(E, sal, CompressConfig(3, diversity_method="dpp"), t_sal=t_sal)
         # after the core's one pick the rest fill by descending saliency
-        # (ties to the lower index): 1 then 3
-        np.testing.assert_array_equal(res.coverage_pick_order, [0, 1, 3])
-        assert res.diagnostics["stage2_fallback_count"] == 2
+        # (ties to the lower index): 1 then 3, or only 3 once stage 1 has
+        # taken token 1 of the 0.9 tie
+        np.testing.assert_array_equal(res.coverage_pick_order, order)
+        assert res.diagnostics["stage2_fallback_count"] == len(order) - 1
 
     def test_deterministic(self, rng):
         E = rng.standard_normal((14, 7))

@@ -32,7 +32,6 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok.bench import run_bench
-from adaptok.budget import ENTROPY_TOL
 from adaptok.cli import main
 from adaptok.tensor_core import (
     DEFAULT_EPSILON,
@@ -121,6 +120,8 @@ class TestSymEigenvalues:
         lam = _clamped_descending_eigvalsh(B @ B.T)  # rank 2, four ~zero eigenvalues
         assert np.all(np.diff(lam) <= 0)
         assert np.all(lam >= 0)
+        # a positive eigenvalue under EIGENVALUE_FLOOR of the largest is zeroed too
+        assert _clamped_descending_eigvalsh(np.diag([1.0, 1e-13])).tolist() == [1.0, 0.0]
 
     def test_accepts_tiny_asymmetry(self, rng):
         # only the lower triangle is read, so an upper-triangle perturbation
@@ -263,13 +264,14 @@ _REAL_ENTRIES = [
     ("CompressConfig.tau", lambda v: CompressConfig(4, tau=v), "tau", np.nextafter(0.0, 1.0),
      None),
     ("allocate_budget.normalized_entropy", lambda v: allocate_budget(v, CompressConfig(4)),
-     "normalized_entropy", -ENTROPY_TOL, 1.0 + ENTROPY_TOL),
+     "normalized_entropy", 0.0, 1.0),
     ("synth_tokens.noise", lambda v: synth_tokens(4, 3, 1, v, 0), "noise", 0.0, None),
     # a raw entropy may pass its normalizer by a rounding slack of 1e-9
     ("EntropyReport.raw_entropy", lambda v: EntropyReport(v, 1.0), "raw_entropy", 0.0,
      1.0 + 1e-9),
     ("EntropyReport.normalizer", lambda v: EntropyReport(0.0, v), "normalizer", 0.0, None),
-    # a split's reals: allocate_budget's clamped entropy and ratio, or a forced t_cov / T
+    # a split's reals, the one [0, 1] check of allocate_budget's entropy and ratio, or a
+    # forced t_cov / T
     ("BudgetSplit.normalized_entropy", lambda v: BudgetSplit(3, 9, v, 0.75),
      "normalized_entropy", 0.0, 1.0),
     ("BudgetSplit.coverage_ratio", lambda v: BudgetSplit(3, 9, 0.5, v), "coverage_ratio",

@@ -10,8 +10,8 @@ between the two runs.  The control is imperfect: memory-bound phases and
 the eigensolve drift by different amounts, so a controlled ratio within
 ``UNRESOLVED`` of 1 prints ``unresolved`` instead of a gain or a loss.
 
-Two reports whose hosts differ in any of ``SAME_HOST`` are refused (exit
-1): their timings do not compare.
+Two reports whose hosts differ in any of ``SAME_HOST``, or that share no
+(grid entry, selector), are refused (exit 1): their timings do not compare.
 """
 
 import argparse
@@ -38,17 +38,19 @@ def _p50s(config: dict) -> dict:
 def compare(old: dict, new: dict) -> list[dict]:
     """One row per (grid entry, selector, phase) in both reports: the p50s,
     ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio) and
-    ``verdict``.  Raises ValueError on reports from different hosts."""
+    ``verdict``.  Raises ValueError on reports from different hosts, or with
+    no (grid entry, selector) in common."""
     differ = [key for key in SAME_HOST if old["host"].get(key) != new["host"].get(key)]
     if differ:
         raise ValueError("the reports' hosts differ in " + ", ".join(
             f"{key} ({old['host'].get(key)} vs {new['host'].get(key)})" for key in differ))
+    old_configs, new_configs = _configs(old), _configs(new)
+    shared = [key for key in old_configs if key in new_configs]
+    if not shared:
+        raise ValueError("the reports share no (grid entry, selector)")
     rows = []
-    new_configs = _configs(new)
-    for key, old_config in _configs(old).items():
-        if key not in new_configs:
-            continue
-        before, after = _p50s(old_config), _p50s(new_configs[key])
+    for key in shared:
+        before, after = _p50s(old_configs[key]), _p50s(new_configs[key])
         control = after[CONTROL] / before[CONTROL]
         for phase in (p for p in before if p in after):
             ratio = after[phase] / before[phase]
