@@ -30,6 +30,17 @@ def _percentiles(values: list[float]) -> dict:
     }
 
 
+def _spans(runs: list[dict]) -> dict:
+    """``total`` and ``phases``: percentiles of each span path over the
+    ``timings_us`` of the runs that recorded it."""
+    paths: dict[str, list[float]] = {}
+    for timings in runs:
+        for path, us in timings.items():
+            paths.setdefault(path, []).append(us)
+    return {"total": _percentiles(paths.pop("total")),
+            "phases": {path: _percentiles(us) for path, us in paths.items()}}
+
+
 def _split_kind(t_cov: int, budget: int) -> str:
     # saliency-heavy below a quarter of the budget, coverage-heavy above three
     if 4 * t_cov < budget:
@@ -99,10 +110,13 @@ def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0)
     and 256x64 every repeat is coverage-heavy.  Within a repeat the
     selectors run in turn, in ``DIVERSITY_METHODS`` order, on the same
     input, so host drift falls on all of them alike.  ``configs`` holds one
-    entry per (grid entry, selector), in that order; ``splits`` counts the
-    timed repeats of each kind, which the selector does not change.  Each
-    span path gets percentiles over the ``n`` repeats that ran it (t_cov > 0
-    for a selector's).  ``host`` is the ``host_fingerprint``.
+    entry per (grid entry, selector), in that order.  Each span path gets
+    percentiles over the ``n`` repeats that ran it (t_cov > 0 for a
+    selector's): ``total`` and ``phases`` pool every repeat, and
+    ``by_split`` holds the same over the repeats of each split kind that ran
+    (``_split_kind``), so ``by_split[kind]["total"]["n"]`` counts them.  The
+    selector does not change a repeat's split.  ``host`` is the
+    ``host_fingerprint``.
     """
     report = {
         "seed": _count(seed, "seed", 0, error=InvalidInputError),
@@ -117,8 +131,8 @@ def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0)
     grid = [_grid_entry(entry) for entry in entries]  # all checked before any is timed
     report["host"] = host_fingerprint()
     for cfg_idx, (n, d, t) in enumerate(grid):
-        samples: dict[str, dict[str, list[float]]] = {m: {} for m in DIVERSITY_METHODS}
-        splits = dict.fromkeys(("saliency_heavy", "midpoint", "coverage_heavy"), 0)
+        # the timings_us of each timed repeat, by selector, then by split kind
+        runs: dict[str, dict[str, list[dict]]] = {m: {} for m in DIVERSITY_METHODS}
 
         for rep in range(-1, repeats):
             rng = subseed_rng(seed, cfg_idx * 10_000 + rep + 1)
@@ -128,16 +142,13 @@ def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0)
                 config = CompressConfig(total_budget=t, diversity_method=method)
                 result = compress(tokens, saliency, config)
                 if rep >= 0:  # else warmup
-                    for path, us in result.timings_us.items():
-                        samples[method].setdefault(path, []).append(us)
-            if rep >= 0:
-                splits[_split_kind(result.split.t_cov, t)] += 1
+                    kind = _split_kind(result.split.t_cov, t)
+                    runs[method].setdefault(kind, []).append(result.timings_us)
 
-        for method, paths in samples.items():
+        for method, by_split in runs.items():
             report["configs"].append({
                 "n_tokens": n, "dim": d, "budget": t, "diversity_method": method,
-                "splits": dict(splits),
-                "total": _percentiles(paths.pop("total")),
-                "phases": {path: _percentiles(us) for path, us in paths.items()},
+                **_spans([timings for of_kind in by_split.values() for timings in of_kind]),
+                "by_split": {kind: _spans(of_kind) for kind, of_kind in by_split.items()},
             })
     return report

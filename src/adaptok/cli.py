@@ -3,10 +3,11 @@
 Subcommands: entropy, allocate, compress, synth, bench, flops.
 ``compress --t-sal N`` forces the saliency share of the split instead of
 deriving it from the entropy.  ``--mu NAME|NUMBER`` takes a preset name or a
-number; ``CompressConfig`` holds the default of each setting flag left out.
-``bench`` takes no setting flag: it times every stage-2 selector at the
-default mu and tau (``run_bench``), and records the host it ran on.
-Primary outputs are canonical JSON
+number, and ``--diversity`` a name of ``DIVERSITY_METHODS``.  A flag left out
+keeps the callee's default: ``CompressConfig``'s for a setting, and
+``run_bench``'s for ``bench``'s ``--repeats`` and ``--seed``.  ``bench`` takes
+no setting flag: it times every stage-2 selector at the default mu and tau,
+and records the host it ran on.  Primary outputs are canonical JSON
 (byte-identical for fixed seeds and inputs).  Wall-clock span timings of
 ``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``,
 keyed by span path (``total``, ``entropy/gram``, ``stage2/greedy``, ...).
@@ -21,7 +22,7 @@ import json
 import sys
 
 from .bench import run_bench
-from .budget import MU_PRESETS, CompressConfig, allocate_budget
+from .budget import DIVERSITY_METHODS, MU_PRESETS, CompressConfig, allocate_budget
 from .costmodel import (
     TEXT_TOKENS,
     estimate_kv_cache_bytes,
@@ -43,7 +44,6 @@ from .selection import reduce_head_attention
 from .synth import synth_tokens
 from .tensor_core import _count
 
-_DIVERSITY_FLAGS = {"dpp": "dpp", "fps": "fps", "fl": "facility_location"}
 _DEFAULT_GRID = ["576x1024x64", "576x1024x128"]  # the paper's CLIP shape at T = 64 and 128
 
 
@@ -65,11 +65,10 @@ def _add_sigmoid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None, help="sigmoid smoothness")
 
 
-def _settings(args) -> dict:
-    """The --mu, --tau and --diversity values given, as CompressConfig keyword arguments."""
-    diversity = _DIVERSITY_FLAGS.get(getattr(args, "diversity", None))
-    given = {"mu": args.mu, "tau": args.tau, "diversity_method": diversity}
-    return {key: value for key, value in given.items() if value is not None}
+def _given(args, *names: str) -> dict:
+    """The flags ``names`` given, as keyword arguments: a flag left out is None,
+    and keeps the default of the function the arguments go to."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-sal", type=int, default=None,
                    help="forced saliency budget (derived from the entropy if omitted)")
     _add_sigmoid_flags(p)
-    p.add_argument("--diversity", choices=sorted(_DIVERSITY_FLAGS), default=None,
+    p.add_argument("--diversity", dest="diversity_method", choices=DIVERSITY_METHODS,
                    help="stage-2 diversity selector")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
@@ -113,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="append", default=None, metavar="NxDxT",
                    help="configuration like 576x1024x64 (repeatable; default: "
                         f"{' and '.join(_DEFAULT_GRID)})")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--repeats", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("flops", help="prefill FLOPs / KV-cache cost model")
@@ -136,7 +135,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_allocate(args) -> int:
     tokens = read_tokens(args.tokens)
-    config = CompressConfig(total_budget=args.budget, **_settings(args))
+    config = CompressConfig(total_budget=args.budget, **_given(args, "mu", "tau"))
     _count(config.total_budget, "total_budget", most=len(tokens))  # as compress refuses T > n
     report = spectral_entropy(tokens)
     split = allocate_budget(report.normalized_entropy, config)
@@ -154,7 +153,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_compress(args) -> int:
     tokens = read_tokens(args.tokens)
     saliency = reduce_head_attention(read_saliency(args.saliency))
-    config = CompressConfig(total_budget=args.budget, **_settings(args))
+    config = CompressConfig(args.budget, **_given(args, "mu", "tau", "diversity_method"))
     result = compress(tokens, saliency, config, t_sal=args.t_sal)
     _emit(selection_result_to_json(result), args.out)
     print(json.dumps({"timings_us": result.timings_us}, sort_keys=True), file=sys.stderr)
@@ -192,7 +191,7 @@ def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
 
 
 def _cmd_bench(args) -> int:
-    report = run_bench(_parse_grid(args.grid), repeats=args.repeats, seed=args.seed)
+    report = run_bench(_parse_grid(args.grid), **_given(args, "repeats", "seed"))
     _emit(_canonical_json(report), args.out)
     return 0
 

@@ -128,13 +128,7 @@ def compress(
     The slots it leaves go to the unpicked pool tokens by descending
     saliency (ties to the lower index), appended to ``coverage_pick_order``
     after the greedy picks, so the budget contract still holds; their count
-    is the ``stage2_fallback_count`` diagnostic.  A residual jittered by
-    ``selection.DEFAULT_JITTER`` (equal to RANK_FLOOR) is at least the
-    jitter in exact arithmetic, so DPP stops short only when rounding pushes
-    a residual below the floor.  Otherwise a rank-deficient pool goes on
-    picking greedily at gains near log(DEFAULT_JITTER): an 8x2 pool with
-    k=6 fills no slot and its last gains are about -22, and zero rows are
-    picked in index order at log(1e-10).
+    is the ``stage2_fallback_count`` diagnostic.
     """
     timings: dict[str, float] = {}
     with _span("total", timings):

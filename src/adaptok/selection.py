@@ -58,7 +58,12 @@ from .tensor_core import (
 # Diagonal jitter keeps the incremental updates stable on collinear pools;
 # marginal gains below RANK_FLOOR mean the kernel's numerical rank is
 # exhausted and further determinant maximization is uninformative.  The
-# jitter equals the floor, so a gain falls below it only by rounding.
+# jitter equals the floor, and a jittered residual is at least the jitter in
+# exact arithmetic, so DPP stops short only when rounding pushes a residual
+# below the floor.  Otherwise a rank-deficient pool goes on picking greedily
+# at gains near log(DEFAULT_JITTER): an 8x2 pool with k=6 makes all 6 picks,
+# its last gains about -22, and zero rows are picked in index order at
+# log(1e-10).
 DEFAULT_JITTER = 1e-10
 RANK_FLOOR = 1e-10
 

@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles, the
 token kinds (``kind_tokens``) that criterion 6 and facility location's
-tests draw, and ``load_tool``, which loads a script of ``tools/``.
+tests draw, a generator with a power-law spectrum and high-norm tokens
+(``vit_tokens``), and ``load_tool``, which loads a script of ``tools/``.
 
 Everything here is deliberately naive (plain loops, direct formulas,
 full SVD, full determinants).  The greedy oracles that a test compares
@@ -117,6 +118,31 @@ def kind_tokens(rng: np.random.Generator, kind: str, n: int, d: int, seed) -> np
     if kind == "concentrated":  # forces t_cov = 0 under the clip preset
         return synth_tokens(n, d, 1, 1e-4, seed)[0]
     return synth_tokens(n, d, min(n, d), 1e-3, seed)[0]  # spread
+
+
+def vit_tokens(
+    n: int, d: int, alpha: float, outliers: int, seed, noise: float = 1e-3
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tokens, saliency) with some of the structure of ViT features.
+
+    The tokens are r = min(n, d) seeded orthonormal directions with singular
+    values i^-alpha (i = 1..r), plus isotropic noise whose row norm is about
+    ``noise`` times the mean row norm m.  ``outliers`` rows, chosen by the
+    seed, are then set to 10 m along the leading right singular direction:
+    the high-norm tokens that large ViTs carry (Darcet et al., "Vision
+    Transformers Need Registers", ICLR 2024).  Saliency is each row's
+    alignment with that direction, clipped at 0, as in ``synth_tokens``.
+    """
+    rng = np.random.default_rng(seed)
+    r = min(n, d)
+    left, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    right, _ = np.linalg.qr(rng.standard_normal((d, r)))
+    tokens = (left * np.arange(1, r + 1, dtype=np.float64) ** -alpha) @ right.T
+    m = np.linalg.norm(tokens, axis=1).mean()
+    tokens += noise * m / math.sqrt(d) * rng.standard_normal((n, d))
+    lead = right[:, 0]
+    tokens[rng.choice(n, size=outliers, replace=False)] = 10.0 * m * lead
+    return tokens, np.clip(tokens @ lead, 0.0, None)
 
 
 def pairwise_cosine_naive(E: np.ndarray, pool, epsilon: float = 1e-12) -> np.ndarray:

@@ -37,3 +37,34 @@ def test_reports_with_no_config_in_common_are_refused(tmp_path, capsys):
     assert load_tool("bench_compare").main([str(COMMITTED), str(other)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "share no" in captured.err
+
+
+def test_each_split_kind_is_controlled_by_its_own_eigensolve():
+    # the committed file pools its split kinds; give each config two kinds,
+    # both the pooled spans, and move one kind's phases in the new report
+    old = json.loads(COMMITTED.read_text())
+    for config in old["configs"]:
+        spans = {"total": config["total"], "phases": config["phases"]}
+        config["by_split"] = {"saliency_heavy": spans, "coverage_heavy": spans}
+    new = json.loads(json.dumps(old))
+    for config in new["configs"]:
+        coverage_heavy = config["by_split"]["coverage_heavy"]
+        for p in (coverage_heavy["total"], *coverage_heavy["phases"].values()):
+            p["p50_us"] *= 2.0  # host drift, which its own control cancels
+        config["by_split"]["saliency_heavy"]["phases"]["stage2"]["p50_us"] *= 1.5
+    rows = load_tool("bench_compare").compare(old, new)
+    by_split = {}
+    for row in rows:
+        by_split.setdefault(row["split"], []).append(row)
+    assert list(by_split) == ["all", "saliency_heavy", "coverage_heavy"]
+    assert len(by_split["all"]) == len(by_split["saliency_heavy"])
+    assert all(row["ratio"] == 1.0 for row in by_split["all"])
+    assert all(row["ratio"] == 2.0 and row["controlled"] == 1.0
+               for row in by_split["coverage_heavy"])
+    assert {(row["phase"], row["verdict"]) for row in by_split["saliency_heavy"]
+            if row["verdict"] != "unresolved"} == {("stage2", "slower")}
+    # a report without by_split compares on the pooled rows only
+    del new["configs"][0]["by_split"]
+    pooled = [row for row in load_tool("bench_compare").compare(old, new)
+              if row["config"] == rows[0]["config"]]
+    assert {row["split"] for row in pooled} == {"all"}

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -20,7 +21,8 @@ from adaptok import (
     spectral_entropy,
     write_tokens,
 )
-from adaptok.cli import _DIVERSITY_FLAGS, main
+from adaptok.bench import run_bench
+from adaptok.cli import main
 
 
 def _synth_files(tmp_path, n=96, d=16, k=4, noise=1e-3, seed=0, capsys=None):
@@ -133,17 +135,19 @@ class TestCompressCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_mu_override_and_fl_alias(self, tmp_path):
+    def test_mu_tau_and_diversity_reach_the_config(self, tmp_path):
         tok, sal = _synth_files(tmp_path)
         out = tmp_path / "sel.json"
         rc = main(
             [
                 "compress", "--tokens", str(tok), "--saliency", str(sal),
                 "--budget", "16", "--mu", "0.9", "--tau", "0.05",
-                "--diversity", "fl", "--out", str(out),
+                "--diversity", "facility_location", "--out", str(out),
             ]
         )
         assert rc == 0
+        config = selection_result_from_json(out.read_text()).config
+        assert config == CompressConfig(16, mu=0.9, tau=0.05, diversity_method="facility_location")
 
     def test_flags_left_out_keep_compress_config_defaults(self, tmp_path, capsys):
         tok, sal = _synth_files(tmp_path, capsys=capsys)
@@ -153,17 +157,16 @@ class TestCompressCommand:
         expected = selection_result_to_json(compress(E, s, CompressConfig(total_budget=32)))
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("flag", list(_DIVERSITY_FLAGS))
-    def test_diversity_flag_runs_its_core(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("method", DIVERSITY_METHODS)
+    def test_diversity_flag_runs_its_core(self, tmp_path, capsys, method):
         # the CLI is the installed package's one route to each stage-2 core;
         # at --t-sal 0 that core picks over every row
         tok, sal = _synth_files(tmp_path, capsys=capsys)
         argv = ["compress", "--tokens", str(tok), "--saliency", str(sal), "--budget", "16",
-                "--t-sal", "0", "--diversity", flag]
+                "--t-sal", "0", "--diversity", method]
         assert main(argv) == 0
         res = selection_result_from_json(capsys.readouterr().out)
         E = read_tokens(tok)
-        method = _DIVERSITY_FLAGS[flag]
         assert res.config.diversity_method == method
         pick = run_core(method, E, np.arange(len(E)), 16)
         assert res.coverage_pick_order.tobytes() == pick.pick_order.tobytes()
@@ -244,16 +247,26 @@ class TestBenchCommand:
         assert cfg["total"]["n"] == 2
         assert all(1 <= p["n"] <= 2 for p in cfg["phases"].values())
         assert all(cfg["phases"][path]["n"] == 2 for path in span_paths(0) - {"total"})
+        # at 128x32 every repeat is coverage-heavy, so that kind's spans are the pooled ones
+        assert cfg["by_split"] == {
+            "coverage_heavy": {"total": cfg["total"], "phases": cfg["phases"]}}
 
     def test_default_grid_times_every_split_kind(self, capsys):
         assert main(["bench"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        # the flags left out keep run_bench's defaults
+        defaults = inspect.signature(run_bench).parameters
+        assert (doc["repeats"], doc["seed"]) == (defaults["repeats"].default,
+                                                 defaults["seed"].default)
         assert [(c["n_tokens"], c["dim"], c["budget"]) for c in doc["configs"]] == [
             (576, 1024, 64)] * 3 + [(576, 1024, 128)] * 3
         for cfg in doc["configs"]:
-            assert set(cfg["splits"]) == {"saliency_heavy", "midpoint", "coverage_heavy"}
-            assert min(cfg["splits"].values()) >= 1, cfg["splits"]
-            assert sum(cfg["splits"].values()) == cfg["total"]["n"] == doc["repeats"]
+            counts = {kind: spans["total"]["n"] for kind, spans in cfg["by_split"].items()}
+            assert set(counts) == {"saliency_heavy", "midpoint", "coverage_heavy"}
+            assert min(counts.values()) >= 1, counts
+            assert sum(counts.values()) == cfg["total"]["n"] == doc["repeats"]
+            for spans in cfg["by_split"].values():
+                assert spans["phases"].keys() <= cfg["phases"].keys()
 
     def test_bad_grid_spec(self, capsys):
         assert main(["bench", "--grid", "12x34"]) == 1
@@ -288,7 +301,8 @@ class TestBenchCommand:
         # the selectors time the same inputs, so the split of each repeat is theirs alike
         m = len(DIVERSITY_METHODS)
         for entry in (doc["configs"][:m], doc["configs"][m:]):
-            assert all(c["splits"] == entry[0]["splits"] for c in entry)
+            counts = [{kind: s["total"]["n"] for kind, s in c["by_split"].items()} for c in entry]
+            assert all(count == counts[0] for count in counts)
             assert all(c["total"]["n"] == 4 for c in entry)
 
     def test_records_the_host(self, capsys):
@@ -306,7 +320,9 @@ _USAGE_ERRORS = {
 }
 # bench takes no setting flag: it times every selector at the default mu and tau
 _USAGE_ERRORS |= {"tau-bench": ("bench", ["--tau", "0.5"]),
-                  "diversity-bench": ("bench", ["--diversity", "fl"])}
+                  "diversity-bench": ("bench", ["--diversity", "dpp"])}
+# --diversity takes the selector names of DIVERSITY_METHODS, and no other spelling
+_USAGE_ERRORS |= {"fl-compress": ("compress", ["--diversity", "fl"])}
 
 
 class TestMuFlag:

@@ -204,10 +204,6 @@ def _split_entropy_differs(doc):
     doc["normalized_entropy"] /= 2
 
 
-def _attention_metric(doc):
-    doc["entropy"]["metric"] = "attention"
-
-
 def _negative_raw_entropy(doc):
     doc["entropy"]["raw_entropy"] = -1.0
 
@@ -343,7 +339,6 @@ _BROKEN = [
     (_unknown_key, "write back"),
     (_unknown_entropy_key, "write back"),
     (_split_entropy_differs, "write back"),
-    (_attention_metric, "write back"),
     (_negative_raw_entropy, "raw_entropy must be nonnegative"),
     (_negative_normalizer, "normalizer must be nonnegative"),
     (_entropy_not_normalized, "write back"),

@@ -7,7 +7,7 @@ from copy import deepcopy
 
 import numpy as np
 import pytest
-from oracles import leaf_share, run_core, span_paths
+from oracles import leaf_share, run_core, span_paths, vit_tokens
 
 from adaptok import (
     DIVERSITY_METHODS,
@@ -106,6 +106,28 @@ class TestCompress:
         assert lo.entropy.normalized_entropy < 0.42 - 5 * 0.02
         assert hi.entropy.normalized_entropy > 0.42 + 5 * 0.02
         assert lo.split.t_sal - hi.split.t_sal >= T // 2
+
+    def test_power_law_spectra_and_high_norm_tokens(self):
+        # h falls as the spectrum steepens and as high-norm tokens are added,
+        # on every seed; at T=16 and the default mu and tau the split is
+        # coverage-heavy up to alpha 0.75, and a few high-norm tokens make it
+        # saliency-only at every alpha
+        alphas = (0.25, 0.5, 0.75, 1.0)
+        for seed in range(5):
+            h = {}
+            for alpha in alphas:
+                for outliers in (0, 4, 12):
+                    tokens, saliency = vit_tokens(96, 64, alpha, outliers, seed)
+                    h[alpha, outliers] = spectral_entropy(tokens).normalized_entropy
+                    t_cov = 0 if outliers else (1 if alpha == 1.0 else 15)
+                    for method in DIVERSITY_METHODS:
+                        config = CompressConfig(total_budget=16, diversity_method=method)
+                        split = compress(tokens, saliency, config).split
+                        assert split.t_cov == t_cov, (seed, alpha, outliers, method)
+                assert h[alpha, 12] < h[alpha, 4] < h[alpha, 0], (seed, alpha)
+            for outliers in (0, 4, 12):
+                falling = [h[alpha, outliers] for alpha in alphas]
+                assert all(a > b for a, b in zip(falling, falling[1:])), (seed, falling)
 
     def test_bit_identical_repeat_runs(self):
         tokens, sal = _instance(k=5, seed=9)

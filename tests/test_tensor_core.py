@@ -65,11 +65,7 @@ class TestGramMatrix:
         wide = rng.standard_normal((64, 72))
         np.testing.assert_allclose(_gram(wide), triple_loop_gram(wide, "EEt"), atol=1e-10)
 
-    def test_output_is_exactly_symmetric(self, rng):
-        G = _gram(rng.standard_normal((8, 5)))
-        np.testing.assert_array_equal(G, G.T)
-
-    @pytest.mark.parametrize("shape", [(72, 64), (576, 1024), (2880, 1024)])
+    @pytest.mark.parametrize("shape", [(72, 64), (576, 1024), (2880, 1024), (8, 5)])
     def test_exactly_symmetric_at_bench_shapes(self, rng, shape):
         # no symmetrization pass: numpy's E.T @ E and E @ E.T go through the
         # BLAS symmetric rank-k update, which mirrors one triangle

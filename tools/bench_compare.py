@@ -6,9 +6,13 @@ For each (grid entry, selector, phase) in both reports, ``total`` first,
 prints the two p50s in ms, the ratio NEW / OLD, and that ratio divided by
 the same pair's ``entropy/eigvalsh`` ratio.  The eigensolve is LAPACK's and
 no stage-2 change touches it, so its ratio stands for how the host moved
-between the two runs.  The control is imperfect: memory-bound phases and
-the eigensolve drift by different amounts, so a controlled ratio within
-``UNRESOLVED`` of 1 prints ``unresolved`` instead of a gain or a loss.
+between the two runs.  These rows pool every split kind (split ``all``).
+When both reports carry ``by_split``, each split kind that both ran adds
+its own rows, controlled by that kind's own ``entropy/eigvalsh`` ratio, so
+a change at one end of the split shows apart from the other.  The control
+is imperfect: memory-bound phases and the eigensolve drift by different
+amounts, so a controlled ratio within ``UNRESOLVED`` of 1 prints
+``unresolved`` instead of a gain or a loss.
 
 Two reports whose hosts differ in any of ``SAME_HOST``, or that share no
 (grid entry, selector), are refused (exit 1): their timings do not compare.
@@ -30,16 +34,25 @@ def _configs(report: dict) -> dict:
     }
 
 
-def _p50s(config: dict) -> dict:
-    return {"total": config["total"]["p50_us"],
-            **{path: p["p50_us"] for path, p in sorted(config["phases"].items())}}
+def _p50s(spans: dict) -> dict:
+    return {"total": spans["total"]["p50_us"],
+            **{path: p["p50_us"] for path, p in sorted(spans["phases"].items())}}
+
+
+def _splits(before: dict, after: dict) -> list[tuple[str, dict, dict]]:
+    # (split, old spans, new spans): the pooled ones, then each split kind of both
+    pairs = [("all", before, after)]
+    if "by_split" in before and "by_split" in after:
+        pairs += [(kind, spans, after["by_split"][kind])
+                  for kind, spans in before["by_split"].items() if kind in after["by_split"]]
+    return pairs
 
 
 def compare(old: dict, new: dict) -> list[dict]:
-    """One row per (grid entry, selector, phase) in both reports: the p50s,
-    ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio) and
-    ``verdict``.  Raises ValueError on reports from different hosts, or with
-    no (grid entry, selector) in common."""
+    """One row per (grid entry, selector, split, phase) in both reports: the
+    p50s, ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio
+    in the same split) and ``verdict``.  Raises ValueError on reports from
+    different hosts, or with no (grid entry, selector) in common."""
     differ = [key for key in SAME_HOST if old["host"].get(key) != new["host"].get(key)]
     if differ:
         raise ValueError("the reports' hosts differ in " + ", ".join(
@@ -50,18 +63,19 @@ def compare(old: dict, new: dict) -> list[dict]:
         raise ValueError("the reports share no (grid entry, selector)")
     rows = []
     for key in shared:
-        before, after = _p50s(old_configs[key]), _p50s(new_configs[key])
-        control = after[CONTROL] / before[CONTROL]
-        for phase in (p for p in before if p in after):
-            ratio = after[phase] / before[phase]
-            controlled = ratio / control
-            if abs(controlled - 1.0) <= UNRESOLVED:
-                verdict = "unresolved"
-            else:
-                verdict = "faster" if controlled < 1.0 else "slower"
-            rows.append({"config": key, "phase": phase, "old_ms": before[phase] / 1e3,
-                         "new_ms": after[phase] / 1e3, "ratio": ratio,
-                         "controlled": controlled, "verdict": verdict})
+        for split, old_spans, new_spans in _splits(old_configs[key], new_configs[key]):
+            before, after = _p50s(old_spans), _p50s(new_spans)
+            control = after[CONTROL] / before[CONTROL]
+            for phase in (p for p in before if p in after):
+                ratio = after[phase] / before[phase]
+                controlled = ratio / control
+                if abs(controlled - 1.0) <= UNRESOLVED:
+                    verdict = "unresolved"
+                else:
+                    verdict = "faster" if controlled < 1.0 else "slower"
+                rows.append({"config": key, "split": split, "phase": phase,
+                             "old_ms": before[phase] / 1e3, "new_ms": after[phase] / 1e3,
+                             "ratio": ratio, "controlled": controlled, "verdict": verdict})
     return rows
 
 
@@ -79,11 +93,11 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"bench_compare: {err}", file=sys.stderr)
         return 1
-    print(f"{'n x d, T':<16} {'selector':<18} {'phase':<18} {'old p50':>9} {'new p50':>9} "
-          f"{'ratio':>7} {'ctrl':>7}  verdict")
+    print(f"{'n x d, T':<16} {'selector':<18} {'split':<15} {'phase':<18} {'old p50':>9} "
+          f"{'new p50':>9} {'ratio':>7} {'ctrl':>7}  verdict")
     for row in rows:
         n, d, t, method = row["config"]
-        print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['phase']:<18} "
+        print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['split']:<15} {row['phase']:<18} "
               f"{row['old_ms']:>9.2f} {row['new_ms']:>9.2f} {row['ratio']:>7.3f} "
               f"{row['controlled']:>7.3f}  {row['verdict']}")
     return 0

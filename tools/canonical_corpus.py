@@ -75,7 +75,7 @@ from adaptok import (  # noqa: E402
 from adaptok import selection  # noqa: E402
 from adaptok.bench import host_fingerprint  # noqa: E402
 from adaptok.prominence import _spectral_entropy  # noqa: E402
-from adaptok.cli import _DIVERSITY_FLAGS, main as cli_main  # noqa: E402
+from adaptok.cli import main as cli_main  # noqa: E402
 
 TAUS = (0.02, 0.5)
 BUDGET = 12
@@ -225,7 +225,7 @@ def _cli_docs(workdir: Path):
         files = ["--tokens", str(tok), "--saliency", str(sal), "--budget", str(BUDGET)]
         runs = [["--mu", preset] for preset in sorted(MU_PRESETS)]
         runs += [["--t-sal", str(t)] for t in (0, BUDGET // 3, BUDGET)]
-        for diversity in _DIVERSITY_FLAGS:
+        for diversity in DIVERSITY_METHODS:
             for flags in runs:
                 shown = ["compress", "--diversity", diversity, *flags]
                 yield ({"kind": "cli", "argv": shown, "input": name},
