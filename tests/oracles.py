@@ -120,14 +120,12 @@ def kind_tokens(rng: np.random.Generator, kind: str, n: int, d: int, seed) -> np
     return synth_tokens(n, d, min(n, d), 1e-3, seed)[0]  # spread
 
 
-def vit_tokens(
-    n: int, d: int, alpha: float, outliers: int, seed, noise: float = 1e-3
-) -> tuple[np.ndarray, np.ndarray]:
+def vit_tokens(n: int, d: int, alpha: float, outliers: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """(tokens, saliency) with some of the structure of ViT features.
 
     The tokens are r = min(n, d) seeded orthonormal directions with singular
     values i^-alpha (i = 1..r), plus isotropic noise whose row norm is about
-    ``noise`` times the mean row norm m.  ``outliers`` rows, chosen by the
+    1e-3 times the mean row norm m.  ``outliers`` rows, chosen by the
     seed, are then set to 10 m along the leading right singular direction:
     the high-norm tokens that large ViTs carry (Darcet et al., "Vision
     Transformers Need Registers", ICLR 2024).  Saliency is each row's
@@ -139,7 +137,7 @@ def vit_tokens(
     right, _ = np.linalg.qr(rng.standard_normal((d, r)))
     tokens = (left * np.arange(1, r + 1, dtype=np.float64) ** -alpha) @ right.T
     m = np.linalg.norm(tokens, axis=1).mean()
-    tokens += noise * m / math.sqrt(d) * rng.standard_normal((n, d))
+    tokens += 1e-3 * m / math.sqrt(d) * rng.standard_normal((n, d))
     lead = right[:, 0]
     tokens[rng.choice(n, size=outliers, replace=False)] = 10.0 * m * lead
     return tokens, np.clip(tokens @ lead, 0.0, None)

@@ -15,7 +15,11 @@ def test_committed_file_against_itself_is_all_ones(capsys):
     assert all(row["ratio"] == row["controlled"] == 1.0 for row in rows)
     assert {row["verdict"] for row in rows} == {"unresolved"}
     assert tool.main([str(COMMITTED), str(COMMITTED)]) == 0
-    assert capsys.readouterr().out.count("\n") == len(rows) + 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == len(rows) + 1
+    # each printed row names the repeats its p50s rest on, OLD/NEW
+    assert all(f" {row['old_n']}/{row['new_n']} " in line
+               for row, line in zip(rows, out.splitlines()[1:]))
 
 
 def test_reports_from_another_host_are_refused(tmp_path, capsys):
@@ -41,11 +45,15 @@ def test_reports_with_no_config_in_common_are_refused(tmp_path, capsys):
 
 def test_each_split_kind_is_controlled_by_its_own_eigensolve():
     # the committed file pools its split kinds; give each config two kinds,
-    # both the pooled spans, and move one kind's phases in the new report
+    # both the pooled p50s over one and the rest of the repeats, and move
+    # one kind's phases in the new report
     old = json.loads(COMMITTED.read_text())
     for config in old["configs"]:
-        spans = {"total": config["total"], "phases": config["phases"]}
-        config["by_split"] = {"saliency_heavy": spans, "coverage_heavy": spans}
+        n = config["total"]["n"]
+        config["by_split"] = {
+            kind: {"total": {**config["total"], "n": count}, "phases": config["phases"]}
+            for kind, count in (("saliency_heavy", n - 1), ("coverage_heavy", 1))
+        }
     new = json.loads(json.dumps(old))
     for config in new["configs"]:
         coverage_heavy = config["by_split"]["coverage_heavy"]
@@ -59,6 +67,11 @@ def test_each_split_kind_is_controlled_by_its_own_eigensolve():
     assert list(by_split) == ["all", "saliency_heavy", "coverage_heavy"]
     assert len(by_split["all"]) == len(by_split["saliency_heavy"])
     assert all(row["ratio"] == 1.0 for row in by_split["all"])
+    # each row carries the repeats its split's p50s rest on
+    pooled_n = {row["config"]: row["old_n"] for row in by_split["all"]}
+    assert all(row["old_n"] == row["new_n"] for row in rows)
+    assert all(row["old_n"] == pooled_n[row["config"]] - 1 for row in by_split["saliency_heavy"])
+    assert {row["old_n"] for row in by_split["coverage_heavy"]} == {1}
     assert all(row["ratio"] == 2.0 and row["controlled"] == 1.0
                for row in by_split["coverage_heavy"])
     assert {(row["phase"], row["verdict"]) for row in by_split["saliency_heavy"]

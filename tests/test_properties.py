@@ -1,6 +1,7 @@
 """Property tests: any finite input gives a result or an ``AdaptokError``.
 
-Hypothesis draws the inputs, derandomized so every run tries the same
+Hypothesis draws the inputs, derandomized so every run with the same
+Hypothesis version (pinned in pyproject's ``test`` extra) tries the same
 examples; the file is skipped where Hypothesis is not installed.
 """
 

@@ -3,7 +3,8 @@
     python3 tools/bench_compare.py OLD.json NEW.json
 
 For each (grid entry, selector, phase) in both reports, ``total`` first,
-prints the two p50s in ms, the ratio NEW / OLD, and that ratio divided by
+prints the repeats each report's p50 rests on (OLD/NEW), the two p50s in
+ms, the ratio NEW / OLD, and that ratio divided by
 the same pair's ``entropy/eigvalsh`` ratio.  The eigensolve is LAPACK's and
 no stage-2 change touches it, so its ratio stands for how the host moved
 between the two runs.  These rows pool every split kind (split ``all``).
@@ -50,8 +51,9 @@ def _splits(before: dict, after: dict) -> list[tuple[str, dict, dict]]:
 
 def compare(old: dict, new: dict) -> list[dict]:
     """One row per (grid entry, selector, split, phase) in both reports: the
-    p50s, ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio
-    in the same split) and ``verdict``.  Raises ValueError on reports from
+    p50s, ``old_n`` and ``new_n`` (the repeats that split's p50s rest on),
+    ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio in the
+    same split) and ``verdict``.  Raises ValueError on reports from
     different hosts, or with no (grid entry, selector) in common."""
     differ = [key for key in SAME_HOST if old["host"].get(key) != new["host"].get(key)]
     if differ:
@@ -65,6 +67,7 @@ def compare(old: dict, new: dict) -> list[dict]:
     for key in shared:
         for split, old_spans, new_spans in _splits(old_configs[key], new_configs[key]):
             before, after = _p50s(old_spans), _p50s(new_spans)
+            repeats = {"old_n": old_spans["total"]["n"], "new_n": new_spans["total"]["n"]}
             control = after[CONTROL] / before[CONTROL]
             for phase in (p for p in before if p in after):
                 ratio = after[phase] / before[phase]
@@ -73,7 +76,7 @@ def compare(old: dict, new: dict) -> list[dict]:
                     verdict = "unresolved"
                 else:
                     verdict = "faster" if controlled < 1.0 else "slower"
-                rows.append({"config": key, "split": split, "phase": phase,
+                rows.append({"config": key, "split": split, "phase": phase, **repeats,
                              "old_ms": before[phase] / 1e3, "new_ms": after[phase] / 1e3,
                              "ratio": ratio, "controlled": controlled, "verdict": verdict})
     return rows
@@ -93,11 +96,12 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"bench_compare: {err}", file=sys.stderr)
         return 1
-    print(f"{'n x d, T':<16} {'selector':<18} {'split':<15} {'phase':<18} {'old p50':>9} "
-          f"{'new p50':>9} {'ratio':>7} {'ctrl':>7}  verdict")
+    print(f"{'n x d, T':<16} {'selector':<18} {'split':<15} {'n':>7} {'phase':<18} "
+          f"{'old p50':>9} {'new p50':>9} {'ratio':>7} {'ctrl':>7}  verdict")
     for row in rows:
         n, d, t, method = row["config"]
-        print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['split']:<15} {row['phase']:<18} "
+        repeats = f"{row['old_n']}/{row['new_n']}"
+        print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['split']:<15} {repeats:>7} {row['phase']:<18} "
               f"{row['old_ms']:>9.2f} {row['new_ms']:>9.2f} {row['ratio']:>7.3f} "
               f"{row['controlled']:>7.3f}  {row['verdict']}")
     return 0
