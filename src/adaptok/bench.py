@@ -112,7 +112,8 @@ def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0)
     input, so host drift falls on all of them alike.  ``configs`` holds one
     entry per (grid entry, selector), in that order.  Each span path gets
     percentiles over the ``n`` repeats that ran it (t_cov > 0 for a
-    selector's): ``total`` and ``phases`` pool every repeat, and
+    selector's; a split the entropy's bounds did not certify for
+    ``entropy/eigvalsh``): ``total`` and ``phases`` pool every repeat, and
     ``by_split`` holds the same over the repeats of each split kind that ran
     (``_split_kind``), so ``by_split[kind]["total"]["n"]`` counts them.  The
     selector does not change a repeat's split.  ``host`` is the

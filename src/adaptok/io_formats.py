@@ -6,13 +6,16 @@ payload whose byte length must match the header exactly.  Compute happens
 in float64; files stay float32, and both readers and writers reject a
 payload that is not finite in float32.
 
-Selection results serialize as versioned JSON (``schema: 2``) with sorted
+Selection results serialize as versioned JSON (``schema: 3``) with sorted
 keys, so a fixed input always produces byte-identical output; wall-clock
-timings are not part of it.  ``selection_results_equal`` compares two
-results' documents; ``==`` on results is identity.  The reader checks no
-field itself: it builds the result through its types, which check the
-facts they hold, then requires the text to be the bytes the built result
-writes back, so every stored copy of a derived value is checked.
+timings are not part of it.  Schema 3 adds the entropy's ``order``: 2 where
+the entropy's bounds certified the split and the document holds the
+Renyi-2 entropy, else 1; schemas 1 and 2 are refused.
+``selection_results_equal`` compares two results' documents; ``==`` on
+results is identity.  The reader checks no field itself: it builds the
+result through its types, which check the facts they hold, then requires
+the text to be the bytes the built result writes back, so every stored
+copy of a derived value is checked.
 """
 
 import dataclasses
@@ -41,7 +44,7 @@ SALIENCY_MAGIC = b"PSV1"
 
 _HEADER = struct.Struct("<4sII")
 
-RESULT_SCHEMA = 2
+RESULT_SCHEMA = 3
 
 
 def write_tokens(tokens, path) -> None:
@@ -153,7 +156,7 @@ def selection_result_from_json(text: str) -> SelectionResult:
     Only what some ``compress`` call could write loads; anything else raises
     FormatError.  The reader parses the JSON, checks the schema, and builds
     the result through ``CompressConfig(**config)``, ``EntropyReport(raw_entropy,
-    normalizer)`` and ``SelectionResult``, each of which checks the facts it
+    normalizer, order)`` and ``SelectionResult``, each of which checks the facts it
     holds.  The text must then be the bytes the result writes back, so a key
     a type defaults, a derived copy its rule does not give (the split, the
     normalized entropy, the labels), an unknown key, other spacing or another
@@ -174,7 +177,8 @@ def selection_result_from_json(text: str) -> SelectionResult:
             selected=doc["selected"],
             config=CompressConfig(**doc["config"]),
             forced_t_sal=doc["forced_t_sal"],
-            entropy=EntropyReport(doc["entropy"]["raw_entropy"], doc["entropy"]["normalizer"]),
+            entropy=EntropyReport(doc["entropy"]["raw_entropy"], doc["entropy"]["normalizer"],
+                                  doc["entropy"]["order"]),
             coverage_pick_order=doc["coverage_pick_order"],
             diagnostics=doc["diagnostics"],
         )

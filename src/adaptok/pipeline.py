@@ -13,7 +13,7 @@ import numpy as np
 
 from .budget import BudgetSplit, CompressConfig, allocate_budget
 from .errors import InvalidInputError
-from .prominence import EntropyReport, _spectral_entropy
+from .prominence import EntropyReport, _certifies, _spectral_entropy
 from .selection import _SELECTORS, DEFAULT_JITTER, _by_saliency, _pool_unit_kernel, saliency_topk
 from .tensor_core import _count, _real, _span, as_saliency_vector, as_token_matrix
 
@@ -34,13 +34,17 @@ class SelectionResult:
     ``timings_us`` are left out of serialization and equality, so both are bit-stable.
     ``==`` is identity; ``io_formats.selection_results_equal`` is equality.
     Built, it checks that ``compress`` could return it: ``forced_t_sal`` is None
-    or in [0, T]; ``selected`` is T strictly increasing nonnegative indices, the
-    pick order ``split.t_cov`` distinct ones of them; ``_check_diagnostics`` passes.
+    or in [0, T]; an order-2 entropy has no ``forced_t_sal`` and certifies the
+    split (``prominence._certifies``); ``selected`` is T strictly increasing
+    nonnegative indices, the pick order ``split.t_cov`` distinct ones of them;
+    ``_check_diagnostics`` passes.
     Both index sequences are stored as read-only int64 copies.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
-    ``entropy`` and ``entropy/{gram,eigvalsh}``, ``allocation``,
-    ``stage1``, ``stage2`` and ``stage2/pool`` (and, when ``t_cov > 0``,
-    ``stage2/{kernel,greedy}``), ``assemble``, ``diagnostics``.
+    ``entropy`` and ``entropy/gram``, then ``entropy/bounds`` when the
+    sigmoid allocated the split and ``entropy/eigvalsh`` unless the bounds
+    certified it (order 1), ``allocation``, ``stage1``, ``stage2`` and
+    ``stage2/pool`` (and, when ``t_cov > 0``, ``stage2/{kernel,greedy}``),
+    ``assemble``, ``diagnostics``.
     """
 
     selected: np.ndarray
@@ -59,6 +63,12 @@ class SelectionResult:
         if self.forced_t_sal is not None:
             forced = _count(self.forced_t_sal, "forced_t_sal", 0, T)
             object.__setattr__(self, "forced_t_sal", forced)
+        if self.entropy.order == 2 and (
+            self.forced_t_sal is not None or not _certifies(self.entropy, self.config)
+        ):
+            raise InvalidInputError(
+                "an order-2 entropy must certify the split, which must not be forced"
+            )
         selected = _indices(self.selected, "selected")
         order = _indices(self.coverage_pick_order, "coverage_pick_order")
         object.__setattr__(self, "selected", selected)
@@ -116,9 +126,11 @@ def compress(
     """Run the entropy-adaptive two-stage selection.
 
     With ``t_sal`` given, the split is forced to (t_sal, T - t_sal) for
-    fixed-allocation baselines: the entropy is still computed and reported,
-    but it does not influence the split.  ``t_sal`` must be a Python or
-    numpy integer in [0, T].
+    fixed-allocation baselines: the entropy is still computed and reported
+    (order 1), but it does not influence the split.  ``t_sal`` must be a
+    Python or numpy integer in [0, T].  Without it, the eigensolve runs only
+    where the entropy's bounds do not decide the split; where they do, the
+    result reports the order-2 entropy (see ``prominence``).
 
     E is validated once, here; at n < d, stage 2 and the diagnostics read
     their cosine kernels from the entropy's Gram E E^T (see ``selection``).
@@ -142,7 +154,7 @@ def compress(
                 t_sal = _count(t_sal, "t_sal", 0, T)
 
         with _span("entropy"):
-            entropy, G = _spectral_entropy(E)
+            entropy, G = _spectral_entropy(E, config if t_sal is None else None)
         with _span("allocation"):
             split = _split(entropy.normalized_entropy, config, t_sal)
         with _span("stage1"):

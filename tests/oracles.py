@@ -336,13 +336,19 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def span_paths(t_cov: int) -> set[str]:
+def span_paths(t_cov: int, forced: bool = False, certified: bool = False) -> set[str]:
     """The ``timings_us`` keys of a ``compress`` call, written out by hand:
-    the selector's own spans appear only when it runs (t_cov > 0)."""
+    the entropy's bounds are timed only when the split is not ``forced``, the
+    eigensolve only when they have not ``certified`` it (an order-2 entropy),
+    and the selector's own spans only when it runs (t_cov > 0)."""
     paths = {
-        "total", "validate", "entropy", "entropy/gram", "entropy/eigvalsh",
+        "total", "validate", "entropy", "entropy/gram",
         "allocation", "stage1", "stage2", "stage2/pool", "assemble", "diagnostics",
     }
+    if not forced:
+        paths.add("entropy/bounds")
+    if not certified:
+        paths.add("entropy/eigvalsh")
     if t_cov > 0:
         paths |= {"stage2/kernel", "stage2/greedy"}
     return paths

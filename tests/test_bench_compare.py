@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from adaptok.bench import run_bench
 from oracles import load_tool
 
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_skylakex-2cpu.json"
@@ -81,3 +82,29 @@ def test_each_split_kind_is_controlled_by_its_own_eigensolve():
     pooled = [row for row in load_tool("bench_compare").compare(old, new)
               if row["config"] == rows[0]["config"]]
     assert {row["split"] for row in pooled} == {"all"}
+
+
+def test_a_split_with_no_eigensolve_is_uncontrolled(tmp_path, capsys):
+    # at 128x32 the entropy's bounds certify every repeat's split, so no
+    # report of it times entropy/eigvalsh
+    report = run_bench([(128, 32, 16)], repeats=2)
+    assert all("entropy/eigvalsh" not in config["phases"] for config in report["configs"])
+    tool = load_tool("bench_compare")
+    rows = tool.compare(report, report)
+    assert rows and all(row["controlled"] is None and row["verdict"] == "uncontrolled"
+                        for row in rows)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(report))
+    assert tool.main([str(path), str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == len(rows)
+    assert all(line.endswith("      -  uncontrolled") for line in lines)
+    # a control missing from one report leaves only the splits it is missing from
+    old = json.loads(COMMITTED.read_text())
+    new = json.loads(COMMITTED.read_text())
+    del new["configs"][0]["phases"]["entropy/eigvalsh"]
+    rows = tool.compare(old, new)
+    assert {row["config"] for row in rows if row["verdict"] == "uncontrolled"} == {
+        rows[0]["config"]}
+    assert all(row["controlled"] is not None for row in rows
+               if row["config"] != rows[0]["config"])

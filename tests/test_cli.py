@@ -124,7 +124,7 @@ class TestCompressCommand:
         assert res.selected.size == 64
         (line,) = capsys.readouterr().err.splitlines()
         timings = json.loads(line)["timings_us"]
-        assert set(timings) == span_paths(res.split.t_cov)
+        assert set(timings) == span_paths(res.split.t_cov, certified=res.entropy.order == 2)
         assert list(timings) == sorted(timings)
 
     def test_output_is_byte_identical_across_runs(self, tmp_path):
@@ -239,14 +239,17 @@ class TestBenchCommand:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         cfg = doc["configs"][0]
-        assert span_paths(0) <= {"total", *cfg["phases"]} <= span_paths(1)
+        # at 128x32 every split is coverage-heavy, and the entropy's bounds
+        # certify it, so no eigensolve runs
+        assert {"total", *cfg["phases"]} == span_paths(1, certified=True)
         # every span runs inside its call
         assert all(p["max_us"] <= cfg["total"]["max_us"] for p in cfg["phases"].values())
         # each path counts the repeats it was recorded in; the selector's
         # spans are missing from a repeat whose split has t_cov == 0
         assert cfg["total"]["n"] == 2
         assert all(1 <= p["n"] <= 2 for p in cfg["phases"].values())
-        assert all(cfg["phases"][path]["n"] == 2 for path in span_paths(0) - {"total"})
+        assert all(cfg["phases"][path]["n"] == 2
+                   for path in span_paths(0, certified=True) - {"total"})
         # at 128x32 every repeat is coverage-heavy, so that kind's spans are the pooled ones
         assert cfg["by_split"] == {
             "coverage_heavy": {"total": cfg["total"], "phases": cfg["phases"]}}

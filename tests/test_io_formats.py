@@ -224,6 +224,30 @@ def _raw_entropy_beyond_normalizer(doc):
     doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 1.0
 
 
+def _order_two_inside_the_band(doc):
+    # on an allocated document, which its order-2 bounds certify: a raw
+    # entropy at mu, whose bounds straddle a step of the split
+    assert doc["entropy"]["order"] == 2
+    doc["entropy"]["raw_entropy"] = 0.42 * doc["entropy"]["normalizer"]
+
+
+def _order_two_forced(doc):
+    # a forced split never skips the eigensolve
+    doc["entropy"]["order"] = 2
+
+
+def _order_three(doc):
+    doc["entropy"]["order"] = 3
+
+
+def _string_order(doc):
+    doc["entropy"]["order"] = "2"
+
+
+def _true_order(doc):
+    doc["entropy"]["order"] = True
+
+
 def _coverage_ratio_five(doc):
     doc["coverage_ratio"] = 5
 
@@ -320,7 +344,7 @@ def _string_mu(doc):
 
 
 # edits made to the allocated document; the others edit the forced one
-_ON_ALLOCATED = {_coverage_ratio_one_ulp}
+_ON_ALLOCATED = {_coverage_ratio_one_ulp, _order_two_inside_the_band}
 
 
 # each edit with the part of the error message that names its check
@@ -343,6 +367,11 @@ _BROKEN = [
     (_negative_normalizer, "normalizer must be nonnegative"),
     (_entropy_not_normalized, "write back"),
     (_raw_entropy_beyond_normalizer, "malformed: raw_entropy .* exceeds its normalizer"),
+    (_order_two_inside_the_band, "malformed: an order-2 entropy must certify the split"),
+    (_order_two_forced, "malformed: an order-2 entropy must certify the split"),
+    (_order_three, "malformed: order must be <= 2"),
+    (_string_order, "malformed: order: expected an integer"),
+    (_true_order, "malformed: order: expected an integer"),
     (_coverage_ratio_five, "write back"),
     (_negative_coverage_ratio, "write back"),
     (_empty_diagnostics, "diagnostics keys"),
@@ -423,14 +452,15 @@ class TestSelectionResultJson:
 
     def test_schema_field_present(self):
         doc = json.loads(selection_result_to_json(self._result()))
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
+        assert doc["entropy"]["order"] in (1, 2)
         assert doc["t_sal"] + doc["t_cov"] == 12
         assert doc["selected"] == sorted(doc["selected"])
         assert set(doc["stage_of"]) <= {"saliency", "coverage"}
 
     def test_rejects_wrong_schema(self):
         text = selection_result_to_json(self._result())
-        wrong = [text.replace('"schema": 2', f'"schema": {value}') for value in (1, "true")]
+        wrong = [text.replace('"schema": 3', f'"schema": {value}') for value in (1, 2, "true")]
         for doc in (*wrong, "[1]", "null"):  # the last two have no schema field at all
             with pytest.raises(FormatError):
                 selection_result_from_json(doc)
@@ -493,7 +523,7 @@ class TestSelectionResultJson:
 
     @pytest.mark.parametrize(
         "old, new",
-        [('"schema": 2,', '"schema": 2.0,'),
+        [('"schema": 3,', '"schema": 3.0,'),
          ('"mu": 0.42,', '"mu": 4.2e-1,'),
          ('"coverage_logdet": 0.0,', '"coverage_logdet": 0,'),
          (None, None)],

@@ -14,6 +14,7 @@ from adaptok import (
     AdaptokError,
     CompressConfig,
     DegenerateInputError,
+    allocate_budget,
     compress,
     saliency_topk,
     selection_result_to_json,
@@ -21,7 +22,8 @@ from adaptok import (
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.tensor_core import _SPANS
+from adaptok.prominence import _entropy_bounds, _renyi2_report
+from adaptok.tensor_core import _SPANS, _gram
 
 CLIP = dict(mu=0.42, tau=0.02)
 
@@ -247,6 +249,36 @@ class TestForcedSplit:
             assert f.diagnostics == r.diagnostics
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
+    def test_a_certified_split_is_the_exact_one(self, method):
+        # over the synth and vit_tokens grids, the exact entropy lies within
+        # every input's order-2 bounds, every split is the one it allocates,
+        # and a certified result picks what the split forced at it picks
+        inputs = [synth_tokens(n, d, k, noise, 0)
+                  for n, d in ((96, 64), (64, 96), (200, 32)) for k in (1, 2, 4, 8, 16, 32)
+                  for noise in (0.0, 1e-3, 5e-2)]
+        inputs += [vit_tokens(96, 64, alpha, outliers, 0)
+                   for alpha in (0.25, 0.5, 0.75, 1.0) for outliers in (0, 4, 12)]
+        config = CompressConfig(total_budget=16, diversity_method=method)
+        certified = 0
+        for tokens, sal in inputs:
+            exact = spectral_entropy(tokens)  # the public entropy keeps the eigensolve
+            assert exact.order == 1
+            low, high = _entropy_bounds(_renyi2_report(_gram(tokens), tokens.size))
+            assert low <= exact.normalized_entropy <= high
+            t_sal = allocate_budget(exact.normalized_entropy, config).t_sal
+            res = compress(tokens, sal, config)
+            assert res.split.t_sal == t_sal
+            if res.entropy.order == 1:
+                assert res.entropy == exact
+                continue
+            certified += 1
+            forced = compress(tokens, sal, config, t_sal=t_sal)
+            np.testing.assert_array_equal(res.selected, forced.selected)
+            np.testing.assert_array_equal(res.coverage_pick_order, forced.coverage_pick_order)
+            assert res.diagnostics == forced.diagnostics
+        assert 0 < certified < len(inputs)
+
+    @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize(
         "n, d, k_dir, seed, T",
         # the second is a corpus input on which facility location's last
@@ -396,7 +428,8 @@ class TestTimings:
         tokens, sal = _instance()
         config = CompressConfig(total_budget=12, diversity_method=method, **CLIP)
         res = compress(tokens, sal, config, t_sal=t_sal)
-        assert set(res.timings_us) == span_paths(res.split.t_cov)
+        certified = res.entropy.order == 2
+        assert set(res.timings_us) == span_paths(res.split.t_cov, t_sal is not None, certified)
         assert all(us >= 0.0 for us in res.timings_us.values())
         _assert_nested(res.timings_us)
 
@@ -429,13 +462,14 @@ class TestTimings:
         assert _SPANS.get() is None
         tokens, sal = _instance()
         res = compress(tokens, sal, CompressConfig(total_budget=12, **CLIP), t_sal=12)
-        assert set(res.timings_us) == span_paths(0)
+        assert set(res.timings_us) == span_paths(0, forced=True)
         _assert_nested(res.timings_us)
 
     def test_concurrent_calls_keep_their_own_timings(self):
         # one thread never runs a selector and the other always does, so a
         # recording shared between them leaks stage-2 paths into the first
-        jobs = {"saliency-only": (12, span_paths(0)), "coverage": (2, span_paths(10))}
+        jobs = {"saliency-only": (12, span_paths(0, forced=True)),
+                "coverage": (2, span_paths(10, forced=True))}
         tokens, sal = _instance()
         config = CompressConfig(total_budget=12, **CLIP)
         barrier = threading.Barrier(len(jobs))

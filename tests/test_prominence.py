@@ -11,13 +11,22 @@ from oracles import (
 )
 
 from adaptok import (
+    CompressConfig,
     DegenerateInputError,
     EntropyReport,
     InvalidInputError,
+    allocate_budget,
+    compress,
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.prominence import _spectral_entropy
+from adaptok.prominence import (
+    RENYI2_SLACK,
+    _certifies,
+    _entropy_bounds,
+    _renyi2_report,
+    _spectral_entropy,
+)
 from adaptok.tensor_core import _gram
 
 
@@ -150,13 +159,94 @@ class TestEntropyReport:
         with pytest.raises(InvalidInputError, match=field):
             EntropyReport(**{"raw_entropy": 0.5, "normalizer": 1.0, field: bad})
 
-    def test_takes_two_facts_and_keeps_three_keys(self):
+    def test_takes_three_facts_and_keeps_four_keys(self):
         report = EntropyReport(0.5, 1.0)
         assert dataclasses.asdict(report) == {
-            "raw_entropy": 0.5, "normalizer": 1.0, "normalized_entropy": 0.5
+            "raw_entropy": 0.5, "normalizer": 1.0, "order": 1, "normalized_entropy": 0.5
         }
+        assert EntropyReport(0.5, 1.0, 2).order == 2
         with pytest.raises(TypeError):
-            EntropyReport(0.5, 0.5, 1.0)
+            EntropyReport(0.5, 0.5, 1, 1.0)
+
+
+def _band_edges(config):
+    # the entropies below which the sigmoid's split is saliency-only
+    # (t_cov 0), and above which it is coverage-saturated (t_cov T - 1)
+    spread = config.tau * math.log(config.total_budget - 1)
+    return config.mu - spread, config.mu + spread
+
+
+def _order2_report(low=None, high=None, atoms=64):
+    """An order-2 report over ``atoms`` whose ``_entropy_bounds`` start at
+    ``low``, or end at ``high``."""
+    normalizer = float(np.log(atoms))
+    if low is not None:
+        return EntropyReport(low * normalizer + math.log1p(RENYI2_SLACK), normalizer, 2)
+    below, above = 0.0, normalizer  # the upper bound grows with the raw entropy
+    for _ in range(100):
+        mid = (below + above) / 2
+        if _entropy_bounds(EntropyReport(mid, normalizer, 2))[1] < high:
+            below = mid
+        else:
+            above = mid
+    return EntropyReport(below, normalizer, 2)
+
+
+class TestRenyi2Certificate:
+    @pytest.mark.parametrize("T", [16, 64, 320])
+    @pytest.mark.parametrize(
+        "edge, offset, certified",
+        [("low", -1e-3, True), ("low", 1e-3, False), ("high", 1e-3, True),
+         ("high", -1e-3, False)],
+        ids=["below-low-edge", "across-low-edge", "above-high-edge", "across-high-edge"],
+    )
+    def test_certifies_only_bounds_on_one_side_of_a_band_edge(self, T, edge, offset, certified):
+        # the upper bound near the low edge, or the lower bound near the high one
+        config = CompressConfig(total_budget=T)
+        low_edge, high_edge = _band_edges(config)
+        if edge == "low":
+            report = _order2_report(high=low_edge + offset)
+        else:
+            report = _order2_report(low=high_edge + offset)
+        low, high = _entropy_bounds(report)
+        assert low <= report.normalized_entropy <= high
+        assert (low < (low_edge if edge == "low" else high_edge) < high) == (not certified)
+        assert _certifies(report, config) == certified
+        if certified:
+            split = allocate_budget(report.normalized_entropy, config)
+            assert split.t_cov == (0 if edge == "low" else T - 1)
+
+    @pytest.mark.parametrize(
+        "report",
+        [EntropyReport(0.0, 0.0, 2), EntropyReport(0.0, float(np.log(2**14 + 1)), 2)],
+        ids=["one-atom", "beyond-the-slack-rank"],
+    )
+    def test_certifies_nothing_without_bounds(self, report):
+        assert _entropy_bounds(report) is None
+        assert not _certifies(report, CompressConfig(total_budget=1))
+
+    @pytest.mark.parametrize(
+        "tokens, refused",
+        [(np.ones((6, 1)), False),
+         (np.array([[1e200, 0.0], [0.0, 1.0]]), True),
+         (np.diag([1e154, 1e150]), False),
+         (synth_tokens(48, 16, 1, 1e-3, 0)[0] * 1e-160, False),
+         (np.zeros((4, 3)), True)],
+        ids=["one-atom", "gram-overflows", "squares-overflow", "subnormal-gram", "zero"],
+    )
+    def test_takes_the_eigensolve_where_the_slack_does_not_cover_the_bounds(
+        self, tokens, refused
+    ):
+        # the eigensolve refuses a Gram that overflows and one with no mass
+        assert _renyi2_report(_gram(tokens), tokens.size) is None
+        saliency = np.arange(tokens.shape[0], dtype=float)
+        if refused:
+            with pytest.raises(DegenerateInputError):
+                compress(tokens, saliency, CompressConfig(total_budget=1))
+            return
+        result = compress(tokens, saliency, CompressConfig(total_budget=1))
+        assert result.entropy == spectral_entropy(tokens)
+        assert "entropy/eigvalsh" in result.timings_us
 
 
 class TestFeatureNormEntropyOracle:

@@ -1,4 +1,5 @@
-"""Property tests: any finite input gives a result or an ``AdaptokError``.
+"""Property tests: any finite input gives a result or an ``AdaptokError``,
+and an allocated split is the one the exact spectral entropy gives.
 
 Hypothesis draws the inputs, derandomized so every run with the same
 Hypothesis version (pinned in pyproject's ``test`` extra) tries the same
@@ -18,10 +19,12 @@ from adaptok import (  # noqa: E402
     DIVERSITY_METHODS,
     AdaptokError,
     CompressConfig,
+    allocate_budget,
     compress,
     reduce_head_attention,
     selection_result_from_json,
     selection_result_to_json,
+    spectral_entropy,
 )
 
 # every finite float64, subnormals, signed zeros and values near +-1.8e308
@@ -57,6 +60,9 @@ def test_compress_gives_a_result_that_reads_back_or_an_adaptok_error(inputs):
             continue
         text = selection_result_to_json(result)
         assert selection_result_to_json(selection_result_from_json(text)) == text
+        if t_sal is None:  # the split is the exact entropy's, whether or not the bounds decided it
+            exact = allocate_budget(spectral_entropy(tokens).normalized_entropy, config)
+            assert (result.split.t_sal, result.split.t_cov) == (exact.t_sal, exact.t_cov)
 
 
 @PROPERTY

@@ -191,6 +191,9 @@ _COUNT_ENTRIES = [
            _E, _S, CompressConfig(total_budget=v, diversity_method=method), t_sal=0),
        "total_budget", 1, 10, "invalid-budget")
       for method in DIVERSITY_METHODS],
+    # 1 for the Shannon entropy, 2 for the Renyi-2 entropy of a certified split
+    ("EntropyReport.order", lambda v: EntropyReport(0.0, 1.0, v), "order", 1, 2,
+     "invalid-input"),
     ("BudgetSplit.t_sal", lambda v: BudgetSplit(v, 9, 0.5, 0.75), "t_sal", 0, None,
      "invalid-budget"),
     ("BudgetSplit.t_cov", lambda v: BudgetSplit(3, v, 0.5, 0.75), "t_cov", 0, None,

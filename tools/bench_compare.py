@@ -13,7 +13,10 @@ its own rows, controlled by that kind's own ``entropy/eigvalsh`` ratio, so
 a change at one end of the split shows apart from the other.  The control
 is imperfect: memory-bound phases and the eigensolve drift by different
 amounts, so a controlled ratio within ``UNRESOLVED`` of 1 prints
-``unresolved`` instead of a gain or a loss.
+``unresolved`` instead of a gain or a loss.  A split in which either report
+ran no eigensolve (``compress`` skips it where the entropy's bounds decide
+the split) has no control: its rows print ``uncontrolled`` and no
+controlled ratio.
 
 Two reports whose hosts differ in any of ``SAME_HOST``, or that share no
 (grid entry, selector), are refused (exit 1): their timings do not compare.
@@ -53,8 +56,9 @@ def compare(old: dict, new: dict) -> list[dict]:
     """One row per (grid entry, selector, split, phase) in both reports: the
     p50s, ``old_n`` and ``new_n`` (the repeats that split's p50s rest on),
     ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio in the
-    same split) and ``verdict``.  Raises ValueError on reports from
-    different hosts, or with no (grid entry, selector) in common."""
+    same split, or None where either report lacks the control) and
+    ``verdict``.  Raises ValueError on reports from different hosts, or with
+    no (grid entry, selector) in common."""
     differ = [key for key in SAME_HOST if old["host"].get(key) != new["host"].get(key)]
     if differ:
         raise ValueError("the reports' hosts differ in " + ", ".join(
@@ -68,11 +72,14 @@ def compare(old: dict, new: dict) -> list[dict]:
         for split, old_spans, new_spans in _splits(old_configs[key], new_configs[key]):
             before, after = _p50s(old_spans), _p50s(new_spans)
             repeats = {"old_n": old_spans["total"]["n"], "new_n": new_spans["total"]["n"]}
-            control = after[CONTROL] / before[CONTROL]
+            control = (after[CONTROL] / before[CONTROL]
+                       if CONTROL in before and CONTROL in after else None)
             for phase in (p for p in before if p in after):
                 ratio = after[phase] / before[phase]
-                controlled = ratio / control
-                if abs(controlled - 1.0) <= UNRESOLVED:
+                controlled = None if control is None else ratio / control
+                if controlled is None:
+                    verdict = "uncontrolled"
+                elif abs(controlled - 1.0) <= UNRESOLVED:
                     verdict = "unresolved"
                 else:
                     verdict = "faster" if controlled < 1.0 else "slower"
@@ -101,9 +108,10 @@ def main(argv=None) -> int:
     for row in rows:
         n, d, t, method = row["config"]
         repeats = f"{row['old_n']}/{row['new_n']}"
+        controlled = "-" if row["controlled"] is None else f"{row['controlled']:.3f}"
         print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['split']:<15} {repeats:>7} {row['phase']:<18} "
               f"{row['old_ms']:>9.2f} {row['new_ms']:>9.2f} {row['ratio']:>7.3f} "
-              f"{row['controlled']:>7.3f}  {row['verdict']}")
+              f"{controlled:>7}  {row['verdict']}")
     return 0
 
 
