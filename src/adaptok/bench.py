@@ -98,9 +98,12 @@ def host_fingerprint() -> dict:
     }
 
 
-def run_bench(grid: list[tuple[int, int, int]], repeats: int = 5, seed: int = 0) -> dict:
+def run_bench(
+    grid=((576, 1024, 64), (576, 1024, 128)), repeats: int = 5, seed: int = 0
+) -> dict:
     """Time ``compress`` with each selector over each (n_tokens, dim, budget).
 
+    The default grid is the paper's CLIP shape at T = 64 and 128.
     Every selector runs at ``CompressConfig``'s default mu and tau.  Each
     grid entry gets one untimed warmup, then ``repeats`` timed runs on
     per-repeat sub-seeded data, whose k_directions cycles through

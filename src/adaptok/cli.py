@@ -5,9 +5,9 @@ Subcommands: entropy, allocate, compress, synth, bench, flops.
 deriving it from the entropy.  ``--mu NAME|NUMBER`` takes a preset name or a
 number, and ``--diversity`` a name of ``DIVERSITY_METHODS``.  A flag left out
 keeps the callee's default: ``CompressConfig``'s for a setting, and
-``run_bench``'s for ``bench``'s ``--repeats`` and ``--seed``.  ``bench`` takes
-no setting flag: it times every stage-2 selector at the default mu and tau,
-and records the host it ran on.  Primary outputs are canonical JSON
+``run_bench``'s for ``bench``'s ``--grid``, ``--repeats`` and ``--seed``.
+``bench`` takes no setting flag: it times every stage-2 selector at the
+default mu and tau, and records the host it ran on.  Primary outputs are canonical JSON
 (byte-identical for fixed seeds and inputs).  Wall-clock span timings of
 ``compress`` land on stderr as one JSON line ``{"timings_us": {...}}``,
 keyed by span path (``total``, ``entropy/gram``, ``stage2/greedy``, ...).
@@ -18,6 +18,7 @@ that does not parse gets argparse's usage message and exit code 2.
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -43,9 +44,6 @@ from .prominence import spectral_entropy
 from .selection import reduce_head_attention
 from .synth import synth_tokens
 from .tensor_core import _count
-
-_DEFAULT_GRID = ["576x1024x64", "576x1024x128"]  # the paper's CLIP shape at T = 64 and 128
-
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
@@ -109,9 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="latency percentiles of every selector over (N,d,T) grids")
+    default_grid = inspect.signature(run_bench).parameters["grid"].default
     p.add_argument("--grid", action="append", default=None, metavar="NxDxT",
                    help="configuration like 576x1024x64 (repeatable; default: "
-                        f"{' and '.join(_DEFAULT_GRID)})")
+                        f"{' and '.join('x'.join(map(str, e)) for e in default_grid)})")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -177,9 +176,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
+def _parse_grid(specs: list[str]) -> list[tuple[int, int, int]]:
     grid = []
-    for spec in specs or _DEFAULT_GRID:
+    for spec in specs:
         try:
             n, d, t = (int(p) for p in spec.lower().split("x"))
         except ValueError:
@@ -191,7 +190,10 @@ def _parse_grid(specs: list[str] | None) -> list[tuple[int, int, int]]:
 
 
 def _cmd_bench(args) -> int:
-    report = run_bench(_parse_grid(args.grid), **_given(args, "repeats", "seed"))
+    given = _given(args, "grid", "repeats", "seed")
+    if "grid" in given:
+        given["grid"] = _parse_grid(given["grid"])
+    report = run_bench(**given)
     _emit(_canonical_json(report), args.out)
     return 0
 

@@ -109,19 +109,16 @@ def _read_binary(path, magic: bytes, kind: str) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: header declares empty {kind} matrix {rows}x{cols}")
     expected = 4 * rows * cols
-    payload = data[_HEADER.size:]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise TrailingDataError(
-            f"{path}: {len(payload) - expected} trailing bytes after the payload"
-        )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
+    size = len(data) - _HEADER.size
+    if size < expected:
+        raise TruncatedPayloadError(f"{path}: payload has {size} bytes, expected {expected}")
+    if size > expected:
+        raise TrailingDataError(f"{path}: {size - expected} trailing bytes after the payload")
+    # read in place past the header; a float32 is finite exactly when its float64 cast is
+    payload = np.frombuffer(data, "<f4", rows * cols, _HEADER.size)
+    if not np.all(np.isfinite(payload)):
         raise NonFiniteValueError(f"{path}: {kind} payload contains non-finite floats")
-    return arr
+    return payload.reshape(rows, cols).astype(np.float64)
 
 
 def selection_result_to_json(result: SelectionResult) -> str:

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles, the
 token kinds (``kind_tokens``) that criterion 6 and facility location's
 tests draw, a generator with a power-law spectrum and high-norm tokens
-(``vit_tokens``), and ``load_tool``, which loads a script of ``tools/``.
+(``vit_tokens``), the values that are not counts or reals (``NOT_COUNTS``,
+``NOT_REALS``) that the boundary tables and the result reader's field test
+share, and ``load_tool``, which loads a script of ``tools/``.
 
 Everything here is deliberately naive (plain loops, direct formulas,
 full SVD, full determinants).  The greedy oracles that a test compares
@@ -97,6 +99,19 @@ def topk_by_sort(scores, k: int) -> list[int]:
 
 
 # the input kinds criterion 6 cycles through, which facility location's tests reuse
+# values that are not counts; None is one only where it asks for a default
+NOT_COUNTS = {"fraction": 1.5, "bool": True, "numpy-bool": np.True_, "float": 2.0,
+              "numpy-float": np.float64(2.0), "numeric-str": "2", "none": None}
+# values that are not finite real numbers
+NOT_REALS = {
+    "numeric-str": "0.5", "str": "x", "none": None, "bool": True, "numpy-bool": np.False_,
+    "complex": 0.5 + 0j, "nan": np.nan, "inf": np.inf, "huge-int": 10**400,
+    "timedelta": np.timedelta64(1, "s"), "0d-bool": np.array(True),
+    "0d-complex": np.array(0.5 + 0j), "0d-object": np.array(0.5, dtype=object),
+    "0d-str": np.array("0.5"), "0d-nan": np.array(np.nan), "0d-inf": np.array(np.inf),
+    "1d": np.array([0.5]),
+}
+
 TOKEN_KINDS = ("generic", "duplicates", "zero_rows", "concentrated", "spread")
 
 

@@ -62,7 +62,7 @@ class TestCompressConfig:
         assert cfg.diversity_method == "dpp"
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^unknown diversity method 'kmeans'"):
             CompressConfig(total_budget=8, diversity_method="kmeans")
 
     def test_numpy_integer_budget_stored_as_int(self):

@@ -3,9 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import NOT_COUNTS, NOT_REALS
 
 from adaptok import (
-    DIVERSITY_METHODS,
+    AdaptokError,
     BadMagicError,
     CompressConfig,
     FormatError,
@@ -145,8 +146,39 @@ def _text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _set(doc, field: str, value) -> None:
+    # field: a key path such as "entropy.order"
+    *parents, name = field.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[name] = value
+
+
+# every document field that a type checks as a count or a real; a value that
+# is neither (oracles' NOT_COUNTS and NOT_REALS, the boundary tables' values)
+# must reach the caller as the type's own refusal, so the reader coerces none
+_TYPED_FIELDS = {"config.total_budget": NOT_COUNTS, "entropy.order": NOT_COUNTS,
+                 "forced_t_sal": NOT_COUNTS, "config.mu": NOT_REALS, "config.tau": NOT_REALS,
+                 "entropy.raw_entropy": NOT_REALS, "entropy.normalizer": NOT_REALS}
+
+
+def _untyped_field_values():
+    # the values a JSON document holds; a null forced_t_sal is the allocated split
+    for field, values in _TYPED_FIELDS.items():
+        for label, value in values.items():
+            if type(value) in (bool, int, float, str) or (value is None
+                                                          and field != "forced_t_sal"):
+                yield pytest.param(field, value, id=f"{field}-{label}")
+
+
 # Edits that turn a compress result document into one no compress call
-# writes; the forced split (t_sal=5 of 12) has picks of both stages.
+# writes; the forced split (t_sal=5 of 12) of 40 tokens has picks of both
+# stages.  A refusal of a CompressConfig or EntropyReport field is a row of
+# that type's own table (_COUNT_ENTRIES and _REAL_ENTRIES in
+# test_tensor_core.py, TestEntropyReport, test_budget.py's unknown method);
+# a field of the wrong type reaches the reader's caller in
+# test_a_field_of_the_wrong_type_is_the_types_refusal, and
+# _raw_entropy_beyond_normalizer alone shows a range refusal doing so.
 def _unknown_label(doc):
     doc["stage_of"][0] = "random"
 
@@ -184,6 +216,14 @@ def _saliency_in_pick_order(doc):
     doc["coverage_pick_order"][0] = doc["selected"][doc["stage_of"].index("saliency")]
 
 
+def _pick_order_outside_selected(doc):
+    doc["coverage_pick_order"][0] = min(set(range(40)) - set(doc["selected"]))
+
+
+def _scalar_selected(doc):
+    doc["selected"] = doc["selected"][0]
+
+
 def _negative_t_sal(doc):
     doc["t_sal"] = -1
 
@@ -204,22 +244,15 @@ def _split_entropy_differs(doc):
     doc["normalized_entropy"] /= 2
 
 
-def _negative_raw_entropy(doc):
-    doc["entropy"]["raw_entropy"] = -1.0
-
-
-def _negative_normalizer(doc):
-    doc["entropy"]["normalizer"] = -doc["entropy"]["normalizer"]
-
-
 def _entropy_not_normalized(doc):
     # both copies agree, but neither is raw_entropy / normalizer
     doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 0.5
 
 
 def _raw_entropy_beyond_normalizer(doc):
-    # every derived copy agrees with the cap at 1, but no support of size
-    # e^normalizer has this entropy
+    # EntropyReport's refusal reaches the caller as a FormatError with its
+    # message: every derived copy agrees with the cap at 1, but no support of
+    # size e^normalizer has this entropy
     doc["entropy"]["raw_entropy"] = 1.5 * doc["entropy"]["normalizer"]
     doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 1.0
 
@@ -234,18 +267,6 @@ def _order_two_inside_the_band(doc):
 def _order_two_forced(doc):
     # a forced split never skips the eigensolve
     doc["entropy"]["order"] = 2
-
-
-def _order_three(doc):
-    doc["entropy"]["order"] = 3
-
-
-def _string_order(doc):
-    doc["entropy"]["order"] = "2"
-
-
-def _true_order(doc):
-    doc["entropy"]["order"] = True
 
 
 def _coverage_ratio_five(doc):
@@ -266,14 +287,6 @@ def _unknown_diagnostic(doc):
 
 def _no_min_distance(doc):
     del doc["diagnostics"]["min_pairwise_cosine_distance"]
-
-
-def _min_distance_beyond_two(doc):
-    doc["diagnostics"]["min_pairwise_cosine_distance"] = 7.5
-
-
-def _negative_min_distance(doc):
-    doc["diagnostics"]["min_pairwise_cosine_distance"] = -0.5
 
 
 def _fractional_fallback(doc):
@@ -306,14 +319,6 @@ def _forced_t_sal_beyond_budget(doc):
     doc["forced_t_sal"] = 13
 
 
-def _forced_t_sal_true(doc):
-    doc["forced_t_sal"] = True
-
-
-def _unknown_method(doc):
-    doc["config"]["diversity_method"] = "random"
-
-
 def _budget_eleven(doc):
     doc["config"]["total_budget"] = 11
 
@@ -331,18 +336,6 @@ def _config_extra_key(doc):
     doc["config"]["seed"] = 0
 
 
-def _float_budget(doc):
-    doc["config"]["total_budget"] = 12.0
-
-
-def _true_budget(doc):
-    doc["config"]["total_budget"] = True
-
-
-def _string_mu(doc):
-    doc["config"]["mu"] = "0.42"
-
-
 # edits made to the allocated document; the others edit the forced one
 _ON_ALLOCATED = {_coverage_ratio_one_ulp, _order_two_inside_the_band}
 
@@ -358,27 +351,22 @@ _BROKEN = [
     (_saliency_relabelled, "write back"),
     (_pick_order_short, "permutation"),
     (_saliency_in_pick_order, "write back"),
+    (_pick_order_outside_selected, "permutation"),
+    (_scalar_selected, "malformed: selected must be a sequence of int64 indices"),
     (_negative_t_sal, "write back"),
     (_diagnostics_list, "malformed: diagnostics must be a dict"),
     (_unknown_key, "write back"),
     (_unknown_entropy_key, "write back"),
     (_split_entropy_differs, "write back"),
-    (_negative_raw_entropy, "raw_entropy must be nonnegative"),
-    (_negative_normalizer, "normalizer must be nonnegative"),
     (_entropy_not_normalized, "write back"),
     (_raw_entropy_beyond_normalizer, "malformed: raw_entropy .* exceeds its normalizer"),
     (_order_two_inside_the_band, "malformed: an order-2 entropy must certify the split"),
     (_order_two_forced, "malformed: an order-2 entropy must certify the split"),
-    (_order_three, "malformed: order must be <= 2"),
-    (_string_order, "malformed: order: expected an integer"),
-    (_true_order, "malformed: order: expected an integer"),
     (_coverage_ratio_five, "write back"),
     (_negative_coverage_ratio, "write back"),
     (_empty_diagnostics, "diagnostics keys"),
     (_unknown_diagnostic, "diagnostics keys"),
     (_no_min_distance, "diagnostics keys"),
-    (_min_distance_beyond_two, "outside \\[0, 2\\]"),
-    (_negative_min_distance, "outside \\[0, 2\\]"),
     (_fractional_fallback, "not an integer"),
     (_negative_fallback, "not an integer"),
     (_fallback_beyond_t_cov, "not an integer"),
@@ -386,15 +374,10 @@ _BROKEN = [
     (_coverage_ratio_one_ulp, "write back"),
     (_forced_t_sal_four, "permutation"),
     (_forced_t_sal_beyond_budget, "forced_t_sal must be <= 12"),
-    (_forced_t_sal_true, "forced_t_sal: expected an integer"),
-    (_unknown_method, "unknown diversity method"),
     (_budget_eleven, "total_budget entries"),
     (_no_config, "malformed: 'config'"),
     (_config_without_tau, "write back"),
     (_config_extra_key, "malformed: .*'seed'"),
-    (_float_budget, "malformed: total_budget: expected an integer"),
-    (_true_budget, "malformed: total_budget: expected an integer"),
-    (_string_mu, "malformed: mu: expected a finite real number"),
 ]
 
 
@@ -409,19 +392,8 @@ class TestSelectionResultJson:
         assert selection_results_equal(res, back)
         assert back.timings_us == {}
         assert back.config == res.config and back.forced_t_sal is None
-        # every selector and split reads back equal, to the same bytes, with
-        # the Gram taken as E^T E (n >= d) and as E E^T (n < d)
-        for n, d, k, seed in ((48, 12, 3, 6), (24, 40, 6, 3)):
-            tokens, sal = synth_tokens(n, d, k, 1e-3, seed)
-            for method in DIVERSITY_METHODS:
-                cfg = CompressConfig(total_budget=12, diversity_method=method)
-                for t_sal in (None, 0, 5, 12):
-                    res = compress(tokens, sal, cfg, t_sal=t_sal)
-                    text = selection_result_to_json(res)
-                    back = selection_result_from_json(text)
-                    assert selection_results_equal(res, back)
-                    assert selection_result_to_json(back) == text
-                    assert back.config == cfg and back.forced_t_sal == t_sal
+        # every selector, split and shape reads back to the same bytes in the
+        # canonical corpus (test_tensor_core's test_corpus_tool_runs_its_whole_corpus)
         # exact duplicates write a distance just below 0, and antiparallel
         # rows exactly 2: both are values compress writes, so both load
         tokens, sal = synth_tokens(24, 8, 2, 1e-3, 0)
@@ -491,20 +463,37 @@ class TestSelectionResultJson:
         assert info.value.category == "format-error"
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("t_sal", 1.7), ("t_cov", 8.5), ("t_sal", 2.0), ("t_sal", "3"),
-         ("selected", 12.5), ("coverage_pick_order", 3.5), ("selected", 2**70)],
+        "field, value, message",
+        [("t_sal", 1.7, "write back"), ("t_cov", 8.5, "write back"),
+         ("t_sal", 2.0, "write back"), ("t_sal", "3", "write back"),
+         ("selected", 12.5, "selected: expected an integer"),
+         ("coverage_pick_order", 3.5, "coverage_pick_order: expected an integer"),
+         ("coverage_pick_order", True, "coverage_pick_order: expected an integer"),
+         ("selected", 2**70, "selected must be a sequence of int64 indices")],
     )
-    def test_rejects_non_integer_counts_and_indices(self, field, value):
+    def test_rejects_non_integer_counts_and_indices(self, field, value, message):
         # int(1.7) or an int64 cast would truncate these silently
         doc = json.loads(selection_result_to_json(self._result()))
         if isinstance(doc[field], list):
             doc[field][-1] = value
         else:
             doc[field] = value
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(FormatError, match=message) as info:
             selection_result_from_json(_text(doc))
         assert info.value.category == "format-error"
+
+    @pytest.mark.parametrize("field, value", _untyped_field_values())
+    def test_a_field_of_the_wrong_type_is_the_types_refusal(self, field, value):
+        tokens, sal = synth_tokens(40, 8, 3, 1e-3, 0)
+        doc = json.loads(selection_result_to_json(compress(tokens, sal, CompressConfig(12),
+                                                           t_sal=5)))
+        _set(doc, field, value)
+        name = field.rsplit(".", 1)[-1]
+        with pytest.raises(FormatError, match=rf"^selection result document is malformed: "
+                                              rf"{name}: ") as info:
+            selection_result_from_json(_text(doc))
+        assert info.value.category == "format-error"
+        assert isinstance(info.value.__cause__, AdaptokError)
 
     @pytest.mark.parametrize(
         "mutate, message", _BROKEN, ids=[mutate.__name__.strip("_") for mutate, _ in _BROKEN]
@@ -573,19 +562,13 @@ class TestSelectionResultJson:
         [("diagnostics.coverage_logdet", "nan"),
          ("diagnostics.coverage_logdet", float("nan")),
          ("entropy.normalized_entropy", "Infinity"),
-         ("entropy.normalizer", float("inf")),
-         ("entropy.raw_entropy", True),
          ("coverage_ratio", "0.5"),
          ("normalized_entropy", -float("inf"))],
     )
     def test_rejects_non_finite_or_non_numeric_floats(self, field, value):
         # json.dumps writes float nan/inf as the bare NaN/Infinity literals
         doc = json.loads(selection_result_to_json(self._result()))
-        *parents, name = field.split(".")
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[name] = value
+        _set(doc, field, value)
         with pytest.raises(FormatError) as info:
             selection_result_from_json(_text(doc))
         assert info.value.category == "format-error"

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import os
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import load_tool, triple_loop_gram
+from oracles import NOT_COUNTS, NOT_REALS, load_tool, triple_loop_gram
 
 from adaptok import (
     DIVERSITY_METHODS,
@@ -230,18 +231,15 @@ _COUNT_ENTRIES = [
     ("subseed_rng.counter", lambda v: subseed_rng(0, v), "counter", 0, None, "invalid-input"),
 ]
 
-# values that are not counts; None is one except where it asks for a default
-_NOT_COUNTS = {"fraction": 1.5, "bool": True, "numpy-bool": np.True_, "float": 2.0,
-               "numpy-float": np.float64(2.0), "numeric-str": "2", "none": None}
 _NONE_IS_VALID = {"compress.t_sal"}  # None derives the split from the entropy
 
 
 def _bad_counts():
     """(call, bad value, the refusal's prefix, category) for every count entry: each
-    value of _NOT_COUNTS; out-of-range, the count past the greatest (with no
+    value of NOT_COUNTS; out-of-range, the count past the greatest (with no
     greatest, past the least); and below-range, the count past the least."""
     for name, call, arg, least, most, category in _COUNT_ENTRIES:
-        bad = {label: (value, f"{arg}: ") for label, value in _NOT_COUNTS.items()}
+        bad = {label: (value, f"{arg}: ") for label, value in NOT_COUNTS.items()}
         if name in _NONE_IS_VALID:
             del bad["none"]
         below = (least - 1, f"{arg} must be >= {least}, ")
@@ -280,15 +278,7 @@ _REAL_IDS = [entry[0] for entry in _REAL_ENTRIES]
 
 
 class TestRealBoundary:
-    @pytest.mark.parametrize(
-        "bad", ["0.5", "x", None, True, np.False_, 0.5 + 0j, np.nan, np.inf, 10**400,
-                np.timedelta64(1, "s"), np.array(True), np.array(0.5 + 0j),
-                np.array(0.5, dtype=object), np.array("0.5"), np.array(np.nan),
-                np.array(np.inf), np.array([0.5])],
-        ids=["numeric-str", "str", "none", "bool", "numpy-bool", "complex", "nan", "inf",
-             "huge-int", "timedelta", "0d-bool", "0d-complex", "0d-object", "0d-str", "0d-nan",
-             "0d-inf", "1d"],
-    )
+    @pytest.mark.parametrize("bad", list(NOT_REALS.values()), ids=list(NOT_REALS))
     @pytest.mark.parametrize(
         "call, arg", [entry[1:3] for entry in _REAL_ENTRIES], ids=_REAL_IDS
     )
@@ -464,6 +454,11 @@ class TestCountBoundary:
         assert host["blas_name"] is None and host["blas_version"] is None
         assert load_tool("canonical_corpus")._blas().startswith("blas unknown unknown ")
 
+    def test_host_fingerprint_without_sched_getaffinity(self, monkeypatch):
+        # os.sched_getaffinity is not on every platform; nproc is then every CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert bench.host_fingerprint()["nproc"] == os.cpu_count()
+
     def test_corpus_tool_runs_its_whole_corpus(self, monkeypatch, capsys):
         # under pyproject.toml's error::RuntimeWarning, as every pytest run:
         # the corpus drives the CLI commands and DPP with no jitter, which
@@ -478,7 +473,7 @@ class TestCountBoundary:
         *docs, picks, whole, blas = capsys.readouterr().out.splitlines()
         assert picks.startswith("picks ") and picks.endswith("  683 documents")
         assert whole.startswith("bytes ") and whole.endswith("  683 documents")
-        assert blas.startswith("blas ")
+        assert blas.startswith("blas ") and " threads " in blas
         # "<index> <labels> picks <hex> bytes <hex>"
         labels = {line.split(" ", 1)[1].rsplit(" ", 4)[0] for line in docs}
         assert len(labels) == len(docs) == 683

@@ -22,10 +22,14 @@ count:
   output.  Floats that round differently leave it unchanged unless they
   change a pick.
 
-A third line, ``blas <name> <version> <corename>``, names the BLAS build
-and the kernel it picked on this CPU (``adaptok.bench.host_fingerprint``),
-with ``unknown`` for any part that cannot be found; a digest means nothing
-without it.
+A third line, ``blas <name> <version> <corename> threads <n>``, names the
+BLAS build, the kernel it picked on this CPU and the threads it runs
+(``adaptok.bench.host_fingerprint``), with ``unknown`` for any part that
+cannot be found; a digest means nothing without it.  The thread count is
+there because a BLAS product sums in a thread-dependent order: at paper
+sizes (576x1024) ``compress`` documents differ between 1 and 2 OpenBLAS
+threads with the same picks, though the corpus's small shapes give the same
+digests at both.
 
 Every JSON output with a ``schema`` key (a serialized ``compress`` result)
 must load through ``selection_result_from_json``, which requires it to
@@ -246,10 +250,11 @@ def _cli_docs(workdir: Path):
 
 
 def _blas() -> str:
-    """``blas <name> <version> <corename>``, ``unknown`` for a part the host
-    fingerprint cannot find."""
+    """``blas <name> <version> <corename> threads <n>``, ``unknown`` for a
+    part the host fingerprint cannot find."""
     host = host_fingerprint()
-    parts = (host["blas_name"], host["blas_version"], host["blas_corename"])
+    parts = (host["blas_name"], host["blas_version"], host["blas_corename"], "threads",
+             host["blas_threads"])
     return "blas " + " ".join(str(part or "unknown") for part in parts)
 
 
