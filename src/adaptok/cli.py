@@ -30,7 +30,7 @@ from .costmodel import (
     estimate_prefill_flops,
     flops_reduction,
 )
-from .errors import AdaptokError, InvalidInputError
+from .errors import AdaptokError
 from .io_formats import (
     _canonical_json,
     read_saliency,
@@ -55,6 +55,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _mu(text: str) -> float:
     return MU_PRESETS[text] if text in MU_PRESETS else float(text)
+
+
+def _grid(text: str) -> tuple[int, int, int]:
+    # a value that does not split into three integers is a usage error, as
+    # for every flag; run_bench checks the parts it gets
+    try:
+        n, d, t = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NxDxT, three integers, got {text!r}") from None
+    return n, d, t
 
 
 def _add_sigmoid_flags(p: argparse.ArgumentParser) -> None:
@@ -108,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency percentiles of every selector over (N,d,T) grids")
     default_grid = inspect.signature(run_bench).parameters["grid"].default
-    p.add_argument("--grid", action="append", default=None, metavar="NxDxT",
-                   help="configuration like 576x1024x64 (repeatable; default: "
+    p.add_argument("--grid", type=_grid, action="append", default=None, metavar="NxDxT",
+                   help="N tokens of dimension d at budget T, like 576x1024x64 "
+                        "(repeatable; default: "
                         f"{' and '.join('x'.join(map(str, e)) for e in default_grid)})")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -176,25 +187,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_grid(specs: list[str]) -> list[tuple[int, int, int]]:
-    grid = []
-    for spec in specs:
-        try:
-            n, d, t = (int(p) for p in spec.lower().split("x"))
-        except ValueError:
-            raise InvalidInputError(
-                f"--grid expects NxDxT with integer parts, got {spec!r}"
-            ) from None
-        grid.append((n, d, t))
-    return grid
-
-
 def _cmd_bench(args) -> int:
-    given = _given(args, "grid", "repeats", "seed")
-    if "grid" in given:
-        given["grid"] = _parse_grid(given["grid"])
-    report = run_bench(**given)
-    _emit(_canonical_json(report), args.out)
+    _emit(_canonical_json(run_bench(**_given(args, "grid", "repeats", "seed"))), args.out)
     return 0
 
 

@@ -71,24 +71,6 @@ class TestEntropyCommand:
         report = spectral_entropy(read_tokens(tok))
         assert json.loads(capsys.readouterr().out) == dataclasses.asdict(report)
 
-    def test_missing_file_is_io_error(self, tmp_path, capsys):
-        assert main(["entropy", "--tokens", str(tmp_path / "no.ptm")]) == 1
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "io-error"
-
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [(["--tokens", "a.ptm", "--metric", "norm"], "--metric"),
-         ([], "--tokens"),
-         (["--tokens", "a.ptm", "--saliency", "a.psv"], "--saliency")],
-        ids=["removed-metric", "no-tokens", "removed-saliency"],
-    )
-    def test_metric_flag_or_missing_tokens_is_usage_error(self, argv, flag, capsys):
-        # argparse rejects the command line before any file is opened
-        with pytest.raises(SystemExit) as exc:
-            main(["entropy", *argv])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
-
 
 class TestAllocateCommand:
     def test_reports_split(self, tmp_path, capsys):
@@ -97,15 +79,6 @@ class TestAllocateCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["t_sal"] + doc["t_cov"] == 64
         assert doc["t_cov"] == 0  # concentrated sample with clip preset
-
-    def test_budget_above_n_is_refused_as_compress_refuses_it(self, tmp_path, capsys):
-        tok, _ = _synth_files(tmp_path, n=48, capsys=capsys)
-        assert main(["allocate", "--tokens", str(tok), "--budget", "1000"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["category"] == "invalid-budget"
-        assert error["message"] == "total_budget must be <= 48, got 1000"
 
 
 class TestCompressCommand:
@@ -171,38 +144,6 @@ class TestCompressCommand:
         pick = run_core(method, E, np.arange(len(E)), 16)
         assert res.coverage_pick_order.tobytes() == pick.pick_order.tobytes()
 
-    def test_budget_error_category(self, tmp_path, capsys):
-        small, large = tmp_path / "n8", tmp_path / "n96"
-        small.mkdir(); large.mkdir()
-        n8 = _synth_files(small, n=8, capsys=capsys)
-        n96 = _synth_files(large, capsys=capsys)
-        for (tok, sal), budget_flags in (
-            (n8, ["--budget", "9"]),
-            (n96, ["--budget", "64", "--t-sal", "65"]),
-            (n96, ["--budget", "64", "--t-sal", "-1"]),
-        ):
-            rc = main(["compress", "--tokens", str(tok), "--saliency", str(sal), *budget_flags])
-            assert rc == 1
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"]["category"] == "invalid-budget"
-
-    def test_missing_file_is_io_error(self, tmp_path, capsys):
-        rc = main(
-            ["compress", "--tokens", str(tmp_path / "no.ptm"),
-             "--saliency", str(tmp_path / "no.psv"), "--budget", "4"]
-        )
-        assert rc == 1
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "io-error"
-
-    def test_bad_magic_category(self, tmp_path, capsys):
-        bad = tmp_path / "bad.ptm"
-        bad.write_bytes(b"XXXX" + b"\x00" * 12)
-        rc = main(
-            ["compress", "--tokens", str(bad), "--saliency", str(bad), "--budget", "4"]
-        )
-        assert rc == 1
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "bad-magic"
-
 
 class TestTSalFlag:
     @pytest.mark.parametrize("t_sal", [0, 12, 64])
@@ -218,19 +159,6 @@ class TestTSalFlag:
         doc = json.loads(capsys.readouterr().out)
         assert doc["t_sal"] == t_sal
         assert len(doc["selected"]) == 64
-
-
-def _invalid_input(argv, capsys) -> None:
-    assert main(argv) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
-
-
-@pytest.mark.parametrize("command", ["oracle", "compress-fixed"])
-def test_removed_subcommands_are_usage_errors(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -271,30 +199,6 @@ class TestBenchCommand:
             for spans in cfg["by_split"].values():
                 assert spans["phases"].keys() <= cfg["phases"].keys()
 
-    def test_bad_grid_spec(self, capsys):
-        assert main(["bench", "--grid", "12x34"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-input"
-        _invalid_input(["bench", "--grid", "axbxc"], capsys)
-
-    @pytest.mark.parametrize("grid", ["0x4x4", "4x0x4", "-2x4x1"])
-    def test_empty_grid_dimension_is_invalid_input(self, grid, capsys):
-        _invalid_input(["bench", f"--grid={grid}"], capsys)
-
-    def test_zero_budget_is_invalid_budget(self, capsys):
-        # T is a budget at both ends of [1, n], as compress takes it
-        assert main(["bench", "--grid=4x4x0"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"]["category"] == "invalid-budget"
-
-    def test_budget_above_n_fails_before_any_output(self, capsys):
-        # the first entry is valid, but no entry is timed before all are checked
-        assert main(["bench", "--grid", "64x32x8", "--grid", "48x16x100"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert json.loads(err)["error"]["category"] == "invalid-budget"
-
-    def test_zero_repeats_is_invalid_input(self, capsys):
-        _invalid_input(["bench", "--grid", "32x8x4", "--repeats", "0"], capsys)
-
     def test_times_every_selector_on_each_grid_entry(self, capsys):
         assert main(["bench", "--grid", "48x16x12", "--grid", "40x8x6", "--repeats", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -316,18 +220,6 @@ class TestBenchCommand:
         assert host["numpy"] == np.__version__ and host["nproc"] >= 1
 
 
-_USAGE_ERRORS = {
-    f"{name}-{command}": (command, flags)
-    for name, flags in (("preset", ["--preset", "clip"]), ("bogus-mu", ["--mu", "bogus"]))
-    for command in ("allocate", "compress", "bench")
-}
-# bench takes no setting flag: it times every selector at the default mu and tau
-_USAGE_ERRORS |= {"tau-bench": ("bench", ["--tau", "0.5"]),
-                  "diversity-bench": ("bench", ["--diversity", "dpp"])}
-# --diversity takes the selector names of DIVERSITY_METHODS, and no other spelling
-_USAGE_ERRORS |= {"fl-compress": ("compress", ["--diversity", "fl"])}
-
-
 class TestMuFlag:
     @pytest.mark.parametrize("command", ["allocate", "compress"])
     def test_preset_name_prints_the_bytes_of_its_value(self, tmp_path, capsys, command):
@@ -342,19 +234,6 @@ class TestMuFlag:
             assert main([*argv, *mu]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != outputs[2]
-
-    @pytest.mark.parametrize(
-        "command, flags", list(_USAGE_ERRORS.values()), ids=list(_USAGE_ERRORS)
-    )
-    def test_removed_flag_or_unknown_mu_is_usage_error(self, capsys, command, flags):
-        # argparse rejects the command line before any file is opened
-        files = {"allocate": ["--tokens", "a.ptm", "--budget", "4"],
-                 "compress": ["--tokens", "a.ptm", "--saliency", "a.psv", "--budget", "4"],
-                 "bench": []}[command]
-        with pytest.raises(SystemExit) as exc:
-            main([command, *files, *flags])
-        assert exc.value.code == 2
-        assert flags[0] in capsys.readouterr().err
 
 
 class TestFlopsCommand:
@@ -373,13 +252,6 @@ class TestFlopsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["text_tokens"] == 100 and doc["flops"] > 0
 
-    def test_zero_text_tokens_is_one_json_error_line(self, capsys):
-        # a prompt needs at least one text token
-        assert main(["flops", "--seq-visual", "320", "--text-tokens", "0"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert json.loads(err)["error"]["category"] == "invalid-input"
-
 
 class TestRoundTripThroughCli:
     def test_tokens_written_by_library_read_by_cli(self, tmp_path, capsys):
@@ -388,3 +260,99 @@ class TestRoundTripThroughCli:
         assert main(["entropy", "--tokens", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["normalized_entropy"] == 1.0
+
+
+# Every refusal of the command line: (id, argv, exit code, expected).  A
+# command line that does not parse, a flag value that does not parse as its
+# type included, is argparse's usage error (exit 2) before any file is
+# opened, and expected is what its error line names: the flag, for a flag.
+# A parsed value that the library refuses, or a file that cannot be read, is
+# one JSON line on stderr and nothing on stdout (exit 1), and expected is its
+# category and the start of its message.  {tmp} holds the 8-token files
+# a.ptm and a.psv, and bad.ptm, whose magic is wrong.
+_TOKENS = "--tokens {tmp}/a.ptm"
+_FILES = _TOKENS + " --saliency {tmp}/a.psv"
+_NO_SUCH_FILE = ("io-error", "[Errno 2] No such file or directory: ")
+# each command's required flags, naming files that a usage error leaves unopened
+_UNOPENED = {"allocate": "--tokens a.ptm --budget 4",
+             "compress": "--tokens a.ptm --saliency a.psv --budget 4", "bench": ""}
+_REFUSALS = [
+    ("entropy-missing-file", "entropy --tokens {tmp}/no.ptm", 1, _NO_SUCH_FILE),
+    ("compress-missing-file", "compress --tokens {tmp}/no.ptm --saliency {tmp}/no.psv "
+                              "--budget 4", 1, _NO_SUCH_FILE),
+    ("compress-bad-magic", "compress --tokens {tmp}/bad.ptm --saliency {tmp}/bad.ptm --budget 4",
+     1, ("bad-magic", "{tmp}/bad.ptm: expected magic b'PTM1', found b'XXXX'")),
+    # allocate refuses a budget above N as compress refuses it
+    ("allocate-budget-above-n", f"allocate {_TOKENS} --budget 1000", 1,
+     ("invalid-budget", "total_budget must be <= 8, got 1000")),
+    ("compress-budget-above-n", f"compress {_FILES} --budget 9", 1,
+     ("invalid-budget", "total_budget must be <= 8, got 9")),
+    ("t-sal-above-budget", f"compress {_FILES} --budget 4 --t-sal 5", 1,
+     ("invalid-budget", "t_sal must be <= 4, got 5")),
+    ("negative-t-sal", f"compress {_FILES} --budget 4 --t-sal -1", 1,
+     ("invalid-budget", "t_sal must be >= 0, got -1")),
+    # --grid that is not three integers does not parse; run_bench refuses the
+    # parts, T as a budget over [1, n] as compress takes it, and checks every
+    # entry before it times any
+    ("grid-two-parts", "bench --grid 12x34", 2, "--grid"),
+    ("grid-not-integers", "bench --grid axbxc", 2, "--grid"),
+    ("grid-zero-n", "bench --grid=0x4x4", 1, ("invalid-input", "n must be >= 1, got 0")),
+    ("grid-zero-d", "bench --grid=4x0x4", 1, ("invalid-input", "d must be >= 1, got 0")),
+    ("grid-negative-n", "bench --grid=-2x4x1", 1, ("invalid-input", "n must be >= 1, got -2")),
+    ("grid-zero-budget", "bench --grid=4x4x0", 1, ("invalid-budget", "T must be >= 1, got 0")),
+    ("grid-budget-above-n", "bench --grid 64x32x8 --grid 48x16x100", 1,
+     ("invalid-budget", "T must be <= 48, got 100")),
+    ("zero-repeats", "bench --grid 32x8x4 --repeats 0", 1,
+     ("invalid-input", "repeats must be >= 1, got 0")),
+    # synth's seed goes to numpy, which words the refusal
+    ("synth-negative-seed", "synth --tokens {tmp}/s.ptm --saliency {tmp}/s.psv --n 8 --d 4 "
+                            "--seed -1", 1,
+     ("invalid-input", "seed -1 is not a valid numpy seed: ")),
+    ("bench-negative-seed", "bench --grid 8x4x2 --repeats 1 --seed -1", 1,
+     ("invalid-input", "seed must be >= 0, got -1")),
+    # a prompt needs at least one text token
+    ("zero-text-tokens", "flops --seq-visual 320 --text-tokens 0", 1,
+     ("invalid-input", "text_tokens must be >= 1, got 0")),
+    *[(f"flops-overflow-1e{exp}", f"flops --seq-visual {10**exp}", 1,
+       ("invalid-input", "the prefill FLOPs estimate overflows float64")) for exp in (200, 400)],
+    ("removed-oracle", "oracle", 2, "invalid choice: 'oracle'"),
+    ("removed-compress-fixed", "compress-fixed", 2, "invalid choice: 'compress-fixed'"),
+    ("entropy-removed-metric", "entropy --tokens a.ptm --metric norm", 2, "--metric"),
+    ("entropy-no-tokens", "entropy", 2, "--tokens"),
+    ("entropy-removed-saliency", "entropy --tokens a.ptm --saliency a.psv", 2, "--saliency"),
+    *[(f"{name}-{command}", f"{command} {_UNOPENED[command]} {flags}", 2, flags.split()[0])
+      for name, flags in (("preset", "--preset clip"), ("bogus-mu", "--mu bogus"))
+      for command in _UNOPENED],
+    # bench takes no setting flag: it times every selector at the default mu and tau
+    ("tau-bench", "bench --tau 0.5", 2, "--tau"),
+    ("diversity-bench", "bench --diversity dpp", 2, "--diversity"),
+    # --diversity takes the selector names of DIVERSITY_METHODS, and no other spelling
+    ("fl-compress", f"compress {_UNOPENED['compress']} --diversity fl", 2, "--diversity"),
+    ("budget-not-an-int", "compress --tokens a.ptm --saliency a.psv --budget abc", 2, "--budget"),
+    ("t-sal-not-an-int", f"compress {_UNOPENED['compress']} --t-sal 1.5", 2, "--t-sal"),
+    ("seq-visual-not-an-int", "flops --seq-visual abc", 2, "--seq-visual"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", [row[1:] for row in _REFUSALS],
+                         ids=[row[0] for row in _REFUSALS])
+def test_cli_refusal(tmp_path, capsys, argv, code, expected):
+    _synth_files(tmp_path, n=8, d=4, k=2, capsys=capsys)
+    (tmp_path / "bad.ptm").write_bytes(b"XXXX" + b"\x00" * 12)
+    argv = [arg.format(tmp=tmp_path) for arg in argv.split()]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        # argparse's usage, then "adaptok[ COMMAND]: error: MESSAGE"
+        usage_error = err.splitlines()[-1]
+        assert out == "" and ": error: " in usage_error and expected in usage_error
+    else:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+        category, prefix = expected
+        error = json.loads(err)["error"]
+        assert error["category"] == category
+        assert error["message"].startswith(prefix.format(tmp=tmp_path))

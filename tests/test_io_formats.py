@@ -44,44 +44,6 @@ class TestTokenFiles:
         assert struct.unpack("<II", blob[4:12]) == (2, 3)
         assert len(blob) == 12 + 4 * 2 * 3
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ptm"
-        path.write_bytes(b"XXXX" + struct.pack("<II", 1, 1) + b"\x00" * 4)
-        with pytest.raises(BadMagicError):
-            read_tokens(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "short.ptm"
-        path.write_bytes(b"PTM1\x01")
-        with pytest.raises(TruncatedPayloadError):
-            read_tokens(path)
-
-    def test_truncated_payload(self, tmp_path):
-        # header says 4x4 but only 63 floats follow
-        path = tmp_path / "trunc.ptm"
-        path.write_bytes(b"PTM1" + struct.pack("<II", 4, 4) + b"\x00" * (4 * 15 + 3))
-        with pytest.raises(TruncatedPayloadError):
-            read_tokens(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "trail.ptm"
-        path.write_bytes(b"PTM1" + struct.pack("<II", 2, 2) + b"\x00" * 16 + b"junk")
-        with pytest.raises(TrailingDataError):
-            read_tokens(path)
-
-    def test_non_finite_payload(self, tmp_path):
-        path = tmp_path / "inf.ptm"
-        payload = np.array([[1.0, np.inf]], dtype="<f4").tobytes()
-        path.write_bytes(b"PTM1" + struct.pack("<II", 1, 2) + payload)
-        with pytest.raises(NonFiniteValueError):
-            read_tokens(path)
-
-    def test_zero_dims_rejected(self, tmp_path):
-        path = tmp_path / "empty.ptm"
-        path.write_bytes(b"PTM1" + struct.pack("<II", 0, 4))
-        with pytest.raises(FormatError):
-            read_tokens(path)
-
 
 class TestSaliencyFiles:
     def test_round_trip_two_heads(self, tmp_path, rng):
@@ -104,12 +66,50 @@ class TestSaliencyFiles:
         with pytest.raises(ValueRangeError):
             write_saliency(np.array([0.5, -0.1]), tmp_path / "n.psv")
 
-    def test_negative_values_rejected_on_read(self, tmp_path):
-        path = tmp_path / "n.psv"
-        payload = np.array([[0.5, -0.125]], dtype="<f4").tobytes()
-        path.write_bytes(b"PSV1" + struct.pack("<II", 1, 2) + payload)
-        with pytest.raises(ValueRangeError):
-            read_saliency(path)
+
+def _file(magic: bytes, rows: int, cols: int, payload: bytes = b"") -> bytes:
+    return magic + struct.pack("<II", rows, cols) + payload
+
+
+_READERS = {"token": (read_tokens, b"PTM1"), "saliency": (read_saliency, b"PSV1")}
+
+# Every refusal of a binary file: (id, readers, the file's bytes for a magic,
+# error class, message after the path).  {kind} is the reader's kind and
+# {magic} its magic.
+_BAD_FILES = [
+    ("truncated-header", _READERS, lambda magic: magic + b"\x01", TruncatedPayloadError,
+     "file has 5 bytes, shorter than the 12-byte header"),
+    ("bad-magic", _READERS, lambda magic: _file(b"XXXX", 1, 1, bytes(4)), BadMagicError,
+     "expected magic {magic!r}, found b'XXXX'"),
+    ("empty-dims", _READERS, lambda magic: _file(magic, 0, 4), FormatError,
+     "header declares empty {kind} matrix 0x4"),
+    # the header says 4x4, but only 63 bytes follow
+    ("truncated-payload", _READERS, lambda magic: _file(magic, 4, 4, bytes(63)),
+     TruncatedPayloadError, "payload has 63 bytes, expected 64"),
+    ("trailing-bytes", _READERS, lambda magic: _file(magic, 2, 2, bytes(16) + b"junk"),
+     TrailingDataError, "4 trailing bytes after the payload"),
+    ("non-finite", _READERS,
+     lambda magic: _file(magic, 1, 2, np.array([1.0, np.inf], "<f4").tobytes()),
+     NonFiniteValueError, "{kind} payload contains non-finite floats"),
+    # a token may be negative, a saliency score may not
+    ("negative", ["saliency"],
+     lambda magic: _file(magic, 1, 2, np.array([0.5, -0.125], "<f4").tobytes()),
+     ValueRangeError, "saliency payload contains negative values"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, blob, error, message",
+    [pytest.param(kind, *row[2:], id=f"{kind}-{row[0]}") for row in _BAD_FILES for kind in row[1]],
+)
+def test_readers_refuse_a_malformed_file(tmp_path, kind, blob, error, message):
+    read, magic = _READERS[kind]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob(magic))
+    with pytest.raises(error) as info:
+        read(path)
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: " + message.format(kind=kind, magic=magic)
 
 
 @pytest.mark.parametrize("write", [write_tokens, write_saliency])
@@ -222,10 +222,6 @@ def _pick_order_outside_selected(doc):
 
 def _scalar_selected(doc):
     doc["selected"] = doc["selected"][0]
-
-
-def _negative_t_sal(doc):
-    doc["t_sal"] = -1
 
 
 def _diagnostics_list(doc):
@@ -353,7 +349,6 @@ _BROKEN = [
     (_saliency_in_pick_order, "write back"),
     (_pick_order_outside_selected, "permutation"),
     (_scalar_selected, "malformed: selected must be a sequence of int64 indices"),
-    (_negative_t_sal, "write back"),
     (_diagnostics_list, "malformed: diagnostics must be a dict"),
     (_unknown_key, "write back"),
     (_unknown_entropy_key, "write back"),
@@ -464,20 +459,15 @@ class TestSelectionResultJson:
 
     @pytest.mark.parametrize(
         "field, value, message",
-        [("t_sal", 1.7, "write back"), ("t_cov", 8.5, "write back"),
-         ("t_sal", 2.0, "write back"), ("t_sal", "3", "write back"),
-         ("selected", 12.5, "selected: expected an integer"),
+        [("selected", 12.5, "selected: expected an integer"),
          ("coverage_pick_order", 3.5, "coverage_pick_order: expected an integer"),
          ("coverage_pick_order", True, "coverage_pick_order: expected an integer"),
          ("selected", 2**70, "selected must be a sequence of int64 indices")],
     )
-    def test_rejects_non_integer_counts_and_indices(self, field, value, message):
-        # int(1.7) or an int64 cast would truncate these silently
+    def test_rejects_non_integer_indices(self, field, value, message):
+        # int(12.5) or an int64 cast would truncate these silently
         doc = json.loads(selection_result_to_json(self._result()))
-        if isinstance(doc[field], list):
-            doc[field][-1] = value
-        else:
-            doc[field] = value
+        doc[field][-1] = value
         with pytest.raises(FormatError, match=message) as info:
             selection_result_from_json(_text(doc))
         assert info.value.category == "format-error"
@@ -580,7 +570,8 @@ class TestSelectionResultJson:
         doc["forced_t_sal"] = True  # equal to 1, so only the type is wrong
         with pytest.raises(FormatError, match="expected an integer"):
             selection_result_from_json(_text(doc))
-        # the stored t_sal is derived, so the write-back refuses its bool
+        # the reader reads neither t_sal nor t_cov: a stored split that is not
+        # the derived one, even True for 1, is refused by the write-back alone
         doc["forced_t_sal"], doc["t_sal"] = 1, True
         with pytest.raises(FormatError, match="write back"):
             selection_result_from_json(_text(doc))

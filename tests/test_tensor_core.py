@@ -33,7 +33,6 @@ from adaptok import (
     synth_tokens,
 )
 from adaptok.bench import run_bench
-from adaptok.cli import main
 from adaptok.tensor_core import (
     DEFAULT_EPSILON,
     _as_float64,
@@ -401,13 +400,6 @@ class TestMagnitudeBoundary:
             spectral_entropy(E)
         assert info.value.category == "degenerate-input"
 
-    @pytest.mark.parametrize("exp", [200, 400])
-    def test_cli_flops_overflow_is_one_json_error_line(self, capsys, exp):
-        assert main(["flops", "--seq-visual", str(10**exp)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"]["category"] == "invalid-input"
-
 
 class TestCountBoundary:
     @pytest.mark.parametrize("call, value, prefix, category", _bad_counts())
@@ -561,19 +553,6 @@ class TestCountBoundary:
     def test_saliency_is_checked_for_every_split(self, method, t_sal, saliency):
         with pytest.raises(InvalidInputError):
             compress(_E, saliency, CompressConfig(total_budget=4, diversity_method=method), t_sal)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["synth", "--tokens", "{tmp}/a.ptm", "--saliency", "{tmp}/a.psv",
-          "--n", "8", "--d", "4", "--seed", "-1"],
-         ["bench", "--grid", "8x4x2", "--repeats", "1", "--seed", "-1"]],
-        ids=["synth", "bench"],
-    )
-    def test_negative_seed_is_one_json_error_line(self, tmp_path, capsys, argv):
-        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"]["category"] == "invalid-input"
 
 
 # an argument of the wrong type, which Python would refuse with an
