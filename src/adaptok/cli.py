@@ -54,7 +54,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _mu(text: str) -> float:
-    return MU_PRESETS[text] if text in MU_PRESETS else float(text)
+    try:
+        return MU_PRESETS[text] if text in MU_PRESETS else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a preset {sorted(MU_PRESETS)} or a number, got {text!r}") from None
 
 
 def _grid(text: str) -> tuple[int, int, int]:
@@ -117,13 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="latency percentiles of every selector over (N,d,T) grids")
-    default_grid = inspect.signature(run_bench).parameters["grid"].default
+    defaults = {name: param.default
+                for name, param in inspect.signature(run_bench).parameters.items()}
     p.add_argument("--grid", type=_grid, action="append", default=None, metavar="NxDxT",
                    help="N tokens of dimension d at budget T, like 576x1024x64 "
                         "(repeatable; default: "
-                        f"{' and '.join('x'.join(map(str, e)) for e in default_grid)})")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+                        f"{' and '.join('x'.join(map(str, e)) for e in defaults['grid'])})")
+    p.add_argument("--repeats", type=int, default=None,
+                   help=f"timed runs per grid entry (default: {defaults['repeats']})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of the synthetic inputs (default: {defaults['seed']})")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("flops", help="prefill FLOPs / KV-cache cost model")

@@ -172,10 +172,13 @@ def _certifies(report: EntropyReport, config: CompressConfig) -> bool:
 def _entropy_bounds(report: EntropyReport) -> tuple[float, float] | None:
     # the normalized interval that holds the Shannon entropy of the spectrum
     # whose order-2 entropy the report holds, widened by RENYI2_SLACK; None
-    # for one atom, or more atoms than the slack covers
+    # for one atom, more atoms than the slack covers, or a normalizer that
+    # is not the log r that _renyi2_report writes for r atoms
     if not 0.0 < report.normalizer <= np.log(_RENYI2_MAX_RANK):
         return None
     r = round(math.exp(report.normalizer))
+    if float(np.log(r)) != report.normalizer:
+        return None
     q = math.exp(-report.raw_entropy)
     low = max(0.0, (report.raw_entropy - math.log1p(RENYI2_SLACK)) / report.normalizer)
     high = min(1.0, _max_entropy(q * (1.0 - RENYI2_SLACK), r) / report.normalizer)

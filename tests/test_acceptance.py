@@ -29,6 +29,7 @@ from adaptok import (
     compress,
     estimate_prefill_flops,
     flops_reduction,
+    saliency_topk,
     selection_results_equal,
     spectral_entropy,
     subseed_rng,
@@ -134,6 +135,7 @@ def test_criterion_3_budget_allocation():
 
             mid = allocate_budget(0.42, cfg)
             assert mid.t_cov == T // 2 and mid.t_sal == T - T // 2
+            assert mid.coverage_ratio == 0.5
 
             hi = allocate_budget(0.42 + 10 * 0.02, cfg)
             lo = allocate_budget(0.42 - 10 * 0.02, cfg)
@@ -228,8 +230,10 @@ def test_criterion_6_pipeline_contracts():
 
             first = compress(tokens, saliency, cfg)
             assert first.selected.size == T
-            assert len(set(first.selected.tolist())) == T
             assert np.all(np.diff(first.selected) > 0)
+            assert first.selected[-1] < n
+            stage1 = saliency_topk(saliency, first.split.t_sal)
+            np.testing.assert_array_equal(first.saliency_indices, stage1)
             sal_set = set(first.saliency_indices.tolist())
             cov_set = set(first.coverage_indices.tolist())
             assert not sal_set & cov_set

@@ -24,11 +24,6 @@ def _cfg(T=64, mu=0.42, tau=0.02, **kw):
 
 
 class TestAllocateBudget:
-    def test_midpoint_splits_in_half(self):
-        split = allocate_budget(0.42, _cfg(T=64))
-        assert (split.t_sal, split.t_cov) == (32, 32)
-        assert split.coverage_ratio == 0.5
-
     def test_extreme_entropies_with_defaults(self):
         lo = allocate_budget(0.0, _cfg(T=64))
         hi = allocate_budget(1.0, _cfg(T=64))

@@ -212,6 +212,15 @@ class TestBenchCommand:
             assert all(count == counts[0] for count in counts)
             assert all(c["total"]["n"] == 4 for c in entry)
 
+    def test_help_names_run_bench_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())  # unwrapped
+        defaults = inspect.signature(run_bench).parameters
+        repeats, seed = defaults["repeats"].default, defaults["seed"].default
+        assert (f"--repeats REPEATS timed runs per grid entry (default: {repeats}) "
+                f"--seed SEED seed of the synthetic inputs (default: {seed})") in help_text
+
     def test_records_the_host(self, capsys):
         assert main(["bench", "--grid", "8x4x2", "--repeats", "1"]) == 0
         host = json.loads(capsys.readouterr().out)["host"]
@@ -320,9 +329,12 @@ _REFUSALS = [
     ("entropy-removed-metric", "entropy --tokens a.ptm --metric norm", 2, "--metric"),
     ("entropy-no-tokens", "entropy", 2, "--tokens"),
     ("entropy-removed-saliency", "entropy --tokens a.ptm --saliency a.psv", 2, "--saliency"),
-    *[(f"{name}-{command}", f"{command} {_UNOPENED[command]} {flags}", 2, flags.split()[0])
-      for name, flags in (("preset", "--preset clip"), ("bogus-mu", "--mu bogus"))
+    *[(f"preset-{command}", f"{command} {_UNOPENED[command]} --preset clip", 2, "--preset")
       for command in _UNOPENED],
+    *[(f"bogus-mu-{command}", f"{command} {_UNOPENED[command]} --mu bogus", 2,
+       "argument --mu: expected a preset ['clip', 'qwen25vl'] or a number, got 'bogus'")
+      for command in ("allocate", "compress")],
+    ("bogus-mu-bench", "bench --mu bogus", 2, "unrecognized arguments: --mu bogus"),
     # bench takes no setting flag: it times every selector at the default mu and tau
     ("tau-bench", "bench --tau 0.5", 2, "--tau"),
     ("diversity-bench", "bench --diversity dpp", 2, "--diversity"),

@@ -14,6 +14,7 @@ from adaptok import (
     TrailingDataError,
     TruncatedPayloadError,
     ValueRangeError,
+    allocate_budget,
     compress,
     read_saliency,
     read_selection_result,
@@ -260,6 +261,16 @@ def _order_two_inside_the_band(doc):
     doc["entropy"]["raw_entropy"] = 0.42 * doc["entropy"]["normalizer"]
 
 
+def _order_two_not_log_r(doc):
+    # on an allocated document: a normalizer that is no log r, its derived copies to match
+    assert doc["entropy"]["order"] == 2
+    doc["entropy"]["normalizer"] = 2.0
+    h = min(doc["entropy"]["raw_entropy"] / 2.0, 1.0)
+    doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = h
+    split = allocate_budget(h, CompressConfig(**doc["config"]))
+    doc.update(t_sal=split.t_sal, t_cov=split.t_cov, coverage_ratio=split.coverage_ratio)
+
+
 def _order_two_forced(doc):
     # a forced split never skips the eigensolve
     doc["entropy"]["order"] = 2
@@ -333,7 +344,7 @@ def _config_extra_key(doc):
 
 
 # edits made to the allocated document; the others edit the forced one
-_ON_ALLOCATED = {_coverage_ratio_one_ulp, _order_two_inside_the_band}
+_ON_ALLOCATED = {_coverage_ratio_one_ulp, _order_two_inside_the_band, _order_two_not_log_r}
 
 
 # each edit with the part of the error message that names its check
@@ -356,6 +367,7 @@ _BROKEN = [
     (_entropy_not_normalized, "write back"),
     (_raw_entropy_beyond_normalizer, "malformed: raw_entropy .* exceeds its normalizer"),
     (_order_two_inside_the_band, "malformed: an order-2 entropy must certify the split"),
+    (_order_two_not_log_r, "malformed: an order-2 entropy must certify the split"),
     (_order_two_forced, "malformed: an order-2 entropy must certify the split"),
     (_coverage_ratio_five, "write back"),
     (_negative_coverage_ratio, "write back"),
