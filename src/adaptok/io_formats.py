@@ -6,11 +6,12 @@ payload whose byte length must match the header exactly.  Compute happens
 in float64; files stay float32, and both readers and writers reject a
 payload that is not finite in float32.
 
-Selection results serialize as versioned JSON (``schema: 3``) with sorted
+Selection results serialize as versioned JSON (``schema: 4``) with sorted
 keys, so a fixed input always produces byte-identical output; wall-clock
-timings are not part of it.  Schema 3 adds the entropy's ``order``: 2 where
-the entropy's bounds certified the split and the document holds the
-Renyi-2 entropy, else 1; schemas 1 and 2 are refused.
+timings are not part of it.  Schema 4 stores the input's token count
+``n_tokens`` and the entropy as the interval ``{"low", "high"}`` that
+decided the split (a point where the eigensolve ran); it has no
+``stage_of`` labels.  Schemas 1 to 3 are refused.
 ``selection_results_equal`` compares two results' documents; ``==`` on
 results is identity.  The reader checks no field itself: it builds the
 result through its types, which check the facts they hold, then requires
@@ -44,7 +45,7 @@ SALIENCY_MAGIC = b"PSV1"
 
 _HEADER = struct.Struct("<4sII")
 
-RESULT_SCHEMA = 3
+RESULT_SCHEMA = 4
 
 
 def write_tokens(tokens, path) -> None:
@@ -127,8 +128,8 @@ def selection_result_to_json(result: SelectionResult) -> str:
         "schema": RESULT_SCHEMA,
         "config": dataclasses.asdict(result.config),
         "forced_t_sal": result.forced_t_sal,
+        "n_tokens": result.n_tokens,
         "selected": result.selected.tolist(),
-        "stage_of": result.stage_of,
         **dataclasses.asdict(result.split),
         "entropy": dataclasses.asdict(result.entropy),
         "coverage_pick_order": result.coverage_pick_order.tolist(),
@@ -150,15 +151,16 @@ def _canonical_json(doc) -> str:
 def selection_result_from_json(text: str) -> SelectionResult:
     """Parse a serialized selection result; timings come back empty.
 
-    Only what some ``compress`` call could write loads; anything else raises
-    FormatError.  The reader parses the JSON, checks the schema, and builds
-    the result through ``CompressConfig(**config)``, ``EntropyReport(raw_entropy,
-    normalizer, order)`` and ``SelectionResult``, each of which checks the facts it
-    holds.  The text must then be the bytes the result writes back, so a key
-    a type defaults, a derived copy its rule does not give (the split, the
-    normalized entropy, the labels), an unknown key, other spacing or another
-    literal (``1.0`` for 1) is refused.  An index beyond the token count N is
-    not caught: N is not in the document.
+    Only what some ``compress`` call could write, on some input, loads;
+    anything else raises FormatError.  The reader parses the JSON, checks the schema, and builds
+    the result through ``CompressConfig(**config)``, ``EntropyReport(**entropy)``
+    and ``SelectionResult``, each of which checks the facts it holds.  The
+    text must then be the bytes the result writes back, so a key a type
+    defaults, a derived copy its rule does not give (the split), an unknown
+    key, other spacing or another literal (``1.0`` for 1) is refused.  An
+    entropy interval is checked to certify its split, but not to hold the
+    entropy of the input, and the saliency picks are not checked to be the
+    top-k: that needs E and the saliency, which are not in the document.
     """
     try:
         doc = json.loads(text)
@@ -172,10 +174,10 @@ def selection_result_from_json(text: str) -> SelectionResult:
     try:
         result = SelectionResult(
             selected=doc["selected"],
+            n_tokens=doc["n_tokens"],
             config=CompressConfig(**doc["config"]),
             forced_t_sal=doc["forced_t_sal"],
-            entropy=EntropyReport(doc["entropy"]["raw_entropy"], doc["entropy"]["normalizer"],
-                                  doc["entropy"]["order"]),
+            entropy=EntropyReport(**doc["entropy"]),
             coverage_pick_order=doc["coverage_pick_order"],
             diagnostics=doc["diagnostics"],
         )

@@ -17,37 +17,37 @@ from .prominence import EntropyReport, _certifies, _spectral_entropy
 from .selection import _SELECTORS, DEFAULT_JITTER, _by_saliency, _pool_unit_kernel, saliency_topk
 from .tensor_core import _count, _real, _span, as_saliency_vector, as_token_matrix
 
-STAGE_SALIENCY = "saliency"
-STAGE_COVERAGE = "coverage"
-
 
 @dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Selected token set with provenance and diagnostics.
 
-    ``selected`` is ascending (original spatial order); the greedy order of
-    the coverage stage is kept in ``coverage_pick_order``.  ``stage_of``,
-    aligned with ``selected``, and the per-stage indices derive from both;
+    ``selected`` is ascending (original spatial order) over the ``n_tokens``
+    rows of E; the greedy order of the coverage stage is kept in
+    ``coverage_pick_order``.  The per-stage indices derive from both;
     ``split`` derives from ``config``, ``forced_t_sal`` (None when the
-    sigmoid allocated the split) and the entropy, as ``compress`` makes it.
+    sigmoid allocated the split) and the entropy's ``low`` end, as
+    ``compress`` makes it.
     ``diagnostics`` holds deterministic scalars only, read-only; wall-clock timings in
     ``timings_us`` are left out of serialization and equality, so both are bit-stable.
     ``==`` is identity; ``io_formats.selection_results_equal`` is equality.
-    Built, it checks that ``compress`` could return it: ``forced_t_sal`` is None
-    or in [0, T]; an order-2 entropy has no ``forced_t_sal`` and certifies the
-    split (``prominence._certifies``); ``selected`` is T strictly increasing
-    nonnegative indices, the pick order ``split.t_cov`` distinct ones of them;
+    Built, it checks that ``compress`` could return it: ``n_tokens`` is at
+    least T; ``forced_t_sal`` is None or in [0, T]; an entropy interval with
+    low < high has no ``forced_t_sal`` and certifies the split
+    (``prominence._certifies``); ``selected`` is T strictly increasing indices
+    in [0, n_tokens), the pick order ``split.t_cov`` distinct ones of them;
     ``_check_diagnostics`` passes.
     Both index sequences are stored as read-only int64 copies.
     The keys of ``timings_us`` are span paths: ``total``, ``validate``,
     ``entropy`` and ``entropy/gram``, then ``entropy/bounds`` when the
     sigmoid allocated the split and ``entropy/eigvalsh`` unless the bounds
-    certified it (order 1), ``allocation``, ``stage1``, ``stage2`` and
+    certified it (low == high), ``allocation``, ``stage1``, ``stage2`` and
     ``stage2/pool`` (and, when ``t_cov > 0``, ``stage2/{kernel,greedy}``),
     ``assemble``, ``diagnostics``.
     """
 
     selected: np.ndarray
+    n_tokens: int
     config: CompressConfig
     forced_t_sal: int | None
     entropy: EntropyReport
@@ -60,21 +60,26 @@ class SelectionResult:
                 and isinstance(self.entropy, EntropyReport)):
             raise InvalidInputError("config must be a CompressConfig and entropy an EntropyReport")
         T = self.config.total_budget
+        n = _count(self.n_tokens, "n_tokens", T, error=InvalidInputError)
+        object.__setattr__(self, "n_tokens", n)
         if self.forced_t_sal is not None:
             forced = _count(self.forced_t_sal, "forced_t_sal", 0, T)
             object.__setattr__(self, "forced_t_sal", forced)
-        if self.entropy.order == 2 and (
+        if self.entropy.low < self.entropy.high and (
             self.forced_t_sal is not None or not _certifies(self.entropy, self.config)
         ):
             raise InvalidInputError(
-                "an order-2 entropy must certify the split, which must not be forced"
+                "an entropy interval must certify the split, which must not be forced"
             )
         selected = _indices(self.selected, "selected")
         order = _indices(self.coverage_pick_order, "coverage_pick_order")
         object.__setattr__(self, "selected", selected)
         object.__setattr__(self, "coverage_pick_order", order)
-        if selected.size and (selected[0] < 0 or np.any(np.diff(selected) <= 0)):
-            raise InvalidInputError("selected must be strictly increasing nonnegative indices")
+        if selected.size and (selected[0] < 0 or selected[-1] >= n
+                              or np.any(np.diff(selected) <= 0)):
+            raise InvalidInputError(
+                f"selected must be strictly increasing nonnegative indices below n_tokens {n}"
+            )
         if selected.size != T:
             raise InvalidInputError("selected must have config.total_budget entries")
         t_cov = self.split.t_cov
@@ -87,11 +92,6 @@ class SelectionResult:
     @property
     def split(self) -> BudgetSplit:
         return _split(self.entropy.normalized_entropy, self.config, self.forced_t_sal)
-
-    @property
-    def stage_of(self) -> list[str]:
-        is_cov = np.isin(self.selected, self.coverage_pick_order).tolist()
-        return [STAGE_COVERAGE if c else STAGE_SALIENCY for c in is_cov]
 
     @property
     def saliency_indices(self) -> np.ndarray:
@@ -126,11 +126,11 @@ def compress(
     """Run the entropy-adaptive two-stage selection.
 
     With ``t_sal`` given, the split is forced to (t_sal, T - t_sal) for
-    fixed-allocation baselines: the entropy is still computed and reported
-    (order 1), but it does not influence the split.  ``t_sal`` must be a
+    fixed-allocation baselines: the entropy is still computed exactly and
+    reported, but it does not influence the split.  ``t_sal`` must be a
     Python or numpy integer in [0, T].  Without it, the eigensolve runs only
     where the entropy's bounds do not decide the split; where they do, the
-    result reports the order-2 entropy (see ``prominence``).
+    result reports the interval that decided it (see ``prominence``).
 
     E is validated once, here; at n < d, stage 2 and the diagnostics read
     their cosine kernels from the entropy's Gram E E^T (see ``selection``).
@@ -180,6 +180,7 @@ def compress(
 
     return SelectionResult(
         selected=selected,
+        n_tokens=E.shape[0],
         config=config,
         forced_t_sal=t_sal,
         entropy=entropy,

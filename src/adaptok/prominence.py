@@ -10,29 +10,22 @@ size makes the normalized value base-independent and confined to [0, 1].
 It needs a positive, finite total mass, checked once in ``_spectral_entropy``,
 so a mass that is zero, underflows or overflows raises, never gives 0 or NaN.
 
+A report is the normalized interval [low, high] that holds the entropy.
 The sigmoid split reads the entropy only through floor(T * sigmoid), which
 is constant outside a narrow band around mu.  So ``compress`` first bounds
 the entropy from the Gram's trace and Frobenius norm, and skips the
-eigensolve when both bounds give the same split (``_certifies``).  Its
-report is then the Renyi entropy of order 2 of the same spectrum, the
-lower bound (``EntropyReport.order == 2``).
+eigensolve when both ends give the same split (``_certifies``).  Its report
+is then that interval; the eigensolve's report is the point low == high == h.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import CompressConfig, allocate_budget
 from .errors import DegenerateInputError, InvalidInputError
-from .tensor_core import (
-    _clamped_descending_eigvalsh,
-    _count,
-    _gram,
-    _real,
-    _span,
-    as_token_matrix,
-)
+from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_token_matrix
 
 # The Renyi-2 certificate.  With p the normalized spectrum of the Gram G on
 # r = min(n, d) atoms and q = sum p^2 = ||G||_F^2 / tr(G)^2 its collision
@@ -59,52 +52,44 @@ from .tensor_core import (
 # zero, not finite or below 2**-1000, where the squares of a subnormal Gram
 # lose their bits, takes the eigensolve.
 RENYI2_SLACK = 1e-6
-_RENYI2_MAX_RANK = 2**14
-_RENYI2_MAX_SIZE = _RENYI2_MAX_RANK**2
+_RENYI2_MAX_SIZE = 2**28
 _RENYI2_MIN_MASS = 2.0**-1000
 
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Raw and normalized entropy of one sample's Gram spectrum.
+    """The normalized interval [low, high] that holds one sample's spectral entropy.
 
-    Built from two facts, each a nonnegative finite real: ``raw_entropy``
-    and ``normalizer``, the log of the maximum-entropy support size, plus
-    ``order``: 1 for the Shannon (spectral) entropy, or 2 for the Renyi
-    entropy of order 2 that a certified split reports in its place.
-    ``normalized_entropy`` derives from them: raw / normalizer, capped at 1
-    against rounding (a raw entropy beyond the normalizer by more is refused),
-    and 0 when the normalizer is 0 (one-element support).
+    ``low`` and ``high`` are reals in [0, 1] with low <= high.  The
+    eigensolve's report is exact, low == high == h; a certified one holds the
+    widened Renyi-2 interval of ``_renyi2_report``, on which the split does
+    not move.  ``normalized_entropy`` is ``low``, where the split is allocated.
     """
 
-    raw_entropy: float
-    normalizer: float
-    order: int = 1
-    normalized_entropy: float = field(init=False)
+    low: float
+    high: float
 
     def __post_init__(self):
-        raw = _real(self.raw_entropy, "raw_entropy")
-        normalizer = _real(self.normalizer, "normalizer")
-        order = _count(self.order, "order", 1, 2, error=InvalidInputError)
-        for name, value in (("raw_entropy", raw), ("normalizer", normalizer)):
-            if value < 0:
-                raise InvalidInputError(f"{name} must be nonnegative, got {value}")
-        # raw <= log(support size), up to the rounding of a sum of logs (one ulp measured)
-        if raw > normalizer * (1 + 1e-9):
-            raise InvalidInputError(f"raw_entropy {raw} exceeds its normalizer {normalizer}")
-        h = min(raw / normalizer, 1.0) if normalizer > 0.0 else 0.0
-        object.__setattr__(self, "raw_entropy", raw)
-        object.__setattr__(self, "normalizer", normalizer)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "normalized_entropy", h)
+        for name in ("low", "high"):
+            value = _real(getattr(self, name), name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
+        if self.low > self.high:
+            raise InvalidInputError(f"low {self.low} exceeds high {self.high}")
+
+    @property
+    def normalized_entropy(self) -> float:
+        return self.low
 
 
 def spectral_entropy(tokens) -> EntropyReport:
     """Entropy of the normalized squared singular values of the token matrix.
 
     The squared singular values are the eigenvalues of the Gram matrix, so
-    no full SVD is needed.  The normalizer is log min(n_tokens, dim).  The
-    report is always the Shannon entropy (order 1).
+    no full SVD is needed.  The raw entropy is normalized by log min(n_tokens,
+    dim) and capped at 1 against rounding; a support of one gives 0.  The
+    report is always exact (low == high).
     Raises DegenerateInputError when the Gram or its eigenvalue sum is zero or overflows.
     """
     return _spectral_entropy(as_token_matrix(tokens))[0]
@@ -116,7 +101,8 @@ def _spectral_entropy(
     """``spectral_entropy`` of a validated E, and the Gram it decomposed if that
     is the token Gram E E^T (n < d), which stage 2 reads; None at n >= d.
     Given the ``config`` whose sigmoid splits the budget, the report is the
-    order-2 one wherever it certifies that split, and the eigensolve is skipped."""
+    Renyi-2 interval wherever that certifies the split, and the eigensolve is
+    skipped."""
     with _span("gram"):
         G = _gram(E)
     report = None
@@ -136,14 +122,16 @@ def _spectral_entropy(
             )
         p = lam[lam > 0] / total
         raw = float(-(p * np.log(p)).sum() + 0.0)  # + 0.0 avoids -0.0
-        report = EntropyReport(raw, float(np.log(min(E.shape))))
+        log_r = float(np.log(min(E.shape)))
+        h = min(raw / log_r, 1.0) if log_r > 0.0 else 0.0
+        report = EntropyReport(h, h)
     return report, G if E.shape[0] < E.shape[1] else None
 
 
 def _renyi2_report(G: np.ndarray, size: int) -> EntropyReport | None:
-    # the order-2 report of G's spectrum, -log q over log r, or None where
-    # RENYI2_SLACK does not cover it (see there); clamped to [0, log r], the
-    # range it has in exact arithmetic
+    # the normalized interval [-log q, H_max(q, r)] / log r that holds the
+    # Shannon entropy of G's spectrum, widened by RENYI2_SLACK, or None where
+    # the slack does not cover it (see there)
     r = G.shape[0]
     if r == 1 or size > _RENYI2_MAX_SIZE:
         return None
@@ -152,37 +140,18 @@ def _renyi2_report(G: np.ndarray, size: int) -> EntropyReport | None:
         squares = float(np.vdot(G, G))
     if not (0.0 < trace < np.inf and _RENYI2_MIN_MASS <= squares < np.inf):
         return None
-    normalizer = float(np.log(r))
-    raw = min(max(0.0, -math.log(squares / trace / trace)), normalizer)
-    return EntropyReport(raw, normalizer, order=2)
+    # q lies in [1 / r, 1] in exact arithmetic; the clamps keep rounding there
+    q = min(squares / trace / trace, 1.0)
+    log_r = float(np.log(r))
+    low = max(0.0, (min(-math.log(q), log_r) - math.log1p(RENYI2_SLACK)) / log_r)
+    high = min(1.0, _max_entropy(q * (1.0 - RENYI2_SLACK), r) / log_r)
+    return EntropyReport(low, high)
 
 
 def _certifies(report: EntropyReport, config: CompressConfig) -> bool:
-    """Whether an order-2 ``report`` decides the sigmoid split of ``config``:
-    whether ``allocate_budget`` gives the same (t_sal, t_cov) at both ends of
-    ``_entropy_bounds``.  The split at the report's own entropy, which lies
-    between them, is then that split too."""
-    bounds = _entropy_bounds(report)
-    if bounds is None:
-        return False
-    low, high = (allocate_budget(h, config) for h in bounds)
-    return low.t_cov == high.t_cov
-
-
-def _entropy_bounds(report: EntropyReport) -> tuple[float, float] | None:
-    # the normalized interval that holds the Shannon entropy of the spectrum
-    # whose order-2 entropy the report holds, widened by RENYI2_SLACK; None
-    # for one atom, more atoms than the slack covers, or a normalizer that
-    # is not the log r that _renyi2_report writes for r atoms
-    if not 0.0 < report.normalizer <= np.log(_RENYI2_MAX_RANK):
-        return None
-    r = round(math.exp(report.normalizer))
-    if float(np.log(r)) != report.normalizer:
-        return None
-    q = math.exp(-report.raw_entropy)
-    low = max(0.0, (report.raw_entropy - math.log1p(RENYI2_SLACK)) / report.normalizer)
-    high = min(1.0, _max_entropy(q * (1.0 - RENYI2_SLACK), r) / report.normalizer)
-    return low, high
+    """Whether ``allocate_budget`` gives the same split at both ends of
+    ``report``; it is monotone, so every entropy between them splits alike."""
+    return allocate_budget(report.low, config).t_cov == allocate_budget(report.high, config).t_cov
 
 
 def _max_entropy(q: float, r: int) -> float:

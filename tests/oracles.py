@@ -354,7 +354,7 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 def span_paths(t_cov: int, forced: bool = False, certified: bool = False) -> set[str]:
     """The ``timings_us`` keys of a ``compress`` call, written out by hand:
     the entropy's bounds are timed only when the split is not ``forced``, the
-    eigensolve only when they have not ``certified`` it (an order-2 entropy),
+    eigensolve only when they have not ``certified`` it (low < high),
     and the selector's own spans only when it runs (t_cov > 0)."""
     paths = {
         "total", "validate", "entropy", "entropy/gram",

@@ -14,7 +14,6 @@ from adaptok import (
     TrailingDataError,
     TruncatedPayloadError,
     ValueRangeError,
-    allocate_budget,
     compress,
     read_saliency,
     read_selection_result,
@@ -148,7 +147,7 @@ def _text(doc) -> str:
 
 
 def _set(doc, field: str, value) -> None:
-    # field: a key path such as "entropy.order"
+    # field: a key path such as "entropy.low"
     *parents, name = field.split(".")
     for key in parents:
         doc = doc[key]
@@ -158,9 +157,9 @@ def _set(doc, field: str, value) -> None:
 # every document field that a type checks as a count or a real; a value that
 # is neither (oracles' NOT_COUNTS and NOT_REALS, the boundary tables' values)
 # must reach the caller as the type's own refusal, so the reader coerces none
-_TYPED_FIELDS = {"config.total_budget": NOT_COUNTS, "entropy.order": NOT_COUNTS,
+_TYPED_FIELDS = {"config.total_budget": NOT_COUNTS, "n_tokens": NOT_COUNTS,
                  "forced_t_sal": NOT_COUNTS, "config.mu": NOT_REALS, "config.tau": NOT_REALS,
-                 "entropy.raw_entropy": NOT_REALS, "entropy.normalizer": NOT_REALS}
+                 "entropy.low": NOT_REALS, "entropy.high": NOT_REALS}
 
 
 def _untyped_field_values():
@@ -179,9 +178,28 @@ def _untyped_field_values():
 # test_tensor_core.py, TestEntropyReport, test_budget.py's unknown method);
 # a field of the wrong type reaches the reader's caller in
 # test_a_field_of_the_wrong_type_is_the_types_refusal, and
-# _raw_entropy_beyond_normalizer alone shows a range refusal doing so.
-def _unknown_label(doc):
-    doc["stage_of"][0] = "random"
+# _high_above_one and _negative_low alone show a range refusal doing so.
+def _leftover_stage_of(doc):
+    # schema 3's labels, which derive from the two index lists
+    doc["stage_of"] = ["coverage" if i in doc["coverage_pick_order"] else "saliency"
+                       for i in doc["selected"]]
+
+
+def _schema_three(doc):
+    doc["schema"] = 3
+
+
+def _no_n_tokens(doc):
+    del doc["n_tokens"]
+
+
+def _n_tokens_below_budget(doc):
+    doc["n_tokens"] = 11
+
+
+def _pick_beyond_n_tokens(doc):
+    # a token count that the last pick reaches
+    doc["n_tokens"] = doc["selected"][-1]
 
 
 def _unsorted(doc):
@@ -198,23 +216,14 @@ def _negative_index(doc):
 
 def _one_pick_short(doc):
     doc["selected"].pop()
-    doc["stage_of"].pop()
-
-
-def _extra_label(doc):
-    doc["stage_of"].append("coverage")
-
-
-def _saliency_relabelled(doc):
-    doc["stage_of"][doc["stage_of"].index("saliency")] = "coverage"
 
 
 def _pick_order_short(doc):
     doc["coverage_pick_order"].pop()
 
 
-def _saliency_in_pick_order(doc):
-    doc["coverage_pick_order"][0] = doc["selected"][doc["stage_of"].index("saliency")]
+def _pick_order_repeats(doc):
+    doc["coverage_pick_order"][1] = doc["coverage_pick_order"][0]
 
 
 def _pick_order_outside_selected(doc):
@@ -241,39 +250,30 @@ def _split_entropy_differs(doc):
     doc["normalized_entropy"] /= 2
 
 
-def _entropy_not_normalized(doc):
-    # both copies agree, but neither is raw_entropy / normalizer
-    doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 0.5
+def _high_above_one(doc):
+    # EntropyReport's refusal reaches the caller as a FormatError with its message
+    doc["entropy"]["high"] = 1.5
 
 
-def _raw_entropy_beyond_normalizer(doc):
-    # EntropyReport's refusal reaches the caller as a FormatError with its
-    # message: every derived copy agrees with the cap at 1, but no support of
-    # size e^normalizer has this entropy
-    doc["entropy"]["raw_entropy"] = 1.5 * doc["entropy"]["normalizer"]
-    doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = 1.0
+def _negative_low(doc):
+    # the split's copy of the low end agrees
+    doc["entropy"]["low"] = doc["normalized_entropy"] = -0.25
 
 
-def _order_two_inside_the_band(doc):
-    # on an allocated document, which its order-2 bounds certify: a raw
-    # entropy at mu, whose bounds straddle a step of the split
-    assert doc["entropy"]["order"] == 2
-    doc["entropy"]["raw_entropy"] = 0.42 * doc["entropy"]["normalizer"]
+def _low_above_high(doc):
+    doc["entropy"]["low"] = doc["entropy"]["high"] + 0.25
 
 
-def _order_two_not_log_r(doc):
-    # on an allocated document: a normalizer that is no log r, its derived copies to match
-    assert doc["entropy"]["order"] == 2
-    doc["entropy"]["normalizer"] = 2.0
-    h = min(doc["entropy"]["raw_entropy"] / 2.0, 1.0)
-    doc["normalized_entropy"] = doc["entropy"]["normalized_entropy"] = h
-    split = allocate_budget(h, CompressConfig(**doc["config"]))
-    doc.update(t_sal=split.t_sal, t_cov=split.t_cov, coverage_ratio=split.coverage_ratio)
+def _interval_across_a_step(doc):
+    # on an allocated document, whose interval certifies its split: the
+    # interval [0, 1], across every step of the split
+    assert doc["entropy"]["low"] < doc["entropy"]["high"]
+    doc["entropy"].update(low=0.0, high=1.0)
 
 
-def _order_two_forced(doc):
-    # a forced split never skips the eigensolve
-    doc["entropy"]["order"] = 2
+def _interval_forced(doc):
+    # a forced split never skips the eigensolve, so its entropy is a point
+    doc["entropy"]["high"] = doc["entropy"]["low"] + 0.01
 
 
 def _coverage_ratio_five(doc):
@@ -344,31 +344,33 @@ def _config_extra_key(doc):
 
 
 # edits made to the allocated document; the others edit the forced one
-_ON_ALLOCATED = {_coverage_ratio_one_ulp, _order_two_inside_the_band, _order_two_not_log_r}
+_ON_ALLOCATED = {_coverage_ratio_one_ulp, _interval_across_a_step}
 
 
 # each edit with the part of the error message that names its check
 _BROKEN = [
-    (_unknown_label, "write back"),
+    (_leftover_stage_of, "write back"),
+    (_schema_three, "schema 3 is not 4"),
+    (_no_n_tokens, "malformed: 'n_tokens'"),
+    (_n_tokens_below_budget, "malformed: n_tokens must be >= 12"),
+    (_pick_beyond_n_tokens, "malformed: selected .* below n_tokens"),
     (_unsorted, "strictly increasing"),
     (_duplicate_index, "strictly increasing"),
     (_negative_index, "nonnegative"),
     (_one_pick_short, "total_budget entries"),
-    (_extra_label, "write back"),
-    (_saliency_relabelled, "write back"),
     (_pick_order_short, "permutation"),
-    (_saliency_in_pick_order, "write back"),
+    (_pick_order_repeats, "permutation"),
     (_pick_order_outside_selected, "permutation"),
     (_scalar_selected, "malformed: selected must be a sequence of int64 indices"),
     (_diagnostics_list, "malformed: diagnostics must be a dict"),
     (_unknown_key, "write back"),
-    (_unknown_entropy_key, "write back"),
+    (_unknown_entropy_key, "malformed: .*'support'"),
     (_split_entropy_differs, "write back"),
-    (_entropy_not_normalized, "write back"),
-    (_raw_entropy_beyond_normalizer, "malformed: raw_entropy .* exceeds its normalizer"),
-    (_order_two_inside_the_band, "malformed: an order-2 entropy must certify the split"),
-    (_order_two_not_log_r, "malformed: an order-2 entropy must certify the split"),
-    (_order_two_forced, "malformed: an order-2 entropy must certify the split"),
+    (_high_above_one, r"malformed: high must lie in \[0, 1\]"),
+    (_negative_low, r"malformed: low must lie in \[0, 1\]"),
+    (_low_above_high, "malformed: low .* exceeds high"),
+    (_interval_across_a_step, "malformed: an entropy interval must certify the split"),
+    (_interval_forced, "malformed: an entropy interval must certify the split"),
     (_coverage_ratio_five, "write back"),
     (_negative_coverage_ratio, "write back"),
     (_empty_diagnostics, "diagnostics keys"),
@@ -431,15 +433,15 @@ class TestSelectionResultJson:
 
     def test_schema_field_present(self):
         doc = json.loads(selection_result_to_json(self._result()))
-        assert doc["schema"] == 3
-        assert doc["entropy"]["order"] in (1, 2)
+        assert doc["schema"] == 4
+        assert doc["entropy"].keys() == {"low", "high"}
+        assert doc["n_tokens"] == 40
         assert doc["t_sal"] + doc["t_cov"] == 12
         assert doc["selected"] == sorted(doc["selected"])
-        assert set(doc["stage_of"]) <= {"saliency", "coverage"}
 
     def test_rejects_wrong_schema(self):
         text = selection_result_to_json(self._result())
-        wrong = [text.replace('"schema": 3', f'"schema": {value}') for value in (1, 2, "true")]
+        wrong = [text.replace('"schema": 4', f'"schema": {value}') for value in (1, 2, "true")]
         for doc in (*wrong, "[1]", "null"):  # the last two have no schema field at all
             with pytest.raises(FormatError):
                 selection_result_from_json(doc)
@@ -514,7 +516,7 @@ class TestSelectionResultJson:
 
     @pytest.mark.parametrize(
         "old, new",
-        [('"schema": 3,', '"schema": 3.0,'),
+        [('"schema": 4,', '"schema": 4.0,'),
          ('"mu": 0.42,', '"mu": 4.2e-1,'),
          ('"coverage_logdet": 0.0,', '"coverage_logdet": 0,'),
          (None, None)],
@@ -563,7 +565,7 @@ class TestSelectionResultJson:
         "field, value",
         [("diagnostics.coverage_logdet", "nan"),
          ("diagnostics.coverage_logdet", float("nan")),
-         ("entropy.normalized_entropy", "Infinity"),
+         ("entropy.low", "Infinity"),
          ("coverage_ratio", "0.5"),
          ("normalized_entropy", -float("inf"))],
     )

@@ -22,7 +22,7 @@ from adaptok import (
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.prominence import _entropy_bounds, _renyi2_report
+from adaptok.prominence import _renyi2_report
 from adaptok.tensor_core import _SPANS, _gram
 
 CLIP = dict(mu=0.42, tau=0.02)
@@ -37,7 +37,6 @@ class TestCompress:
         tokens, sal = _instance(n=20, d=6)
         res = compress(tokens, sal, CompressConfig(total_budget=20, **CLIP))
         np.testing.assert_array_equal(res.selected, np.arange(20))
-        assert len(res.stage_of) == 20
 
     def test_concentrated_sample_is_pure_saliency(self):
         # rank-1 + tiny noise has normalized entropy ~0, far below mu
@@ -45,7 +44,6 @@ class TestCompress:
         res = compress(tokens, sal, CompressConfig(total_budget=64, **CLIP))
         assert res.split.t_sal == 64 and res.split.t_cov == 0
         np.testing.assert_array_equal(res.selected, saliency_topk(sal, 64))
-        assert all(s == "saliency" for s in res.stage_of)
         assert res.coverage_pick_order.size == 0
 
     def test_stage_disjointness_and_budget(self):
@@ -63,22 +61,16 @@ class TestCompress:
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize("t_sal", [0, 5, 16])
-    def test_stage_labels_are_derived_from_the_two_stages(self, method, t_sal):
-        # only selected and coverage_pick_order are stored; the labels and
-        # the per-stage index sets are read from them
+    def test_stage_indices_are_derived_from_the_two_stages(self, method, t_sal):
+        # only selected and coverage_pick_order are stored; the per-stage
+        # index sets are read from them
         tokens, sal = _instance(k=6)
         cfg = CompressConfig(total_budget=16, diversity_method=method, **CLIP)
         res = compress(tokens, sal, cfg, t_sal=t_sal)
         assert (res.split.t_sal, res.split.t_cov) == (t_sal, 16 - t_sal)
-        top = saliency_topk(sal, t_sal)
-        sal_set = set(top.tolist())
-        assert res.stage_of == [
-            "saliency" if i in sal_set else "coverage" for i in res.selected.tolist()
-        ]
-        np.testing.assert_array_equal(res.saliency_indices, top)
+        np.testing.assert_array_equal(res.saliency_indices, saliency_topk(sal, t_sal))
         np.testing.assert_array_equal(res.coverage_indices, np.sort(res.coverage_pick_order))
         assert res.saliency_indices.dtype == res.coverage_indices.dtype == np.int64
-        assert "stage_of" not in {f.name for f in dataclasses.fields(res)}
 
     @pytest.mark.parametrize(
         "n_tokens,budgets",
@@ -159,13 +151,13 @@ class TestForcedSplit:
     def test_pure_saliency_boundary(self):
         tokens, sal = _instance()
         res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=16)
-        assert all(s == "saliency" for s in res.stage_of)
+        assert res.coverage_indices.size == 0
         np.testing.assert_array_equal(res.selected, saliency_topk(sal, 16))
 
     def test_pure_coverage_boundary(self):
         tokens, sal = _instance()
         res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=0)
-        assert all(s == "coverage" for s in res.stage_of)
+        np.testing.assert_array_equal(res.coverage_indices, res.selected)
         assert res.split.t_sal == 0 and res.split.t_cov == 16
 
     def test_benchmark_average_split(self):
@@ -238,15 +230,15 @@ class TestForcedSplit:
             f = compress(tokens, sal, cfg, t_sal=r.split.t_sal)
             assert (f.split.t_sal, f.split.t_cov) == (r.split.t_sal, r.split.t_cov)
             np.testing.assert_array_equal(f.selected, r.selected)
-            assert f.stage_of == r.stage_of
             np.testing.assert_array_equal(f.coverage_pick_order, r.coverage_pick_order)
             assert f.diagnostics == r.diagnostics
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_a_certified_split_is_the_exact_one(self, method):
         # over the synth and vit_tokens grids, the exact entropy lies within
-        # every input's order-2 bounds, every split is the one it allocates,
-        # and a certified result picks what the split forced at it picks
+        # every input's Renyi-2 interval, every split is the one it
+        # allocates, and a certified result picks what the split forced at
+        # it picks
         inputs = [synth_tokens(n, d, k, noise, 0)
                   for n, d in ((96, 64), (64, 96), (200, 32)) for k in (1, 2, 4, 8, 16, 32)
                   for noise in (0.0, 1e-3, 5e-2)]
@@ -256,13 +248,13 @@ class TestForcedSplit:
         certified = 0
         for tokens, sal in inputs:
             exact = spectral_entropy(tokens)  # the public entropy keeps the eigensolve
-            assert exact.order == 1
-            low, high = _entropy_bounds(_renyi2_report(_gram(tokens), tokens.size))
-            assert low <= exact.normalized_entropy <= high
+            assert exact.low == exact.high
+            interval = _renyi2_report(_gram(tokens), tokens.size)
+            assert interval.low <= exact.normalized_entropy <= interval.high
             t_sal = allocate_budget(exact.normalized_entropy, config).t_sal
             res = compress(tokens, sal, config)
             assert res.split.t_sal == t_sal
-            if res.entropy.order == 1:
+            if res.entropy != interval:
                 assert res.entropy == exact
                 continue
             certified += 1
@@ -390,7 +382,7 @@ class TestTimings:
         tokens, sal = _instance()
         config = CompressConfig(total_budget=12, diversity_method=method, **CLIP)
         res = compress(tokens, sal, config, t_sal=t_sal)
-        certified = res.entropy.order == 2
+        certified = res.entropy.low < res.entropy.high
         assert set(res.timings_us) == span_paths(res.split.t_cov, t_sal is not None, certified)
         assert all(us >= 0.0 for us in res.timings_us.values())
         _assert_nested(res.timings_us)

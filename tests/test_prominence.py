@@ -20,28 +20,18 @@ from adaptok import (
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.prominence import (
-    RENYI2_SLACK,
-    _certifies,
-    _entropy_bounds,
-    _renyi2_report,
-    _spectral_entropy,
-)
+from adaptok.prominence import _certifies, _renyi2_report, _spectral_entropy
 from adaptok.tensor_core import _gram
 
 
 class TestSpectralEntropy:
     def test_rank_one_is_zero(self):
         E = np.tile([1.0, 2.0, -1.0], (6, 1))
-        rep = spectral_entropy(E)
-        assert rep.raw_entropy == 0.0
-        assert rep.normalized_entropy == 0.0
+        assert spectral_entropy(E) == EntropyReport(0.0, 0.0)
 
     def test_identity_is_maximal(self):
-        rep = spectral_entropy(np.eye(4))
-        np.testing.assert_allclose(rep.raw_entropy, math.log(4), rtol=1e-12)
-        assert rep.normalized_entropy == 1.0
-        np.testing.assert_allclose(rep.normalizer, math.log(4))
+        # the raw entropy over log r, capped at 1 against rounding
+        assert spectral_entropy(np.eye(4)).normalized_entropy == 1.0
 
     def test_prescribed_singular_values(self, rng):
         # E built with singular values {2, 1} inside a 6x4 frame
@@ -50,18 +40,17 @@ class TestSpectralEntropy:
         E = 2.0 * np.outer(U[:, 0], V[:, 0]) + 1.0 * np.outer(U[:, 1], V[:, 1])
         rep = spectral_entropy(E)
         expected_raw = scalar_entropy([0.8, 0.2])  # p = sigma^2 / sum = {0.8, 0.2}
-        np.testing.assert_allclose(rep.raw_entropy, expected_raw, rtol=1e-10)
-        np.testing.assert_allclose(rep.raw_entropy, 0.5004024235, rtol=1e-8)
+        np.testing.assert_allclose(expected_raw, 0.5004024235, rtol=1e-8)
         np.testing.assert_allclose(rep.normalized_entropy, expected_raw / math.log(4), rtol=1e-10)
+        assert rep.low == rep.high
 
     def test_matches_full_svd_oracle(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 12))
             d = int(rng.integers(2, 12))
             E = rng.standard_normal((n, d))
-            raw, normalized = svd_spectral_entropy(E)
+            _, normalized = svd_spectral_entropy(E)
             rep = spectral_entropy(E)
-            np.testing.assert_allclose(rep.raw_entropy, raw, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(rep.normalized_entropy, normalized, rtol=1e-8, atol=1e-10)
 
     def test_all_zero_rejected(self):
@@ -71,28 +60,23 @@ class TestSpectralEntropy:
     def test_single_token_normalizes_to_zero(self):
         # one token, or one feature: a support of one, whose log(1) is 0.0
         for E in (np.array([[3.0, 1.0, 2.0]]), np.array([[3.0], [1.0], [2.0]])):
-            rep = spectral_entropy(E)
-            assert rep.raw_entropy == rep.normalizer == rep.normalized_entropy == 0.0
+            assert spectral_entropy(E) == EntropyReport(0.0, 0.0)
 
     def test_orthogonal_rows_are_maximal(self, rng):
         rep = spectral_entropy(random_orthogonal(5, rng))  # every eigenvalue 1
-        np.testing.assert_allclose(rep.raw_entropy, math.log(5), rtol=1e-12)
         np.testing.assert_allclose(rep.normalized_entropy, 1.0, atol=1e-12)
 
     def test_zero_rows_carry_no_mass(self):
         E = np.zeros((4, 3))
         E[2] = [1.0, 2.0, 2.0]
-        rep = spectral_entropy(E)
-        assert rep.raw_entropy == 0.0
-        assert rep.normalized_entropy == 0.0
-        np.testing.assert_allclose(rep.normalizer, math.log(3))
+        assert spectral_entropy(E) == EntropyReport(0.0, 0.0)
 
     @pytest.mark.parametrize("sigma, expected", [(1e-7, 0.0), (1e-5, scalar_entropy([1.0, 1e-10]))],
                              ids=["below-floor", "above-floor"])
     def test_eigenvalue_floor(self, sigma, expected):
         # an eigenvalue under EIGENVALUE_FLOOR (1e-12) of the largest is dropped
         rep = spectral_entropy(np.diag([1.0, sigma]))
-        assert rep.raw_entropy == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert rep.normalized_entropy == pytest.approx(expected / math.log(2), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize(
         "E",
@@ -104,17 +88,16 @@ class TestSpectralEntropy:
     def test_power_of_two_scale_is_bitwise_invariant(self, E):
         # 2**k scales every eigenvalue by 4**k exactly while the Gram stays
         # normal; toward 2**-500 it does not (ROADMAP item 6)
-        def fields(rep):
-            return rep.raw_entropy, rep.normalizer, rep.normalized_entropy
-
-        base = fields(spectral_entropy(E))
+        base = spectral_entropy(E)
         for k in (-200, -3, 5, 200):
-            assert fields(spectral_entropy(np.ldexp(E, k))) == base, k
+            assert spectral_entropy(np.ldexp(E, k)) == base, k
 
     @pytest.mark.parametrize("shape", [(5, 2), (2, 5)], ids=["tall", "wide"])
     def test_normalizer_is_log_of_smaller_side(self, rng, shape):
-        rep = spectral_entropy(rng.standard_normal(shape))
-        np.testing.assert_allclose(rep.normalizer, math.log(2), rtol=1e-15)
+        E = rng.standard_normal(shape)
+        raw, _ = svd_spectral_entropy(E)
+        np.testing.assert_allclose(spectral_entropy(E).normalized_entropy, raw / math.log(2),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("n, d", [(6, 9), (7, 7), (9, 6)], ids=["n<d", "n=d", "n>d"])
     def test_hands_on_the_gram_only_at_n_below_d(self, rng, n, d):
@@ -130,36 +113,25 @@ class TestSpectralEntropy:
 
 
 class TestEntropyReport:
-    @pytest.mark.parametrize(
-        "raw, normalizer, expected",
-        [(0.0, 0.0, 0.0), (0.5, 2.0, 0.25), (2, 2, 1.0),
-         (float(np.nextafter(2.0, 3.0)), 2.0, 1.0), (2.0 * (1 + 1e-9), 2.0, 1.0)],
-    )
-    def test_derives_the_clamped_ratio(self, raw, normalizer, expected):
-        # 0 at a single-element support (normalizer 0), else capped at 1: a
-        # raw entropy rounded just past the normalizer still loads
-        report = EntropyReport(raw, normalizer)
-        assert report.normalized_entropy == expected
-        assert type(report.raw_entropy) is type(report.normalizer) is float
+    @pytest.mark.parametrize("low, high", [(0, 0), (0.25, 0.25), (0.25, 0.5), (1, 1), (0, 1)])
+    def test_allocates_at_the_low_end(self, low, high):
+        report = EntropyReport(low, high)
+        assert report.normalized_entropy == low
+        assert type(report.low) is type(report.high) is float
 
     @pytest.mark.parametrize(
-        "raw, normalizer", [(1.5, 0.0), (3.0, 2.0), (2.0 * (1 + 2e-9), 2.0), (1e-300, 0.0)],
-        ids=["over-zero", "one-and-a-half", "beyond-the-slack", "tiny-over-zero"],
+        "low, high", [(0.5, 0.25), (1.0, 0.0), (float(np.nextafter(0.5, 1.0)), 0.5),
+                      (1e-300, 0.0)],
+        ids=["half-over-quarter", "one-over-zero", "one-ulp", "tiny-over-zero"],
     )
-    def test_refuses_a_raw_entropy_beyond_its_normalizer(self, raw, normalizer):
-        # the entropy of a support is at most the log of its size; the cap at
-        # 1 is for rounding only, never for a raw entropy above the normalizer
-        with pytest.raises(InvalidInputError, match="exceeds its normalizer"):
-            EntropyReport(raw, normalizer)
+    def test_refuses_low_above_high(self, low, high):
+        with pytest.raises(InvalidInputError, match="exceeds high"):
+            EntropyReport(low, high)
 
-    def test_takes_three_facts_and_keeps_four_keys(self):
-        report = EntropyReport(0.5, 1.0)
-        assert dataclasses.asdict(report) == {
-            "raw_entropy": 0.5, "normalizer": 1.0, "order": 1, "normalized_entropy": 0.5
-        }
-        assert EntropyReport(0.5, 1.0, 2).order == 2
+    def test_takes_two_facts_and_keeps_two_keys(self):
+        assert dataclasses.asdict(EntropyReport(0.25, 0.5)) == {"low": 0.25, "high": 0.5}
         with pytest.raises(TypeError):
-            EntropyReport(0.5, 0.5, 1, 1.0)
+            EntropyReport(0.25, 0.5, 0.25)
 
 
 def _band_edges(config):
@@ -169,20 +141,11 @@ def _band_edges(config):
     return config.mu - spread, config.mu + spread
 
 
-def _order2_report(low=None, high=None, atoms=64):
-    """An order-2 report over ``atoms`` whose ``_entropy_bounds`` start at
-    ``low``, or end at ``high``."""
-    normalizer = float(np.log(atoms))
+def _interval(low=None, high=None):
+    """A report 0.01 wide that starts at ``low``, or ends at ``high``."""
     if low is not None:
-        return EntropyReport(low * normalizer + math.log1p(RENYI2_SLACK), normalizer, 2)
-    below, above = 0.0, normalizer  # the upper bound grows with the raw entropy
-    for _ in range(100):
-        mid = (below + above) / 2
-        if _entropy_bounds(EntropyReport(mid, normalizer, 2))[1] < high:
-            below = mid
-        else:
-            above = mid
-    return EntropyReport(below, normalizer, 2)
+        return EntropyReport(low, min(low + 0.01, 1.0))
+    return EntropyReport(max(high - 0.01, 0.0), high)
 
 
 class TestRenyi2Certificate:
@@ -198,25 +161,25 @@ class TestRenyi2Certificate:
         config = CompressConfig(total_budget=T)
         low_edge, high_edge = _band_edges(config)
         if edge == "low":
-            report = _order2_report(high=low_edge + offset)
+            report = _interval(high=low_edge + offset)
         else:
-            report = _order2_report(low=high_edge + offset)
-        low, high = _entropy_bounds(report)
-        assert low <= report.normalized_entropy <= high
-        assert (low < (low_edge if edge == "low" else high_edge) < high) == (not certified)
+            report = _interval(low=high_edge + offset)
+        edge_value = low_edge if edge == "low" else high_edge
+        assert (report.low < edge_value < report.high) == (not certified)
         assert _certifies(report, config) == certified
         if certified:
             split = allocate_budget(report.normalized_entropy, config)
             assert split.t_cov == (0 if edge == "low" else T - 1)
 
-    @pytest.mark.parametrize(
-        "report",
-        [EntropyReport(0.0, 0.0, 2), EntropyReport(0.0, float(np.log(2**14 + 1)), 2)],
-        ids=["one-atom", "beyond-the-slack-rank"],
-    )
-    def test_certifies_nothing_without_bounds(self, report):
-        assert _entropy_bounds(report) is None
-        assert not _certifies(report, CompressConfig(total_budget=1))
+    @pytest.mark.parametrize("size, bounded", [(2**28, True), (2**28 + 1, False)],
+                             ids=["at-the-slack-size", "beyond-the-slack-size"])
+    def test_gives_an_interval_only_as_far_as_the_slack_covers(self, size, bounded):
+        # RENYI2_SLACK is derived for an E of at most 2**28 entries
+        report = _renyi2_report(np.diag([4.0, 1.0]), size)
+        assert (report is not None) == bounded
+        if bounded:
+            h = spectral_entropy(np.diag([2.0, 1.0])).normalized_entropy
+            assert report.low <= h <= report.high
 
     @pytest.mark.parametrize(
         "tokens, refused",
@@ -266,14 +229,8 @@ class TestInvariances:
             n, d = int(rng.integers(2, 10)), int(rng.integers(2, 10))
             E = np.abs(rng.standard_normal((n, d))) + 0.1
             perm = rng.permutation(n)
-            a = spectral_entropy(E).raw_entropy
-            assert abs(a - spectral_entropy(E[perm]).raw_entropy) < 1e-8
-
-    def test_normalized_in_unit_interval(self, rng):
-        for _ in range(50):
-            n, d = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-            E = rng.standard_normal((n, d))
-            assert 0.0 <= spectral_entropy(E).normalized_entropy <= 1.0
+            a = spectral_entropy(E).normalized_entropy
+            assert abs(a - spectral_entropy(E[perm]).normalized_entropy) < 1e-8
 
 
 class TestMonotoneConcentration:

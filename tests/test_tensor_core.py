@@ -172,6 +172,7 @@ class TestSpectrumInvariants:
 
 
 _E, _S = synth_tokens(10, 4, 2, 1e-3, 0)
+_ONE_TOKEN = compress(_E[:1], _S[:1], CompressConfig(total_budget=1))
 
 # every public entry that takes a count: (name, call taking the count, the
 # argument's name, which starts each refusal, the least and the greatest count
@@ -192,9 +193,9 @@ _COUNT_ENTRIES = [
            _E, _S, CompressConfig(total_budget=v, diversity_method=method), t_sal=0),
        "total_budget", 1, 10, "invalid-budget")
       for method in DIVERSITY_METHODS],
-    # 1 for the Shannon entropy, 2 for the Renyi-2 entropy of a certified split
-    ("EntropyReport.order", lambda v: EntropyReport(0.0, 1.0, v), "order", 1, 2,
-     "invalid-input"),
+    # a result's token count is at least its budget
+    ("SelectionResult.n_tokens", lambda v: dataclasses.replace(_ONE_TOKEN, n_tokens=v),
+     "n_tokens", 1, None, "invalid-input"),
     ("BudgetSplit.t_sal", lambda v: BudgetSplit(v, 9, 0.5, 0.75), "t_sal", 0, None,
      "invalid-budget"),
     ("BudgetSplit.t_cov", lambda v: BudgetSplit(3, v, 0.5, 0.75), "t_cov", 0, None,
@@ -263,10 +264,9 @@ _REAL_ENTRIES = [
     ("allocate_budget.normalized_entropy", lambda v: allocate_budget(v, CompressConfig(4)),
      "normalized_entropy", 0.0, 1.0),
     ("synth_tokens.noise", lambda v: synth_tokens(4, 3, 1, v, 0), "noise", 0.0, None),
-    # a raw entropy may pass its normalizer by a rounding slack of 1e-9
-    ("EntropyReport.raw_entropy", lambda v: EntropyReport(v, 1.0), "raw_entropy", 0.0,
-     1.0 + 1e-9),
-    ("EntropyReport.normalizer", lambda v: EntropyReport(0.0, v), "normalizer", 0.0, None),
+    # each end of a normalized entropy interval, the other at the far end
+    ("EntropyReport.low", lambda v: EntropyReport(v, 1.0), "low", 0.0, 1.0),
+    ("EntropyReport.high", lambda v: EntropyReport(0.0, v), "high", 0.0, 1.0),
     # a split's reals, the one [0, 1] check of allocate_budget's entropy and ratio, or a
     # forced t_cov / T
     ("BudgetSplit.normalized_entropy", lambda v: BudgetSplit(3, 9, v, 0.75),

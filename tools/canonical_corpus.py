@@ -85,9 +85,7 @@ TAUS = (0.02, 0.5)
 BUDGET = 12
 
 # the decisions an output records: which tokens, in which order, from which stage
-PICK_FIELDS = frozenset({
-    "selected", "stage_of", "coverage_pick_order", "t_sal", "t_cov", "pick_order",
-})
+PICK_FIELDS = frozenset({"selected", "coverage_pick_order", "t_sal", "t_cov", "pick_order"})
 
 
 def _inputs():
