@@ -13,7 +13,9 @@ so a mass that is zero, underflows or overflows raises, never gives 0 or NaN.
 A report is the normalized interval [low, high] that holds the entropy.
 The sigmoid split reads the entropy only through floor(T * sigmoid), which
 is constant outside a narrow band around mu.  So ``compress`` first bounds
-the entropy from the Gram's trace and Frobenius norm, and skips the
+the entropy from the Gram's trace and Frobenius norm (the Renyi-2
+interval), and where its two ends split differently, lowers its high end by
+one Rayleigh-Ritz step on the Gram (the Ritz bound).  It skips the
 eigensolve when both ends give the same split (``_certifies``).  Its report
 is then that interval; the eigensolve's report is the point low == high == h.
 """
@@ -51,6 +53,30 @@ from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_t
 # A larger E, one atom (r = 1), or a trace or squared Frobenius sum that is
 # zero, not finite or below 2**-1000, where the squares of a subnormal Gram
 # lose their bits, takes the eigensolve.
+#
+# The Ritz bound (_ritz_bound).  For an orthonormal r x j block V, the
+# eigenvalues theta_1 >= ... >= theta_j of V^T G V satisfy theta_i <= lambda_i
+# (Cauchy interlacing; Parlett, The Symmetric Eigenvalue Problem, 1998), so
+# c_m = sum_{i<=m} theta_i / tr(G) is at most the m-th partial sum of p.
+# Those partial sums are concave in m, so they lie above the least concave
+# majorant of (0, 0), (m, c_m) for m <= j, and (r, 1); p therefore majorizes
+# the majorant's increments, and Shannon entropy, being Schur-concave
+# (Marshall, Olkin and Arnold, Inequalities: Theory of Majorization), is at
+# most theirs.  RENYI2_SLACK per Ritz value, lowering c_m by m times it,
+# covers how far the computed c_m can be above the partial sums the
+# eigensolve path reads:
+# - Householder QR keeps V orthonormal to a small multiple of r u, and each
+#   entry of the products sums r terms, so the computed theta are the Ritz
+#   values of a G + F with ||F||_2 a small multiple of r u ||G||_2 <=
+#   r u tr(G); interlacing on G + F, then Weyl, puts each theta_i at most
+#   ||F||_2 above lambda_i: under 1e-11 of tr(G);
+# - the eigensolve reads each lambda within a few r u tr(G) too, and its
+#   floor zeroes only eigenvalues below 1e-12 of the largest;
+# - its mass total is within 2e-7 of tr(G), by the terms above.
+# m * 1e-6 exceeds 2e-7 + m * 3e-11 for every m >= 1.  The bound is then
+# widened by log1p(RENYI2_SLACK), as the low end is, which keeps it clear
+# of the rounding in either entropy sum.  The block is sized and started
+# from G alone (see _ritz_bound), so the bound is deterministic for a BLAS.
 RENYI2_SLACK = 1e-6
 _RENYI2_MAX_SIZE = 2**28
 _RENYI2_MIN_MASS = 2.0**-1000
@@ -62,8 +88,10 @@ class EntropyReport:
 
     ``low`` and ``high`` are reals in [0, 1] with low <= high.  The
     eigensolve's report is exact, low == high == h; a certified one holds the
-    widened Renyi-2 interval of ``_renyi2_report``, on which the split does
-    not move.  ``normalized_entropy`` is ``low``, where the split is allocated.
+    widened Renyi-2 interval of ``_renyi2_report``, its high end lowered to
+    the Ritz bound (``_ritz_bound``) where that is the smaller, on which the
+    split does not move.  ``normalized_entropy`` is ``low``, where the split
+    is allocated.
     """
 
     low: float
@@ -100,17 +128,15 @@ def _spectral_entropy(
 ) -> tuple[EntropyReport, np.ndarray | None]:
     """``spectral_entropy`` of a validated E, and the Gram it decomposed if that
     is the token Gram E E^T (n < d), which stage 2 reads; None at n >= d.
-    Given the ``config`` whose sigmoid splits the budget, the report is the
-    Renyi-2 interval wherever that certifies the split, and the eigensolve is
-    skipped."""
+    Given the ``config`` whose sigmoid splits the budget, the report is
+    ``_bounds_report``'s interval wherever that certifies the split, and the
+    eigensolve is skipped."""
     with _span("gram"):
         G = _gram(E)
     report = None
     if config is not None:
         with _span("bounds"):
-            report = _renyi2_report(G, E.size)
-            if report is not None and not _certifies(report, config):
-                report = None
+            report = _bounds_report(G, E.size, config)
     if report is None:
         with _span("eigvalsh"):
             lam = _clamped_descending_eigvalsh(G)
@@ -128,24 +154,86 @@ def _spectral_entropy(
     return report, G if E.shape[0] < E.shape[1] else None
 
 
-def _renyi2_report(G: np.ndarray, size: int) -> EntropyReport | None:
-    # the normalized interval [-log q, H_max(q, r)] / log r that holds the
-    # Shannon entropy of G's spectrum, widened by RENYI2_SLACK, or None where
-    # the slack does not cover it (see there)
-    r = G.shape[0]
-    if r == 1 or size > _RENYI2_MAX_SIZE:
+def _bounds_report(G: np.ndarray, size: int, config: CompressConfig) -> EntropyReport | None:
+    """The interval that stands for the eigensolve where it certifies the
+    split: the Renyi-2 interval, its high end lowered to the Ritz bound when
+    the interval alone does not certify it; None where neither does, or
+    where the slack does not cover the bounds (see ``RENYI2_SLACK``)."""
+    mass = _collision_mass(G, size)
+    if mass is None:
+        return None
+    trace, q = mass
+    report = _renyi2_report(q, G.shape[0])
+    if _certifies(report, config):
+        return report
+    high = _ritz_bound(G, trace, q)
+    if high is None:
+        return None
+    report = EntropyReport(report.low, min(report.high, high))
+    return report if _certifies(report, config) else None
+
+
+def _collision_mass(G: np.ndarray, size: int) -> tuple[float, float] | None:
+    # (tr G, q) of the Gram of an E of ``size`` entries, or None where the
+    # slack does not cover the bounds read from them (see RENYI2_SLACK)
+    if G.shape[0] == 1 or size > _RENYI2_MAX_SIZE:
         return None
     with np.errstate(over="ignore"):  # an overflow takes the eigensolve, which refuses it
         trace = float(np.trace(G))
         squares = float(np.vdot(G, G))
     if not (0.0 < trace < np.inf and _RENYI2_MIN_MASS <= squares < np.inf):
         return None
-    # q lies in [1 / r, 1] in exact arithmetic; the clamps keep rounding there
-    q = min(squares / trace / trace, 1.0)
+    # q lies in [1 / r, 1] in exact arithmetic; the clamp keeps rounding there
+    return trace, min(squares / trace / trace, 1.0)
+
+
+def _renyi2_report(q: float, r: int) -> EntropyReport:
+    # the normalized interval [-log q, H_max(q, r)] / log r that holds the
+    # Shannon entropy of a spectrum on r > 1 atoms with collision mass q,
+    # widened by RENYI2_SLACK
     log_r = float(np.log(r))
     low = max(0.0, (min(-math.log(q), log_r) - math.log1p(RENYI2_SLACK)) / log_r)
     high = min(1.0, _max_entropy(q * (1.0 - RENYI2_SLACK), r) / log_r)
     return EntropyReport(low, high)
+
+
+def _ritz_bound(G: np.ndarray, trace: float, q: float) -> float | None:
+    """The normalized upper bound on the entropy of G's spectrum from one
+    Rayleigh-Ritz step (derived above ``RENYI2_SLACK``), or None where the
+    block would be too wide to pay for itself.
+
+    The block is j = ceil(1 / q) + 2 wide: 1 / q is the collision mass's
+    effective rank, so the block spans the spectrum's dominant part and two
+    more.  It starts from G's columns at its j largest diagonal entries
+    (ties to the lower index), takes one more product with G, and reads
+    the Ritz values of the result."""
+    r = G.shape[0]
+    j = math.ceil(1.0 / q) + 2
+    # the two products with G cost 4 r^2 j flops and the two QRs, with their
+    # Q, about 8 r j^2; the eigensolve's tridiagonal reduction costs 4 r^3 / 3,
+    # half of it in matrix-vector products.  At j <= r / 8 the step's
+    # 5 r^3 / 8 is under half of that, and runs at matrix-product speed
+    if 8 * j > r:
+        return None
+    start = np.argsort(-np.diagonal(G), kind="stable")[:j]
+    V = np.linalg.qr(G @ np.linalg.qr(G[:, start])[0])[0]
+    theta = np.linalg.eigvalsh(V.T @ (G @ V))[::-1]
+    c = np.cumsum(theta) / trace - RENYI2_SLACK * np.arange(1, j + 1)
+    return (_majorant_entropy(c, r) + math.log1p(RENYI2_SLACK)) / float(np.log(r))
+
+
+def _majorant_entropy(c: np.ndarray, r: int) -> float:
+    # the entropy of the r increments of the least concave majorant of
+    # (0, 0), (m, c[m - 1]) for m <= len(c) < r, and (r, 1), given c concave
+    # in m and below 1.  (r, 1) then drops only the points at c's end that
+    # lie on or below its chord from the point before them
+    d = np.diff(c, prepend=0.0)
+    m = len(c)
+    while m and d[m - 1] * (r - m) <= 1.0 - c[m - 1]:
+        m -= 1
+    head = d[:m]
+    tail = 1.0 - (c[m - 1] if m else 0.0)
+    return -float((head * np.log(head)).sum()) - tail * math.log(tail / (r - m))
 
 
 def _certifies(report: EntropyReport, config: CompressConfig) -> bool:

@@ -78,6 +78,22 @@ def scalar_entropy(masses) -> float:
     return acc
 
 
+def majorant_entropy_by_hull(c, r: int) -> float:
+    """Entropy of the r unit increments of the least concave majorant of
+    (0, 0), (m, c[m - 1]) for m = 1..len(c), and (r, 1): a monotone-chain
+    upper hull over every point, with no assumption on c."""
+    hull = []
+    for x, y in [(0, 0.0), *enumerate(c, 1), (r, 1.0)]:
+        # drop the last vertex while it lies on or below the chord to (x, y)
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-1][1])
+                                 >= (x - hull[-1][0]) * (hull[-1][1] - hull[-2][1])):
+            hull.pop()
+        hull.append((x, y))
+    masses = [(y1 - y0) / (x1 - x0)
+              for (x0, y0), (x1, y1) in zip(hull, hull[1:]) for _ in range(x1 - x0)]
+    return scalar_entropy(masses)
+
+
 def feature_norm_entropy(E: np.ndarray) -> float:
     """Normalized entropy of the per-token L2 norms: a signal that, unlike
     the spectral entropy, does not see how many directions the tokens span."""

@@ -108,3 +108,51 @@ def test_a_split_with_no_eigensolve_is_uncontrolled(tmp_path, capsys):
         rows[0]["config"]}
     assert all(row["controlled"] is not None for row in rows
                if row["config"] != rows[0]["config"])
+
+
+def test_a_split_kind_with_no_eigensolve_takes_the_pooled_control(capsys, tmp_path):
+    # a kind whose repeats all skipped the eigensolve borrows the config's
+    # pooled entropy/eigvalsh ratio, and its verdicts say so
+    old = json.loads(COMMITTED.read_text())
+    for config in old["configs"]:
+        n = config["total"]["n"]
+        certified = {path: p for path, p in config["phases"].items() if path != "entropy/eigvalsh"}
+        config["by_split"] = {
+            "saliency_heavy": {"total": {**config["total"], "n": n - 1}, "phases": certified},
+            "coverage_heavy": {"total": {**config["total"], "n": 1}, "phases": config["phases"]},
+        }
+    new = json.loads(json.dumps(old))
+    for config in new["configs"]:
+        config["phases"]["entropy/eigvalsh"]["p50_us"] *= 2.0  # the pooled control moves
+        config["by_split"]["saliency_heavy"]["phases"]["stage2"]["p50_us"] *= 2.0
+    tool = load_tool("bench_compare")
+    rows = tool.compare(old, new)
+    salient = [row for row in rows if row["split"] == "saliency_heavy"]
+    assert salient and all(row["control"] == "pooled" for row in salient)
+    assert {row["control"] for row in rows if row["split"] != "saliency_heavy"} == {"own"}
+    # stage2 moved with the pooled control, so it is unresolved; the rest read faster
+    assert {(row["phase"] == "stage2", row["verdict"]) for row in salient} == {
+        (True, "unresolved"), (False, "faster")}
+    assert all(row["controlled"] == row["ratio"] / 2.0 for row in salient)
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, report in zip(paths, (old, new)):
+        path.write_text(json.dumps(report))
+    assert tool.main([str(path) for path in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert sum(line.endswith(", pooled-controlled") for line in lines) == len(salient)
+    assert all(" saliency_heavy " in line for line in lines if "pooled" in line)
+    # a control whose p50s rest on different repeats times another mix of
+    # inputs: its rows keep the controlled ratio, but resolve nothing
+    for config in new["configs"]:
+        config["phases"]["entropy/eigvalsh"]["n"] -= 1
+    rows = tool.compare(old, new)
+    mixed = [row for row in rows if row["split"] != "coverage_heavy"]
+    assert {row["verdict"] for row in mixed} == {"unresolved"}
+    assert all(row["controlled"] is not None and row["control_n"][0] == row["control_n"][1] + 1
+               for row in mixed)
+    assert all(row["control"] == "own" and row["control_n"][0] == row["control_n"][1]
+               for row in rows if row["split"] == "coverage_heavy")
+    paths[1].write_text(json.dumps(new))
+    assert tool.main([str(path) for path in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert sum(", control n " in line for line in lines) == len(mixed)

@@ -22,7 +22,7 @@ from adaptok import (
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.prominence import _renyi2_report
+from adaptok.prominence import _bounds_report, _collision_mass, _renyi2_report, _ritz_bound
 from adaptok.tensor_core import _SPANS, _gram
 
 CLIP = dict(mu=0.42, tau=0.02)
@@ -236,33 +236,46 @@ class TestForcedSplit:
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_a_certified_split_is_the_exact_one(self, method):
         # over the synth and vit_tokens grids, the exact entropy lies within
-        # every input's Renyi-2 interval, every split is the one it
-        # allocates, and a certified result picks what the split forced at
-        # it picks
+        # every input's Renyi-2 interval and under its Ritz bound wherever
+        # the step runs, every split is the one it allocates, a certified
+        # result reports the interval of compress's bounds, and it picks
+        # what the split forced at it picks
         inputs = [synth_tokens(n, d, k, noise, 0)
                   for n, d in ((96, 64), (64, 96), (200, 32)) for k in (1, 2, 4, 8, 16, 32)
                   for noise in (0.0, 1e-3, 5e-2)]
         inputs += [vit_tokens(96, 64, alpha, outliers, 0)
                    for alpha in (0.25, 0.5, 0.75, 1.0) for outliers in (0, 4, 12)]
         config = CompressConfig(total_budget=16, diversity_method=method)
-        certified = 0
+        certified = ran = 0
         for tokens, sal in inputs:
             exact = spectral_entropy(tokens)  # the public entropy keeps the eigensolve
             assert exact.low == exact.high
-            interval = _renyi2_report(_gram(tokens), tokens.size)
-            assert interval.low <= exact.normalized_entropy <= interval.high
-            t_sal = allocate_budget(exact.normalized_entropy, config).t_sal
+            h = exact.normalized_entropy
+            G = _gram(tokens)
+            trace, q = _collision_mass(G, tokens.size)
+            renyi2 = _renyi2_report(q, G.shape[0])
+            assert renyi2.low <= h <= renyi2.high
+            ritz = _ritz_bound(G, trace, q)
+            if ritz is not None:
+                ran += 1
+                assert ritz >= h
+            interval = _bounds_report(G, tokens.size, config)
+            t_sal = allocate_budget(h, config).t_sal
             res = compress(tokens, sal, config)
             assert res.split.t_sal == t_sal
-            if res.entropy != interval:
+            if interval is None:
                 assert res.entropy == exact
                 continue
+            assert res.entropy == interval
+            assert interval.low <= h <= interval.high
+            assert interval.low < interval.high
             certified += 1
             forced = compress(tokens, sal, config, t_sal=t_sal)
             np.testing.assert_array_equal(res.selected, forced.selected)
             np.testing.assert_array_equal(res.coverage_pick_order, forced.coverage_pick_order)
             assert res.diagnostics == forced.diagnostics
         assert 0 < certified < len(inputs)
+        assert 0 < ran < len(inputs)
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize(

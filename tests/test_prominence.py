@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from oracles import (
     feature_norm_entropy,
+    majorant_entropy_by_hull,
     random_orthogonal,
     scalar_entropy,
     svd_spectral_entropy,
+    vit_tokens,
 )
 
 from adaptok import (
@@ -20,7 +22,15 @@ from adaptok import (
     spectral_entropy,
     synth_tokens,
 )
-from adaptok.prominence import _certifies, _renyi2_report, _spectral_entropy
+from adaptok.prominence import (
+    _bounds_report,
+    _certifies,
+    _collision_mass,
+    _majorant_entropy,
+    _renyi2_report,
+    _ritz_bound,
+    _spectral_entropy,
+)
 from adaptok.tensor_core import _gram
 
 
@@ -175,9 +185,10 @@ class TestRenyi2Certificate:
                              ids=["at-the-slack-size", "beyond-the-slack-size"])
     def test_gives_an_interval_only_as_far_as_the_slack_covers(self, size, bounded):
         # RENYI2_SLACK is derived for an E of at most 2**28 entries
-        report = _renyi2_report(np.diag([4.0, 1.0]), size)
-        assert (report is not None) == bounded
+        mass = _collision_mass(np.diag([4.0, 1.0]), size)
+        assert (mass is not None) == bounded
         if bounded:
+            report = _renyi2_report(mass[1], 2)
             h = spectral_entropy(np.diag([2.0, 1.0])).normalized_entropy
             assert report.low <= h <= report.high
 
@@ -194,7 +205,7 @@ class TestRenyi2Certificate:
         self, tokens, refused
     ):
         # the eigensolve refuses a Gram that overflows and one with no mass
-        assert _renyi2_report(_gram(tokens), tokens.size) is None
+        assert _collision_mass(_gram(tokens), tokens.size) is None
         saliency = np.arange(tokens.shape[0], dtype=float)
         if refused:
             with pytest.raises(DegenerateInputError):
@@ -203,6 +214,53 @@ class TestRenyi2Certificate:
         result = compress(tokens, saliency, CompressConfig(total_budget=1))
         assert result.entropy == spectral_entropy(tokens)
         assert "entropy/eigvalsh" in result.timings_us
+
+
+class TestRitzBound:
+    @pytest.mark.parametrize("n, d, T", [(96, 64, 16), (64, 96, 16), (576, 1024, 64)],
+                             ids=["n>d", "n<d", "576x1024"])
+    def test_lies_above_the_eigensolves_entropy(self, n, d, T):
+        # the grid: synth_tokens at k 1-128 (capped at min(n, d)) and noise
+        # 1e-3 and 1e-2, and vit_tokens at alpha 0.25-1 with 0, 4 or 12
+        # high-norm tokens, all at seed 0.  The Renyi-2 interval holds h on
+        # every input.  The step runs exactly where its block, ceil(1 / q) + 2
+        # wide, is at most r / 8, on some inputs of each shape and not on others
+        inputs = [synth_tokens(n, d, min(k, n, d), noise, 0)[0]
+                  for k in (1, 2, 4, 8, 16, 32, 64, 128) for noise in (1e-3, 1e-2)]
+        inputs += [vit_tokens(n, d, alpha, outliers, 0)[0]
+                   for alpha in (0.25, 0.5, 0.75, 1.0) for outliers in (0, 4, 12)]
+        config = CompressConfig(total_budget=T)
+        r = min(n, d)
+        ran = tightened = 0
+        for tokens in inputs:
+            G = _gram(tokens)
+            h = spectral_entropy(tokens).normalized_entropy
+            trace, q = _collision_mass(G, tokens.size)
+            interval = _renyi2_report(q, r)
+            assert interval.low <= h <= interval.high
+            bound = _ritz_bound(G, trace, q)
+            assert (bound is None) == (8 * (math.ceil(1.0 / q) + 2) > r)
+            if bound is not None:
+                ran += 1
+                assert bound >= h
+            report = _bounds_report(G, tokens.size, config)
+            if report is not None:
+                assert report.low < report.high
+                assert report.low <= h <= report.high
+                tightened += report.high < interval.high
+        assert 0 < ran < len(inputs)
+        assert tightened > 0  # the Ritz bound certified splits the interval alone does not
+
+    @pytest.mark.parametrize(
+        "c, r",
+        [([0.4, 0.7, 0.9], 10), ([0.5, 0.52, 0.53], 10), ([0.05, 0.1], 4)],
+        ids=["keeps-every-point", "drops-the-flat-end", "drops-every-point"],
+    )
+    def test_majorant_entropy_is_the_hulls(self, c, r):
+        # partial sums whose last increments fall below the tail's mean per
+        # atom lie under the chord to (r, 1), and the majorant passes over them
+        expected = majorant_entropy_by_hull(c, r)
+        assert math.isclose(_majorant_entropy(np.array(c), r), expected, rel_tol=1e-12)
 
 
 class TestFeatureNormEntropyOracle:

@@ -13,10 +13,18 @@ its own rows, controlled by that kind's own ``entropy/eigvalsh`` ratio, so
 a change at one end of the split shows apart from the other.  The control
 is imperfect: memory-bound phases and the eigensolve drift by different
 amounts, so a controlled ratio within ``UNRESOLVED`` of 1 prints
-``unresolved`` instead of a gain or a loss.  A split in which either report
-ran no eigensolve (``compress`` skips it where the entropy's bounds decide
-the split) has no control: its rows print ``uncontrolled`` and no
-controlled ratio.
+``unresolved`` instead of a gain or a loss.  A split kind in which either
+report ran no eigensolve (``compress`` skips it where the entropy's bounds
+decide the split) is controlled by the same grid entry's pooled
+``entropy/eigvalsh`` ratio instead, the same LAPACK call on the same
+shape, and its verdicts are labelled ``pooled-controlled``.  Only where
+either report ran no eigensolve in any repeat of the config is there no
+control: those rows print ``uncontrolled`` and no controlled ratio.  The
+eigensolve's cost depends on the spectrum, so a control whose two p50s
+rest on different numbers of repeats (the bounds certified a different
+share of them) times a different mix of inputs: its rows print the
+controlled ratio, but the verdict ``unresolved``, labelled with the
+control's repeats (``control n OLD/NEW``).
 
 Two reports whose hosts differ in any of ``SAME_HOST``, or that share no
 (grid entry, selector), are refused (exit 1): their timings do not compare.
@@ -43,6 +51,15 @@ def _p50s(spans: dict) -> dict:
             **{path: p["p50_us"] for path, p in sorted(spans["phases"].items())}}
 
 
+def _control(before: dict, after: dict) -> tuple[float, int, int] | None:
+    # the control's p50 ratio new / old and the repeats of each p50, or None
+    # where either spans lacks it
+    if CONTROL not in before["phases"] or CONTROL not in after["phases"]:
+        return None
+    old, new = before["phases"][CONTROL], after["phases"][CONTROL]
+    return new["p50_us"] / old["p50_us"], old["n"], new["n"]
+
+
 def _splits(before: dict, after: dict) -> list[tuple[str, dict, dict]]:
     # (split, old spans, new spans): the pooled ones, then each split kind of both
     pairs = [("all", before, after)]
@@ -55,10 +72,13 @@ def _splits(before: dict, after: dict) -> list[tuple[str, dict, dict]]:
 def compare(old: dict, new: dict) -> list[dict]:
     """One row per (grid entry, selector, split, phase) in both reports: the
     p50s, ``old_n`` and ``new_n`` (the repeats that split's p50s rest on),
-    ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio in the
-    same split, or None where either report lacks the control) and
-    ``verdict``.  Raises ValueError on reports from different hosts, or with
-    no (grid entry, selector) in common."""
+    ``ratio`` (new / old), ``controlled`` (ratio / the control's ratio),
+    ``control`` (``"own"`` for the same split's control, ``"pooled"`` for
+    the pooled one where that split lacks it, None where both lack it, and
+    ``controlled`` is None), ``control_n`` (the repeats of the control's
+    old and new p50s, or None) and ``verdict``.  Raises ValueError on
+    reports from different hosts, or with no (grid entry, selector) in
+    common."""
     differ = [key for key in SAME_HOST if old["host"].get(key) != new["host"].get(key)]
     if differ:
         raise ValueError("the reports' hosts differ in " + ", ".join(
@@ -69,23 +89,30 @@ def compare(old: dict, new: dict) -> list[dict]:
         raise ValueError("the reports share no (grid entry, selector)")
     rows = []
     for key in shared:
+        pooled = None  # the "all" split comes first and sets it
         for split, old_spans, new_spans in _splits(old_configs[key], new_configs[key]):
             before, after = _p50s(old_spans), _p50s(new_spans)
             repeats = {"old_n": old_spans["total"]["n"], "new_n": new_spans["total"]["n"]}
-            control = (after[CONTROL] / before[CONTROL]
-                       if CONTROL in before and CONTROL in after else None)
+            control, source = _control(old_spans, new_spans), "own"
+            if control is None and pooled is not None:
+                control, source = pooled, "pooled"
+            if split == "all":
+                pooled = control
             for phase in (p for p in before if p in after):
                 ratio = after[phase] / before[phase]
-                controlled = None if control is None else ratio / control
-                if controlled is None:
-                    verdict = "uncontrolled"
-                elif abs(controlled - 1.0) <= UNRESOLVED:
-                    verdict = "unresolved"
+                if control is None:
+                    controlled, verdict = None, "uncontrolled"
                 else:
-                    verdict = "faster" if controlled < 1.0 else "slower"
+                    controlled = ratio / control[0]
+                    if control[1] != control[2] or abs(controlled - 1.0) <= UNRESOLVED:
+                        verdict = "unresolved"
+                    else:
+                        verdict = "faster" if controlled < 1.0 else "slower"
                 rows.append({"config": key, "split": split, "phase": phase, **repeats,
                              "old_ms": before[phase] / 1e3, "new_ms": after[phase] / 1e3,
-                             "ratio": ratio, "controlled": controlled, "verdict": verdict})
+                             "ratio": ratio, "controlled": controlled,
+                             "control": source if control else None,
+                             "control_n": control and control[1:], "verdict": verdict})
     return rows
 
 
@@ -109,9 +136,12 @@ def main(argv=None) -> int:
         n, d, t, method = row["config"]
         repeats = f"{row['old_n']}/{row['new_n']}"
         controlled = "-" if row["controlled"] is None else f"{row['controlled']:.3f}"
+        label = ", pooled-controlled" if row["control"] == "pooled" else ""
+        if row["control_n"] and row["control_n"][0] != row["control_n"][1]:
+            label += ", control n {}/{}".format(*row["control_n"])
         print(f"{f'{n}x{d}, {t}':<16} {method:<18} {row['split']:<15} {repeats:>7} {row['phase']:<18} "
               f"{row['old_ms']:>9.2f} {row['new_ms']:>9.2f} {row['ratio']:>7.3f} "
-              f"{controlled:>7}  {row['verdict']}")
+              f"{controlled:>7}  {row['verdict']}{label}")
     return 0
 
 
