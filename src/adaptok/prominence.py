@@ -14,8 +14,9 @@ A report is the normalized interval [low, high] that holds the entropy.
 The sigmoid split reads the entropy only through floor(T * sigmoid), which
 is constant outside a narrow band around mu.  So ``compress`` first bounds
 the entropy from the Gram's trace and Frobenius norm (the Renyi-2
-interval), and where its two ends split differently, lowers its high end by
-one Rayleigh-Ritz step on the Gram (the Ritz bound).  It skips the
+interval), and where its two ends split differently, tightens both ends by
+one Rayleigh-Ritz step on the Gram (the Ritz bounds): the Ritz values lower
+the high end, and with their residuals raise the low end.  It skips the
 eigensolve when both ends give the same split (``_certifies``).  Its report
 is then that interval; the eigensolve's report is the point low == high == h.
 """
@@ -27,7 +28,14 @@ import numpy as np
 
 from .budget import CompressConfig, allocate_budget
 from .errors import DegenerateInputError, InvalidInputError
-from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_token_matrix
+from .tensor_core import (
+    EIGENVALUE_FLOOR,
+    _clamped_descending_eigvalsh,
+    _gram,
+    _real,
+    _span,
+    as_token_matrix,
+)
 
 # The Renyi-2 certificate.  With p the normalized spectrum of the Gram G on
 # r = min(n, d) atoms and q = sum p^2 = ||G||_F^2 / tr(G)^2 its collision
@@ -54,7 +62,7 @@ from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_t
 # zero, not finite or below 2**-1000, where the squares of a subnormal Gram
 # lose their bits, takes the eigensolve.
 #
-# The Ritz bound (_ritz_bound).  For an orthonormal r x j block V, the
+# The Ritz upper bound (_ritz_bounds).  For an orthonormal r x j block V, the
 # eigenvalues theta_1 >= ... >= theta_j of V^T G V satisfy theta_i <= lambda_i
 # (Cauchy interlacing; Parlett, The Symmetric Eigenvalue Problem, 1998), so
 # c_m = sum_{i<=m} theta_i / tr(G) is at most the m-th partial sum of p.
@@ -76,8 +84,49 @@ from .tensor_core import _clamped_descending_eigvalsh, _gram, _real, _span, as_t
 # m * 1e-6 exceeds 2e-7 + m * 3e-11 for every m >= 1.  The bound is then
 # widened by log1p(RENYI2_SLACK), as the low end is, which keeps it clear
 # of the rounding in either entropy sum.  The block is sized and started
-# from G alone (see _ritz_bound), so the bound is deterministic for a BLAS.
+# from G alone (see _ritz_bounds), so the bound is deterministic for a BLAS.
+#
+# The Ritz lower bound reads the Ritz pairs (theta_i, z_i) of that block and
+# their residuals R = G Z - Z Theta, rho_i = ||R[:, i]||; R is orthogonal to
+# Z.  All values below are over tr(G).  For a head of k <= j pairs, G's
+# compression C onto the complement of z_1 ... z_k has ||C||_F^2 <= F_k =
+# q - sum_{i<=k} theta_i^2, so lambda_max(C) <= sqrt(F_k).  Where the gap
+# eta_k = theta_k - sqrt(F_k) is positive, the head's eigenvalues are G's k
+# largest and each lambda_i lies in [theta_i, theta_i + eps_k], eps_k =
+# sum_{i<=k} rho_i^2 / eta_k: the low end is interlacing, the high end the
+# quadratic residual bound ||R_k||_2^2 / eta_k (Mathias, "Quadratic residual
+# bounds for the Hermitian eigenvalue problem", SIAM J. Matrix Anal. Appl.
+# 19(2), 1998).  -x log x is concave, so each head term is at least its
+# value at the worse end of that interval.  The tail's mass is P >= P_k =
+# 1 - sum_{i<=k} (theta_i + eps_k), and as lambda_i >= theta_i its
+# collision mass is S <= S_k = F_k.  Its entropy is P (H(p / P) - log P),
+# and H(p / P) >= -log(S / P^2) (Renyi-2 below Shannon, by Jensen), so it
+# is at least P log(P / S) >= P_k log(P_k / S_k) where P_k >= S_k / e, on
+# which P log(P / S_k) grows with P; that is positive only where P_k > S_k,
+# and elsewhere the tail counts 0.  The bound is the largest head-plus-tail
+# sum over k.
+# RITZ_SLACK is an absolute slack per eigenvalue, lowering each theta_i at
+# the low ends (in F_k and eta_k too), raising it at the high ends and
+# raising each rho_i.  It covers the block's rounding, as for the upper
+# bound: the computed theta_i are within a small multiple of r u of the Ritz
+# values of an exactly orthonormal block, and so, since the computed Z^T G Z
+# is diagonal to that order, are the residual norms of the computed Ritz
+# vectors, under 1e-11 either way; the computed trace moves each by under
+# r u more.  q sums r^2 squares before two divisions, so F_k takes
+# 2 r^2 u of q on top: 7e-12 on the benchmark's 576-token inputs, whose S_k
+# is about 3e-9, where RENYI2_SLACK's 1e-6 of q would be 9e-8.  The
+# eigensolve path reads each eigenvalue within e = RITZ_SLACK + 2e-12 (its
+# rounding; its floor zeroes negative rounding and positive eigenvalues
+# under 1e-12 of the largest), so its total is within r e and its
+# normalized spectrum within tau = 2 r e of G's in total variation.  Its
+# entropy is then within tau log r + h_2(tau) <= tau (1 + log(r / tau))
+# nats of G's (Audenaert, "A sharp continuity estimate for the von Neumann
+# entropy", J. Phys. A 40, 2007), which also covers the rounding in either
+# entropy sum: 6.3e-7 nats at r = 1024, or 9e-8 of log r, where the bound
+# lies 2e-5 to 3e-5 of log r under h on the benchmark's inputs.
 RENYI2_SLACK = 1e-6
+RITZ_SLACK = 1e-11
+_ROUNDING = 2.0**-53
 _RENYI2_MAX_SIZE = 2**28
 _RENYI2_MIN_MASS = 2.0**-1000
 
@@ -88,9 +137,9 @@ class EntropyReport:
 
     ``low`` and ``high`` are reals in [0, 1] with low <= high.  The
     eigensolve's report is exact, low == high == h; a certified one holds the
-    widened Renyi-2 interval of ``_renyi2_report``, its high end lowered to
-    the Ritz bound (``_ritz_bound``) where that is the smaller, on which the
-    split does not move.  ``normalized_entropy`` is ``low``, where the split
+    widened Renyi-2 interval of ``_renyi2_report``, each of its ends
+    tightened to the Ritz block's (``_ritz_bounds``) where that is the
+    tighter bound, on which the split does not move.  ``normalized_entropy`` is ``low``, where the split
     is allocated.
     """
 
@@ -156,9 +205,10 @@ def _spectral_entropy(
 
 def _bounds_report(G: np.ndarray, size: int, config: CompressConfig) -> EntropyReport | None:
     """The interval that stands for the eigensolve where it certifies the
-    split: the Renyi-2 interval, its high end lowered to the Ritz bound when
-    the interval alone does not certify it; None where neither does, or
-    where the slack does not cover the bounds (see ``RENYI2_SLACK``)."""
+    split: the Renyi-2 interval, or where that alone does not certify it,
+    the interval with each end tightened to the Ritz block's where that is
+    the tighter bound; None where neither certifies, or where the slack does
+    not cover the bounds (see ``RENYI2_SLACK``)."""
     mass = _collision_mass(G, size)
     if mass is None:
         return None
@@ -166,10 +216,10 @@ def _bounds_report(G: np.ndarray, size: int, config: CompressConfig) -> EntropyR
     report = _renyi2_report(q, G.shape[0])
     if _certifies(report, config):
         return report
-    high = _ritz_bound(G, trace, q)
-    if high is None:
+    ritz = _ritz_bounds(G, trace, q)
+    if ritz is None:
         return None
-    report = EntropyReport(report.low, min(report.high, high))
+    report = EntropyReport(max(report.low, ritz[0]), min(report.high, ritz[1]))
     return report if _certifies(report, config) else None
 
 
@@ -197,29 +247,63 @@ def _renyi2_report(q: float, r: int) -> EntropyReport:
     return EntropyReport(low, high)
 
 
-def _ritz_bound(G: np.ndarray, trace: float, q: float) -> float | None:
-    """The normalized upper bound on the entropy of G's spectrum from one
-    Rayleigh-Ritz step (derived above ``RENYI2_SLACK``), or None where the
-    block would be too wide to pay for itself.
+def _ritz_bounds(G: np.ndarray, trace: float, q: float) -> tuple[float, float] | None:
+    """The normalized (lower, upper) bounds on the entropy of G's spectrum
+    from one Rayleigh-Ritz step (derived above ``RENYI2_SLACK``), or None
+    where the block would be too wide to pay for itself.
 
     The block is j = ceil(1 / q) + 2 wide: 1 / q is the collision mass's
     effective rank, so the block spans the spectrum's dominant part and two
     more.  It starts from G's columns at its j largest diagonal entries
     (ties to the lower index), takes one more product with G, and reads
-    the Ritz values of the result."""
+    the Ritz pairs of the result: their values give the upper bound, and
+    with their residuals, the lower one."""
     r = G.shape[0]
     j = math.ceil(1.0 / q) + 2
-    # the two products with G cost 4 r^2 j flops and the two QRs, with their
-    # Q, about 8 r j^2; the eigensolve's tridiagonal reduction costs 4 r^3 / 3,
-    # half of it in matrix-vector products.  At j <= r / 8 the step's
-    # 5 r^3 / 8 is under half of that, and runs at matrix-product speed
+    # the two products with G cost 4 r^2 j flops, and the two QRs, with their
+    # Q, and the residuals about 12 r j^2; the eigensolve's tridiagonal
+    # reduction costs 4 r^3 / 3, half of it in matrix-vector products.  At
+    # j <= r / 8 the step's 11 r^3 / 16 is about half of that, and runs at
+    # matrix-product speed
     if 8 * j > r:
         return None
     start = np.argsort(-np.diagonal(G), kind="stable")[:j]
     V = np.linalg.qr(G @ np.linalg.qr(G[:, start])[0])[0]
-    theta = np.linalg.eigvalsh(V.T @ (G @ V))[::-1]
-    c = np.cumsum(theta) / trace - RENYI2_SLACK * np.arange(1, j + 1)
-    return (_majorant_entropy(c, r) + math.log1p(RENYI2_SLACK)) / float(np.log(r))
+    GV = G @ V
+    theta, Y = np.linalg.eigh(V.T @ GV)
+    theta, Y = theta[::-1], Y[:, ::-1]
+    R = GV @ Y - (V @ Y) * theta
+    x = theta / trace
+    rho = np.sqrt(np.einsum("ij,ij->j", R, R)) / trace
+    log_r = float(np.log(r))
+    c = np.cumsum(x) - RENYI2_SLACK * np.arange(1, j + 1)
+    high = (_majorant_entropy(c, r) + math.log1p(RENYI2_SLACK)) / log_r
+    return _head_tail_entropy(x, rho, q, r) / log_r, high
+
+
+def _head_tail_entropy(x: np.ndarray, rho: np.ndarray, q: float, r: int) -> float:
+    # the lower bound of the Ritz step in nats, at its best head size k
+    # (derived above RENYI2_SLACK), from the Ritz values x descending and
+    # their residual norms rho, both over tr G, and the collision mass q
+    lo = np.maximum(x - RITZ_SLACK, 0.0)
+    # F[k - 1] bounds both the compression of G off the head of k Ritz
+    # vectors and the tail's collision mass
+    F = q * (1.0 + 2.0 * r * r * _ROUNDING) - np.cumsum(lo * lo)
+    gap = lo - np.sqrt(np.maximum(F, 0.0))
+    held = (F > 0.0) & (gap > 0.0)
+    eps = np.cumsum((rho + RITZ_SLACK) ** 2) / np.where(held, gap, 1.0) + RITZ_SLACK
+    # row k - 1 of the j x j array holds the head's terms at k
+    head = np.tril(np.minimum(_neg_xlogx(lo), _neg_xlogx(x + eps[:, None]))).sum(axis=1)
+    P = 1.0 - np.cumsum(x) - np.arange(1, len(x) + 1) * eps
+    tail = P * np.log(np.divide(P, F, out=np.ones_like(P), where=held & (P > F)))
+    best = float(np.max(head + tail, where=held, initial=0.0))
+    tau = 2.0 * r * (RITZ_SLACK + 2.0 * EIGENVALUE_FLOOR)
+    return best - tau * (1.0 + math.log(r / tau))
+
+
+def _neg_xlogx(x: np.ndarray) -> np.ndarray:
+    # -x log x, and 0 at x <= 0
+    return -x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _majorant_entropy(c: np.ndarray, r: int) -> float:

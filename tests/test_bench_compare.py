@@ -7,15 +7,27 @@ from oracles import load_tool
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_skylakex-2cpu.json"
 
 
-def test_committed_file_against_itself_is_all_ones(capsys):
+def _timed_eigensolve() -> dict:
+    # the committed report with an entropy/eigvalsh span in every config,
+    # timed as its total over all its repeats: the compare's control is that
+    # span, and the entropy's bounds now certify every repeat the file times
+    report = json.loads(COMMITTED.read_text())
+    for config in report["configs"]:
+        config["phases"].setdefault("entropy/eigvalsh", dict(config["total"]))
+    return report
+
+
+def test_committed_file_against_itself_is_all_ones(capsys, tmp_path):
     tool = load_tool("bench_compare")
-    rows = tool.compare(*(json.loads(COMMITTED.read_text()),) * 2)
+    rows = tool.compare(*(_timed_eigensolve(),) * 2)
     # every (grid entry, selector) of the file, each with total and its phases
     assert {row["config"][3] for row in rows} == {"dpp", "fps", "facility_location"}
     assert len({row["config"] for row in rows}) == 6
     assert all(row["ratio"] == row["controlled"] == 1.0 for row in rows)
     assert {row["verdict"] for row in rows} == {"unresolved"}
-    assert tool.main([str(COMMITTED), str(COMMITTED)]) == 0
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(_timed_eigensolve()))
+    assert tool.main([str(path), str(path)]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == len(rows) + 1
     # each printed row names the repeats its p50s rest on, OLD/NEW
@@ -48,7 +60,7 @@ def test_each_split_kind_is_controlled_by_its_own_eigensolve():
     # the committed file pools its split kinds; give each config two kinds,
     # both the pooled p50s over one and the rest of the repeats, and move
     # one kind's phases in the new report
-    old = json.loads(COMMITTED.read_text())
+    old = _timed_eigensolve()
     for config in old["configs"]:
         n = config["total"]["n"]
         config["by_split"] = {
@@ -100,8 +112,8 @@ def test_a_split_with_no_eigensolve_is_uncontrolled(tmp_path, capsys):
     assert len(lines) == len(rows)
     assert all(line.endswith("      -  uncontrolled") for line in lines)
     # a control missing from one report leaves only the splits it is missing from
-    old = json.loads(COMMITTED.read_text())
-    new = json.loads(COMMITTED.read_text())
+    old = _timed_eigensolve()
+    new = _timed_eigensolve()
     del new["configs"][0]["phases"]["entropy/eigvalsh"]
     rows = tool.compare(old, new)
     assert {row["config"] for row in rows if row["verdict"] == "uncontrolled"} == {
@@ -113,7 +125,7 @@ def test_a_split_with_no_eigensolve_is_uncontrolled(tmp_path, capsys):
 def test_a_split_kind_with_no_eigensolve_takes_the_pooled_control(capsys, tmp_path):
     # a kind whose repeats all skipped the eigensolve borrows the config's
     # pooled entropy/eigvalsh ratio, and its verdicts say so
-    old = json.loads(COMMITTED.read_text())
+    old = _timed_eigensolve()
     for config in old["configs"]:
         n = config["total"]["n"]
         certified = {path: p for path, p in config["phases"].items() if path != "entropy/eigvalsh"}

@@ -28,7 +28,7 @@ from adaptok.prominence import (
     _collision_mass,
     _majorant_entropy,
     _renyi2_report,
-    _ritz_bound,
+    _ritz_bounds,
     _spectral_entropy,
 )
 from adaptok.tensor_core import _gram
@@ -219,37 +219,41 @@ class TestRenyi2Certificate:
 class TestRitzBound:
     @pytest.mark.parametrize("n, d, T", [(96, 64, 16), (64, 96, 16), (576, 1024, 64)],
                              ids=["n>d", "n<d", "576x1024"])
-    def test_lies_above_the_eigensolves_entropy(self, n, d, T):
+    def test_brackets_the_eigensolves_entropy(self, n, d, T):
         # the grid: synth_tokens at k 1-128 (capped at min(n, d)) and noise
-        # 1e-3 and 1e-2, and vit_tokens at alpha 0.25-1 with 0, 4 or 12
-        # high-norm tokens, all at seed 0.  The Renyi-2 interval holds h on
-        # every input.  The step runs exactly where its block, ceil(1 / q) + 2
-        # wide, is at most r / 8, on some inputs of each shape and not on others
+        # 0 (exactly low rank, where the tail's mass and collision mass fall
+        # to rounding), 1e-3, 1e-2 and 5e-2, and vit_tokens at alpha 0.25-1
+        # with 0, 4 or 12 high-norm tokens, all at seed 0.  The Renyi-2
+        # interval holds h on every input.  The step runs exactly where its
+        # block, ceil(1 / q) + 2 wide, is at most r / 8, on some inputs of
+        # each shape and not on others, and both its ends hold h
         inputs = [synth_tokens(n, d, min(k, n, d), noise, 0)[0]
-                  for k in (1, 2, 4, 8, 16, 32, 64, 128) for noise in (1e-3, 1e-2)]
+                  for k in (1, 2, 4, 8, 16, 32, 64, 128) for noise in (0.0, 1e-3, 1e-2, 5e-2)]
         inputs += [vit_tokens(n, d, alpha, outliers, 0)[0]
                    for alpha in (0.25, 0.5, 0.75, 1.0) for outliers in (0, 4, 12)]
         config = CompressConfig(total_budget=T)
         r = min(n, d)
-        ran = tightened = 0
+        ran = lowered = raised = 0
         for tokens in inputs:
             G = _gram(tokens)
             h = spectral_entropy(tokens).normalized_entropy
             trace, q = _collision_mass(G, tokens.size)
             interval = _renyi2_report(q, r)
             assert interval.low <= h <= interval.high
-            bound = _ritz_bound(G, trace, q)
-            assert (bound is None) == (8 * (math.ceil(1.0 / q) + 2) > r)
-            if bound is not None:
+            bounds = _ritz_bounds(G, trace, q)
+            assert (bounds is None) == (8 * (math.ceil(1.0 / q) + 2) > r)
+            if bounds is not None:
                 ran += 1
-                assert bound >= h
+                assert bounds[0] <= h <= bounds[1]
             report = _bounds_report(G, tokens.size, config)
             if report is not None:
                 assert report.low < report.high
                 assert report.low <= h <= report.high
-                tightened += report.high < interval.high
+                lowered += report.high < interval.high
+                raised += report.low > interval.low
         assert 0 < ran < len(inputs)
-        assert tightened > 0  # the Ritz bound certified splits the interval alone does not
+        # the block certified splits the interval alone does not, at both ends
+        assert lowered > 0 and raised > 0
 
     @pytest.mark.parametrize(
         "c, r",
