@@ -1,170 +1,121 @@
 import json
 from pathlib import Path
 
-from adaptok.bench import run_bench
+import pytest
 from oracles import load_tool
 
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_skylakex-2cpu.json"
 
 
-def _timed_eigensolve() -> dict:
-    # the committed report with an entropy/eigvalsh span in every config,
-    # timed as its total over all its repeats: the compare's control is that
-    # span, and the entropy's bounds now certify every repeat the file times
-    report = json.loads(COMMITTED.read_text())
-    for config in report["configs"]:
-        config["phases"].setdefault("entropy/eigvalsh", dict(config["total"]))
-    return report
+def _committed() -> dict:
+    return json.loads(COMMITTED.read_text())
 
 
-def test_committed_file_against_itself_is_all_ones(capsys, tmp_path):
+def _raised(field: str) -> str:
+    # the committed report with the host's nproc, or every config's budget,
+    # raised by 2, as JSON
+    report = _committed()
+    for entry in [report["host"]] if field == "nproc" else report["configs"]:
+        entry[field] += 2
+    return json.dumps(report)
+
+
+def test_committed_file_against_itself_is_all_ones(capsys):
     tool = load_tool("bench_compare")
-    rows = tool.compare(*(_timed_eigensolve(),) * 2)
+    rows = tool.compare(_committed(), _committed())
     # every (grid entry, selector) of the file, each with total and its phases
     assert {row["config"][3] for row in rows} == {"dpp", "fps", "facility_location"}
     assert len({row["config"] for row in rows}) == 6
-    assert all(row["ratio"] == row["controlled"] == 1.0 for row in rows)
-    assert {row["verdict"] for row in rows} == {"unresolved"}
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(_timed_eigensolve()))
-    assert tool.main([str(path), str(path)]) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == len(rows) + 1
+    assert all(row["ratio"] == 1.0 for row in rows)
+    assert tool.main([str(COMMITTED), str(COMMITTED)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == len(rows)
     # each printed row names the repeats its p50s rest on, OLD/NEW
-    assert all(f" {row['old_n']}/{row['new_n']} " in line
-               for row, line in zip(rows, out.splitlines()[1:]))
+    assert all(f" {row['old_n']}/{row['new_n']} " in line and line.endswith(" 1.000")
+               for row, line in zip(rows, lines))
 
 
-def test_reports_from_another_host_are_refused(tmp_path, capsys):
-    report = json.loads(COMMITTED.read_text())
-    report["host"]["nproc"] += 2
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(report))
-    assert load_tool("bench_compare").main([str(COMMITTED), str(other)]) == 1
+@pytest.mark.parametrize(
+    "text, message",
+    [(_raised("nproc"), "the reports' hosts differ in nproc"),
+     (_raised("budget"), "the reports share no (grid entry, selector)"),
+     (None, "{path}: No such file or directory"),
+     ("not json", "{path}: Expecting value"),
+     ("{}", "{path}: not an adaptok bench report")],
+    ids=["another-host", "no-config-in-common", "missing", "not-json", "no-report"],
+)
+def test_refusal(tmp_path, capsys, text, message):
+    # one line on stderr, nothing on stdout, exit 1
+    path = tmp_path / "other.json"
+    if text is not None:
+        path.write_text(text)
+    assert load_tool("bench_compare").main([str(COMMITTED), str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "nproc" in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("bench_compare: " + message.format(path=path))
+    assert captured.err.count("\n") == 1
 
 
-def test_reports_with_no_config_in_common_are_refused(tmp_path, capsys):
-    report = json.loads(COMMITTED.read_text())
-    for config in report["configs"]:
-        config["budget"] += 1
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(report))
-    assert load_tool("bench_compare").main([str(COMMITTED), str(other)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "share no" in captured.err
-
-
-def test_each_split_kind_is_controlled_by_its_own_eigensolve():
-    # the committed file pools its split kinds; give each config two kinds,
-    # both the pooled p50s over one and the rest of the repeats, and move
-    # one kind's phases in the new report
-    old = _timed_eigensolve()
+def test_each_split_kind_has_its_own_rows():
+    # give each config two kinds, one and the rest of the repeats, both with
+    # the config's p50s, and move one kind's phases in the new report
+    old = _committed()
     for config in old["configs"]:
         n = config["total"]["n"]
         config["by_split"] = {
-            kind: {"total": {**config["total"], "n": count}, "phases": config["phases"]}
+            kind: {"total": {**config["total"], "n": count},
+                   "phases": {path: {**p, "n": count} for path, p in config["phases"].items()}}
             for kind, count in (("saliency_heavy", n - 1), ("coverage_heavy", 1))
         }
     new = json.loads(json.dumps(old))
     for config in new["configs"]:
         coverage_heavy = config["by_split"]["coverage_heavy"]
         for p in (coverage_heavy["total"], *coverage_heavy["phases"].values()):
-            p["p50_us"] *= 2.0  # host drift, which its own control cancels
-        config["by_split"]["saliency_heavy"]["phases"]["stage2"]["p50_us"] *= 1.5
+            p["p50_us"] *= 2.0
     rows = load_tool("bench_compare").compare(old, new)
     by_split = {}
     for row in rows:
         by_split.setdefault(row["split"], []).append(row)
     assert list(by_split) == ["all", "saliency_heavy", "coverage_heavy"]
-    assert len(by_split["all"]) == len(by_split["saliency_heavy"])
-    assert all(row["ratio"] == 1.0 for row in by_split["all"])
+    assert len({len(kind_rows) for kind_rows in by_split.values()}) == 1
+    assert all(row["ratio"] == 1.0 for row in by_split["all"] + by_split["saliency_heavy"])
+    assert all(row["ratio"] == 2.0 for row in by_split["coverage_heavy"])
     # each row carries the repeats its split's p50s rest on
-    pooled_n = {row["config"]: row["old_n"] for row in by_split["all"]}
+    all_n = {row["config"]: row["old_n"] for row in by_split["all"]}
     assert all(row["old_n"] == row["new_n"] for row in rows)
-    assert all(row["old_n"] == pooled_n[row["config"]] - 1 for row in by_split["saliency_heavy"])
+    assert all(row["old_n"] == all_n[row["config"]] - 1 for row in by_split["saliency_heavy"])
     assert {row["old_n"] for row in by_split["coverage_heavy"]} == {1}
-    assert all(row["ratio"] == 2.0 and row["controlled"] == 1.0
-               for row in by_split["coverage_heavy"])
-    assert {(row["phase"], row["verdict"]) for row in by_split["saliency_heavy"]
-            if row["verdict"] != "unresolved"} == {("stage2", "slower")}
-    # a report without by_split compares on the pooled rows only
+    # a report without by_split compares on the "all" rows only
     del new["configs"][0]["by_split"]
-    pooled = [row for row in load_tool("bench_compare").compare(old, new)
-              if row["config"] == rows[0]["config"]]
-    assert {row["split"] for row in pooled} == {"all"}
+    first = [row for row in load_tool("bench_compare").compare(old, new)
+             if row["config"] == rows[0]["config"]]
+    assert {row["split"] for row in first} == {"all"}
 
 
-def test_a_split_with_no_eigensolve_is_uncontrolled(tmp_path, capsys):
-    # at 128x32 the entropy's bounds certify every repeat's split, so no
-    # report of it times entropy/eigvalsh
-    report = run_bench([(128, 32, 16)], repeats=2)
-    assert all("entropy/eigvalsh" not in config["phases"] for config in report["configs"])
+def test_a_phase_one_report_timed_shows_with_its_own_repeats(tmp_path, capsys):
+    # the old report times the eigensolve in half its repeats, the new one
+    # not at all: its row reads the old p50, and '-' for the new p50 and ratio
+    old = _committed()
+    config = old["configs"][0]
+    eigensolve = {**config["total"], "n": config["total"]["n"] // 2, "p50_us": 15840.0}
+    config["phases"]["entropy/eigvalsh"] = eigensolve
     tool = load_tool("bench_compare")
-    rows = tool.compare(report, report)
-    assert rows and all(row["controlled"] is None and row["verdict"] == "uncontrolled"
-                        for row in rows)
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(report))
-    assert tool.main([str(path), str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert len(lines) == len(rows)
-    assert all(line.endswith("      -  uncontrolled") for line in lines)
-    # a control missing from one report leaves only the splits it is missing from
-    old = _timed_eigensolve()
-    new = _timed_eigensolve()
-    del new["configs"][0]["phases"]["entropy/eigvalsh"]
-    rows = tool.compare(old, new)
-    assert {row["config"] for row in rows if row["verdict"] == "uncontrolled"} == {
-        rows[0]["config"]}
-    assert all(row["controlled"] is not None for row in rows
-               if row["config"] != rows[0]["config"])
-
-
-def test_a_split_kind_with_no_eigensolve_takes_the_pooled_control(capsys, tmp_path):
-    # a kind whose repeats all skipped the eigensolve borrows the config's
-    # pooled entropy/eigvalsh ratio, and its verdicts say so
-    old = _timed_eigensolve()
-    for config in old["configs"]:
-        n = config["total"]["n"]
-        certified = {path: p for path, p in config["phases"].items() if path != "entropy/eigvalsh"}
-        config["by_split"] = {
-            "saliency_heavy": {"total": {**config["total"], "n": n - 1}, "phases": certified},
-            "coverage_heavy": {"total": {**config["total"], "n": 1}, "phases": config["phases"]},
-        }
-    new = json.loads(json.dumps(old))
-    for config in new["configs"]:
-        config["phases"]["entropy/eigvalsh"]["p50_us"] *= 2.0  # the pooled control moves
-        config["by_split"]["saliency_heavy"]["phases"]["stage2"]["p50_us"] *= 2.0
-    tool = load_tool("bench_compare")
-    rows = tool.compare(old, new)
-    salient = [row for row in rows if row["split"] == "saliency_heavy"]
-    assert salient and all(row["control"] == "pooled" for row in salient)
-    assert {row["control"] for row in rows if row["split"] != "saliency_heavy"} == {"own"}
-    # stage2 moved with the pooled control, so it is unresolved; the rest read faster
-    assert {(row["phase"] == "stage2", row["verdict"]) for row in salient} == {
-        (True, "unresolved"), (False, "faster")}
-    assert all(row["controlled"] == row["ratio"] / 2.0 for row in salient)
-    paths = [tmp_path / "old.json", tmp_path / "new.json"]
-    for path, report in zip(paths, (old, new)):
-        path.write_text(json.dumps(report))
-    assert tool.main([str(path) for path in paths]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert sum(line.endswith(", pooled-controlled") for line in lines) == len(salient)
-    assert all(" saliency_heavy " in line for line in lines if "pooled" in line)
-    # a control whose p50s rest on different repeats times another mix of
-    # inputs: its rows keep the controlled ratio, but resolve nothing
-    for config in new["configs"]:
-        config["phases"]["entropy/eigvalsh"]["n"] -= 1
-    rows = tool.compare(old, new)
-    mixed = [row for row in rows if row["split"] != "coverage_heavy"]
-    assert {row["verdict"] for row in mixed} == {"unresolved"}
-    assert all(row["controlled"] is not None and row["control_n"][0] == row["control_n"][1] + 1
-               for row in mixed)
-    assert all(row["control"] == "own" and row["control_n"][0] == row["control_n"][1]
-               for row in rows if row["split"] == "coverage_heavy")
-    paths[1].write_text(json.dumps(new))
-    assert tool.main([str(path) for path in paths]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert sum(", control n " in line for line in lines) == len(mixed)
+    rows = tool.compare(old, _committed())
+    (row,) = (row for row in rows if row["phase"] == "entropy/eigvalsh" and row["split"] == "all")
+    assert (row["old_n"], row["new_n"]) == (eigensolve["n"], 0)
+    assert (row["old_ms"], row["new_ms"], row["ratio"]) == (15.84, None, None)
+    # the config's other rows keep their own repeats, total first, then by path
+    same = [other for other in rows if other["config"] == row["config"] and other["split"] == "all"]
+    assert same[0]["phase"] == "total" and same[0]["old_n"] == config["total"]["n"]
+    assert [other["phase"] for other in same[1:]] == sorted(other["phase"] for other in same[1:])
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert tool.main([str(path), str(COMMITTED)]) == 0
+    (line,) = (line for line in capsys.readouterr().out.splitlines() if " all " in line
+               and "entropy/eigvalsh" in line)
+    assert line.split()[-5:] == [f"{eigensolve['n']}/0", "entropy/eigvalsh", "15.84", "-", "-"]
+    # the other way round, the old side reads 0 and '-'
+    (row,) = (row for row in tool.compare(_committed(), old)
+              if row["phase"] == "entropy/eigvalsh" and row["split"] == "all")
+    assert (row["old_n"], row["old_ms"], row["new_n"], row["ratio"]) == (
+        0, None, eigensolve["n"], None)

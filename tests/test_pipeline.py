@@ -23,7 +23,7 @@ from adaptok import (
     subseed_rng,
     synth_tokens,
 )
-from adaptok.prominence import _bounds_report, _certifies, _collision_mass, _renyi2_report, _ritz_bounds
+from adaptok.prominence import _bounds_report, _certifies, _collision_mass, _renyi2_report
 from adaptok.tensor_core import _SPANS, _gram
 
 CLIP = dict(mu=0.42, tau=0.02)
@@ -236,33 +236,25 @@ class TestForcedSplit:
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     def test_a_certified_split_is_the_exact_one(self, method):
-        # over the synth and vit_tokens grids, the exact entropy lies within
-        # every input's Renyi-2 interval and between the Ritz block's two
-        # ends wherever the step runs, every split is the one it allocates,
-        # a certified result reports the interval of compress's bounds, and
-        # it picks what the split forced at it picks.  The last row is an
-        # in-band input at the CLIP shape (t_cov 7 of 64) that only the
-        # block's two ends certify, so it skips the eigensolve
+        # over the synth and vit_tokens grids, every split is the one the
+        # exact entropy allocates, a certified result reports the interval
+        # of compress's bounds, which holds that entropy, and it picks what
+        # the split forced at it picks.  The last row is an in-band input at
+        # the CLIP shape (t_cov 7 of 64) that only the Ritz block's two ends
+        # certify, so it skips the eigensolve
         inputs = [(*synth_tokens(n, d, k, noise, 0), 16)
                   for n, d in ((96, 64), (64, 96), (200, 32)) for k in (1, 2, 4, 8, 16, 32)
                   for noise in (0.0, 1e-3, 5e-2)]
         inputs += [(*vit_tokens(96, 64, alpha, outliers, 0), 16)
                    for alpha in (0.25, 0.5, 0.75, 1.0) for outliers in (0, 4, 12)]
         inputs.append((*synth_tokens(576, 1024, 11, 1e-3, subseed_rng(0, 2)), 64))
-        certified = ran = 0
+        certified = 0
         for tokens, sal, T in inputs:
             config = CompressConfig(total_budget=T, diversity_method=method)
             exact = spectral_entropy(tokens)  # the public entropy keeps the eigensolve
             assert exact.low == exact.high
             h = exact.normalized_entropy
             G = _gram(tokens)
-            trace, q = _collision_mass(G, tokens.size)
-            renyi2 = _renyi2_report(q, G.shape[0])
-            assert renyi2.low <= h <= renyi2.high
-            ritz = _ritz_bounds(G, trace, q)
-            if ritz is not None:
-                ran += 1
-                assert ritz[0] <= h <= ritz[1]
             interval = _bounds_report(G, tokens.size, config)
             t_sal = allocate_budget(h, config).t_sal
             res = compress(tokens, sal, config)
@@ -280,9 +272,8 @@ class TestForcedSplit:
             np.testing.assert_array_equal(res.coverage_pick_order, forced.coverage_pick_order)
             assert res.diagnostics == forced.diagnostics
         assert res.split.t_cov == 7 and interval is not None
-        assert not _certifies(renyi2, config)
+        assert not _certifies(_renyi2_report(_collision_mass(G, tokens.size)[1], len(G)), config)
         assert 0 < certified < len(inputs)
-        assert 0 < ran < len(inputs)
 
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize(

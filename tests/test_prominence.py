@@ -216,9 +216,16 @@ class TestRenyi2Certificate:
         assert "entropy/eigvalsh" in result.timings_us
 
 
+# three head eigenvalues and 61 equal ones (r = 64), and two reorderings
+_HEAD_AND_FLAT_TAIL = np.diag(np.sqrt([0.5, 0.25, 0.1] + [0.15 / 61] * 61))
+_ROWS, _COLUMNS = (np.random.default_rng(seed).permutation(64) for seed in (0, 1))
+
+
 class TestRitzBound:
-    @pytest.mark.parametrize("n, d, T", [(96, 64, 16), (64, 96, 16), (576, 1024, 64)],
-                             ids=["n>d", "n<d", "576x1024"])
+    @pytest.mark.parametrize(
+        "n, d, T", [(96, 64, 16), (64, 96, 16), (200, 32, 16), (576, 1024, 64)],
+        ids=["n>d", "n<d", "200x32", "576x1024"],
+    )
     def test_brackets_the_eigensolves_entropy(self, n, d, T):
         # the grid: synth_tokens at k 1-128 (capped at min(n, d)) and noise
         # 0 (exactly low rank, where the tail's mass and collision mass fall
@@ -254,6 +261,24 @@ class TestRitzBound:
         assert 0 < ran < len(inputs)
         # the block certified splits the interval alone does not, at both ends
         assert lowered > 0 and raised > 0
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [_HEAD_AND_FLAT_TAIL, 3.0 * _HEAD_AND_FLAT_TAIL[_ROWS][:, _COLUMNS],
+         np.vstack([_HEAD_AND_FLAT_TAIL, np.zeros((8, 64))])],
+        ids=["diagonal", "permuted-scaled", "zero-rows"],
+    )
+    def test_is_exact_on_a_head_and_a_flat_tail(self, tokens):
+        # r = 64 and 1 / q = 3.1, so the 6-wide block starts from the three
+        # head columns and three of the tail's: its Ritz values are G's own
+        # eigenvalues and its residuals 0, and the tail is uniform.  Both
+        # ends then sit within their slack of h
+        G = _gram(tokens)
+        trace, q = _collision_mass(G, tokens.size)
+        low, high = _ritz_bounds(G, trace, q)
+        h = spectral_entropy(tokens).normalized_entropy
+        assert 0.0 <= h - low <= 2e-8
+        assert 0.0 <= high - h <= 1e-5
 
     @pytest.mark.parametrize(
         "c, r",
