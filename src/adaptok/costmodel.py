@@ -11,6 +11,7 @@ or an estimate beyond float64 raises InvalidInputError.
 """
 
 import math
+import sys
 from contextlib import suppress
 
 from .errors import InvalidInputError
@@ -43,7 +44,10 @@ def estimate_kv_cache_bytes(seq_visual: int) -> int:
     """KV-cache bytes for the visual part of the sequence (K and V per layer)."""
     # K and V per layer, 2 bytes per fp16 value
     visual = _count(seq_visual, "seq_visual", 0, error=InvalidInputError)
-    return 2 * N_LAYERS * HIDDEN_DIM * visual * 2
+    kv_bytes = 2 * N_LAYERS * HIDDEN_DIM * visual * 2
+    if kv_bytes > sys.float_info.max:  # an int compares with a float exactly
+        raise InvalidInputError("the KV-cache estimate overflows float64")
+    return kv_bytes
 
 
 def flops_reduction(seq_before: int, seq_after: int, text_tokens: int = TEXT_TOKENS) -> float:

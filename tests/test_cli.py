@@ -100,14 +100,6 @@ class TestCompressCommand:
         assert set(timings) == span_paths(res.split.t_cov, certified=certified)
         assert list(timings) == sorted(timings)
 
-    def test_output_is_byte_identical_across_runs(self, tmp_path):
-        tok, sal = _synth_files(tmp_path)
-        out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-        args = ["compress", "--tokens", str(tok), "--saliency", str(sal), "--budget", "32"]
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_mu_tau_and_diversity_reach_the_config(self, tmp_path):
         tok, sal = _synth_files(tmp_path)
         out = tmp_path / "sel.json"

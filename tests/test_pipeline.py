@@ -34,32 +34,6 @@ def _instance(n=48, d=12, k=4, seed=0):
 
 
 class TestCompress:
-    def test_budget_equals_n_selects_everything(self):
-        tokens, sal = _instance(n=20, d=6)
-        res = compress(tokens, sal, CompressConfig(total_budget=20, **CLIP))
-        np.testing.assert_array_equal(res.selected, np.arange(20))
-
-    def test_concentrated_sample_is_pure_saliency(self):
-        # rank-1 + tiny noise has normalized entropy ~0, far below mu
-        tokens, sal = synth_tokens(128, 32, 1, 1e-4, 3)
-        res = compress(tokens, sal, CompressConfig(total_budget=64, **CLIP))
-        assert res.split.t_sal == 64 and res.split.t_cov == 0
-        np.testing.assert_array_equal(res.selected, saliency_topk(sal, 64))
-        assert res.coverage_pick_order.size == 0
-
-    def test_stage_disjointness_and_budget(self):
-        tokens, sal = _instance(k=6)
-        for method in DIVERSITY_METHODS:
-            res = compress(
-                tokens, sal, CompressConfig(total_budget=16, diversity_method=method, **CLIP)
-            )
-            assert res.selected.size == 16
-            assert len(set(res.selected.tolist())) == 16
-            sal_set = set(res.saliency_indices.tolist())
-            cov_set = set(res.coverage_indices.tolist())
-            assert not sal_set & cov_set
-            assert sal_set | cov_set == set(res.selected.tolist())
-
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize("t_sal", [0, 5, 16])
     def test_stage_indices_are_derived_from_the_two_stages(self, method, t_sal):
@@ -71,6 +45,9 @@ class TestCompress:
         assert (res.split.t_sal, res.split.t_cov) == (t_sal, 16 - t_sal)
         np.testing.assert_array_equal(res.saliency_indices, saliency_topk(sal, t_sal))
         np.testing.assert_array_equal(res.coverage_indices, np.sort(res.coverage_pick_order))
+        # so at t_sal = 16 the picks are the top 16, and at 0 the coverage picks
+        np.testing.assert_array_equal(
+            np.union1d(res.saliency_indices, res.coverage_indices), res.selected)
         assert res.saliency_indices.dtype == res.coverage_indices.dtype == np.int64
 
     @pytest.mark.parametrize(
@@ -118,11 +95,6 @@ class TestCompress:
                 falling = [h[alpha, outliers] for alpha in alphas]
                 assert all(a > b for a, b in zip(falling, falling[1:])), (seed, falling)
 
-    def test_bit_identical_repeat_runs(self):
-        tokens, sal = _instance(k=5, seed=9)
-        cfg = CompressConfig(total_budget=20, **CLIP)
-        assert selection_results_equal(compress(tokens, sal, cfg), compress(tokens, sal, cfg))
-
     @pytest.mark.parametrize("method", DIVERSITY_METHODS)
     @pytest.mark.parametrize("n, d", [(24, 40), (48, 12)], ids=["n<d", "n>=d"])
     def test_empty_stage2_has_coverage_logdet_zero(self, method, n, d):
@@ -136,48 +108,12 @@ class TestCompress:
         assert logdet == 0.0 and math.copysign(1.0, logdet) == 1.0
         assert '"coverage_logdet": 0.0,' in selection_result_to_json(res)
 
-    def test_all_zero_tokens_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            compress(np.zeros((8, 4)), np.ones(8), CompressConfig(total_budget=4, **CLIP))
-
-    def test_zero_rows_survive(self):
-        tokens, sal = _instance(n=24, d=8, k=3)
-        tokens = tokens.copy()
-        tokens[::3] = 0.0  # a third of the rows are zero
-        res = compress(tokens, sal, CompressConfig(total_budget=20, **CLIP))
-        assert res.selected.size == 20
-
 
 class TestForcedSplit:
-    def test_pure_saliency_boundary(self):
-        tokens, sal = _instance()
-        res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=16)
-        assert res.coverage_indices.size == 0
-        np.testing.assert_array_equal(res.selected, saliency_topk(sal, 16))
-
-    def test_pure_coverage_boundary(self):
-        tokens, sal = _instance()
-        res = compress(tokens, sal, CompressConfig(total_budget=16, **CLIP), t_sal=0)
-        np.testing.assert_array_equal(res.coverage_indices, res.selected)
-        assert res.split.t_sal == 0 and res.split.t_cov == 16
-
-    def test_benchmark_average_split(self):
-        tokens, sal = synth_tokens(576, 24, 6, 1e-3, 2)
-        res = compress(tokens, sal, CompressConfig(total_budget=64, **CLIP), t_sal=12)
-        assert (res.split.t_sal, res.split.t_cov) == (12, 52)
-        assert res.selected.size == 64
-
     def test_entropy_still_reported(self):
         tokens, sal = _instance(k=1)
         res = compress(tokens, sal, CompressConfig(total_budget=8, **CLIP), t_sal=4)
         assert res.entropy.normalized_entropy < 0.05
-
-    def test_numpy_integer_t_sal_accepted(self):
-        tokens, sal = _instance()
-        cfg = CompressConfig(total_budget=16, **CLIP)
-        res = compress(tokens, sal, cfg, t_sal=np.int64(4))
-        assert type(res.split.t_sal) is int
-        assert selection_results_equal(res, compress(tokens, sal, cfg, t_sal=4))
 
     def test_equality_is_document_equality(self):
         tokens, sal = _instance()

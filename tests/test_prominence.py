@@ -63,10 +63,6 @@ class TestSpectralEntropy:
             rep = spectral_entropy(E)
             np.testing.assert_allclose(rep.normalized_entropy, normalized, rtol=1e-8, atol=1e-10)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            spectral_entropy(np.zeros((3, 3)))
-
     def test_single_token_normalizes_to_zero(self):
         # one token, or one feature: a support of one, whose log(1) is 0.0
         for E in (np.array([[3.0, 1.0, 2.0]]), np.array([[3.0], [1.0], [2.0]])):
@@ -308,16 +304,6 @@ class TestFeatureNormEntropyOracle:
         E = np.array([[3.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(feature_norm_entropy(E),
                                    0.5623351446188083 / math.log(2), rtol=1e-12)
-
-
-class TestInvariances:
-    def test_row_permutation(self, rng):
-        for _ in range(50):
-            n, d = int(rng.integers(2, 10)), int(rng.integers(2, 10))
-            E = np.abs(rng.standard_normal((n, d))) + 0.1
-            perm = rng.permutation(n)
-            a = spectral_entropy(E).normalized_entropy
-            assert abs(a - spectral_entropy(E[perm]).normalized_entropy) < 1e-8
 
 
 class TestMonotoneConcentration:

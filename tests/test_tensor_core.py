@@ -342,6 +342,8 @@ _MAGNITUDE_ENTRIES = [
       for exp in (200, 400)],
     ("estimate_prefill_flops.text_tokens-10**400",
      lambda: estimate_prefill_flops(1, text_tokens=10**400), "invalid-input"),
+    ("estimate_kv_cache_bytes-10**400", lambda: estimate_kv_cache_bytes(10**400),
+     "invalid-input"),
     ("synth_tokens-noise1e308", lambda: synth_tokens(4, 3, 1, 1e308, 0), "invalid-input"),
     ("allocate_budget-total_budget-10**400",
      lambda: allocate_budget(0.5, CompressConfig(10**400)), "invalid-budget"),
@@ -357,6 +359,8 @@ _IN_RANGE_ENTRIES = [
       for method in DIVERSITY_METHODS for shape in _SHAPES for scale in (1e150, 1e-150)],
     ("reduce_head_attention-1e307", lambda: reduce_head_attention(np.full((3, 4), 1e307))),
     ("estimate_prefill_flops-10**100", lambda: estimate_prefill_flops(10**100)),
+    # in MB, as the flops command reports it
+    ("estimate_kv_cache_bytes-10**300", lambda: estimate_kv_cache_bytes(10**300) / 2**20),
     ("synth_tokens-noise1e300", lambda: dict(zip("Es", synth_tokens(4, 3, 1, 1e300, 0)))),
 ]
 
